@@ -6,7 +6,7 @@ graph robustness checker, per-event safety diagnostics, and a Monte Carlo
 frontier harness.
 """
 
-from .absolute import AbsoluteProtocol, MsrParams
+from .absolute import AbsoluteProtocol
 from .adversary import (
     AttackScript,
     custom_script,
@@ -52,9 +52,9 @@ from .metrics import (
     decay_envelope,
     write_trace,
 )
-from .msr import ConfiguredAlpha, EqualWeights, make_weights, msr_trim
-from .phase import Arc, clockwise_dist, containing_arc, time_to_phase
-from .relative import RelativeParams, RelativeProtocol, pulse_pair_ratio
+from .msr import ConfiguredAlpha, EqualWeights, MsrParams, make_weights, msr_trim
+from .phase import Arc, clockwise_dist, containing_arc
+from .relative import RelativeProtocol, pulse_pair_ratio
 from .runner import RunResult, run_scenario
 from .scenario import (
     AttackerSpec,
@@ -84,7 +84,6 @@ __all__ = [
     "OscillatorState",
     "ProtocolFault",
     "RandomInterval",
-    "RelativeParams",
     "RelativeProtocol",
     "RunMetrics",
     "RunResult",
@@ -123,7 +122,6 @@ __all__ = [
     "simulate",
     "stealthy_script",
     "sweep_frontier",
-    "time_to_phase",
     "write_frontier",
     "write_trace",
 ]

@@ -1,56 +1,25 @@
 """Resilient synchronization protocol broadcasting absolute frequencies.
 
-Every fire carries the sender's frequency value. A receiver buffers the
-values heard during its round, captures phase-correction ingredients when
-its pulse counter crosses the two landmarks (fault bound + 1 from below,
-in-degree - fault bound from above), and at the half-phase update instant
-jumps its phase by the halved sum of the two ingredients and replaces its
+Every fire carries the sender's frequency value, and a receiver's
+estimates of its neighbors' frequencies are simply the values it heard
+during its round. Counting, landmarks, detection and the phase jump are the
+shared W-MSR round of ``msr.py``; at the update the node replaces its
 frequency with a trimmed weighted mean of the buffered values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import WorldState
 from .errors import ProtocolFault
-from .msr import EqualWeights, WeightPolicy, make_weights, msr_trim
+from .msr import MsrRound, make_weights, msr_trim
 
 
-@dataclass(frozen=True)
-class MsrParams:
-    """Knobs shared by the update rule.
-
-    ``f`` bounds the number of misbehaving in-neighbors any node may have.
-    ``eager_detection`` latches a counter overflow the moment it happens
-    instead of waiting for the update instant.
-    """
-
-    f: int
-    weight_policy: WeightPolicy = field(default_factory=EqualWeights)
-    eager_detection: bool = False
-
-    def __post_init__(self) -> None:
-        if self.f < 0:
-            raise ValueError(f"fault bound must be nonnegative, got {self.f}")
-
-
-class AbsoluteProtocol:
-    uses_start_pulses = False
-    zeta = 0.0
-
-    def __init__(self, params: MsrParams):
-        self.params = params
-
+class AbsoluteProtocol(MsrRound):
     # -- pulse plane --------------------------------------------------------
 
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
         """Node i reaches phase 1: reset, arm the update, broadcast omega."""
-        osc = world.oscillators[i]
-        osc.phase = 0.0
-        osc.fired = True
-        osc.start_emitted = False
-        value = osc.omega
+        value = self.reset_on_fire(world, i).omega
         newly = False
         for j in world.graph.out_neighbors[i]:
             if j in world.normal:
@@ -65,21 +34,8 @@ class AbsoluteProtocol:
 
         Returns True when eager detection latched on this pulse.
         """
-        osc = world.oscillators[i]
-        osc.freq_buffer.append(value)
-        osc.pulse_count += 1
-        c = osc.pulse_count
-        d = world.graph.in_degree(i)
-        f = self.params.f
-        phi = osc.phase
-        if c == f + 1:
-            osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
-        if c == d - f:
-            osc.jump_down = -phi if phi < 0.5 else 0.0
-        if self.params.eager_detection and c > d and not osc.detected:
-            osc.detected = True
-            return True
-        return False
+        world.oscillators[i].freq_buffer.append(value)
+        return self.count_pulse(world, i)
 
     def deliver_adversary(
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
@@ -99,21 +55,10 @@ class AbsoluteProtocol:
 
         Returns True when the counter check latched detection now.
         """
-        osc = world.oscillators[i]
-        osc.phase = 0.5
-        c = osc.pulse_count
-        d = world.graph.in_degree(i)
-        if c > d:
-            osc.detected = True
-            osc.reset_round()
+        trim = self.open_update(world, i)
+        if trim is None:
             return True
-        trim = self.params.f - (d - c)
-        if trim < 0:
-            raise ProtocolFault(
-                f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
-                f"the scenario violates the one-pulse-per-round precondition"
-            )
-        osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
+        osc = world.oscillators[i]
         kept = msr_trim(osc.freq_buffer, trim)
         weights = make_weights(self.params.weight_policy, len(kept))
         omega = osc.omega

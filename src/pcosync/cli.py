@@ -38,6 +38,8 @@ def _load(path: str):
         return load_scenario(path)
     except FileNotFoundError:
         raise ScenarioValidationError([f"scenario file not found: {path}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioValidationError([f"cannot read scenario file {path}: {exc}"])
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"scenario file is not valid JSON: {exc}"])
 

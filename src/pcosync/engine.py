@@ -22,18 +22,16 @@ PHASE_SLACK = 1e-9  # tolerated floating-point overshoot past a threshold
 
 
 class EventKind(enum.Enum):
+    """Declared in tie-break priority order; ``next_event`` ranks a kind
+    by its position here."""
+
     ADVERSARY_PULSE = "adversary_pulse"
     FIRE = "fire"
     START_PULSE = "start_pulse"
     UPDATE = "update"
 
 
-_PRIORITY_TO_KIND = {
-    0: EventKind.ADVERSARY_PULSE,
-    1: EventKind.FIRE,
-    2: EventKind.START_PULSE,
-    3: EventKind.UPDATE,
-}
+_KINDS = tuple(EventKind)
 
 
 @dataclass
@@ -41,7 +39,6 @@ class Event:
     time: float
     kind: EventKind
     node: int
-    sequence_index: int = -1
     # Only adversary pulses distinguish a forged start pulse from a counted one.
     is_start: bool = False
 
@@ -91,7 +88,6 @@ class WorldState:
     faulty: frozenset[int]
     clock: float = 0.0
     event_count: int = 0
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         n = self.graph.node_count
@@ -175,7 +171,7 @@ def next_event(world: WorldState, protocol, pending_adversary=()) -> Event | Non
         (c for c in candidates if c[0] <= tmin + TIME_EPS),
         key=lambda c: (c[1], c[2], c[3]),
     )
-    return Event(time=best[0], kind=_PRIORITY_TO_KIND[best[1]], node=best[2], is_start=bool(best[3]))
+    return Event(time=best[0], kind=_KINDS[best[1]], node=best[2], is_start=bool(best[3]))
 
 
 def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4.0) -> int:
@@ -240,7 +236,6 @@ def simulate(
             newly_detected = protocol.handle_update(world, ev.node, ev.time)
 
         world.event_count += 1
-        ev.sequence_index = world.event_count
         metrics.observe(world, ev)
 
         if world.event_count > budget:

@@ -1,10 +1,21 @@
-"""Trimming and weight construction shared by both update rules."""
+"""The W-MSR round both protocol variants run.
+
+W-MSR is the weighted mean-subsequence-reduced rule of LeBlanc et al.,
+"Resilient asymptotic consensus in robust networks" (IEEE JSAC 2013), whose
+(2f+1)-robustness condition ``graph.py`` certifies. A node counts the pulses
+of its round, captures phase-correction ingredients at the landmarks f + 1
+and d - f, and at its update jumps its phase, trims the f - (d - c) largest
+and smallest frequency estimates, and takes a weighted mean of the rest.
+The variants differ only in the estimates: claimed values
+(``absolute.py``) or pulse-pair ratios (``relative.py``).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
+from .engine import WorldState
 from .errors import ProtocolFault
 
 
@@ -82,3 +93,87 @@ def msr_trim(values: Sequence[float], trim_count: int) -> list[float]:
     if trim_count == 0:
         return ordered
     return ordered[trim_count : len(ordered) - trim_count]
+
+
+@dataclass(frozen=True)
+class MsrParams:
+    """Knobs shared by both protocol variants.
+
+    ``f`` bounds the number of misbehaving in-neighbors any node may have.
+    ``eager_detection`` latches a counter overflow the moment it happens
+    instead of waiting for the update instant.
+    """
+
+    f: int
+    weight_policy: WeightPolicy = field(default_factory=EqualWeights)
+    eager_detection: bool = False
+
+    def __post_init__(self) -> None:
+        if self.f < 0:
+            raise ValueError(f"fault bound must be nonnegative, got {self.f}")
+
+
+class MsrRound:
+    """Round bookkeeping shared by both variants; subclasses supply the
+    pulse handlers and the frequency estimate."""
+
+    uses_start_pulses = False
+    zeta = 0.0
+
+    def __init__(self, params: MsrParams):
+        self.params = params
+
+    def reset_on_fire(self, world: WorldState, i: int):
+        """Node i reaches phase 1: wrap to 0, arm the update, return its state."""
+        osc = world.oscillators[i]
+        osc.phase = 0.0
+        osc.fired = True
+        osc.start_emitted = False
+        return osc
+
+    def count_pulse(self, world: WorldState, i: int) -> bool:
+        """Receiver i counts one pulse at its current phase and captures
+        each landmark's jump ingredient on the pulse that reaches it.
+
+        Returns True when eager detection latched on this pulse.
+        """
+        osc = world.oscillators[i]
+        osc.pulse_count += 1
+        c = osc.pulse_count
+        d = world.graph.in_degree(i)
+        f = self.params.f
+        phi = osc.phase
+        if c == f + 1:
+            osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
+        if c == d - f:
+            osc.jump_down = -phi if phi < 0.5 else 0.0
+        if self.params.eager_detection and c > d and not osc.detected:
+            osc.detected = True
+            return True
+        return False
+
+    def open_update(self, world: WorldState, i: int) -> int | None:
+        """Node i reaches phase 0.5 armed: check the counter and jump.
+
+        Returns how many estimates to trim from each end, or None when the
+        counter overflowed; then detection is latched and the round reset.
+
+        Raises:
+            ProtocolFault: node i heard fewer than d - f pulses.
+        """
+        osc = world.oscillators[i]
+        osc.phase = 0.5
+        c = osc.pulse_count
+        d = world.graph.in_degree(i)
+        if c > d:
+            osc.detected = True
+            osc.reset_round()
+            return None
+        trim = self.params.f - (d - c)
+        if trim < 0:
+            raise ProtocolFault(
+                f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
+                f"the scenario violates the one-pulse-per-round precondition"
+            )
+        osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
+        return trim

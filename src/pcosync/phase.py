@@ -64,15 +64,3 @@ def containing_arc(phases: Sequence[float]) -> Arc:
             best = Arc(1.0 - gap, tail, pts[i])
     return best
 
-
-def time_to_phase(phase: float, omega: float, target: float) -> float:
-    """Time for an oscillator at ``phase`` running at rate ``omega`` to
-    reach ``target``, taking the target as strictly ahead.
-
-    A target at or behind the current phase is reached on the next lap.
-    """
-    if omega <= 0.0:
-        raise ValueError(f"frequency must be positive, got {omega}")
-    if target > phase:
-        return (target - phase) / omega
-    return (1.0 - phase + target) / omega

@@ -4,18 +4,16 @@ Instead of broadcasting frequency values, every sender emits a start pulse
 a fixed phase offset before firing and an end pulse at the fire itself.
 A receiver stamps its own phase at both receptions; the offset divided by
 the stamped span estimates the sender-to-receiver frequency ratio without
-any unit agreement between clocks. Only end pulses drive the counter and
-the phase-correction landmarks, which keeps the pulse plane identical to
-the absolute-frequency protocol.
+any unit agreement between clocks. Only end pulses drive the shared W-MSR
+round of ``msr.py`` (counter, landmarks, detection, phase jump), so the
+pulse plane is identical to the absolute-frequency protocol; at the update
+the node scales its frequency by a trimmed weighted mean of the ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .engine import WorldState
-from .errors import ProtocolFault
-from .msr import EqualWeights, WeightPolicy, make_weights, msr_trim
+from .msr import MsrParams, MsrRound, make_weights, msr_trim
 
 
 def pulse_pair_ratio(start_stamp: float, end_stamp: float, zeta: float) -> float | None:
@@ -32,52 +30,34 @@ def pulse_pair_ratio(start_stamp: float, end_stamp: float, zeta: float) -> float
     return zeta / span
 
 
-@dataclass(frozen=True)
-class RelativeParams:
-    f: int
-    zeta: float = 0.1
-    weight_policy: WeightPolicy = field(default_factory=EqualWeights)
-    eager_detection: bool = False
-
-    def __post_init__(self) -> None:
-        if self.f < 0:
-            raise ValueError(f"fault bound must be nonnegative, got {self.f}")
-        if not 0.0 < self.zeta < 0.5:
-            raise ValueError(f"start-pulse offset must lie in (0, 0.5), got {self.zeta}")
-
-
-class RelativeProtocol:
+class RelativeProtocol(MsrRound):
     uses_start_pulses = True
 
-    def __init__(self, params: RelativeParams, ratio_log: list | None = None):
-        """``ratio_log``, when given, collects one record per accepted ratio:
+    def __init__(self, params: MsrParams, zeta: float = 0.1, ratio_log: list | None = None):
+        """``zeta`` is the phase offset of the start pulse before the fire.
+        ``ratio_log``, when given, collects one record per accepted ratio:
         (time, node, sender, ratio, receiver omega before update, sender
         omega at end-pulse emission or None for forged pulses). Diagnostic
         only; the protocol itself never reads it."""
-        self.params = params
+        if not 0.0 < zeta < 0.5:
+            raise ValueError(f"start-pulse offset must lie in (0, 0.5), got {zeta}")
+        super().__init__(params)
+        self.zeta = zeta
         self.ratio_log = ratio_log
-
-    @property
-    def zeta(self) -> float:
-        return self.params.zeta
 
     # -- pulse plane --------------------------------------------------------
 
     def handle_start(self, world: WorldState, i: int, t: float) -> None:
         """Node i reaches the start-pulse threshold: stamp every listener."""
         osc = world.oscillators[i]
-        osc.phase = 1.0 - self.params.zeta
+        osc.phase = 1.0 - self.zeta
         osc.start_emitted = True
         for j in world.graph.out_neighbors[i]:
             if j in world.normal:
                 self.on_start_pulse(world, j, i, t)
 
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
-        osc = world.oscillators[i]
-        osc.phase = 0.0
-        osc.fired = True
-        osc.start_emitted = False
-        omega = osc.omega
+        omega = self.reset_on_fire(world, i).omega
         newly = False
         for j in world.graph.out_neighbors[i]:
             if j in world.normal:
@@ -102,19 +82,7 @@ class RelativeProtocol:
         if start is not None:
             # Latest completed pair wins; a lone end pulse pairs with nothing.
             osc.pulse_pairs[sender] = (start, osc.phase, sender_omega)
-        osc.pulse_count += 1
-        c = osc.pulse_count
-        d = world.graph.in_degree(i)
-        f = self.params.f
-        phi = osc.phase
-        if c == f + 1:
-            osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
-        if c == d - f:
-            osc.jump_down = -phi if phi < 0.5 else 0.0
-        if self.params.eager_detection and c > d and not osc.detected:
-            osc.detected = True
-            return True
-        return False
+        return self.count_pulse(world, i)
 
     def deliver_adversary(
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
@@ -132,23 +100,11 @@ class RelativeProtocol:
     # -- update plane -------------------------------------------------------
 
     def handle_update(self, world: WorldState, i: int, t: float) -> bool:
-        osc = world.oscillators[i]
-        osc.phase = 0.5
-        c = osc.pulse_count
-        d = world.graph.in_degree(i)
-        if c > d:
-            osc.detected = True
-            osc.reset_round()
+        trim = self.open_update(world, i)
+        if trim is None:
             return True
-        trim = self.params.f - (d - c)
-        if trim < 0:
-            raise ProtocolFault(
-                f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
-                f"the scenario violates the one-pulse-per-round precondition"
-            )
-        osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
-
-        zeta = self.params.zeta
+        osc = world.oscillators[i]
+        zeta = self.zeta
         ratios: list[float] = []
         for j in world.graph.in_neighbors[i]:
             pair = osc.pulse_pairs.get(j)

@@ -11,8 +11,6 @@ from .metrics import RunMetrics, write_trace
 from .relative import RelativeProtocol
 from .scenario import ScenarioConfig
 
-OUTCOMES = ("converged", "detected", "horizon", "fault")
-
 
 @dataclass
 class RunResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -33,7 +34,7 @@ from .graph import (
     parse_graph_text,
 )
 from .metrics import check_initial_bound
-from .msr import ConfiguredAlpha, EqualWeights, WeightPolicy, effective_alpha
+from .msr import ConfiguredAlpha, EqualWeights, MsrParams, WeightPolicy, effective_alpha
 from .phase import containing_arc, clockwise_dist
 
 ALGORITHMS = ("absolute", "relative")
@@ -152,8 +153,8 @@ class ScenarioConfig:
 
     def build(self):
         """Instantiate (world, protocol, scripts) ready for the event loop."""
-        from .absolute import AbsoluteProtocol, MsrParams
-        from .relative import RelativeParams, RelativeProtocol
+        from .absolute import AbsoluteProtocol
+        from .relative import RelativeProtocol
 
         phases, freqs = self.resolve_initials()
         oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
@@ -162,25 +163,14 @@ class ScenarioConfig:
             oscillators=oscillators,
             normal=frozenset(self.normal_ids),
             faulty=self.faulty_ids,
-            rng_seed=self.seed,
+        )
+        params = MsrParams(
+            f=self.f, weight_policy=self.weights, eager_detection=self.eager_detection
         )
         if self.algorithm == "absolute":
-            protocol = AbsoluteProtocol(
-                MsrParams(
-                    f=self.f,
-                    weight_policy=self.weights,
-                    eager_detection=self.eager_detection,
-                )
-            )
+            protocol = AbsoluteProtocol(params)
         else:
-            protocol = RelativeProtocol(
-                RelativeParams(
-                    f=self.f,
-                    zeta=self.zeta,
-                    weight_policy=self.weights,
-                    eager_detection=self.eager_detection,
-                )
-            )
+            protocol = RelativeProtocol(params, zeta=self.zeta)
         scripts = [a.build() for a in self.attackers]
         return world, protocol, scripts
 
@@ -345,6 +335,25 @@ class ScenarioConfig:
         }
 
 
+@contextmanager
+def _parsing(where: str):
+    """Re-raise any parse or build error in the block as a one-line
+    validation error naming ``where``."""
+    try:
+        yield
+    except ScenarioValidationError:
+        raise
+    except KeyError as exc:
+        raise ScenarioValidationError([f"{where}: missing key {exc.args[0]!r}"]) from None
+    except (AttributeError, OSError, TypeError, ValueError) as exc:
+        raise ScenarioValidationError([f"{where}: {exc}"]) from None
+
+
+def _field(data: dict[str, Any], key: str, parse, default):
+    with _parsing(key):
+        return parse(data.get(key, default))
+
+
 def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
     if isinstance(spec, dict):
         if "file" in spec:
@@ -365,15 +374,15 @@ def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
             if name == "ring":
                 return directed_ring(int(spec["n"]))
             raise ValueError(f"unknown named graph {name!r}")
-    raise ValueError(
-        "graph must be an object with one of the keys 'file', 'inline', 'text', 'named'"
+    raise ScenarioValidationError(
+        ["graph must be an object with one of the keys 'file', 'inline', 'text', 'named'"]
     )
 
 
-def _parse_initials(spec: Any, what: str) -> list[float] | RandomInterval:
+def _parse_initials(spec: Any) -> list[float] | RandomInterval:
     if isinstance(spec, dict):
         if "random" not in spec:
-            raise ValueError(f"{what} object form must be {{'random': {{...}}}}")
+            raise ValueError("object form must be {'random': {...}}")
         rand = spec["random"]
         return RandomInterval(
             low=float(rand["low"]),
@@ -396,7 +405,14 @@ def _parse_weights(spec: Any) -> WeightPolicy:
 
 def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> ScenarioConfig:
     """Build a config from parsed JSON. ``base_dir`` anchors relative graph
-    file paths, normally the directory containing the scenario file."""
+    file paths, normally the directory containing the scenario file.
+
+    Raises:
+        ScenarioValidationError: on any unknown key, missing key, or value
+            that cannot be parsed, including attacker script options.
+    """
+    if not isinstance(data, dict):
+        raise ScenarioValidationError(["a scenario must be a JSON object"])
     known = {
         "name", "algorithm", "graph", "f", "weights", "zeta", "phases",
         "frequencies", "attackers", "horizon", "seed", "normalize_phases",
@@ -409,26 +425,30 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
             [f"unknown scenario key {k!r}" for k in sorted(unknown)]
         )
     attackers = []
-    for item in data.get("attackers", []):
-        opts = {k: v for k, v in item.items() if k not in ("node", "type")}
-        attackers.append(AttackerSpec(node=int(item["node"]), kind=item["type"], options=opts))
+    for index, item in enumerate(_field(data, "attackers", list, [])):
+        with _parsing(f"attacker {index}"):
+            opts = {k: v for k, v in item.items() if k not in ("node", "type")}
+            attackers.append(AttackerSpec(node=int(item["node"]), kind=item["type"], options=opts))
+            attackers[-1].build()  # reject missing or malformed script options now
+    with _parsing("graph"):
+        graph = _parse_graph(data.get("graph"), base_dir)
     return ScenarioConfig(
-        graph=_parse_graph(data["graph"], base_dir),
+        graph=graph,
         name=data.get("name", ""),
         algorithm=data.get("algorithm", "absolute"),
-        f=int(data.get("f", 0)),
-        weights=_parse_weights(data.get("weights")),
-        zeta=float(data.get("zeta", 0.1)),
-        phases=_parse_initials(data.get("phases", []), "phases"),
-        frequencies=_parse_initials(data.get("frequencies", []), "frequencies"),
+        f=_field(data, "f", int, 0),
+        weights=_field(data, "weights", _parse_weights, None),
+        zeta=_field(data, "zeta", float, 0.1),
+        phases=_field(data, "phases", _parse_initials, []),
+        frequencies=_field(data, "frequencies", _parse_initials, []),
         attackers=attackers,
-        horizon=float(data.get("horizon", 60.0)),
-        seed=int(data.get("seed", 0)),
+        horizon=_field(data, "horizon", float, 60.0),
+        seed=_field(data, "seed", int, 0),
         normalize_phases=bool(data.get("normalize_phases", True)),
         normalize_frequencies=bool(data.get("normalize_frequencies", True)),
         window_len=data.get("window_len"),
-        tol_phase=float(data.get("tol_phase", 1e-6)),
-        tol_freq=float(data.get("tol_freq", 1e-6)),
+        tol_phase=_field(data, "tol_phase", float, 1e-6),
+        tol_freq=_field(data, "tol_freq", float, 1e-6),
         eager_detection=bool(data.get("eager_detection", False)),
         halt_on_detection=bool(data.get("halt_on_detection", True)),
         monitor=data.get("monitor", "warn"),

@@ -1,6 +1,11 @@
-"""Trimmed-mean machinery and the absolute-frequency update rule."""
+"""The shared W-MSR round, its trimmed-mean machinery, and the
+absolute-frequency update rule."""
+
+import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcosync import (
     AbsoluteProtocol,
@@ -9,6 +14,7 @@ from pcosync import (
     MsrParams,
     OscillatorState,
     ProtocolFault,
+    RelativeProtocol,
     WorldState,
     complete_digraph,
     make_weights,
@@ -202,3 +208,85 @@ def test_absolute_protocol_has_no_start_pulses():
     assert proto.uses_start_pulses is False
     with pytest.raises(ProtocolFault):
         proto.handle_start(world, 0, t=0.0)
+
+
+# -- properties of the shared core -------------------------------------------
+
+
+@given(
+    values=st.lists(st.floats(-1e6, 1e6, allow_nan=False), max_size=12),
+    trim=st.integers(0, 7),
+)
+def test_trim_keeps_the_sorted_middle(values, trim):
+    if len(values) < 2 * trim:
+        with pytest.raises(ProtocolFault):
+            msr_trim(values, trim)
+        return
+    kept = msr_trim(values, trim)
+    assert len(kept) == len(values) - 2 * trim
+    assert all(a <= b for a, b in zip(kept, kept[1:]))
+    assert kept == sorted(values)[trim : len(values) - trim]
+
+
+@given(
+    j_count=st.integers(0, 60),
+    spare=st.integers(0, 5),
+    alpha=st.floats(1e-6, 1.0),
+)
+def test_weights_are_floored_and_sum_to_one(j_count, spare, alpha):
+    # Floors are taken at a maximum in-degree of at least j_count, as in a run.
+    for policy in (EqualWeights(), ConfiguredAlpha(alpha)):
+        if isinstance(policy, ConfiguredAlpha) and alpha * (j_count + 1) > 1.0 + 1e-12:
+            with pytest.raises(ValueError):
+                make_weights(policy, j_count)
+            continue
+        weights = make_weights(policy, j_count)
+        floor = effective_alpha(policy, j_count + spare)
+        assert len(weights) == j_count + 1
+        assert all(w > 0.0 for w in weights)
+        assert all(w >= floor - 1e-12 for w in weights)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
+
+class _LandmarkWrites(OscillatorState):
+    """Counts assignments to the two jump ingredients after construction."""
+
+    def __setattr__(self, name, value):
+        if name in ("jump_up", "jump_down") and "writes" in self.__dict__:
+            self.writes[name] += 1
+        super().__setattr__(name, value)
+
+
+@settings(deadline=None)
+@given(
+    variant=st.sampled_from(["absolute", "relative"]),
+    n=st.integers(2, 8),
+    f=st.integers(0, 3),
+    phases=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10),
+)
+def test_each_landmark_is_written_at_most_once_per_round(variant, n, f, phases):
+    world = WorldState(
+        graph=complete_digraph(n),
+        oscillators=[_LandmarkWrites(phase=0.0, omega=1.0) for _ in range(n)],
+        normal=frozenset(range(n)),
+        faulty=frozenset(),
+    )
+    osc = world.oscillators[0]
+    osc.writes = Counter()
+    d = n - 1
+    params = MsrParams(f=f)
+    proto = AbsoluteProtocol(params) if variant == "absolute" else RelativeProtocol(params)
+    expected = {}
+    for count, phi in enumerate(phases, start=1):
+        osc.phase = phi
+        if variant == "absolute":
+            proto.on_pulse(world, 0, 1.0, t=0.0)
+        else:
+            proto.on_end_pulse(world, 0, sender=1 + count % d, t=0.0)
+        if count == f + 1:
+            expected["jump_up"] = 1.0 - phi if phi >= 0.5 else 0.0
+        if count == d - f:
+            expected["jump_down"] = -phi if phi < 0.5 else 0.0
+    assert osc.writes == Counter({name: 1 for name in expected})
+    for name, value in expected.items():
+        assert getattr(osc, name) == value

@@ -1,9 +1,9 @@
-"""Unit-circle geometry: directed distance, containing arcs, crossing times."""
+"""Unit-circle geometry: directed distance and containing arcs."""
 
 import numpy as np
 import pytest
 
-from pcosync import Arc, clockwise_dist, containing_arc, time_to_phase
+from pcosync import Arc, clockwise_dist, containing_arc
 
 from oracles import brute_force_arc
 
@@ -75,30 +75,3 @@ def test_containing_arc_matches_rotation_oracle():
         for p in phases:
             assert clockwise_dist(p, arc.tail) <= arc.length + 1e-12
 
-
-def test_time_to_phase_hand_values():
-    assert time_to_phase(0.2, 2.0, 0.5) == pytest.approx(0.15)
-    assert time_to_phase(0.9, 1.0, 0.1) == pytest.approx(0.2)
-    assert time_to_phase(0.0, 4.0, 0.75) == pytest.approx(0.1875)
-    # A target at the current phase is a full lap away, not zero.
-    assert time_to_phase(0.5, 1.0, 0.5) == pytest.approx(1.0)
-    assert time_to_phase(0.5, 2.0, 0.25) == pytest.approx(0.375)
-
-
-def test_time_to_phase_lands_on_target():
-    rng = np.random.default_rng(777)
-    for _ in range(500):
-        phase = float(rng.uniform(0.0, 1.0))
-        omega = float(rng.uniform(0.5, 3.0))
-        target = float(rng.uniform(0.0, 1.0))
-        t = time_to_phase(phase, omega, target)
-        assert t > 0.0
-        err = (phase + omega * t - target) % 1.0
-        assert min(err, 1.0 - err) < 1e-9
-
-
-def test_time_to_phase_rejects_nonpositive_rate():
-    with pytest.raises(ValueError):
-        time_to_phase(0.2, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        time_to_phase(0.2, -1.0, 0.5)

@@ -332,3 +332,35 @@ def test_cli_sweep_smoke(capsys, tmp_path):
     assert lines[0] == "Delta0,delta0_max,success_rate"
     assert len(lines) == 2
     assert lines[1].startswith("0.05,")
+
+
+_PAIR = {
+    "graph": {"named": "complete", "n": 5},
+    "f": 1,
+    "phases": [0.0, 0.05, 0.1, 0.15, 0.2],
+    "frequencies": [1.0] * 5,
+}
+MALFORMED = {
+    "unknown_named_graph": ({"graph": {"named": "star"}}, "unknown named graph 'star'"),
+    "no_graph": ({k: v for k, v in _PAIR.items() if k != "graph"}, "graph must be an object"),
+    "attacker_without_node": ({**_PAIR, "attackers": [{"type": "silent"}]}, "missing key 'node'"),
+    "flooding_without_burst_count": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "flooding"}]},
+        "missing key 'burst_count'",
+    ),
+    "random_without_high": ({**_PAIR, "phases": {"random": {"low": 0.0}}}, "missing key 'high'"),
+    "non_integer_f": ({**_PAIR, "f": "x"}, "f: invalid literal"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_scenario_exits_2_with_one_line(case, command, capsys, tmp_path):
+    data, message = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("violation: ") and message in lines[0]

@@ -1,0 +1,87 @@
+"""Frozen SHA-256 digests of per-event trace CSVs.
+
+The README promises byte-for-byte reproducible traces. These digests pin
+that promise across refactors: every shipped scenario runs under both
+protocol variants (with the monitor in warn mode, so a strict-mode abort
+cannot cut a run short), plus a few variants that reach the fault,
+detection, eager-detection and configured-weight paths. A digest may only
+change together with a CHANGES.md entry naming the intended change in
+floating-point output.
+"""
+
+import dataclasses
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from pcosync import ConfiguredAlpha, load_scenario, run_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+SHIPPED = (
+    "flooding_detection",
+    "frontier_sweep",
+    "nominal_sync",
+    "relative_equivalence",
+    "stealthy_attack",
+)
+
+# case id -> (scenario file stem, field overrides on top of monitor="warn")
+CASES = {
+    **{f"{name}-{alg}": (name, {"algorithm": alg}) for name in SHIPPED for alg in ("absolute", "relative")},
+    **{
+        f"stealthy_attack-seed{seed}-{alg}": ("stealthy_attack", {"algorithm": alg, "seed": seed})
+        for seed in (1, 4)
+        for alg in ("absolute", "relative")
+    },
+    **{
+        f"flooding_detection-eager-nohalt-{alg}": (
+            "flooding_detection",
+            {"algorithm": alg, "eager_detection": True, "halt_on_detection": False},
+        )
+        for alg in ("absolute", "relative")
+    },
+    **{
+        f"stealthy_attack-alpha-{alg}": ("stealthy_attack", {"algorithm": alg, "weights": ConfiguredAlpha(0.1)})
+        for alg in ("absolute", "relative")
+    },
+}
+
+DIGESTS = {
+    "flooding_detection-absolute": "08ac4626edf0dd9849d847725cde30a8d302435f1cc2f139234e13aa294e9b74",
+    "flooding_detection-eager-nohalt-absolute": "b0c1bf806360dc0259cbb664c5a0883ea41e2540d0b92b8488e65691b85d6ed6",
+    "flooding_detection-eager-nohalt-relative": "365baec31079ef3dbcc5b8f773751256ea617f903454633076480375b94f01d6",
+    "flooding_detection-relative": "e3a3bceb97ddc9b7729e31418c55253eb961bbc3ae07d895aa93e99a2bf5327e",
+    "frontier_sweep-absolute": "661afd4f500da9ebe1a80c7620cd24adc4eacaf1f3f41b24ef94c435d76b4367",
+    "frontier_sweep-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
+    "nominal_sync-absolute": "2a850c336a429ded206fac1b17bfe9216d4d0001d7e1b4ff31124dd6667083db",
+    "nominal_sync-relative": "d4d0909b107c52512858989648435bfc1c5192949298c787aa73e2ab0dc0bd32",
+    "relative_equivalence-absolute": "5a619fa3404d7341d79c872dbc34199ccfddcb8ececd87c4cbe0abadb6c9deb0",
+    "relative_equivalence-relative": "4d5b5a5030c2169fff93518273af2905ddab50b6ffeec30610eda85eea4dc701",
+    "stealthy_attack-absolute": "18daa44488adaf17e34f580ad43751cc5b17544fca65c5791ed688bbb2507c0b",
+    "stealthy_attack-alpha-absolute": "69c834545a95e15a980ee8429b356f4018d46d0aa667e2fffae10f8a57fdb98c",
+    "stealthy_attack-alpha-relative": "f4a9b86e561af07001f101c6bea89620b83263f641471056f3a0e41cff97e735",
+    "stealthy_attack-relative": "565181b39edac69ac10062096b297dbf8a1178ba860a5e59f0d8993ca7c794d6",
+    "stealthy_attack-seed1-absolute": "152b8efbd34e06d38f4a62fc3d6f84227f107d2920fecfafd7d013bd4a4eb761",
+    "stealthy_attack-seed1-relative": "d7334370d2ea5b288cc9e5f5a803a08f3ebc55c3fad99285f4f213801af2154b",
+    "stealthy_attack-seed4-absolute": "af0411cd65db9d88f5ba7d78bbd544d52d995647438ba090d4e7f955d8870349",
+    "stealthy_attack-seed4-relative": "2e22169e7959b458034c15a3619642480f994aabc133b070acfcd9bfc22db7ae",
+}
+
+
+def trace_digest(case: str, directory: Path) -> str:
+    name, overrides = CASES[case]
+    config = dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"), monitor="warn", **overrides)
+    path = directory / f"{case}.csv"
+    run_scenario(config, trace_path=path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_every_case_has_a_digest():
+    assert set(DIGESTS) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_digest_is_frozen(case, tmp_path):
+    assert trace_digest(case, tmp_path) == DIGESTS[case]
