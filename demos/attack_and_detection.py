@@ -21,13 +21,11 @@ def stealthy(seed: int) -> None:
     base = load_scenario(SCENARIOS / "stealthy_attack.json")
     config = dataclasses.replace(base, seed=seed)
     result = run_scenario(config)
-    last = result.metrics.last
-    normal = config.normal_ids
-    spread = (max(last.omegas[i] for i in normal)
-              - min(last.omegas[i] for i in normal))
+    omegas = result.world.normal_omegas()
+    spread = max(omegas) - min(omegas)
     print(f"stealthy attack, seed {seed}:")
     print(f"  outcome: {result.outcome} at t = {result.world.clock:.2f}")
-    print(f"  final arc: {last.delta:.2e}, frequency spread: {spread:.2e}")
+    print(f"  final arc: {result.metrics.delta:.2e}, frequency spread: {spread:.2e}")
     print(f"  detections: {result.detections}  (a stealthy attacker leaves none)")
     print(f"  monitor violations: {len(result.metrics.violations)}")
 

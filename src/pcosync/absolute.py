@@ -21,9 +21,8 @@ class AbsoluteProtocol(MsrRound):
         """Node i reaches phase 1: reset, arm the update, broadcast omega."""
         value = self.reset_on_fire(world, i).omega
         newly = False
-        for j in world.graph.out_neighbors[i]:
-            if j in world.normal:
-                newly |= self.on_pulse(world, j, value, t)
+        for j in world.normal_receivers[i]:
+            newly |= self.on_pulse(world, j, value, t)
         return newly
 
     def handle_start(self, world: WorldState, i: int, t: float) -> None:
@@ -43,9 +42,8 @@ class AbsoluteProtocol(MsrRound):
         if is_start:
             return False  # start pulses carry no meaning for this protocol
         newly = False
-        for j in world.graph.out_neighbors[attacker]:
-            if j in world.normal:
-                newly |= self.on_pulse(world, j, value, t)
+        for j in world.normal_receivers[attacker]:
+            newly |= self.on_pulse(world, j, value, t)
         return newly
 
     # -- update plane -------------------------------------------------------

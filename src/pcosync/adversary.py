@@ -184,8 +184,7 @@ def is_stealthy(
     ``round_period``. The test is per-script and composes: any set of
     passing scripts keeps every round count at or below the in-degree.
     """
-    receivers = [j for j in world.graph.out_neighbors[script.node] if j in world.normal]
-    if not receivers:
+    if not world.normal_receivers[script.node]:
         return True
     times = script.emission_times(horizon)
     for prev, cur in zip(times, times[1:]):

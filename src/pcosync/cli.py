@@ -68,8 +68,8 @@ def _summary_lines(result: RunResult) -> list[str]:
         f"outcome: {result.outcome}",
         f"events: {result.world.event_count}",
         f"final_time: {result.world.clock!r}",
-        f"final_arc: {metrics.last.delta!r}",
-        f"final_frequency_spread: {metrics.last.delta_windowed!r}",
+        f"final_arc: {metrics.delta!r}",
+        f"final_frequency_spread: {metrics.delta_windowed!r}",
         f"detections: {[(k, t, node) for k, t, node in metrics.detection_events]}",
         f"monitor_violations: {len(metrics.violations) + metrics.suppressed_violations()}",
     ]

@@ -98,6 +98,10 @@ class WorldState:
         if self.normal | self.faulty != frozenset(range(n)):
             raise ValueError("normal and faulty sets must partition the nodes")
         self.normal_ids = tuple(sorted(self.normal))
+        # Pulses reach only normal nodes; faulty ones run no protocol.
+        self.normal_receivers = tuple(
+            tuple(j for j in outs if j in self.normal) for outs in self.graph.out_neighbors
+        )
 
     def normal_phases(self) -> list[float]:
         return [self.oscillators[i].phase for i in self.normal_ids]

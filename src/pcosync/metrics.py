@@ -19,11 +19,6 @@ from .phase import clockwise_dist, containing_arc
 MONITOR_MODES = ("off", "warn", "strict")
 
 
-def phase_spread(world: WorldState) -> float:
-    """Length of the containing arc over normal phases only."""
-    return containing_arc(world.normal_phases()).length
-
-
 def decay_envelope(
     spread0: float, alpha: float, window_len: int, normal_count: int, k: int
 ) -> float:
@@ -145,14 +140,18 @@ def write_trace(path: str | Path, node_count: int, rows: list[TraceRecord]) -> N
 
 
 class RunMetrics:
-    """Per-event observer: maintains spreads, windows, the virtual node,
-    convergence state, and the safety checks.
+    """Per-event observer: maintains spreads, windows, convergence state,
+    detections, and the safety checks.
 
+    ``delta`` and ``delta_windowed`` hold the containing arc and the
+    windowed frequency spread of the normal nodes after the latest event.
     ``mode`` controls what a failed check does: "off" skips it, "warn"
     records it in ``violations``, "strict" raises InvariantViolation.
     Safety checks express guarantees that only hold on conforming runs
     (stealthy scripts, admissible initial conditions), which is why the
-    default everywhere outside the test suite is "warn".
+    default everywhere outside the test suite is "warn". The virtual-node
+    radius spread V is read only by those checks and by the trace, so it
+    is computed only when the monitor is on or a trace is collected.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -181,16 +180,16 @@ class RunMetrics:
         omegas0 = world.normal_omegas()
         self.hull = (min(omegas0), max(omegas0))
         self.spread0 = self.hull[1] - self.hull[0]
-        self.delta0 = phase_spread(world)
 
         self.freq_window = SpreadWindow(self.window_len)
         self.radius_window = SpreadWindow(self.window_len)
         self.virtual = VirtualNode(phase=0.0, omega=self.hull[0])
+        self._tracks_radii = mode != "off" or collect_trace
 
         self.violations: list[str] = []
         self._suppressed = 0
         self.detection_events: list[tuple[int, float, int]] = []
-        self._detected_seen: set[int] = set()
+        self._detected_mask = 0  # a freshly built world has no detections
         self.converged = False
         self._streak = 0
         self._last_update_k: dict[int, int] = {i: 0 for i in world.normal_ids}
@@ -198,32 +197,33 @@ class RunMetrics:
         self.virtual_in_range = True
         self.rows: list[TraceRecord] | None = [] if collect_trace else None
 
-        floor, ceiling, _ = self.freq_window.push(self.hull[0], self.hull[1])
-        radii = [clockwise_dist(p, self.virtual.phase) for p in world.normal_phases()]
-        _, _, v0 = self.radius_window.push(min(radii), max(radii))
-        self.last = self._snapshot(
-            world, 0, "init", -1, delta_windowed=ceiling - floor, v=v0
-        )
+        floor, ceiling, self.delta_windowed = self.freq_window.push(*self.hull)
+        phases = world.normal_phases()
+        self.delta = containing_arc(phases).length
         self._prev_floor = floor
         self._prev_ceiling = ceiling
+        if self._tracks_radii:
+            _, v0 = self._push_radii(phases)
         if self.rows is not None:
-            self.rows.append(self.last)
+            self._append_row(world, 0, "init", -1, v0)
 
     # -- engine hooks --------------------------------------------------------
 
     def advance(self, dt: float) -> None:
         self.virtual.advance(dt)
 
-    def observe(self, world: WorldState, event: Event) -> TraceRecord:
+    def observe(self, world: WorldState, event: Event) -> None:
         k = world.event_count
         phases = world.normal_phases()
         omegas = world.normal_omegas()
         lo, hi = min(omegas), max(omegas)
         floor, ceiling, spread_w = self.freq_window.push(lo, hi)
         self.virtual.omega = floor
-        radii = [clockwise_dist(p, self.virtual.phase) for p in phases]
-        _, _, v = self.radius_window.push(min(radii), max(radii))
+        if self._tracks_radii:
+            radius_max, v = self._push_radii(phases)
         delta = containing_arc(phases).length
+        self.delta = delta
+        self.delta_windowed = spread_w
 
         if self.mode != "off":
             self._check(f"frequency left the initial hull at event {k}",
@@ -254,7 +254,7 @@ class RunMetrics:
             if self.virtual_in_range:
                 self._check(
                     f"virtual node left the tail of the containing arc at event {k}",
-                    abs(arc_with_virtual - max(radii)) <= 1e-9,
+                    abs(arc_with_virtual - radius_max) <= 1e-9,
                 )
                 self._check(
                     f"containing arc exceeded the virtual-radius spread at event {k}",
@@ -268,10 +268,13 @@ class RunMetrics:
             self.measured_window = max(self.measured_window, gap)
             self._last_update_k[event.node] = k
 
+        mask = self._detected_mask
+        oscillators = world.oscillators
         for i in world.normal_ids:
-            if world.oscillators[i].detected and i not in self._detected_seen:
-                self._detected_seen.add(i)
+            if oscillators[i].detected and not mask >> i & 1:
+                mask |= 1 << i
                 self.detection_events.append((k, event.time, i))
+        self._detected_mask = mask
 
         if delta <= self.tol_phase and hi - lo <= self.tol_freq:
             self._streak += 1
@@ -280,14 +283,8 @@ class RunMetrics:
         else:
             self._streak = 0
 
-        record = self._snapshot(
-            world, k, event.kind.value, event.node, delta=delta,
-            delta_windowed=spread_w, v=v,
-        )
-        self.last = record
         if self.rows is not None:
-            self.rows.append(record)
-        return record
+            self._append_row(world, k, event.kind.value, event.node, v)
 
     # -- internals -----------------------------------------------------------
 
@@ -301,32 +298,27 @@ class RunMetrics:
         else:
             self._suppressed += 1
 
-    def _snapshot(
-        self,
-        world: WorldState,
-        k: int,
-        kind: str,
-        node: int,
-        delta: float | None = None,
-        delta_windowed: float = 0.0,
-        v: float = 0.0,
-    ) -> TraceRecord:
-        mask = 0
-        for i in world.normal_ids:
-            if world.oscillators[i].detected:
-                mask |= 1 << i
-        return TraceRecord(
+    def _push_radii(self, phases: list[float]) -> tuple[float, float]:
+        """Push the normal nodes' clockwise distances from the virtual node;
+        return (largest distance, windowed radius spread V)."""
+        radii = [clockwise_dist(p, self.virtual.phase) for p in phases]
+        radius_max = max(radii)
+        _, _, v = self.radius_window.push(min(radii), radius_max)
+        return radius_max, v
+
+    def _append_row(self, world: WorldState, k: int, kind: str, node: int, v: float) -> None:
+        self.rows.append(TraceRecord(
             k=k,
             t=world.clock,
             event_kind=kind,
             node=node,
             phases=tuple(o.phase for o in world.oscillators),
             omegas=tuple(o.omega for o in world.oscillators),
-            delta=phase_spread(world) if delta is None else delta,
-            delta_windowed=delta_windowed,
+            delta=self.delta,
+            delta_windowed=self.delta_windowed,
             v=v,
-            detected_mask=mask,
-        )
+            detected_mask=self._detected_mask,
+        ))
 
     def suppressed_violations(self) -> int:
         return self._suppressed

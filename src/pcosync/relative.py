@@ -52,16 +52,14 @@ class RelativeProtocol(MsrRound):
         osc = world.oscillators[i]
         osc.phase = 1.0 - self.zeta
         osc.start_emitted = True
-        for j in world.graph.out_neighbors[i]:
-            if j in world.normal:
-                self.on_start_pulse(world, j, i, t)
+        for j in world.normal_receivers[i]:
+            self.on_start_pulse(world, j, i, t)
 
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
         omega = self.reset_on_fire(world, i).omega
         newly = False
-        for j in world.graph.out_neighbors[i]:
-            if j in world.normal:
-                newly |= self.on_end_pulse(world, j, i, t, sender_omega=omega)
+        for j in world.normal_receivers[i]:
+            newly |= self.on_end_pulse(world, j, i, t, sender_omega=omega)
         return newly
 
     def on_start_pulse(self, world: WorldState, i: int, sender: int, t: float) -> None:
@@ -88,9 +86,7 @@ class RelativeProtocol(MsrRound):
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
     ) -> bool:
         newly = False
-        for j in world.graph.out_neighbors[attacker]:
-            if j not in world.normal:
-                continue
+        for j in world.normal_receivers[attacker]:
             if is_start:
                 self.on_start_pulse(world, j, attacker, t)
             else:

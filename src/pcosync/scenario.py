@@ -33,7 +33,7 @@ from .graph import (
     load_graph,
     parse_graph_text,
 )
-from .metrics import check_initial_bound
+from .metrics import MONITOR_MODES, check_initial_bound
 from .msr import ConfiguredAlpha, EqualWeights, MsrParams, WeightPolicy, effective_alpha
 from .phase import containing_arc, clockwise_dist
 
@@ -191,8 +191,10 @@ class ScenarioConfig:
             violations.append(f"start-pulse offset must lie in (0, 0.5), got {self.zeta}")
         if self.horizon <= 0.0:
             violations.append(f"horizon must be positive, got {self.horizon}")
-        if self.monitor not in ("off", "warn", "strict"):
-            violations.append(f"monitor must be off/warn/strict, got {self.monitor!r}")
+        if self.monitor not in MONITOR_MODES:
+            violations.append(f"monitor must be {'/'.join(MONITOR_MODES)}, got {self.monitor!r}")
+        if self.window_len is not None and self.window_len < 1:
+            violations.append(f"window_len must be at least 1, got {self.window_len}")
 
         seen: set[int] = set()
         for spec in self.attackers:
@@ -392,6 +394,12 @@ def _parse_initials(spec: Any) -> list[float] | RandomInterval:
     return [float(x) for x in spec]
 
 
+def _parse_window_len(spec: Any) -> int | None:
+    if spec is None or (isinstance(spec, int) and not isinstance(spec, bool)):
+        return spec
+    raise TypeError(f"expected an integer or null, got {spec!r}")
+
+
 def _parse_weights(spec: Any) -> WeightPolicy:
     if spec is None:
         return EqualWeights()
@@ -446,7 +454,7 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
         seed=_field(data, "seed", int, 0),
         normalize_phases=bool(data.get("normalize_phases", True)),
         normalize_frequencies=bool(data.get("normalize_frequencies", True)),
-        window_len=data.get("window_len"),
+        window_len=_field(data, "window_len", _parse_window_len, None),
         tol_phase=_field(data, "tol_phase", float, 1e-6),
         tol_freq=_field(data, "tol_freq", float, 1e-6),
         eager_detection=bool(data.get("eager_detection", False)),

@@ -126,7 +126,7 @@ def test_02_nominal_convergence():
         result = run_scenario(config, collect_trace=True)
         assert result.outcome == "converged"
         assert result.world.clock <= 200.0
-        assert result.metrics.last.delta < 1e-6
+        assert result.metrics.delta < 1e-6
         assert result.metrics.violations == []
         # Homogeneous start: the frequency corrections must cancel exactly.
         for row in result.metrics.rows:
@@ -138,9 +138,8 @@ def test_03_stealthy_corpus_converges_cleanly():
         for seed, result in corpus_results().items():
             assert result.outcome == "converged", (seed, result.outcome)
             assert result.world.clock <= 500.0, seed
-            assert result.metrics.last.delta < 1e-4, seed
-            omegas = result.metrics.last.omegas
-            normal = [omegas[i] for i in result.config.normal_ids]
+            assert result.metrics.delta < 1e-4, seed
+            normal = result.world.normal_omegas()
             assert max(normal) - min(normal) < 1e-4, seed
             assert result.metrics.violations == [], (seed, result.metrics.violations[:3])
             assert result.metrics.suppressed_violations() == 0, seed

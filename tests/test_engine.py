@@ -159,7 +159,7 @@ def test_simulate_converges_a_homogeneous_pair():
         world, protocol, scripts, horizon=config.horizon, metrics=metrics
     )
     assert outcome == "converged"
-    assert metrics.last.delta <= 1e-6
+    assert metrics.delta <= 1e-6
     assert world.clock < 60.0
     # Both frequencies started equal, so they can never move.
     assert world.normal_omegas() == [1.0, 1.0]

@@ -1,5 +1,6 @@
 """Diagnostics: envelopes, admissibility bounds, windows, safety checks."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from pcosync import (
     load_scenario,
     run_scenario,
 )
-from pcosync.metrics import format_trace_row, phase_spread, trace_header, write_trace
+from pcosync.metrics import format_trace_row, trace_header, write_trace
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -196,7 +197,7 @@ def observe(world, metrics, phases=None, omegas=None, advance=0.0):
 
 def test_initial_snapshot():
     world, metrics = fresh()
-    assert phase_spread(world) == pytest.approx(0.3)
+    assert metrics.delta == pytest.approx(0.3)
     assert metrics.hull == (1.0, 1.2)
     assert metrics.spread0 == pytest.approx(0.2)
     first = metrics.rows[0]
@@ -312,3 +313,25 @@ def test_clean_reference_run(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == trace_header(8)
     assert len(lines) == len(result.metrics.rows) + 1
+
+
+@pytest.mark.parametrize("algorithm", ["absolute", "relative"])
+@pytest.mark.parametrize("stem", sorted(p.stem for p in (REPO / "scenarios").glob("*.json")))
+def test_untraced_run_reports_what_the_trace_shows(stem, algorithm):
+    # With the monitor off the virtual node is only computed for the trace;
+    # leaving it out must not change anything the run reports.
+    config = dataclasses.replace(
+        load_scenario(REPO / "scenarios" / f"{stem}.json"), algorithm=algorithm, monitor="off"
+    )
+    traced = run_scenario(config, validate=False, collect_trace=True)
+    plain = run_scenario(config, validate=False)
+
+    def reported(result):
+        m = result.metrics
+        return result.outcome, result.world.event_count, result.detections, m.delta, m.delta_windowed
+
+    outcome, events, detections, delta, delta_windowed = reported(traced)
+    assert reported(plain) == (outcome, events, detections, delta, delta_windowed)
+    last = traced.metrics.rows[-1]
+    assert (last.k, last.delta, last.delta_windowed) == (events, delta, delta_windowed)
+    assert last.detected_mask == sum(1 << node for _, _, node in detections)

@@ -350,17 +350,33 @@ MALFORMED = {
     ),
     "random_without_high": ({**_PAIR, "phases": {"random": {"low": 0.0}}}, "missing key 'high'"),
     "non_integer_f": ({**_PAIR, "f": "x"}, "f: invalid literal"),
+    "string_window_len": ({**_PAIR, "window_len": "x"}, "window_len: expected an integer or null"),
+    "fractional_window_len": ({**_PAIR, "window_len": 2.5}, "window_len: expected an integer or null"),
+    "boolean_window_len": ({**_PAIR, "window_len": True}, "window_len: expected an integer or null"),
+}
+# Well-typed but out of range: validation reports the one violation, then
+# each command adds its own closing line.
+OUT_OF_RANGE = {
+    "zero_window_len": ({**_PAIR, "window_len": 0}, "window_len must be at least 1, got 0"),
+    "negative_window_len": ({**_PAIR, "window_len": -3}, "window_len must be at least 1, got -3"),
+}
+CLOSING_LINE = {
+    "validate-config": "invalid: 1 violation(s)",
+    "run": "invalid: rerun with --force to execute anyway",
 }
 
 
 @pytest.mark.parametrize("command", ["validate-config", "run"])
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(OUT_OF_RANGE))
 def test_cli_malformed_scenario_exits_2_with_one_line(case, command, capsys, tmp_path):
-    data, message = MALFORMED[case]
+    data, message = MALFORMED.get(case) or OUT_OF_RANGE[case]
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(data))
     assert main([command, str(path)]) == 2
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).splitlines()
+    if case in OUT_OF_RANGE:
+        assert lines[1:] == [CLOSING_LINE[command]]
+        lines = lines[:1]
     assert len(lines) == 1
     assert lines[0].startswith("violation: ") and message in lines[0]

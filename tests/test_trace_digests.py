@@ -4,7 +4,8 @@ The README promises byte-for-byte reproducible traces. These digests pin
 that promise across refactors: every shipped scenario runs under both
 protocol variants (with the monitor in warn mode, so a strict-mode abort
 cannot cut a run short), plus a few variants that reach the fault,
-detection, eager-detection and configured-weight paths. A digest may only
+detection, eager-detection and configured-weight paths, and traced runs
+with the monitor off, where only the trace reads the virtual node. A digest may only
 change together with a CHANGES.md entry naming the intended change in
 floating-point output.
 """
@@ -27,7 +28,7 @@ SHIPPED = (
     "stealthy_attack",
 )
 
-# case id -> (scenario file stem, field overrides on top of monitor="warn")
+# case id -> (scenario file stem, field overrides; monitor defaults to "warn")
 CASES = {
     **{f"{name}-{alg}": (name, {"algorithm": alg}) for name in SHIPPED for alg in ("absolute", "relative")},
     **{
@@ -46,6 +47,11 @@ CASES = {
         f"stealthy_attack-alpha-{alg}": ("stealthy_attack", {"algorithm": alg, "weights": ConfiguredAlpha(0.1)})
         for alg in ("absolute", "relative")
     },
+    **{
+        f"{name}-monitor_off-{alg}": (name, {"algorithm": alg, "monitor": "off"})
+        for name in ("frontier_sweep", "stealthy_attack")
+        for alg in ("absolute", "relative")
+    },
 }
 
 DIGESTS = {
@@ -54,6 +60,8 @@ DIGESTS = {
     "flooding_detection-eager-nohalt-relative": "365baec31079ef3dbcc5b8f773751256ea617f903454633076480375b94f01d6",
     "flooding_detection-relative": "e3a3bceb97ddc9b7729e31418c55253eb961bbc3ae07d895aa93e99a2bf5327e",
     "frontier_sweep-absolute": "661afd4f500da9ebe1a80c7620cd24adc4eacaf1f3f41b24ef94c435d76b4367",
+    "frontier_sweep-monitor_off-absolute": "661afd4f500da9ebe1a80c7620cd24adc4eacaf1f3f41b24ef94c435d76b4367",
+    "frontier_sweep-monitor_off-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
     "frontier_sweep-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
     "nominal_sync-absolute": "2a850c336a429ded206fac1b17bfe9216d4d0001d7e1b4ff31124dd6667083db",
     "nominal_sync-relative": "d4d0909b107c52512858989648435bfc1c5192949298c787aa73e2ab0dc0bd32",
@@ -62,6 +70,8 @@ DIGESTS = {
     "stealthy_attack-absolute": "18daa44488adaf17e34f580ad43751cc5b17544fca65c5791ed688bbb2507c0b",
     "stealthy_attack-alpha-absolute": "69c834545a95e15a980ee8429b356f4018d46d0aa667e2fffae10f8a57fdb98c",
     "stealthy_attack-alpha-relative": "f4a9b86e561af07001f101c6bea89620b83263f641471056f3a0e41cff97e735",
+    "stealthy_attack-monitor_off-absolute": "18daa44488adaf17e34f580ad43751cc5b17544fca65c5791ed688bbb2507c0b",
+    "stealthy_attack-monitor_off-relative": "565181b39edac69ac10062096b297dbf8a1178ba860a5e59f0d8993ca7c794d6",
     "stealthy_attack-relative": "565181b39edac69ac10062096b297dbf8a1178ba860a5e59f0d8993ca7c794d6",
     "stealthy_attack-seed1-absolute": "152b8efbd34e06d38f4a62fc3d6f84227f107d2920fecfafd7d013bd4a4eb761",
     "stealthy_attack-seed1-relative": "d7334370d2ea5b288cc9e5f5a803a08f3ebc55c3fad99285f4f213801af2154b",
@@ -72,7 +82,9 @@ DIGESTS = {
 
 def trace_digest(case: str, directory: Path) -> str:
     name, overrides = CASES[case]
-    config = dataclasses.replace(load_scenario(SCENARIOS / f"{name}.json"), monitor="warn", **overrides)
+    config = dataclasses.replace(
+        load_scenario(SCENARIOS / f"{name}.json"), **{"monitor": "warn", **overrides}
+    )
     path = directory / f"{case}.csv"
     run_scenario(config, trace_path=path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
