@@ -57,23 +57,16 @@ def parse_claim(spec: str | float) -> ClaimFn:
 class AttackScript:
     """One misbehaving node's emission plan.
 
-    ``schedule`` maps a horizon to the sorted counted-pulse times within it;
-    ``start_schedule`` does the same for forged start pulses (only read by
-    the relative-frequency protocol). ``freq_claim`` is evaluated at each
-    counted emission time.
+    ``emission_times`` maps a horizon to the sorted counted-pulse times
+    within it; ``start_emission_times`` does the same for forged start
+    pulses (only read by the relative-frequency protocol). ``freq_claim``
+    is evaluated at each counted emission time.
     """
 
     node: int
-    kind: str
     freq_claim: ClaimFn
-    schedule: Callable[[float], tuple[float, ...]]
-    start_schedule: Callable[[float], tuple[float, ...]]
-
-    def emission_times(self, horizon: float) -> tuple[float, ...]:
-        return self.schedule(horizon)
-
-    def start_emission_times(self, horizon: float) -> tuple[float, ...]:
-        return self.start_schedule(horizon)
+    emission_times: Callable[[float], tuple[float, ...]]
+    start_emission_times: Callable[[float], tuple[float, ...]]
 
 
 def _no_times(horizon: float) -> tuple[float, ...]:
@@ -112,7 +105,7 @@ def _explicit(times: Iterable[float]) -> Callable[[float], tuple[float, ...]]:
 
 def silent_script(node: int) -> AttackScript:
     """Never emits; receivers simply hear one pulse less per round."""
-    return AttackScript(node, "silent", constant(1.0), _no_times, _no_times)
+    return AttackScript(node, constant(1.0), _no_times, _no_times)
 
 
 def stealthy_script(
@@ -129,7 +122,7 @@ def stealthy_script(
     """
     claim_fn = claim if callable(claim) else parse_claim(claim)
     starts = _periodic(start_offsets, period) if start_offsets else _no_times
-    return AttackScript(node, "stealthy", claim_fn, _periodic(period_offsets, period), starts)
+    return AttackScript(node, claim_fn, _periodic(period_offsets, period), starts)
 
 
 def flooding_script(
@@ -147,7 +140,7 @@ def flooding_script(
         raise ValueError(f"burst interval must be positive, got {burst_interval}")
     claim_fn = claim if callable(claim) else parse_claim(claim)
     times = [start_time + k * burst_interval for k in range(burst_count)]
-    return AttackScript(node, "flooding", claim_fn, _explicit(times), _no_times)
+    return AttackScript(node, claim_fn, _explicit(times), _no_times)
 
 
 def custom_script(
@@ -165,7 +158,7 @@ def custom_script(
         return by_time[t]
 
     starts = _explicit(start_pulses) if start_pulses else _no_times
-    return AttackScript(node, "custom", claim, _explicit(by_time), starts)
+    return AttackScript(node, claim, _explicit(by_time), starts)
 
 
 def is_stealthy(

@@ -12,12 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (
-    GraphTooLargeError,
-    InvariantViolation,
-    ProtocolFault,
-    ScenarioValidationError,
-)
+from .errors import InvariantViolation, ProtocolFault, ScenarioValidationError
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
 from .scenario import load_scenario
@@ -26,11 +21,6 @@ from .sweep import SweepSpec, sweep_frontier, frontier_header, write_frontier
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
-
-
-def _fail_validation(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_VALIDATION
 
 
 def _load(path: str):
@@ -78,14 +68,14 @@ def _summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
+def _report(exc: ScenarioValidationError, stream) -> int:
+    for line in exc.violations:
+        print(f"violation: {line}", file=stream)
+    return EXIT_VALIDATION
+
+
 def _cmd_validate_config(args) -> int:
-    try:
-        config = _load(args.scenario)
-        violations, info = config.validate()
-    except ScenarioValidationError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}")
-        return EXIT_VALIDATION
+    violations, info = _load(args.scenario).validate()
     for line in info:
         print(f"info: {line}")
     for line in violations:
@@ -100,8 +90,8 @@ def _cmd_validate_config(args) -> int:
 def _cmd_check_robustness(args) -> int:
     try:
         graph = load_graph(args.graph)
-    except (FileNotFoundError, ValueError) as exc:
-        return _fail_validation(str(exc))
+    except (OSError, ValueError) as exc:
+        raise ScenarioValidationError([str(exc)]) from None
     try:
         if args.r is not None:
             robust = is_r_robust(graph, args.r, max_nodes=args.max_nodes)
@@ -113,17 +103,12 @@ def _cmd_check_robustness(args) -> int:
         print(f"nodes: {graph.node_count}")
         print(f"max_robustness: {r}")
         return EXIT_OK
-    except GraphTooLargeError as exc:
-        return _fail_validation(str(exc))
+    except ValueError as exc:  # includes GraphTooLargeError
+        raise ScenarioValidationError([str(exc)]) from None
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _load(args.scenario)
-    except ScenarioValidationError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
+    config = _load(args.scenario)
     _apply_overrides(config, args)
     try:
         result = run_scenario(
@@ -132,9 +117,10 @@ def _cmd_run(args) -> int:
             trace_path=args.trace,
         )
     except ScenarioValidationError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        print("invalid: rerun with --force to execute anyway", file=sys.stderr)
+        _report(exc, sys.stderr)
+        # A forced run failed on values no run can use; forcing cannot help.
+        if not args.force:
+            print("invalid: rerun with --force to execute anyway", file=sys.stderr)
         return EXIT_VALIDATION
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
@@ -152,12 +138,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = _load(args.scenario)
-    except ScenarioValidationError as exc:
-        for line in exc.violations:
-            print(f"violation: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
+    config = _load(args.scenario)
     _apply_overrides(config, args)
     try:
         grid = tuple(float(x) for x in args.grid.split(","))
@@ -172,7 +153,7 @@ def _cmd_sweep(args) -> int:
             synchronized_only=args.synchronized_only,
         )
     except ValueError as exc:
-        return _fail_validation(str(exc))
+        raise ScenarioValidationError([str(exc)]) from None
 
     def progress(point):
         print(
@@ -263,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioValidationError as exc:
+        # validate-config reports on stdout, beside its verdict.
+        return _report(exc, sys.stdout if args.func is _cmd_validate_config else sys.stderr)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import Event, EventKind, WorldState
+from .engine import Event, WorldState
 from .errors import InvariantViolation
 from .phase import clockwise_dist, containing_arc
 
@@ -192,8 +192,6 @@ class RunMetrics:
         self._detected_mask = 0  # a freshly built world has no detections
         self.converged = False
         self._streak = 0
-        self._last_update_k: dict[int, int] = {i: 0 for i in world.normal_ids}
-        self.measured_window = 0
         self.virtual_in_range = True
         self.rows: list[TraceRecord] | None = [] if collect_trace else None
 
@@ -262,11 +260,6 @@ class RunMetrics:
                 )
         self._prev_floor = floor
         self._prev_ceiling = ceiling
-
-        if event.kind is EventKind.UPDATE:
-            gap = k - self._last_update_k[event.node]
-            self.measured_window = max(self.measured_window, gap)
-            self._last_update_k[event.node] = k
 
         mask = self._detected_mask
         oscillators = world.oscillators

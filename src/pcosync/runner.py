@@ -42,9 +42,10 @@ def run_scenario(
 
     Validation violations abort unless ``force`` is set; sweeps that
     generate admissible configs by construction pass ``validate=False`` to
-    skip the exhaustive robustness recheck on every trial. A protocol fault
-    is reported as the "fault" outcome rather than propagated, so batch
-    callers can count it alongside the other outcomes.
+    skip the exhaustive robustness recheck on every trial. Either way,
+    ``config.build()`` raises ScenarioValidationError on values no run can
+    use. A protocol fault is reported as the "fault" outcome rather than
+    propagated, so batch callers can count it alongside the other outcomes.
     """
     violations: list[str] = []
     info: list[str] = []

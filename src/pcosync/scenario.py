@@ -2,10 +2,11 @@
 
 A scenario pins everything a run needs: topology, protocol variant and its
 parameters, initial conditions (explicit or drawn), and attacker scripts.
-``validate`` separates hard violations (the run would be meaningless or the
-guarantees cannot apply) from informational lines (bound satisfaction,
-script stealthiness), so callers can force a run past the former when
-deliberately probing outside the guarantee region.
+``build``, which every run calls, refuses every value no run can use.
+``validate`` also reports the paper's guarantee conditions (locality at
+most f, (2f+1)-robustness, an initial arc under half a circle, phases in
+[0, 1), slowest normal frequency exactly 1), which a forced run skips to
+probe outside them, and informational lines (bounds, script stealthiness).
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ class ScenarioConfig:
 
     def resolve_initials(self) -> tuple[list[float], list[float]]:
         """Materialize phases and frequencies for all nodes, applying the
-        requested draws and normalizations. Deterministic given the config."""
+        requested draws and normalizations. Deterministic given the config;
+        ``build`` checks first that lists hold one value per node."""
         n = self.graph.node_count
         phases = self._resolve(self.phases, n, stream=0)
         freqs = self._resolve(self.frequencies, n, stream=1)
@@ -144,19 +146,74 @@ class ScenarioConfig:
                 [self.seed, stream] if seed is None else seed
             )
             return [float(x) for x in rng.uniform(spec.low, spec.high, size=n)]
-        values = [float(x) for x in spec]
-        if len(values) != n:
-            raise ScenarioValidationError(
-                [f"initial value list has length {len(values)}, graph has {n} nodes"]
-            )
-        return values
+        return [float(x) for x in spec]
+
+    def _runnable_initials(self) -> tuple[list[float], list[float]]:
+        """The one gate every run passes, forced or not: return the
+        resolved (phases, frequencies), or raise ScenarioValidationError
+        listing every value no run can use."""
+        problems: list[str] = []
+        n = self.graph.node_count
+        if self.algorithm not in ALGORITHMS:
+            problems.append(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if self.f < 0:
+            problems.append(f"trim parameter must be nonnegative, got {self.f}")
+        if not 0.0 < self.zeta < 0.5:
+            problems.append(f"start-pulse offset must lie in (0, 0.5), got {self.zeta}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            problems.append(f"horizon must be finite and positive, got {self.horizon}")
+        if self.monitor not in MONITOR_MODES:
+            problems.append(f"monitor must be {'/'.join(MONITOR_MODES)}, got {self.monitor!r}")
+        if self.window_len is not None and self.window_len < 1:
+            problems.append(f"window_len must be at least 1, got {self.window_len}")
+        if n < 2:
+            problems.append(f"the graph needs at least two nodes, got {n}")
+
+        seen: set[int] = set()
+        for spec in self.attackers:
+            if not 0 <= spec.node < n:
+                problems.append(f"attacker node {spec.node} outside 0..{n - 1}")
+            elif spec.node in seen:
+                problems.append(f"attacker node {spec.node} listed twice")
+            seen.add(spec.node)
+        normal = self.normal_ids
+        if not normal:
+            problems.append("every node is an attacker; nothing to synchronize")
+        elif isinstance(self.weights, ConfiguredAlpha):
+            alpha = self.weights.alpha
+            worst = max(self.graph.in_degree(i) for i in normal)
+            if not (alpha > 0.0 and alpha * (worst + 1) <= 1.0 + 1e-12):
+                problems.append(f"neighbor weight {alpha} is infeasible at in-degree {worst}")
+
+        for key, spec in (("phases", self.phases), ("frequencies", self.frequencies)):
+            if isinstance(spec, RandomInterval):
+                if not (math.isfinite(spec.low) and math.isfinite(spec.high)):
+                    problems.append(f"{key} draw bounds must be finite, got {spec.low}..{spec.high}")
+                seed = self.seed if spec.seed is None else spec.seed
+                if seed < 0:
+                    problems.append(f"{key} draw seed must be nonnegative, got {seed}")
+            elif len(spec) != n:
+                problems.append(f"{key} list has length {len(spec)}, graph has {n} nodes")
+        if not problems:
+            phases, freqs = self.resolve_initials()
+            for i in normal:
+                if not math.isfinite(phases[i]):
+                    problems.append(f"node {i} initial phase must be finite, got {phases[i]}")
+                if not (math.isfinite(freqs[i]) and freqs[i] > 0.0):
+                    problems.append(
+                        f"node {i} initial frequency must be finite and positive, got {freqs[i]}"
+                    )
+        if problems:
+            raise ScenarioValidationError(problems)
+        return phases, freqs
 
     def build(self):
-        """Instantiate (world, protocol, scripts) ready for the event loop."""
+        """Instantiate (world, protocol, scripts) ready for the event loop;
+        raise ScenarioValidationError listing every value no run can use."""
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 
-        phases, freqs = self.resolve_initials()
+        phases, freqs = self._runnable_initials()
         oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
         world = WorldState(
             graph=self.graph,
@@ -167,81 +224,43 @@ class ScenarioConfig:
         params = MsrParams(
             f=self.f, weight_policy=self.weights, eager_detection=self.eager_detection
         )
-        if self.algorithm == "absolute":
-            protocol = AbsoluteProtocol(params)
-        else:
-            protocol = RelativeProtocol(params, zeta=self.zeta)
+        protocol = (AbsoluteProtocol(params) if self.algorithm == "absolute"
+                    else RelativeProtocol(params, zeta=self.zeta))
         scripts = [a.build() for a in self.attackers]
         return world, protocol, scripts
 
     # -- validation --------------------------------------------------------
 
     def validate(self) -> tuple[list[str], list[str]]:
-        """Return (violations, info). Violations void the guarantees or make
-        the scenario unrunnable; info lines report derived facts."""
+        """Return (violations, info). Violations are the values ``build``
+        refuses or, when it accepts them all, the guarantee conditions the
+        scenario breaks; info lines report derived facts."""
+        try:
+            world, _, scripts = self.build()
+        except ScenarioValidationError as exc:
+            return exc.violations, []
         violations: list[str] = []
         info: list[str] = []
-        n = self.graph.node_count
-
-        if self.algorithm not in ALGORITHMS:
-            violations.append(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.f < 0:
-            violations.append(f"trim parameter must be nonnegative, got {self.f}")
-        if not 0.0 < self.zeta < 0.5:
-            violations.append(f"start-pulse offset must lie in (0, 0.5), got {self.zeta}")
-        if self.horizon <= 0.0:
-            violations.append(f"horizon must be positive, got {self.horizon}")
-        if self.monitor not in MONITOR_MODES:
-            violations.append(f"monitor must be {'/'.join(MONITOR_MODES)}, got {self.monitor!r}")
-        if self.window_len is not None and self.window_len < 1:
-            violations.append(f"window_len must be at least 1, got {self.window_len}")
-
-        seen: set[int] = set()
-        for spec in self.attackers:
-            if not 0 <= spec.node < n:
-                violations.append(f"attacker node {spec.node} outside 0..{n - 1}")
-            elif spec.node in seen:
-                violations.append(f"attacker node {spec.node} listed twice")
-            seen.add(spec.node)
-        if violations:
-            return violations, info
-
-        normal = self.normal_ids
-        if not normal:
-            violations.append("every node is an attacker; nothing to synchronize")
-            return violations, info
+        normal = world.normal_ids
 
         # Locality: the guarantees assume no normal node hears more than f
         # misbehaving in-neighbors.
-        bad = self.faulty_ids
         for i in normal:
-            count = sum(1 for j in self.graph.in_neighbors[i] if j in bad)
+            count = sum(1 for j in self.graph.in_neighbors[i] if j in world.faulty)
             if count > self.f:
                 violations.append(
                     f"node {i} has {count} misbehaving in-neighbors, more than f={self.f}"
                 )
 
-        if isinstance(self.weights, ConfiguredAlpha):
-            worst = max((self.graph.in_degree(i) for i in normal), default=0)
-            if self.weights.alpha * (worst + 1) > 1.0 + 1e-12:
-                violations.append(
-                    f"neighbor weight {self.weights.alpha} is infeasible at in-degree {worst}"
-                )
-
-        try:
-            phases, freqs = self.resolve_initials()
-        except ScenarioValidationError as exc:
-            violations.extend(exc.violations)
-            return violations, info
-
         for i in normal:
-            if not 0.0 <= phases[i] < 1.0:
-                violations.append(f"node {i} initial phase {phases[i]} outside [0, 1)")
-            if freqs[i] < 1.0 - 1e-12:
-                violations.append(f"node {i} initial frequency {freqs[i]} below 1")
+            osc = world.oscillators[i]
+            if not 0.0 <= osc.phase < 1.0:
+                violations.append(f"node {i} initial phase {osc.phase} outside [0, 1)")
+            if osc.omega < 1.0 - 1e-12:
+                violations.append(f"node {i} initial frequency {osc.omega} below 1")
 
-        normal_phases = [phases[i] for i in normal]
-        normal_freqs = [freqs[i] for i in normal]
+        normal_phases = world.normal_phases()
+        normal_freqs = world.normal_omegas()
         arc0 = containing_arc(normal_phases).length
         spread0 = max(normal_freqs) - min(normal_freqs)
         if arc0 >= 0.5:
@@ -272,13 +291,11 @@ class ScenarioConfig:
                     f"graph is not {required}-robust, required for f={self.f}"
                 )
 
-        world, _, scripts = self.build()
         for spec, script in zip(self.attackers, scripts):
             tag = "stealthy" if adversary.is_stealthy(script, world, self.horizon) else "NOT stealthy"
             info.append(f"attacker {spec.node} ({spec.kind}) is {tag} over the horizon")
 
         alpha = self.effective_alpha()
-        r = len(normal)
         info.append(
             f"initial arc {arc0!r}, frequency spread {spread0!r}, weight floor {alpha!r}"
         )
@@ -287,8 +304,8 @@ class ScenarioConfig:
                 variant,
                 arc0=arc0,
                 spread0=spread0,
-                node_count=n,
-                normal_count=r,
+                node_count=self.graph.node_count,
+                normal_count=len(normal),
                 alpha=alpha,
                 window_len=self.window_len,
                 zeta=self.zeta,
@@ -356,6 +373,20 @@ def _field(data: dict[str, Any], key: str, parse, default):
         return parse(data.get(key, default))
 
 
+def _exactly(types: tuple[type, ...], expected: str):
+    """Parser passing values of exactly these types: no bool for an int."""
+    def parse(spec: Any):
+        if type(spec) in types:
+            return spec
+        raise TypeError(f"expected {expected}, got {spec!r}")
+
+    return parse
+
+
+_int_or_null = _exactly((int, type(None)), "an integer or null")
+_flag = _exactly((bool,), "true or false")
+
+
 def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
     if isinstance(spec, dict):
         if "file" in spec:
@@ -389,15 +420,9 @@ def _parse_initials(spec: Any) -> list[float] | RandomInterval:
         return RandomInterval(
             low=float(rand["low"]),
             high=float(rand["high"]),
-            seed=rand.get("seed"),
+            seed=_int_or_null(rand.get("seed")),
         )
     return [float(x) for x in spec]
-
-
-def _parse_window_len(spec: Any) -> int | None:
-    if spec is None or (isinstance(spec, int) and not isinstance(spec, bool)):
-        return spec
-    raise TypeError(f"expected an integer or null, got {spec!r}")
 
 
 def _parse_weights(spec: Any) -> WeightPolicy:
@@ -452,13 +477,13 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
         attackers=attackers,
         horizon=_field(data, "horizon", float, 60.0),
         seed=_field(data, "seed", int, 0),
-        normalize_phases=bool(data.get("normalize_phases", True)),
-        normalize_frequencies=bool(data.get("normalize_frequencies", True)),
-        window_len=_field(data, "window_len", _parse_window_len, None),
+        normalize_phases=_field(data, "normalize_phases", _flag, True),
+        normalize_frequencies=_field(data, "normalize_frequencies", _flag, True),
+        window_len=_field(data, "window_len", _int_or_null, None),
         tol_phase=_field(data, "tol_phase", float, 1e-6),
         tol_freq=_field(data, "tol_freq", float, 1e-6),
-        eager_detection=bool(data.get("eager_detection", False)),
-        halt_on_detection=bool(data.get("halt_on_detection", True)),
+        eager_detection=_field(data, "eager_detection", _flag, False),
+        halt_on_detection=_field(data, "halt_on_detection", _flag, True),
         monitor=data.get("monitor", "warn"),
     )
 

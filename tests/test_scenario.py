@@ -2,20 +2,25 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcosync import (
     AttackerSpec,
     ConfiguredAlpha,
     RandomInterval,
+    RunResult,
     ScenarioConfig,
     ScenarioValidationError,
     complete_digraph,
     demo_graph_8,
     directed_ring,
     load_scenario,
+    run_scenario,
     scenario_from_dict,
 )
 from pcosync.cli import main
@@ -260,6 +265,11 @@ def test_cli_check_robustness(capsys, tmp_path):
 
     assert main(["check-robustness", str(tmp_path / "none.txt")]) == 2
     assert main(["check-robustness", demo, "--max-nodes", "4"]) == 2
+    capsys.readouterr()
+    assert main(["check-robustness", demo, "--r", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "violation: robustness level must be >= 1, got 0"
+    ]
 
 
 def test_cli_run_writes_summary_and_trace(capsys, tmp_path):
@@ -353,6 +363,18 @@ MALFORMED = {
     "string_window_len": ({**_PAIR, "window_len": "x"}, "window_len: expected an integer or null"),
     "fractional_window_len": ({**_PAIR, "window_len": 2.5}, "window_len: expected an integer or null"),
     "boolean_window_len": ({**_PAIR, "window_len": True}, "window_len: expected an integer or null"),
+    "string_normalize_phases": (
+        {**_PAIR, "normalize_phases": "false"}, "normalize_phases: expected true or false"
+    ),
+    "integer_normalize_frequencies": (
+        {**_PAIR, "normalize_frequencies": 0}, "normalize_frequencies: expected true or false"
+    ),
+    "string_eager_detection": (
+        {**_PAIR, "eager_detection": "true"}, "eager_detection: expected true or false"
+    ),
+    "string_halt_on_detection": (
+        {**_PAIR, "halt_on_detection": "false"}, "halt_on_detection: expected true or false"
+    ),
 }
 # Well-typed but out of range: validation reports the one violation, then
 # each command adds its own closing line.
@@ -380,3 +402,137 @@ def test_cli_malformed_scenario_exits_2_with_one_line(case, command, capsys, tmp
         lines = lines[:1]
     assert len(lines) == 1
     assert lines[0].startswith("violation: ") and message in lines[0]
+
+
+# Values no run can use: refused with exit 2 and only violation lines, even
+# under --force, which skips the guarantee conditions and nothing else.
+UNRUNNABLE = {
+    "bogus_algorithm": ({"algorithm": "bogus"}, "algorithm must be one of"),
+    "infinite_horizon": ({"horizon": math.inf}, "horizon must be finite and positive, got inf"),
+    "negative_horizon": ({"horizon": -1.0}, "horizon must be finite and positive, got -1.0"),
+    "nan_frequency": (
+        {"frequencies": [1.0, math.nan, 1.0, 1.0, 1.0]},
+        "node 1 initial frequency must be finite and positive, got nan",
+    ),
+    "zero_frequency": (
+        {"frequencies": [0.0] * 5, "normalize_frequencies": False},
+        "node 0 initial frequency must be finite and positive, got 0.0",
+    ),
+    "all_attackers": (
+        {"attackers": [{"node": i, "type": "silent"} for i in range(5)]},
+        "every node is an attacker",
+    ),
+    "infeasible_alpha": (
+        {"weights": {"policy": "alpha", "alpha": 0.3}},
+        "neighbor weight 0.3 is infeasible at in-degree 4",
+    ),
+    "loud_monitor": ({"monitor": "loud"}, "monitor must be off/warn/strict, got 'loud'"),
+    "negative_f": ({"f": -1}, "trim parameter must be nonnegative, got -1"),
+    "attacker_node_9": (
+        {"attackers": [{"node": 9, "type": "silent"}]}, "attacker node 9 outside 0..4"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRUNNABLE))
+def test_cli_unrunnable_scenario_exits_2_even_when_forced(case, capsys, tmp_path):
+    overrides, message = UNRUNNABLE[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({**_PAIR, **overrides}))
+
+    assert main(["validate-config", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("invalid: ")
+    assert any(line.startswith("violation: ") and message in line for line in lines)
+
+    assert main(["run", str(path), "--force"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and lines
+    assert all(line.startswith("violation: ") for line in lines)
+    assert any(message in line for line in lines)
+
+
+NEGATIVE_HORIZON = ({}, ["--horizon", "-1"], "horizon must be finite and positive, got -1.0")
+ZERO_WINDOW = ({"window_len": 0}, [], "window_len must be at least 1, got 0")
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        (["run", "--force"], NEGATIVE_HORIZON),
+        (["sweep", "--parallelism", "1"], NEGATIVE_HORIZON),
+        (["sweep", "--parallelism", "2"], NEGATIVE_HORIZON),
+        (["sweep", "--parallelism", "1"], ZERO_WINDOW),
+        (["sweep", "--parallelism", "2"], ZERO_WINDOW),
+    ],
+    ids=["run-force-horizon", "sweep-p1-horizon", "sweep-p2-horizon", "sweep-p1-window",
+         "sweep-p2-window"],
+)
+def test_cli_unrunnable_overrides_and_sweep_trials_exit_2(command, case, capsys, tmp_path):
+    overrides, options, message = case
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({**_PAIR, **overrides}))
+    if command[0] == "sweep":
+        options = [*options, "--grid", "0.05", "--trials", "2"]
+    assert main([command[0], str(path), *command[1:], *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"violation: {message}"]
+
+
+# -- the run-ability gate, over legal and illegal scalar values ---------------
+
+
+# Per scalar field: values the gate must accept and values it must refuse.
+LEGAL = {
+    "algorithm": st.sampled_from(["absolute", "relative"]),
+    "f": st.integers(0, 3),
+    "zeta": st.floats(0.01, 0.49),
+    "horizon": st.floats(0.1, 3.0),
+    # "strict" is left out: it raises InvariantViolation by design.
+    "monitor": st.sampled_from(["off", "warn"]),
+    "window_len": st.one_of(st.none(), st.integers(1, 12)),
+    "attackers": st.lists(st.integers(0, 4), max_size=3, unique=True),
+}
+ILLEGAL = {
+    "algorithm": st.sampled_from(["bogus", ""]),
+    "f": st.integers(-3, -1),
+    "zeta": st.sampled_from([0.0, 0.5, -0.2, math.nan, math.inf]),
+    "horizon": st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]),
+    "monitor": st.sampled_from(["loud", ""]),
+    "window_len": st.integers(-3, 0),
+    "attackers": st.sampled_from([[9], [-1], [2, 2], [0, 1, 2, 3, 4]]),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), broken=st.sets(st.sampled_from(sorted(LEGAL)), max_size=3))
+def test_forced_runs_either_run_or_refuse_with_the_gate(data, broken):
+    values = {key: data.draw((ILLEGAL if key in broken else LEGAL)[key], label=key)
+              for key in sorted(LEGAL)}
+    attackers = values.pop("attackers")
+    config = ScenarioConfig(
+        graph=complete_digraph(5),
+        phases=[0.0, 0.05, 0.1, 0.15, 0.2],
+        frequencies=[1.0, 1.1, 1.2, 1.0, 1.3],
+        attackers=[AttackerSpec(node=i, kind="silent") for i in attackers],
+        **values,
+    )
+    try:
+        config.build()
+    except ScenarioValidationError as exc:
+        refused = exc.violations
+    else:
+        refused = []
+    violations, _ = config.validate()
+    if refused:
+        assert violations == refused
+    else:
+        assert not broken
+    try:
+        result = run_scenario(config, force=True)
+    except ScenarioValidationError as exc:
+        assert refused and exc.violations == refused
+    else:
+        assert not refused and isinstance(result, RunResult)
