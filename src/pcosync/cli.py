@@ -12,7 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import InvariantViolation, ProtocolFault, ScenarioValidationError
+from .errors import (
+    InvariantViolation,
+    ProtocolFault,
+    ScenarioValidationError,
+    UnrunnableScenarioError,
+)
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
 from .scenario import load_scenario
@@ -118,8 +123,9 @@ def _cmd_run(args) -> int:
         )
     except ScenarioValidationError as exc:
         _report(exc, sys.stderr)
-        # A forced run failed on values no run can use; forcing cannot help.
-        if not args.force:
+        # Forcing skips the guarantee conditions; it cannot help a value
+        # that no run can use.
+        if not (args.force or isinstance(exc, UnrunnableScenarioError)):
             print("invalid: rerun with --force to execute anyway", file=sys.stderr)
         return EXIT_VALIDATION
     except InvariantViolation as exc:

@@ -12,6 +12,7 @@ its threshold value, so threshold comparisons never accumulate drift.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation
@@ -98,6 +99,7 @@ class WorldState:
         if self.normal | self.faulty != frozenset(range(n)):
             raise ValueError("normal and faulty sets must partition the nodes")
         self.normal_ids = tuple(sorted(self.normal))
+        self.faulty_ids = tuple(sorted(self.faulty))
         # Pulses reach only normal nodes; faulty ones run no protocol.
         self.normal_receivers = tuple(
             tuple(j for j in outs if j in self.normal) for outs in self.graph.out_neighbors
@@ -122,18 +124,20 @@ def advance_all(world: WorldState, dt: float) -> None:
         raise ValueError(f"cannot advance time by {dt}")
     if dt == 0.0:
         return
-    normal = world.normal
-    for i, osc in enumerate(world.oscillators):
+    oscillators = world.oscillators
+    limit = 1.0 + PHASE_SLACK
+    for i in world.normal_ids:
+        osc = oscillators[i]
         moved = osc.phase + osc.omega * dt
-        if i in normal:
-            if moved > 1.0 + PHASE_SLACK:
-                raise InvariantViolation(
-                    f"node {i} overshot its firing threshold (phase {moved}) "
-                    f"after event {world.event_count}"
-                )
-            osc.phase = moved
-        else:
-            osc.phase = moved % 1.0
+        if moved > limit:
+            raise InvariantViolation(
+                f"node {i} overshot its firing threshold (phase {moved}) "
+                f"after event {world.event_count}"
+            )
+        osc.phase = moved
+    for i in world.faulty_ids:
+        osc = oscillators[i]
+        osc.phase = (osc.phase + osc.omega * dt) % 1.0
     world.clock += dt
 
 
@@ -144,38 +148,61 @@ def next_event(world: WorldState, protocol, pending_adversary=()) -> Event | Non
     that tuple; only the head competes. Ties within ``TIME_EPS`` resolve by
     kind priority then node id. Returns None when nothing is pending.
     """
-    candidates: list[tuple[float, int, int, int]] = []  # time, priority, node, start_rank
+    clock = world.clock
+    oscillators = world.oscillators
     uses_start = protocol.uses_start_pulses
     start_target = 1.0 - protocol.zeta if uses_start else 0.0
+    start_limit = start_target + PHASE_SLACK
+    # One pass builds the candidates and their earliest time; a second one
+    # picks the smallest (priority, node, start_rank) within TIME_EPS of it.
+    times: list[float] = []
+    keys: list[tuple[int, int, int]] = []
+    tmin = math.inf
     for i in world.normal_ids:
-        osc = world.oscillators[i]
-        candidates.append(
-            (world.clock + max(0.0, 1.0 - osc.phase) / osc.omega, 1, i, 0)
-        )
+        osc = oscillators[i]
+        phase = osc.phase
+        omega = osc.omega
+        left = 1.0 - phase
+        t = clock + (left if left > 0.0 else 0.0) / omega
+        if t < tmin:
+            tmin = t
+        times.append(t)
+        keys.append((1, i, 0))
         if osc.fired and not osc.detected:
-            if osc.phase > 0.5 + PHASE_SLACK:
+            if phase > 0.5 + PHASE_SLACK:
                 raise InvariantViolation(
-                    f"node {i} armed for update but past half phase ({osc.phase}) "
+                    f"node {i} armed for update but past half phase ({phase}) "
                     f"after event {world.event_count}"
                 )
-            candidates.append(
-                (world.clock + max(0.0, 0.5 - osc.phase) / osc.omega, 3, i, 0)
-            )
-        if uses_start and not osc.start_emitted and osc.phase <= start_target + PHASE_SLACK:
-            candidates.append(
-                (world.clock + max(0.0, start_target - osc.phase) / osc.omega, 2, i, 0)
-            )
+            left = 0.5 - phase
+            t = clock + (left if left > 0.0 else 0.0) / omega
+            if t < tmin:
+                tmin = t
+            times.append(t)
+            keys.append((3, i, 0))
+        if uses_start and not osc.start_emitted and phase <= start_limit:
+            left = start_target - phase
+            t = clock + (left if left > 0.0 else 0.0) / omega
+            if t < tmin:
+                tmin = t
+            times.append(t)
+            keys.append((2, i, 0))
     if pending_adversary:
         t, node, is_start = pending_adversary[0]
-        candidates.append((t, 0, node, 1 if is_start else 0))
-    if not candidates:
+        if t < tmin:
+            tmin = t
+        times.append(t)
+        keys.append((0, node, 1 if is_start else 0))
+    if not times:
         return None
-    tmin = min(c[0] for c in candidates)
-    best = min(
-        (c for c in candidates if c[0] <= tmin + TIME_EPS),
-        key=lambda c: (c[1], c[2], c[3]),
-    )
-    return Event(time=best[0], kind=_KINDS[best[1]], node=best[2], is_start=bool(best[3]))
+    limit = tmin + TIME_EPS
+    best_key = None
+    for t, key in zip(times, keys):
+        if t <= limit and (best_key is None or key < best_key):
+            best_time = t
+            best_key = key
+    priority, node, start_rank = best_key
+    return Event(time=best_time, kind=_KINDS[priority], node=node, is_start=bool(start_rank))
 
 
 def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4.0) -> int:

@@ -16,6 +16,11 @@ class ScenarioValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+class UnrunnableScenarioError(ScenarioValidationError):
+    """Raised by ``ScenarioConfig.build`` on values no run can use, which
+    forcing the run cannot get past."""
+
+
 class ProtocolFault(RuntimeError):
     """A protocol precondition broke mid-run.
 

@@ -72,22 +72,42 @@ def check_initial_bound(
 
 
 class SpreadWindow:
-    """Sliding extrema over the last ``window_len`` per-event (lo, hi) pairs."""
+    """Sliding extrema over the last ``window_len`` per-event (lo, hi) pairs.
+
+    Each extremum is kept in a monotonic deque of (event index, value)
+    pairs, so a push costs O(1) amortized. A value is dropped only when a
+    later one beats it strictly, so among equal values the window reports
+    the earliest, as ``min``/``max`` over the window would.
+    """
 
     def __init__(self, window_len: int):
         if window_len < 1:
             raise ValueError(f"window length must be positive, got {window_len}")
         self.window_len = window_len
-        self._lo: deque[float] = deque(maxlen=window_len)
-        self._hi: deque[float] = deque(maxlen=window_len)
+        self._count = 0
+        self._lows: deque[tuple[int, float]] = deque()
+        self._highs: deque[tuple[int, float]] = deque()
 
     def push(self, lo: float, hi: float) -> tuple[float, float, float]:
         """Append one event's extrema; return (windowed min, windowed max,
         their difference)."""
-        self._lo.append(lo)
-        self._hi.append(hi)
-        m = min(self._lo)
-        big = max(self._hi)
+        k = self._count
+        self._count = k + 1
+        expired = k - self.window_len
+        lows = self._lows
+        while lows and lows[-1][1] > lo:
+            lows.pop()
+        lows.append((k, lo))
+        if lows[0][0] == expired:
+            lows.popleft()
+        highs = self._highs
+        while highs and highs[-1][1] < hi:
+            highs.pop()
+        highs.append((k, hi))
+        if highs[0][0] == expired:
+            highs.popleft()
+        m = lows[0][1]
+        big = highs[0][1]
         return m, big, big - m
 
 

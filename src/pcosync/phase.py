@@ -47,20 +47,14 @@ def containing_arc(phases: Sequence[float]) -> Arc:
     if len(phases) == 0:
         raise ValueError("containing_arc needs at least one phase")
     pts = sorted(phases)
-    n = len(pts)
-    # Gap i runs clockwise from pts[i] to the next point; the arc covering
-    # everything else has tail = next point and head = pts[i].
-    best_gap = -1.0
-    best = Arc(0.0, pts[0], pts[0])
-    for i in range(n):
-        if i + 1 < n:
-            gap = pts[i + 1] - pts[i]
-            tail = pts[i + 1]
-        else:
-            gap = 1.0 - pts[-1] + pts[0]
-            tail = pts[0]
-        if gap > best_gap or (gap == best_gap and tail < best.tail):
-            best_gap = gap
-            best = Arc(1.0 - gap, tail, pts[i])
-    return best
-
+    # Gap i runs clockwise from pts[i] to pts[i + 1]; the arc covering
+    # everything else has tail = pts[i + 1] and head = pts[i]. The wrap gap
+    # from the last point back to the first has the smallest tail, pts[0],
+    # so it wins every tie; among the other gaps the first has the smallest.
+    gaps = [b - a for a, b in zip(pts, pts[1:])]
+    wrap = 1.0 - pts[-1] + pts[0]
+    widest = max(gaps, default=wrap)
+    if wrap >= widest:
+        return Arc(1.0 - wrap, pts[0], pts[-1])
+    i = gaps.index(widest)
+    return Arc(1.0 - widest, pts[i + 1], pts[i])

@@ -43,10 +43,13 @@ def run_scenario(
     Validation violations abort unless ``force`` is set; sweeps that
     generate admissible configs by construction pass ``validate=False`` to
     skip the exhaustive robustness recheck on every trial. Either way,
-    ``config.build()`` raises ScenarioValidationError on values no run can
-    use. A protocol fault is reported as the "fault" outcome rather than
-    propagated, so batch callers can count it alongside the other outcomes.
+    ``config.build()`` runs first and raises UnrunnableScenarioError on
+    values no run can use, which callers can tell from the guarantee
+    violations that ``force`` skips. A protocol fault is reported as the "fault" outcome rather
+    than propagated, so batch callers can count it alongside the other
+    outcomes.
     """
+    world, protocol, scripts = config.build()
     violations: list[str] = []
     info: list[str] = []
     if validate:
@@ -54,7 +57,6 @@ def run_scenario(
         if violations and not force:
             raise ScenarioValidationError(violations)
 
-    world, protocol, scripts = config.build()
     if collect_ratios and isinstance(protocol, RelativeProtocol):
         protocol.ratio_log = []
     metrics = RunMetrics(

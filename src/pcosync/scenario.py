@@ -22,7 +22,7 @@ import numpy as np
 
 from . import adversary
 from .engine import OscillatorState, WorldState
-from .errors import ScenarioValidationError
+from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
     DirectedGraph,
     GraphTooLargeError,
@@ -150,7 +150,7 @@ class ScenarioConfig:
 
     def _runnable_initials(self) -> tuple[list[float], list[float]]:
         """The one gate every run passes, forced or not: return the
-        resolved (phases, frequencies), or raise ScenarioValidationError
+        resolved (phases, frequencies), or raise UnrunnableScenarioError
         listing every value no run can use."""
         problems: list[str] = []
         n = self.graph.node_count
@@ -204,12 +204,12 @@ class ScenarioConfig:
                         f"node {i} initial frequency must be finite and positive, got {freqs[i]}"
                     )
         if problems:
-            raise ScenarioValidationError(problems)
+            raise UnrunnableScenarioError(problems)
         return phases, freqs
 
     def build(self):
         """Instantiate (world, protocol, scripts) ready for the event loop;
-        raise ScenarioValidationError listing every value no run can use."""
+        raise UnrunnableScenarioError listing every value no run can use."""
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 
@@ -383,6 +383,7 @@ def _exactly(types: tuple[type, ...], expected: str):
     return parse
 
 
+_int = _exactly((int,), "an integer")
 _int_or_null = _exactly((int, type(None)), "an integer or null")
 _flag = _exactly((bool,), "true or false")
 
@@ -403,9 +404,9 @@ def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
             if name == "demo8":
                 return demo_graph_8()
             if name == "complete":
-                return complete_digraph(int(spec["n"]))
+                return complete_digraph(_int(spec["n"]))
             if name == "ring":
-                return directed_ring(int(spec["n"]))
+                return directed_ring(_int(spec["n"]))
             raise ValueError(f"unknown named graph {name!r}")
     raise ScenarioValidationError(
         ["graph must be an object with one of the keys 'file', 'inline', 'text', 'named'"]
@@ -461,7 +462,7 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
     for index, item in enumerate(_field(data, "attackers", list, [])):
         with _parsing(f"attacker {index}"):
             opts = {k: v for k, v in item.items() if k not in ("node", "type")}
-            attackers.append(AttackerSpec(node=int(item["node"]), kind=item["type"], options=opts))
+            attackers.append(AttackerSpec(node=_int(item["node"]), kind=item["type"], options=opts))
             attackers[-1].build()  # reject missing or malformed script options now
     with _parsing("graph"):
         graph = _parse_graph(data.get("graph"), base_dir)
@@ -469,14 +470,14 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
         graph=graph,
         name=data.get("name", ""),
         algorithm=data.get("algorithm", "absolute"),
-        f=_field(data, "f", int, 0),
+        f=_field(data, "f", _int, 0),
         weights=_field(data, "weights", _parse_weights, None),
         zeta=_field(data, "zeta", float, 0.1),
         phases=_field(data, "phases", _parse_initials, []),
         frequencies=_field(data, "frequencies", _parse_initials, []),
         attackers=attackers,
         horizon=_field(data, "horizon", float, 60.0),
-        seed=_field(data, "seed", int, 0),
+        seed=_field(data, "seed", _int, 0),
         normalize_phases=_field(data, "normalize_phases", _flag, True),
         normalize_frequencies=_field(data, "normalize_frequencies", _flag, True),
         window_len=_field(data, "window_len", _int_or_null, None),

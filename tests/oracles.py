@@ -80,3 +80,95 @@ def all_digraphs(n):
 def update_sequence(rows):
     """(node, omegas) at every update event of a recorded trace."""
     return [(r.node, r.omegas) for r in rows if r.event_kind == "update"]
+
+
+# -- previous hot-path implementations -------------------------------------
+#
+# The three functions below are the straightforward versions of the event
+# selection, the containing arc and the sliding window that the package
+# replaced with faster ones. They are kept verbatim as references: the
+# package versions must return exactly the same values, bit for bit, and
+# raise exactly where these raise.
+
+
+def scan_next_event(world, protocol, pending_adversary=()):
+    """``engine.next_event`` as a candidate list plus two ``min`` calls."""
+    from pcosync import Event, EventKind, InvariantViolation
+    from pcosync.engine import PHASE_SLACK, TIME_EPS
+
+    _KINDS = tuple(EventKind)
+    candidates = []  # time, priority, node, start_rank
+    uses_start = protocol.uses_start_pulses
+    start_target = 1.0 - protocol.zeta if uses_start else 0.0
+    for i in world.normal_ids:
+        osc = world.oscillators[i]
+        candidates.append(
+            (world.clock + max(0.0, 1.0 - osc.phase) / osc.omega, 1, i, 0)
+        )
+        if osc.fired and not osc.detected:
+            if osc.phase > 0.5 + PHASE_SLACK:
+                raise InvariantViolation(
+                    f"node {i} armed for update but past half phase ({osc.phase}) "
+                    f"after event {world.event_count}"
+                )
+            candidates.append(
+                (world.clock + max(0.0, 0.5 - osc.phase) / osc.omega, 3, i, 0)
+            )
+        if uses_start and not osc.start_emitted and osc.phase <= start_target + PHASE_SLACK:
+            candidates.append(
+                (world.clock + max(0.0, start_target - osc.phase) / osc.omega, 2, i, 0)
+            )
+    if pending_adversary:
+        t, node, is_start = pending_adversary[0]
+        candidates.append((t, 0, node, 1 if is_start else 0))
+    if not candidates:
+        return None
+    tmin = min(c[0] for c in candidates)
+    best = min(
+        (c for c in candidates if c[0] <= tmin + TIME_EPS),
+        key=lambda c: (c[1], c[2], c[3]),
+    )
+    return Event(time=best[0], kind=_KINDS[best[1]], node=best[2], is_start=bool(best[3]))
+
+
+def gap_loop_arc(phases):
+    """``phase.containing_arc`` as a loop that builds an ``Arc`` per gap."""
+    from pcosync import Arc
+
+    if len(phases) == 0:
+        raise ValueError("containing_arc needs at least one phase")
+    pts = sorted(phases)
+    n = len(pts)
+    best_gap = -1.0
+    best = Arc(0.0, pts[0], pts[0])
+    for i in range(n):
+        if i + 1 < n:
+            gap = pts[i + 1] - pts[i]
+            tail = pts[i + 1]
+        else:
+            gap = 1.0 - pts[-1] + pts[0]
+            tail = pts[0]
+        if gap > best_gap or (gap == best_gap and tail < best.tail):
+            best_gap = gap
+            best = Arc(1.0 - gap, tail, pts[i])
+    return best
+
+
+class RescanSpreadWindow:
+    """``metrics.SpreadWindow`` that rescans the whole window on every push."""
+
+    def __init__(self, window_len):
+        from collections import deque
+
+        if window_len < 1:
+            raise ValueError(f"window length must be positive, got {window_len}")
+        self.window_len = window_len
+        self._lo = deque(maxlen=window_len)
+        self._hi = deque(maxlen=window_len)
+
+    def push(self, lo, hi):
+        self._lo.append(lo)
+        self._hi.append(hi)
+        m = min(self._lo)
+        big = max(self._hi)
+        return m, big, big - m

@@ -4,6 +4,7 @@ import dataclasses
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcosync import (
     EventKind,
@@ -17,6 +18,8 @@ from pcosync import (
     simulate,
 )
 from pcosync.engine import advance_all, event_budget, next_event
+
+from oracles import scan_next_event
 
 PLAIN = SimpleNamespace(uses_start_pulses=False, zeta=0.0)
 STARTING = SimpleNamespace(uses_start_pulses=True, zeta=0.1)
@@ -207,3 +210,83 @@ def test_repeated_runs_are_identical():
     second = run_scenario(dataclasses.replace(config), collect_trace=True)
     assert first.outcome == second.outcome
     assert first.metrics.rows == second.metrics.rows
+
+
+# Phases sit on or next to the thresholds (0.5 for an update, 0.75 and
+# 0.875 for a start pulse, 1 for a fire) and dyadic rates keep the times
+# exact, so many candidate times tie. A 2**-44 nudge moves a time by less
+# than TIME_EPS, a 2**-31 one moves a phase by less than PHASE_SLACK and a
+# 2**-29 one by more: an armed node nudged that far past 0.5 must raise.
+_PHASES = st.builds(
+    lambda base, nudge: base + nudge,
+    st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.875, 1.0]),
+        st.integers(0, 16).map(lambda k: k / 16),
+    ),
+    st.sampled_from([0.0, 0.0, 2.0**-44, -(2.0**-44), 3 * 2.0**-44, 2.0**-31, 2.0**-29]),
+)
+
+
+def _nodes(fired):
+    return st.fixed_dictionaries({
+        "phase": _PHASES.filter(lambda p: p <= 0.5 + 2.0**-29) if fired else _PHASES,
+        "omega": st.sampled_from([0.5, 1.0, 1.0, 1.25, 2.0]),
+        "fired": st.just(fired),
+        "detected": st.booleans(),
+        "start_emitted": st.booleans(),
+        "faulty": st.sampled_from([False, False, False, True]),
+    })
+
+
+_NODE = st.one_of(_nodes(False), _nodes(True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.lists(_NODE, min_size=2, max_size=5),
+    clock=st.sampled_from([0.0, 0.375, 3.0, 41.125]),
+    protocol=st.sampled_from([
+        PLAIN,
+        SimpleNamespace(uses_start_pulses=True, zeta=0.25),
+        SimpleNamespace(uses_start_pulses=True, zeta=0.125),
+    ]),
+    head=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 16), st.integers(0, 4), st.booleans()),
+    ),
+)
+def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
+    n = len(nodes)
+    faulty = frozenset(i for i, node in enumerate(nodes) if node["faulty"])
+    world = WorldState(
+        graph=complete_digraph(n),
+        oscillators=[
+            OscillatorState(
+                phase=node["phase"],
+                omega=node["omega"],
+                fired=node["fired"],
+                detected=node["detected"],
+                start_emitted=node["start_emitted"],
+            )
+            for node in nodes
+        ],
+        normal=frozenset(range(n)) - faulty,
+        faulty=faulty,
+        clock=clock,
+    )
+    pending = ()
+    if head is not None:
+        steps, node, is_start = head
+        pending = ((clock + steps / 16, node, int(is_start)),)
+    try:
+        expected = scan_next_event(world, protocol, pending)
+    except InvariantViolation as exc:
+        with pytest.raises(InvariantViolation) as raised:
+            next_event(world, protocol, pending)
+        assert str(raised.value) == str(exc)
+        return
+    got = next_event(world, protocol, pending)
+    if expected is None:
+        assert got is None
+    else:
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))

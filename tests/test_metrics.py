@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcosync import (
     Event,
@@ -23,6 +24,8 @@ from pcosync import (
     run_scenario,
 )
 from pcosync.metrics import format_trace_row, trace_header, write_trace
+
+from oracles import RescanSpreadWindow
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -125,6 +128,28 @@ def test_spread_window_tracks_sliding_extrema():
     assert win.push(1.2, 1.2) == (1.2, 1.3, pytest.approx(0.1))
     with pytest.raises(ValueError):
         SpreadWindow(0)
+
+
+# Few distinct values, signed zeros among them, so equal extrema keep
+# entering and leaving the window.
+_EXTREMA = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    window_len=st.integers(-1, 9),
+    pushes=st.lists(st.tuples(_EXTREMA, _EXTREMA), max_size=40),
+)
+def test_spread_window_matches_the_rescan(window_len, pushes):
+    if window_len < 1:
+        with pytest.raises(ValueError):
+            RescanSpreadWindow(window_len)
+        with pytest.raises(ValueError):
+            SpreadWindow(window_len)
+        return
+    window, reference = SpreadWindow(window_len), RescanSpreadWindow(window_len)
+    for lo, hi in pushes:
+        assert repr(window.push(lo, hi)) == repr(reference.push(lo, hi))
 
 
 def test_virtual_node_advances_modulo_one():

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcosync import Arc, clockwise_dist, containing_arc
 
-from oracles import brute_force_arc
+from oracles import brute_force_arc, gap_loop_arc
+
+# Multiples of 1/64 keep every gap, length and circle distance exact, so
+# duplicate points and exact gap ties decide the tie-breaks on their own.
+DYADIC = st.integers(0, 63).map(lambda k: k / 64)
 
 
 def test_clockwise_dist_hand_values():
@@ -75,3 +80,22 @@ def test_containing_arc_matches_rotation_oracle():
         for p in phases:
             assert clockwise_dist(p, arc.tail) <= arc.length + 1e-12
 
+
+
+@settings(max_examples=150, deadline=None)
+@given(phases=st.lists(
+    st.one_of(DYADIC, st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([1.0, 1.0 + 1e-10])),
+    min_size=1,
+    max_size=12,
+))
+def test_containing_arc_matches_the_gap_loop(phases):
+    # Exact equality, including the phases just past 1 that a node reaching
+    # its threshold shows before it fires.
+    assert repr(containing_arc(phases)) == repr(gap_loop_arc(phases))
+
+
+@settings(max_examples=100, deadline=None)
+@given(phases=st.lists(DYADIC, min_size=1, max_size=12))
+def test_containing_arc_matches_the_rotation_oracle_on_dyadic_phases(phases):
+    length, tail, head = brute_force_arc(phases)
+    assert containing_arc(phases) == (length, tail, head)

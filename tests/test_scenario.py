@@ -359,7 +359,16 @@ MALFORMED = {
         "missing key 'burst_count'",
     ),
     "random_without_high": ({**_PAIR, "phases": {"random": {"low": 0.0}}}, "missing key 'high'"),
-    "non_integer_f": ({**_PAIR, "f": "x"}, "f: invalid literal"),
+    "non_integer_f": ({**_PAIR, "f": "x"}, "f: expected an integer, got 'x'"),
+    "fractional_f": ({**_PAIR, "f": 1.9}, "f: expected an integer, got 1.9"),
+    "boolean_seed": ({**_PAIR, "seed": True}, "seed: expected an integer, got True"),
+    "fractional_attacker_node": (
+        {**_PAIR, "attackers": [{"node": 1.5, "type": "silent"}]},
+        "attacker 0: expected an integer, got 1.5",
+    ),
+    "string_named_graph_n": (
+        {**_PAIR, "graph": {"named": "complete", "n": "5"}}, "graph: expected an integer, got '5'"
+    ),
     "string_window_len": ({**_PAIR, "window_len": "x"}, "window_len: expected an integer or null"),
     "fractional_window_len": ({**_PAIR, "window_len": 2.5}, "window_len: expected an integer or null"),
     "boolean_window_len": ({**_PAIR, "window_len": True}, "window_len: expected an integer or null"),
@@ -377,14 +386,15 @@ MALFORMED = {
     ),
 }
 # Well-typed but out of range: validation reports the one violation, then
-# each command adds its own closing line.
+# validate-config adds its closing line; run adds none, since forcing the
+# run would not help.
 OUT_OF_RANGE = {
     "zero_window_len": ({**_PAIR, "window_len": 0}, "window_len must be at least 1, got 0"),
     "negative_window_len": ({**_PAIR, "window_len": -3}, "window_len must be at least 1, got -3"),
 }
-CLOSING_LINE = {
-    "validate-config": "invalid: 1 violation(s)",
-    "run": "invalid: rerun with --force to execute anyway",
+CLOSING_LINES = {
+    "validate-config": ["invalid: 1 violation(s)"],
+    "run": [],
 }
 
 
@@ -398,7 +408,7 @@ def test_cli_malformed_scenario_exits_2_with_one_line(case, command, capsys, tmp
     captured = capsys.readouterr()
     lines = (captured.out + captured.err).splitlines()
     if case in OUT_OF_RANGE:
-        assert lines[1:] == [CLOSING_LINE[command]]
+        assert lines[1:] == CLOSING_LINES[command]
         lines = lines[:1]
     assert len(lines) == 1
     assert lines[0].startswith("violation: ") and message in lines[0]
@@ -445,12 +455,14 @@ def test_cli_unrunnable_scenario_exits_2_even_when_forced(case, capsys, tmp_path
     assert lines[-1].startswith("invalid: ")
     assert any(line.startswith("violation: ") and message in line for line in lines)
 
-    assert main(["run", str(path), "--force"]) == 2
-    captured = capsys.readouterr()
-    lines = captured.err.splitlines()
-    assert captured.out == "" and lines
-    assert all(line.startswith("violation: ") for line in lines)
-    assert any(message in line for line in lines)
+    # Forced or not, run lists the violations and gives no --force advice.
+    for forced in ([], ["--force"]):
+        assert main(["run", str(path), *forced]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and lines
+        assert all(line.startswith("violation: ") for line in lines)
+        assert any(message in line for line in lines)
 
 
 NEGATIVE_HORIZON = ({}, ["--horizon", "-1"], "horizon must be finite and positive, got -1.0")
