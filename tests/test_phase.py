@@ -81,7 +81,6 @@ def test_containing_arc_matches_rotation_oracle():
             assert clockwise_dist(p, arc.tail) <= arc.length + 1e-12
 
 
-
 @settings(max_examples=150, deadline=None)
 @given(phases=st.lists(
     st.one_of(DYADIC, st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([1.0, 1.0 + 1e-10])),
