@@ -1,10 +1,12 @@
 """Independent reference implementations the library is checked against.
 
-Everything in this module is written straight from the definitions, in the
-most literal style available, and deliberately shares no logic with the
+The oracles are written straight from the definitions, in the
+most literal style available, and deliberately share no logic with the
 package: circle distances via modular arithmetic instead of branches, arcs
 by trying every tail instead of scanning gaps, robustness by materializing
-every subset pair as a frozenset instead of bitmask enumeration.
+every subset pair as a frozenset instead of bitmask enumeration. The last
+section instead keeps the package's own earlier, plainer hot-path code, which
+its faster replacements must match bit for bit.
 """
 
 import itertools
