@@ -11,10 +11,12 @@ trimmed for a quick look. Pass --full for the real thing.
 """
 
 import argparse
+import os
 import time
 from pathlib import Path
 
 from pcosync import SweepSpec, load_scenario, sweep_frontier
+from pcosync.sweep import pool_size
 
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "frontier_sweep.json"
 
@@ -23,7 +25,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
                         help="100 trials per evaluation instead of 25")
-    parser.add_argument("--parallelism", type=int, default=4)
+    parser.add_argument("--parallelism", type=int, default=os.cpu_count() or 1,
+                        help="worker processes; the sweep starts no more than"
+                             " the CPUs it may run on (default: all of them)")
     parser.add_argument("--plot", action="store_true",
                         help="draw the frontier (needs matplotlib)")
     args = parser.parse_args()
@@ -44,7 +48,7 @@ def main() -> int:
     for p in points:
         print(f"{p.arc0:6.2f}  {p.spread0_max:10.4f}  {p.success_rate:7.2f}")
     print(f"\n{spec.trials} trials per evaluation, {elapsed:.1f}s"
-          f" at parallelism {args.parallelism}")
+          f" on {pool_size(args.parallelism, spec.trials)} worker process(es)")
     if not args.full:
         print("(25-trial estimates wiggle; --full restores the monotone frontier)")
 

@@ -21,7 +21,7 @@ from .errors import (
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
 from .scenario import load_scenario
-from .sweep import SweepSpec, sweep_frontier, frontier_header, write_frontier
+from .sweep import SweepSpec, frontier_header, pool_size, sweep_frontier, write_frontier
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -158,6 +158,7 @@ def _cmd_sweep(args) -> int:
             success_threshold=args.threshold,
             synchronized_only=args.synchronized_only,
         )
+        pool_size(args.parallelism, spec.trials)  # refuse a bad --parallelism before any trial
     except ValueError as exc:
         raise ScenarioValidationError([str(exc)]) from None
 

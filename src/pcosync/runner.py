@@ -49,11 +49,12 @@ def run_scenario(
     than propagated, so batch callers can count it alongside the other
     outcomes.
     """
-    world, protocol, scripts = config.build()
+    built = config.build()
+    world, protocol, scripts = built
     violations: list[str] = []
     info: list[str] = []
     if validate:
-        violations, info = config.validate()
+        violations, info = config.validate(built)
         if violations and not force:
             raise ScenarioValidationError(violations)
 

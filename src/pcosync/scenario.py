@@ -231,14 +231,18 @@ class ScenarioConfig:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self) -> tuple[list[str], list[str]]:
+    def validate(self, built=None) -> tuple[list[str], list[str]]:
         """Return (violations, info). Violations are the values ``build``
         refuses or, when it accepts them all, the guarantee conditions the
-        scenario breaks; info lines report derived facts."""
-        try:
-            world, _, scripts = self.build()
-        except ScenarioValidationError as exc:
-            return exc.violations, []
+        scenario breaks; info lines report derived facts. ``built`` is what
+        ``build`` returned, before any simulation; without it, ``validate``
+        builds its own."""
+        if built is None:
+            try:
+                built = self.build()
+            except ScenarioValidationError as exc:
+                return exc.violations, []
+        world, _, scripts = built
         violations: list[str] = []
         info: list[str] = []
         normal = world.normal_ids

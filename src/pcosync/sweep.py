@@ -7,13 +7,19 @@ bisection evaluation, so every evaluation at one grid point reuses the same
 underlying draws (common random numbers); this keeps the per-trial response
 nearly monotone in the spread and makes serial and parallel execution
 byte-identical.
+
+A parallel sweep sends the base scenario to each worker once, when the pool
+starts, and then sends each evaluation's trial indices in a few chunks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -96,27 +102,65 @@ def run_trial(
     return result.outcome == "detected" and not synchronized_only
 
 
+# A pool worker's copy of the sweep's base scenario, set once per worker by
+# the pool initializer; the parent process never sets it.
+_worker_base: ScenarioConfig | None = None
+
+
+def _set_worker_base(base: ScenarioConfig) -> None:
+    global _worker_base
+    _worker_base = base
+
+
+def _worker_trial(grid_index, trial_index, arc0, spread0, seed, synchronized_only) -> bool:
+    return run_trial(
+        _worker_base, grid_index, trial_index, arc0, spread0, seed, synchronized_only
+    )
+
+
+def pool_size(parallelism: int, trials: int) -> int:
+    """Worker processes a sweep starts: ``parallelism``, but no more than
+    the trials per evaluation or the CPUs this process may run on. At 1
+    the sweep runs serially. Raises ValueError when ``parallelism`` is
+    below 1."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(parallelism, trials, cpus)
+
+
 class _Evaluator:
     """Runs one (grid point, spread) evaluation across all trials and
     aggregates by trial index, so completion order never matters."""
 
-    def __init__(self, spec: SweepSpec, executor: ProcessPoolExecutor | None):
+    def __init__(self, spec: SweepSpec, executor: ProcessPoolExecutor | None, workers: int):
         self.spec = spec
         self.executor = executor
+        # About four chunks per worker: few submissions, and a slow chunk
+        # leaves the other workers little to wait for.
+        self.chunksize = math.ceil(spec.trials / (4 * workers))
 
     def rate(self, grid_index: int, spread0: float) -> float:
         spec = self.spec
         arc0 = spec.arc_grid[grid_index]
-        args = [
-            (spec.base, grid_index, t, arc0, spread0, spec.seed, spec.synchronized_only)
-            for t in range(spec.trials)
-        ]
+        n = spec.trials
         if self.executor is None:
-            outcomes = [run_trial(*a) for a in args]
+            outcomes = [
+                run_trial(spec.base, grid_index, t, arc0, spread0, spec.seed,
+                          spec.synchronized_only)
+                for t in range(n)
+            ]
         else:
-            futures = [self.executor.submit(run_trial, *a) for a in args]
-            outcomes = [f.result() for f in futures]
-        return sum(outcomes) / spec.trials
+            # map yields in trial-index order, whatever order chunks finish in.
+            outcomes = self.executor.map(
+                _worker_trial, repeat(grid_index, n), range(n), repeat(arc0, n),
+                repeat(spread0, n), repeat(spec.seed, n), repeat(spec.synchronized_only, n),
+                chunksize=self.chunksize,
+            )
+        return sum(outcomes) / n
 
 
 def sweep_frontier(
@@ -129,12 +173,17 @@ def sweep_frontier(
     Per grid point: if the full spread cap already passes, report it; if
     even zero spread fails, report zero with its observed rate; otherwise
     bisect down to ``bisect_tol`` and report the largest passing spread.
+    ``parallelism`` must be at least 1; ``pool_size`` gives the number of
+    worker processes it starts.
     """
+    workers = pool_size(parallelism, spec.trials)
     executor = None
-    if parallelism > 1:
-        executor = ProcessPoolExecutor(max_workers=parallelism)
+    if workers > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_worker_base, initargs=(spec.base,)
+        )
     try:
-        evaluator = _Evaluator(spec, executor)
+        evaluator = _Evaluator(spec, executor, workers)
         points = []
         for gi, arc0 in enumerate(spec.arc_grid):
             point = _bisect_point(evaluator, gi, arc0, spec)

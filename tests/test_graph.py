@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcosync import (
     DirectedGraph,
@@ -129,6 +131,22 @@ def test_text_format_roundtrip():
     graphs += [random_digraph(2 + s % 8, 0.4, s) for s in range(20)]
     for g in graphs:
         assert parse_graph_text(format_graph_text(g)) == g
+
+
+@st.composite
+def digraphs(draw):
+    """Any digraph on 2 to 12 nodes; in-lists may be empty and keep the
+    drawn order."""
+    n = draw(st.integers(2, 12))
+    return DirectedGraph(tuple(
+        tuple(draw(st.lists(st.sampled_from([j for j in range(n) if j != i]), unique=True)))
+        for i in range(n)
+    ))
+
+
+@given(graph=digraphs(), comment=st.one_of(st.just(""), st.text()))
+def test_text_format_roundtrip_property(graph, comment):
+    assert parse_graph_text(format_graph_text(graph, comment=comment)) == graph
 
 
 def test_parse_graph_text_forms():

@@ -344,6 +344,34 @@ def test_cli_sweep_smoke(capsys, tmp_path):
     assert lines[1].startswith("0.05,")
 
 
+@pytest.mark.parametrize("parallelism", ["0", "-3"])
+def test_cli_sweep_refuses_parallelism_below_one(parallelism, capsys):
+    code = main([
+        "sweep", str(SCENARIOS / "frontier_sweep.json"), "--parallelism", parallelism,
+        "--grid", "0.05", "--trials", "2",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"violation: parallelism must be at least 1, got {parallelism}"]
+
+
+@pytest.mark.parametrize("stem", ["nominal_sync", "stealthy_attack", "relative_equivalence"])
+def test_validated_run_builds_one_world(stem, monkeypatch):
+    build = ScenarioConfig.build
+    calls = []
+
+    def counting_build(config):
+        calls.append(config)
+        return build(config)
+
+    monkeypatch.setattr(ScenarioConfig, "build", counting_build)
+    config = load_scenario(SCENARIOS / f"{stem}.json")
+    result = run_scenario(config)
+    assert len(calls) == 1
+    assert result.info == config.validate()[1]
+
+
 _PAIR = {
     "graph": {"named": "complete", "n": 5},
     "f": 1,
