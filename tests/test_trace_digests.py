@@ -4,8 +4,12 @@ The README promises byte-for-byte reproducible traces. These digests pin
 that promise across refactors: every shipped scenario runs under both
 protocol variants (with the monitor in warn mode, so a strict-mode abort
 cannot cut a run short), plus a few variants that reach the fault,
-detection, eager-detection and configured-weight paths, and traced runs
-with the monitor off, where only the trace reads the virtual node. A digest may only
+detection, eager-detection and configured-weight paths, traced runs
+with the monitor off, where only the trace reads the virtual node, and
+near-synchronized 16-node complete graphs, where most events share their
+clock with the event before (plus one with a flooding attacker, eager
+detection and no halt, where detection latches between such events). A
+digest may only
 change together with a CHANGES.md entry naming the intended change in
 floating-point output.
 """
@@ -16,7 +20,14 @@ from pathlib import Path
 
 import pytest
 
-from pcosync import ConfiguredAlpha, load_scenario, run_scenario
+from pcosync import (
+    AttackerSpec,
+    ConfiguredAlpha,
+    ScenarioConfig,
+    complete_digraph,
+    load_scenario,
+    run_scenario,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -28,7 +39,30 @@ SHIPPED = (
     "stealthy_attack",
 )
 
-# case id -> (scenario file stem, field overrides; monitor defaults to "warn")
+# Phases within 0.03 of a turn and frequencies within 1.6%: the nodes fire
+# in lockstep within a few rounds, so most events happen at an unchanged clock.
+K16_SYNC = ScenarioConfig(
+    graph=complete_digraph(16),
+    f=1,
+    zeta=0.1,
+    phases=[0.002 * ((5 * k) % 16) for k in range(16)],
+    frequencies=[1.0 + 0.001 * ((3 * k) % 16) for k in range(16)],
+    horizon=40.0,
+    monitor="off",
+    name="k16_sync",
+)
+K16_FLOOD = dataclasses.replace(
+    K16_SYNC,
+    attackers=[
+        AttackerSpec(5, "flooding", {"burst_count": 4, "burst_interval": 0.02, "start_time": 3.1})
+    ],
+    eager_detection=True,
+    halt_on_detection=False,
+    name="k16_flood",
+)
+
+# case id -> (scenario file stem or config, field overrides; monitor
+# defaults to "warn")
 CASES = {
     **{f"{name}-{alg}": (name, {"algorithm": alg}) for name in SHIPPED for alg in ("absolute", "relative")},
     **{
@@ -52,6 +86,11 @@ CASES = {
         for name in ("frontier_sweep", "stealthy_attack")
         for alg in ("absolute", "relative")
     },
+    **{f"k16_sync-monitor_off-{alg}": (K16_SYNC, {"algorithm": alg, "monitor": "off"}) for alg in ("absolute", "relative")},
+    **{
+        f"k16_flood-eager-nohalt-monitor_off-{alg}": (K16_FLOOD, {"algorithm": alg, "monitor": "off"})
+        for alg in ("absolute", "relative")
+    },
 }
 
 DIGESTS = {
@@ -63,6 +102,10 @@ DIGESTS = {
     "frontier_sweep-monitor_off-absolute": "661afd4f500da9ebe1a80c7620cd24adc4eacaf1f3f41b24ef94c435d76b4367",
     "frontier_sweep-monitor_off-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
     "frontier_sweep-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
+    "k16_flood-eager-nohalt-monitor_off-absolute": "bab884f21a52c0843d10cfe4b77e20e9087888891d2711171668e6ec5ff77df4",
+    "k16_flood-eager-nohalt-monitor_off-relative": "a4063a3328e4978fa6553a325b6a953a87fe13b740cae41dbc45a6c8cf519c8b",
+    "k16_sync-monitor_off-absolute": "343a72ab25f366bbc40798679f36dc45a9bd4d68e2f40466c9aa24213722e5a3",
+    "k16_sync-monitor_off-relative": "2a415ca7136115c0560841a56730399957355c7ad4211c96ce1f131ca050fa7d",
     "nominal_sync-absolute": "2a850c336a429ded206fac1b17bfe9216d4d0001d7e1b4ff31124dd6667083db",
     "nominal_sync-relative": "d4d0909b107c52512858989648435bfc1c5192949298c787aa73e2ab0dc0bd32",
     "relative_equivalence-absolute": "5a619fa3404d7341d79c872dbc34199ccfddcb8ececd87c4cbe0abadb6c9deb0",
@@ -81,10 +124,9 @@ DIGESTS = {
 
 
 def trace_digest(case: str, directory: Path) -> str:
-    name, overrides = CASES[case]
-    config = dataclasses.replace(
-        load_scenario(SCENARIOS / f"{name}.json"), **{"monitor": "warn", **overrides}
-    )
+    source, overrides = CASES[case]
+    base = load_scenario(SCENARIOS / f"{source}.json") if isinstance(source, str) else source
+    config = dataclasses.replace(base, **{"monitor": "warn", **overrides})
     path = directory / f"{case}.csv"
     run_scenario(config, trace_path=path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
