@@ -7,6 +7,17 @@ totally ordered by time, then by kind (adversary pulse, fire, start pulse,
 update trigger), then by node id; two times closer than ``TIME_EPS`` count
 as simultaneous. After each event the acting node's phase sits exactly on
 its threshold value, so threshold comparisons never accumulate drift.
+
+Synchronized nodes fire at one instant, so most events leave the clock
+where it was. At an unchanged clock only the acting node's selection inputs
+(``phase``, ``omega``, ``fired``, ``detected``, ``start_emitted``) can have
+changed, and every other node's candidate times would be recomputed from
+the same floats. ``simulate`` therefore keeps the candidate times of the
+current instant per node and recomputes only the acting node's, with two
+exceptions: a handler that reports a new detection may have latched it on a
+receiver, so the next selection rescans every node; an adversary pulse's
+actor is faulty, so no node is recomputed. The selected event is the one a
+full scan would return, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import compress, count
 
 from .errors import InvariantViolation
 from .graph import DirectedGraph
@@ -44,7 +56,7 @@ class Event:
     is_start: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class OscillatorState:
     """Per-node protocol state.
 
@@ -141,33 +153,133 @@ def advance_all(world: WorldState, dt: float) -> None:
     world.clock += dt
 
 
-def next_event(world: WorldState, protocol, pending_adversary=()) -> Event | None:
+class _SameClockTimes:
+    """Candidate times per node at one clock, for ``next_event`` to reuse.
+
+    ``times`` holds one slot per (kind, node) in tie-break order: every
+    node's fire time, then its start-pulse time when the protocol sends
+    start pulses, then its update time; infinity marks no candidate. The
+    slots are filled on the second selection at one clock, since most
+    clocks see a single event. ``actor`` is the node the last event
+    changed, recomputed on the next selection.
+    """
+
+    __slots__ = ("clock", "filled", "actor", "n", "kinds", "start_target", "update_at", "times")
+
+    def __init__(self, n: int, protocol):
+        self.clock: float | None = None
+        self.filled = False
+        self.actor: int | None = None
+        self.n = n
+        if protocol.uses_start_pulses:
+            self.kinds = (EventKind.FIRE, EventKind.START_PULSE, EventKind.UPDATE)
+            self.start_target = 1.0 - protocol.zeta
+        else:
+            self.kinds = (EventKind.FIRE, EventKind.UPDATE)
+            self.start_target = None
+        self.update_at = (len(self.kinds) - 1) * n
+        self.times = [math.inf] * (len(self.kinds) * n)
+
+    def refresh(self, world: WorldState, i: int) -> None:
+        """Recompute normal node i's candidate times at the clock."""
+        clock = self.clock
+        times = self.times
+        osc = world.oscillators[i]
+        phase = osc.phase
+        omega = osc.omega
+        left = 1.0 - phase
+        times[i] = clock + (left if left > 0.0 else 0.0) / omega
+        slot = self.update_at + i
+        if osc.fired and not osc.detected:
+            if phase > 0.5 + PHASE_SLACK:
+                raise InvariantViolation(
+                    f"node {i} armed for update but past half phase ({phase}) "
+                    f"after event {world.event_count}"
+                )
+            left = 0.5 - phase
+            times[slot] = clock + (left if left > 0.0 else 0.0) / omega
+        else:
+            times[slot] = math.inf
+        start_target = self.start_target
+        if start_target is not None:
+            slot = self.n + i
+            if not osc.start_emitted and phase <= start_target + PHASE_SLACK:
+                left = start_target - phase
+                times[slot] = clock + (left if left > 0.0 else 0.0) / omega
+            else:
+                times[slot] = math.inf
+
+    def select(self, world: WorldState, pending_adversary) -> Event | None:
+        """The next event from the kept times, or None when no finite
+        candidate exists (the caller's full scan then decides)."""
+        if not self.filled:
+            for i in world.normal_ids:
+                self.refresh(world, i)
+            self.filled = True
+        elif self.actor is not None:
+            self.refresh(world, self.actor)
+        times = self.times
+        tmin = min(times)
+        limit = tmin + TIME_EPS
+        if pending_adversary:
+            t, node, is_start = pending_adversary[0]
+            # Earlier than every node, or tied with the earliest: it wins.
+            if t <= limit:
+                return Event(time=t, kind=EventKind.ADVERSARY_PULSE, node=node, is_start=bool(is_start))
+        if not tmin < math.inf:
+            return None
+        # The first slot within TIME_EPS of the earliest time wins: usually
+        # the first slot holding that time, unless an earlier slot is near.
+        k = times.index(tmin)
+        if k and min(times[:k]) <= limit:
+            k = next(compress(count(), map(limit.__ge__, times)))
+        kind, node = divmod(k, self.n)
+        return Event(time=times[k], kind=self.kinds[kind], node=node)
+
+
+def next_event(
+    world: WorldState, protocol, pending_adversary=(), same_clock: _SameClockTimes | None = None
+) -> Event | None:
     """Peek the next event: earliest threshold crossing or scripted pulse.
 
     ``pending_adversary`` holds (time, node, is_start) triples sorted by
     that tuple; only the head competes. Ties within ``TIME_EPS`` resolve by
     kind priority then node id. Returns None when nothing is pending.
+    ``same_clock``, kept by ``simulate`` across one run, lets a selection at
+    the clock of the previous one reuse its candidate times (see the module
+    docstring); without it every call scans every node.
     """
     clock = world.clock
+    if same_clock is not None:
+        if same_clock.clock == clock:
+            ev = same_clock.select(world, pending_adversary)
+            if ev is not None:
+                return ev
+        else:
+            same_clock.clock = clock
+            same_clock.filled = False
     oscillators = world.oscillators
     uses_start = protocol.uses_start_pulses
     start_target = 1.0 - protocol.zeta if uses_start else 0.0
     start_limit = start_target + PHASE_SLACK
-    # One pass builds the candidates and their earliest time; a second one
-    # picks the smallest (priority, node, start_rank) within TIME_EPS of it.
-    times: list[float] = []
-    keys: list[tuple[int, int, int]] = []
+    # One pass keeps the candidates within TIME_EPS of the running earliest
+    # time. That limit only falls, so every candidate within TIME_EPS of the
+    # final earliest time is kept; the smallest (priority, node, start_rank)
+    # among those is the event.
+    near: list[tuple[float, tuple[int, int, int]]] = []
     tmin = math.inf
+    limit = math.inf
     for i in world.normal_ids:
         osc = oscillators[i]
         phase = osc.phase
         omega = osc.omega
         left = 1.0 - phase
         t = clock + (left if left > 0.0 else 0.0) / omega
-        if t < tmin:
-            tmin = t
-        times.append(t)
-        keys.append((1, i, 0))
+        if t <= limit:
+            if t < tmin:
+                tmin = t
+                limit = t + TIME_EPS
+            near.append((t, (1, i, 0)))
         if osc.fired and not osc.detected:
             if phase > 0.5 + PHASE_SLACK:
                 raise InvariantViolation(
@@ -176,28 +288,30 @@ def next_event(world: WorldState, protocol, pending_adversary=()) -> Event | Non
                 )
             left = 0.5 - phase
             t = clock + (left if left > 0.0 else 0.0) / omega
-            if t < tmin:
-                tmin = t
-            times.append(t)
-            keys.append((3, i, 0))
+            if t <= limit:
+                if t < tmin:
+                    tmin = t
+                    limit = t + TIME_EPS
+                near.append((t, (3, i, 0)))
         if uses_start and not osc.start_emitted and phase <= start_limit:
             left = start_target - phase
             t = clock + (left if left > 0.0 else 0.0) / omega
-            if t < tmin:
-                tmin = t
-            times.append(t)
-            keys.append((2, i, 0))
+            if t <= limit:
+                if t < tmin:
+                    tmin = t
+                    limit = t + TIME_EPS
+                near.append((t, (2, i, 0)))
     if pending_adversary:
         t, node, is_start = pending_adversary[0]
-        if t < tmin:
-            tmin = t
-        times.append(t)
-        keys.append((0, node, 1 if is_start else 0))
-    if not times:
+        if t <= limit:
+            if t < tmin:
+                tmin = t
+                limit = t + TIME_EPS
+            near.append((t, (0, node, 1 if is_start else 0)))
+    if not near:
         return None
-    limit = tmin + TIME_EPS
     best_key = None
-    for t, key in zip(times, keys):
+    for t, key in near:
         if t <= limit and (best_key is None or key < best_key):
             best_time = t
             best_key = key
@@ -240,10 +354,11 @@ def simulate(
     script_by_node = {script.node: script for script in scripts}
 
     budget = event_budget(world.graph.node_count, len(pending), horizon, zeno_safety)
+    same_clock = _SameClockTimes(world.graph.node_count, protocol)
     cursor = 0
     outcome = "horizon"
     while True:
-        ev = next_event(world, protocol, pending[cursor : cursor + 1])
+        ev = next_event(world, protocol, pending[cursor : cursor + 1], same_clock)
         if ev is None or ev.time > horizon + TIME_EPS:
             break
         dt = max(0.0, ev.time - world.clock)
@@ -265,6 +380,11 @@ def simulate(
             newly_detected = False
         else:
             newly_detected = protocol.handle_update(world, ev.node, ev.time)
+        # Only the acting node's candidate times changed, unless detection
+        # latched on a receiver; an adversary pulse's actor is faulty.
+        same_clock.actor = None if ev.kind is EventKind.ADVERSARY_PULSE else ev.node
+        if newly_detected:
+            same_clock.filled = False
 
         world.event_count += 1
         metrics.observe(world, ev)

@@ -140,7 +140,7 @@ class MsrRound:
         osc = world.oscillators[i]
         osc.pulse_count += 1
         c = osc.pulse_count
-        d = world.graph.in_degree(i)
+        d = len(world.graph.in_neighbors[i])
         f = self.params.f
         phi = osc.phase
         if c == f + 1:

@@ -51,8 +51,15 @@ class SweepSpec:
                 raise ValueError(f"arc width {value} outside [0, 0.5)")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
-        if self.bisect_tol <= 0.0:
+        # Each comparison is written so that NaN fails it.
+        if not 0.0 <= self.spread_cap < math.inf:
+            raise ValueError(f"spread cap must be finite and at least 0, got {self.spread_cap}")
+        if not self.bisect_tol > 0.0:
             raise ValueError(f"bisection tolerance must be positive, got {self.bisect_tol}")
+        if not 0.0 <= self.success_threshold <= 1.0:
+            raise ValueError(f"success threshold must lie in [0, 1], got {self.success_threshold}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

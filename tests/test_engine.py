@@ -2,13 +2,19 @@
 
 import dataclasses
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pcosync.engine
 from pcosync import (
+    AbsoluteProtocol,
+    AttackerSpec,
+    DirectedGraph,
     EventKind,
     InvariantViolation,
+    MsrParams,
     OscillatorState,
     RunMetrics,
     ScenarioConfig,
@@ -290,3 +296,152 @@ def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
         assert got is None
     else:
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))
+
+
+# -- selections inside simulate -----------------------------------------------
+
+
+class CheckedSelections:
+    """Replace ``engine.next_event`` so that every selection ``simulate``
+    makes is compared bit for bit with ``scan_next_event`` on the same
+    world, raises included. Records the events and how many selections
+    reused the candidate times of the previous one."""
+
+    def __init__(self):
+        self.events = []
+        self.reused = 0
+
+    def __call__(self, world, protocol, pending_adversary=(), same_clock=None):
+        if same_clock is not None and same_clock.filled and same_clock.clock == world.clock:
+            self.reused += 1
+        try:
+            expected = scan_next_event(world, protocol, pending_adversary)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation) as raised:
+                next_event(world, protocol, pending_adversary, same_clock)
+            assert str(raised.value) == str(exc)
+            raise
+        got = next_event(world, protocol, pending_adversary, same_clock)
+        if expected is None:
+            assert got is None
+        else:
+            assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))
+            self.events.append((got.time, got.kind, got.node))
+        return got
+
+    def patch(self):
+        return mock.patch.object(pcosync.engine, "next_event", self)
+
+
+def run_checked(config):
+    checked = CheckedSelections()
+    with checked.patch():
+        try:
+            run_scenario(config, validate=False)
+        except InvariantViolation:
+            pass  # a run may end on the budget or an overshoot; the selections up to there matched
+    return checked
+
+
+def test_synchronized_run_reuses_most_selections():
+    n = 16
+    config = ScenarioConfig(
+        graph=complete_digraph(n),
+        algorithm="relative",
+        f=1,
+        phases=[0.002 * ((5 * k) % n) for k in range(n)],
+        frequencies=[1.0 + 0.001 * ((3 * k) % n) for k in range(n)],
+        horizon=20.0,
+        monitor="off",
+    )
+    checked = run_checked(config)
+    assert checked.reused > len(checked.events) // 3
+
+
+def test_detection_latched_at_an_unchanged_clock_cancels_a_due_update():
+    # Nodes 0 and 1 fire at t = 0, while node 2's update is due at t = 0 as
+    # well. The first fire leaves node 2 one pulse short of overflowing its
+    # counter; the second fire is selected from the kept times (the clock
+    # has not moved) and latches eager detection on node 2. A detected node
+    # never updates, so the third selection, still at t = 0, must not
+    # return node 2's update, although the kept times still hold it.
+    world = WorldState(
+        graph=complete_digraph(3),
+        oscillators=[
+            OscillatorState(phase=1.0, omega=1.0),
+            OscillatorState(phase=1.0, omega=1.0),
+            OscillatorState(phase=0.5, omega=1.0, fired=True, pulse_count=1),
+        ],
+        normal=frozenset({0, 1, 2}),
+        faulty=frozenset(),
+    )
+    protocol = AbsoluteProtocol(MsrParams(f=1, eager_detection=True))
+    metrics = RunMetrics(world, alpha=0.25, mode="off")
+    checked = CheckedSelections()
+    with checked.patch():
+        simulate(world, protocol, [], horizon=0.75, metrics=metrics, halt_on_detection=False)
+    assert checked.events[:2] == [(0.0, EventKind.FIRE, 0), (0.0, EventKind.FIRE, 1)]
+    assert checked.reused >= 1
+    assert world.oscillators[2].detected
+    assert (EventKind.UPDATE, 2) not in [(kind, node) for _, kind, node in checked.events]
+
+
+# Complete or sparse digraphs; phases on or next to a few multiples of 1/16
+# and dyadic rates, so many candidate times tie exactly or within TIME_EPS.
+@st.composite
+def _selection_scenarios(draw):
+    n = draw(st.integers(2, 20), label="n")
+    if draw(st.booleans(), label="complete"):
+        graph = complete_digraph(n)
+    else:
+        graph = DirectedGraph.from_lists(
+            sorted(draw(st.sets(st.sampled_from([j for j in range(n) if j != i]), min_size=1)))
+            for i in range(n)
+        )
+    # A few groups of phases, so that whole groups fire at one instant.
+    groups = draw(st.lists(st.integers(0, 15), min_size=1, max_size=3), label="phase groups")
+    phases = draw(st.lists(
+        st.builds(
+            lambda k, nudge: k / 16 + nudge,
+            st.sampled_from(groups),
+            st.sampled_from([0.0, 0.0, 0.0, 2.0**-44, 3 * 2.0**-44, 2.0**-31]),
+        ),
+        min_size=n, max_size=n,
+    ), label="phases")
+    freqs = draw(st.lists(st.sampled_from([1.0, 1.0, 1.0, 1.0 + 2.0**-40, 1.0625, 1.25]),
+                          min_size=n, max_size=n), label="frequencies")
+    attackers = []
+    for node in sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)), label="attackers")):
+        kind = draw(st.sampled_from(["flooding", "stealthy", "custom"]))
+        if kind == "flooding":
+            options = {"burst_count": draw(st.integers(1, 6)), "burst_interval": 0.0625,
+                       "start_time": draw(st.integers(0, 32)) / 16}
+        elif kind == "stealthy":
+            options = {"offsets": [draw(st.integers(0, 15)) / 16],
+                       "start_offsets": draw(st.lists(st.integers(0, 15).map(lambda k: k / 16), max_size=2))}
+        else:
+            times = draw(st.lists(st.integers(0, 64), max_size=6, unique=True))
+            options = {"pulses": [(k / 16, 1.0 + (k % 3) / 8) for k in times],
+                       "start_pulses": [k / 16 for k in draw(st.lists(st.integers(0, 64), max_size=4))]}
+        attackers.append(AttackerSpec(node, kind, options))
+    return ScenarioConfig(
+        graph=graph,
+        algorithm=draw(st.sampled_from(["absolute", "relative"]), label="algorithm"),
+        f=draw(st.integers(0, 2), label="f"),
+        zeta=draw(st.sampled_from([0.125, 0.25]), label="zeta"),
+        phases=phases,
+        frequencies=freqs,
+        attackers=attackers,
+        horizon=draw(st.sampled_from([3.0, 6.0]), label="horizon"),
+        normalize_phases=False,
+        normalize_frequencies=False,
+        eager_detection=draw(st.booleans(), label="eager_detection"),
+        halt_on_detection=draw(st.booleans(), label="halt_on_detection"),
+        monitor="off",
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=_selection_scenarios())
+def test_simulate_selections_match_the_candidate_scan(config):
+    run_checked(config)

@@ -356,6 +356,31 @@ def test_cli_sweep_refuses_parallelism_below_one(parallelism, capsys):
     assert captured.err.splitlines() == [f"violation: parallelism must be at least 1, got {parallelism}"]
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--spread-cap", "inf", "spread cap must be finite and at least 0, got inf"),
+        ("--spread-cap", "nan", "spread cap must be finite and at least 0, got nan"),
+        ("--spread-cap", "-1", "spread cap must be finite and at least 0, got -1.0"),
+        ("--tol", "nan", "bisection tolerance must be positive, got nan"),
+        ("--tol", "0", "bisection tolerance must be positive, got 0.0"),
+        ("--threshold", "nan", "success threshold must lie in [0, 1], got nan"),
+        ("--threshold", "1.5", "success threshold must lie in [0, 1], got 1.5"),
+        ("--threshold", "-0.1", "success threshold must lie in [0, 1], got -0.1"),
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+    ],
+)
+def test_cli_sweep_refuses_bad_numeric_options(option, value, message, capsys):
+    code = main([
+        "sweep", str(SCENARIOS / "frontier_sweep.json"), option, value,
+        "--grid", "0.05", "--trials", "2",
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"violation: {message}"]
+
+
 @pytest.mark.parametrize("stem", ["nominal_sync", "stealthy_attack", "relative_equivalence"])
 def test_validated_run_builds_one_world(stem, monkeypatch):
     build = ScenarioConfig.build
