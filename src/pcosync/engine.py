@@ -180,44 +180,47 @@ class _SameClockTimes:
         self.update_at = (len(self.kinds) - 1) * n
         self.times = [math.inf] * (len(self.kinds) * n)
 
-    def refresh(self, world: WorldState, i: int) -> None:
-        """Recompute normal node i's candidate times at the clock."""
+    def refresh(self, world: WorldState, nodes) -> None:
+        """Recompute the candidate times of the given normal nodes at the clock."""
         clock = self.clock
         times = self.times
-        osc = world.oscillators[i]
-        phase = osc.phase
-        omega = osc.omega
-        left = 1.0 - phase
-        times[i] = clock + (left if left > 0.0 else 0.0) / omega
-        slot = self.update_at + i
-        if osc.fired and not osc.detected:
-            if phase > 0.5 + PHASE_SLACK:
-                raise InvariantViolation(
-                    f"node {i} armed for update but past half phase ({phase}) "
-                    f"after event {world.event_count}"
-                )
-            left = 0.5 - phase
-            times[slot] = clock + (left if left > 0.0 else 0.0) / omega
-        else:
-            times[slot] = math.inf
+        oscillators = world.oscillators
+        update_at = self.update_at
+        start_at = self.n
         start_target = self.start_target
-        if start_target is not None:
-            slot = self.n + i
-            if not osc.start_emitted and phase <= start_target + PHASE_SLACK:
-                left = start_target - phase
-                times[slot] = clock + (left if left > 0.0 else 0.0) / omega
+        uses_start = start_target is not None
+        start_limit = start_target + PHASE_SLACK if uses_start else 0.0
+        for i in nodes:
+            osc = oscillators[i]
+            phase = osc.phase
+            omega = osc.omega
+            left = 1.0 - phase
+            times[i] = clock + (left if left > 0.0 else 0.0) / omega
+            if osc.fired and not osc.detected:
+                if phase > 0.5 + PHASE_SLACK:
+                    raise InvariantViolation(
+                        f"node {i} armed for update but past half phase ({phase}) "
+                        f"after event {world.event_count}"
+                    )
+                left = 0.5 - phase
+                times[update_at + i] = clock + (left if left > 0.0 else 0.0) / omega
             else:
-                times[slot] = math.inf
+                times[update_at + i] = math.inf
+            if uses_start:
+                if not osc.start_emitted and phase <= start_limit:
+                    left = start_target - phase
+                    times[start_at + i] = clock + (left if left > 0.0 else 0.0) / omega
+                else:
+                    times[start_at + i] = math.inf
 
     def select(self, world: WorldState, pending_adversary) -> Event | None:
         """The next event from the kept times, or None when no finite
         candidate exists (the caller's full scan then decides)."""
         if not self.filled:
-            for i in world.normal_ids:
-                self.refresh(world, i)
+            self.refresh(world, world.normal_ids)
             self.filled = True
         elif self.actor is not None:
-            self.refresh(world, self.actor)
+            self.refresh(world, (self.actor,))
         times = self.times
         tmin = min(times)
         limit = tmin + TIME_EPS

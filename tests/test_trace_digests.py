@@ -9,9 +9,8 @@ with the monitor off, where only the trace reads the virtual node, and
 near-synchronized 16-node complete graphs, where most events share their
 clock with the event before (plus one with a flooding attacker, eager
 detection and no halt, where detection latches between such events). A
-digest may only
-change together with a CHANGES.md entry naming the intended change in
-floating-point output.
+digest may only change together with a CHANGES.md entry naming the
+intended change in floating-point output.
 """
 
 import dataclasses
@@ -39,7 +38,7 @@ SHIPPED = (
     "stealthy_attack",
 )
 
-# Phases within 0.03 of a turn and frequencies within 1.6%: the nodes fire
+# Phases within 0.03 of a turn and frequencies within 1.5%: the nodes fire
 # in lockstep within a few rounds, so most events happen at an unchanged clock.
 K16_SYNC = ScenarioConfig(
     graph=complete_digraph(16),
@@ -86,7 +85,10 @@ CASES = {
         for name in ("frontier_sweep", "stealthy_attack")
         for alg in ("absolute", "relative")
     },
-    **{f"k16_sync-monitor_off-{alg}": (K16_SYNC, {"algorithm": alg, "monitor": "off"}) for alg in ("absolute", "relative")},
+    **{
+        f"k16_sync-monitor_off-{alg}": (K16_SYNC, {"algorithm": alg, "monitor": "off"})
+        for alg in ("absolute", "relative")
+    },
     **{
         f"k16_flood-eager-nohalt-monitor_off-{alg}": (K16_FLOOD, {"algorithm": alg, "monitor": "off"})
         for alg in ("absolute", "relative")
