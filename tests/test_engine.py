@@ -343,7 +343,7 @@ def run_checked(config):
     return checked
 
 
-def test_synchronized_run_reuses_most_selections():
+def test_synchronized_run_reuses_the_kept_times():
     n = 16
     config = ScenarioConfig(
         graph=complete_digraph(n),
