@@ -165,7 +165,6 @@ def is_stealthy(
     script: AttackScript,
     world: WorldState,
     horizon: float,
-    round_period: float = 1.0,
 ) -> bool:
     """Whether the script can never push a receiver's round count past its
     in-degree, assuming every other in-neighbor behaves.
@@ -173,14 +172,14 @@ def is_stealthy(
     A receiver's round never lasts longer than one nominal period at the
     normalized frequency floor, and a well-behaved in-neighbor contributes
     exactly one counted pulse per round. The script therefore passes iff it
-    emits at most one counted pulse in every sliding window of
-    ``round_period``. The test is per-script and composes: any set of
+    emits at most one counted pulse in every sliding window of one nominal
+    period (1.0). The test is per-script and composes: any set of
     passing scripts keeps every round count at or below the in-degree.
     """
     if not world.normal_receivers[script.node]:
         return True
     times = script.emission_times(horizon)
     for prev, cur in zip(times, times[1:]):
-        if cur - prev < round_period - 1e-12:
+        if cur - prev < 1.0 - 1e-12:
             return False
     return True

@@ -21,7 +21,7 @@ from .errors import (
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
 from .scenario import load_scenario
-from .sweep import SweepSpec, frontier_header, pool_size, sweep_frontier, write_frontier
+from .sweep import SweepSpec, format_frontier, pool_size, sweep_frontier, write_frontier
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -178,9 +178,7 @@ def _cmd_sweep(args) -> int:
     if args.output:
         write_frontier(args.output, points)
     else:
-        print(frontier_header())
-        for p in points:
-            print(f"{p.arc0!r},{p.spread0_max!r},{p.success_rate!r}")
+        sys.stdout.write(format_frontier(points))
     return EXIT_OK
 
 

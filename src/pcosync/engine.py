@@ -8,16 +8,18 @@ update trigger), then by node id; two times closer than ``TIME_EPS`` count
 as simultaneous. After each event the acting node's phase sits exactly on
 its threshold value, so threshold comparisons never accumulate drift.
 
-Synchronized nodes fire at one instant, so most events leave the clock
-where it was. At an unchanged clock only the acting node's selection inputs
-(``phase``, ``omega``, ``fired``, ``detected``, ``start_emitted``) can have
-changed, and every other node's candidate times would be recomputed from
-the same floats. ``simulate`` therefore keeps the candidate times of the
-current instant per node and recomputes only the acting node's, with two
+Every selection reads one table of candidate times per run: each normal
+node's fire, start-pulse and update time at the current clock. Synchronized
+nodes fire at one instant, so most events leave the clock where it was, and
+at an unchanged clock only the acting node's selection inputs (``phase``,
+``omega``, ``fired``, ``detected``, ``start_emitted``) can have changed.
+``next_event`` therefore recomputes every normal node when the clock has
+moved, and otherwise only the node of the previous event, with two
 exceptions: a handler that reports a new detection may have latched it on a
-receiver, so the next selection rescans every node; an adversary pulse's
-actor is faulty, so no node is recomputed. The selected event is the one a
-full scan would return, bit for bit.
+receiver, so the next selection recomputes every node; an adversary pulse's
+actor is faulty, so no node is recomputed. The earliest slot, with ties
+within ``TIME_EPS`` going to the first slot in tie-break order, is the event:
+the one a scan of every node would return, bit for bit.
 """
 
 from __future__ import annotations
@@ -35,16 +37,12 @@ PHASE_SLACK = 1e-9  # tolerated floating-point overshoot past a threshold
 
 
 class EventKind(enum.Enum):
-    """Declared in tie-break priority order; ``next_event`` ranks a kind
-    by its position here."""
+    """Declared in tie-break priority order."""
 
     ADVERSARY_PULSE = "adversary_pulse"
     FIRE = "fire"
     START_PULSE = "start_pulse"
     UPDATE = "update"
-
-
-_KINDS = tuple(EventKind)
 
 
 @dataclass
@@ -153,22 +151,21 @@ def advance_all(world: WorldState, dt: float) -> None:
     world.clock += dt
 
 
-class _SameClockTimes:
-    """Candidate times per node at one clock, for ``next_event`` to reuse.
+class _CandidateTimes:
+    """Candidate times per node at one clock, kept by ``simulate`` for a run.
 
     ``times`` holds one slot per (kind, node) in tie-break order: every
     node's fire time, then its start-pulse time when the protocol sends
-    start pulses, then its update time; infinity marks no candidate. The
-    slots are filled on the second selection at one clock, since most
-    clocks see a single event. ``actor`` is the node the last event
-    changed, recomputed on the next selection.
+    start pulses, then its update time; infinity marks no candidate.
+    ``clock`` is the clock the slots were computed at, or None when every
+    normal node must be recomputed; ``actor`` is the node the last event
+    changed, recomputed on the next selection at the same clock.
     """
 
-    __slots__ = ("clock", "filled", "actor", "n", "kinds", "start_target", "update_at", "times")
+    __slots__ = ("clock", "actor", "n", "kinds", "start_target", "update_at", "times")
 
     def __init__(self, n: int, protocol):
         self.clock: float | None = None
-        self.filled = False
         self.actor: int | None = None
         self.n = n
         if protocol.uses_start_pulses:
@@ -213,113 +210,43 @@ class _SameClockTimes:
                 else:
                     times[start_at + i] = math.inf
 
-    def select(self, world: WorldState, pending_adversary) -> Event | None:
-        """The next event from the kept times, or None when no finite
-        candidate exists (the caller's full scan then decides)."""
-        if not self.filled:
-            self.refresh(world, world.normal_ids)
-            self.filled = True
-        elif self.actor is not None:
-            self.refresh(world, (self.actor,))
-        times = self.times
-        tmin = min(times)
-        limit = tmin + TIME_EPS
-        if pending_adversary:
-            t, node, is_start = pending_adversary[0]
-            # Earlier than every node, or tied with the earliest: it wins.
-            if t <= limit:
-                return Event(time=t, kind=EventKind.ADVERSARY_PULSE, node=node, is_start=bool(is_start))
-        if not tmin < math.inf:
-            return None
-        # The first slot within TIME_EPS of the earliest time wins: usually
-        # the first slot holding that time, unless an earlier slot is near.
-        k = times.index(tmin)
-        if k and min(times[:k]) <= limit:
-            k = next(compress(count(), map(limit.__ge__, times)))
-        kind, node = divmod(k, self.n)
-        return Event(time=times[k], kind=self.kinds[kind], node=node)
-
 
 def next_event(
-    world: WorldState, protocol, pending_adversary=(), same_clock: _SameClockTimes | None = None
+    world: WorldState, protocol, pending_adversary=(), table: _CandidateTimes | None = None
 ) -> Event | None:
     """Peek the next event: earliest threshold crossing or scripted pulse.
 
     ``pending_adversary`` holds (time, node, is_start) triples sorted by
     that tuple; only the head competes. Ties within ``TIME_EPS`` resolve by
     kind priority then node id. Returns None when nothing is pending.
-    ``same_clock``, kept by ``simulate`` across one run, lets a selection at
-    the clock of the previous one reuse its candidate times (see the module
-    docstring); without it every call scans every node.
+    ``table``, kept by ``simulate`` across one run, carries the candidate
+    times between selections (see the module docstring); without it a
+    fresh table is built and every normal node is computed.
     """
-    clock = world.clock
-    if same_clock is not None:
-        if same_clock.clock == clock:
-            ev = same_clock.select(world, pending_adversary)
-            if ev is not None:
-                return ev
-        else:
-            same_clock.clock = clock
-            same_clock.filled = False
-    oscillators = world.oscillators
-    uses_start = protocol.uses_start_pulses
-    start_target = 1.0 - protocol.zeta if uses_start else 0.0
-    start_limit = start_target + PHASE_SLACK
-    # One pass keeps the candidates within TIME_EPS of the running earliest
-    # time. That limit only falls, so every candidate within TIME_EPS of the
-    # final earliest time is kept; the smallest (priority, node, start_rank)
-    # among those is the event.
-    near: list[tuple[float, tuple[int, int, int]]] = []
-    tmin = math.inf
-    limit = math.inf
-    for i in world.normal_ids:
-        osc = oscillators[i]
-        phase = osc.phase
-        omega = osc.omega
-        left = 1.0 - phase
-        t = clock + (left if left > 0.0 else 0.0) / omega
-        if t <= limit:
-            if t < tmin:
-                tmin = t
-                limit = t + TIME_EPS
-            near.append((t, (1, i, 0)))
-        if osc.fired and not osc.detected:
-            if phase > 0.5 + PHASE_SLACK:
-                raise InvariantViolation(
-                    f"node {i} armed for update but past half phase ({phase}) "
-                    f"after event {world.event_count}"
-                )
-            left = 0.5 - phase
-            t = clock + (left if left > 0.0 else 0.0) / omega
-            if t <= limit:
-                if t < tmin:
-                    tmin = t
-                    limit = t + TIME_EPS
-                near.append((t, (3, i, 0)))
-        if uses_start and not osc.start_emitted and phase <= start_limit:
-            left = start_target - phase
-            t = clock + (left if left > 0.0 else 0.0) / omega
-            if t <= limit:
-                if t < tmin:
-                    tmin = t
-                    limit = t + TIME_EPS
-                near.append((t, (2, i, 0)))
+    if table is None:
+        table = _CandidateTimes(world.graph.node_count, protocol)
+    if table.clock != world.clock:
+        table.clock = world.clock
+        table.refresh(world, world.normal_ids)
+    elif table.actor is not None:
+        table.refresh(world, (table.actor,))
+    times = table.times
+    tmin = min(times)
+    limit = tmin + TIME_EPS
     if pending_adversary:
         t, node, is_start = pending_adversary[0]
+        # Earlier than every node, or tied with the earliest: it wins.
         if t <= limit:
-            if t < tmin:
-                tmin = t
-                limit = t + TIME_EPS
-            near.append((t, (0, node, 1 if is_start else 0)))
-    if not near:
+            return Event(time=t, kind=EventKind.ADVERSARY_PULSE, node=node, is_start=bool(is_start))
+    if not tmin < math.inf:
         return None
-    best_key = None
-    for t, key in near:
-        if t <= limit and (best_key is None or key < best_key):
-            best_time = t
-            best_key = key
-    priority, node, start_rank = best_key
-    return Event(time=best_time, kind=_KINDS[priority], node=node, is_start=bool(start_rank))
+    # The first slot within TIME_EPS of the earliest time wins: usually the
+    # first slot holding that time, unless an earlier slot is near.
+    k = times.index(tmin)
+    if k and min(times[:k]) <= limit:
+        k = next(compress(count(), map(limit.__ge__, times)))
+    kind, node = divmod(k, table.n)
+    return Event(time=times[k], kind=table.kinds[kind], node=node)
 
 
 def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4.0) -> int:
@@ -357,11 +284,11 @@ def simulate(
     script_by_node = {script.node: script for script in scripts}
 
     budget = event_budget(world.graph.node_count, len(pending), horizon, zeno_safety)
-    same_clock = _SameClockTimes(world.graph.node_count, protocol)
+    table = _CandidateTimes(world.graph.node_count, protocol)
     cursor = 0
     outcome = "horizon"
     while True:
-        ev = next_event(world, protocol, pending[cursor : cursor + 1], same_clock)
+        ev = next_event(world, protocol, pending[cursor : cursor + 1], table)
         if ev is None or ev.time > horizon + TIME_EPS:
             break
         dt = max(0.0, ev.time - world.clock)
@@ -385,9 +312,9 @@ def simulate(
             newly_detected = protocol.handle_update(world, ev.node, ev.time)
         # Only the acting node's candidate times changed, unless detection
         # latched on a receiver; an adversary pulse's actor is faulty.
-        same_clock.actor = None if ev.kind is EventKind.ADVERSARY_PULSE else ev.node
+        table.actor = None if ev.kind is EventKind.ADVERSARY_PULSE else ev.node
         if newly_detected:
-            same_clock.filled = False
+            table.clock = None
 
         world.event_count += 1
         metrics.observe(world, ev)

@@ -217,6 +217,8 @@ def _bisect_point(
     hi = spec.spread_cap
     while hi - lo > spec.bisect_tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats: no spread lies between them
         rate_mid = evaluator.rate(grid_index, mid)
         if rate_mid >= threshold:
             lo, rate_lo = mid, rate_mid
@@ -225,12 +227,14 @@ def _bisect_point(
     return FrontierPoint(arc0, lo, rate_lo)
 
 
-def frontier_header() -> str:
-    return "Delta0,delta0_max,success_rate"
+def format_frontier(points: list[FrontierPoint]) -> str:
+    """The frontier as CSV text, one row per grid point, floats in ``repr``
+    form so that a rerun can be compared byte for byte."""
+    lines = ["Delta0,delta0_max,success_rate"]
+    for p in points:
+        lines.append(f"{p.arc0!r},{p.spread0_max!r},{p.success_rate!r}")
+    return "\n".join(lines) + "\n"
 
 
 def write_frontier(path: str | Path, points: list[FrontierPoint]) -> None:
-    lines = [frontier_header()]
-    for p in points:
-        lines.append(f"{p.arc0!r},{p.spread0_max!r},{p.success_rate!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_frontier(points))

@@ -16,6 +16,8 @@ from pcosync import (
     InvariantViolation,
     MsrParams,
     OscillatorState,
+    ProtocolFault,
+    RelativeProtocol,
     RunMetrics,
     ScenarioConfig,
     WorldState,
@@ -311,17 +313,17 @@ class CheckedSelections:
         self.events = []
         self.reused = 0
 
-    def __call__(self, world, protocol, pending_adversary=(), same_clock=None):
-        if same_clock is not None and same_clock.filled and same_clock.clock == world.clock:
+    def __call__(self, world, protocol, pending_adversary=(), table=None):
+        if table is not None and table.clock == world.clock:
             self.reused += 1
         try:
             expected = scan_next_event(world, protocol, pending_adversary)
         except InvariantViolation as exc:
             with pytest.raises(InvariantViolation) as raised:
-                next_event(world, protocol, pending_adversary, same_clock)
+                next_event(world, protocol, pending_adversary, table)
             assert str(raised.value) == str(exc)
             raise
-        got = next_event(world, protocol, pending_adversary, same_clock)
+        got = next_event(world, protocol, pending_adversary, table)
         if expected is None:
             assert got is None
         else:
@@ -445,3 +447,85 @@ def _selection_scenarios(draw):
 @given(config=_selection_scenarios())
 def test_simulate_selections_match_the_candidate_scan(config):
     run_checked(config)
+
+
+# -- the handlers' side of the candidate-time table -----------------------------
+#
+# At an unchanged clock ``next_event`` recomputes only the acting node's
+# candidate times unless the handler reported a new detection. That is exact
+# only while a handler that reports nothing leaves every other node's
+# selection inputs as they were.
+
+
+def _selection_inputs(world):
+    return [(o.phase, o.omega, o.fired, o.detected, o.start_emitted) for o in world.oscillators]
+
+
+@st.composite
+def _handler_calls(draw):
+    n = draw(st.integers(2, 6), label="n")
+    if draw(st.booleans(), label="complete"):
+        graph = complete_digraph(n)
+    else:
+        graph = DirectedGraph.from_lists(
+            sorted(draw(st.sets(st.sampled_from([j for j in range(n) if j != i]), min_size=1)))
+            for i in range(n)
+        )
+    phases = st.floats(0.0, 1.0)
+    oscillators = [
+        OscillatorState(
+            phase=draw(phases),
+            omega=draw(st.sampled_from([0.5, 1.0, 1.25, 2.0])),
+            fired=draw(st.booleans()),
+            pulse_count=draw(st.integers(0, n)),
+            detected=draw(st.booleans()),
+            start_emitted=draw(st.booleans()),
+            pending_start=draw(st.dictionaries(st.integers(0, n - 1), phases)),
+        )
+        for _ in range(n)
+    ]
+    params = MsrParams(f=draw(st.integers(0, 2), label="f"), eager_detection=draw(st.booleans()))
+    if draw(st.booleans(), label="relative"):
+        protocol = RelativeProtocol(params, zeta=0.25)
+        handler = draw(st.sampled_from(["fire", "update", "start", "adversary"]))
+    else:
+        protocol = AbsoluteProtocol(params)
+        handler = draw(st.sampled_from(["fire", "update", "adversary"]))
+    actor = draw(st.integers(0, n - 1), label="actor")
+    faulty = draw(st.sets(st.integers(0, n - 1)), label="faulty")
+    # An adversary pulse comes from a faulty node, every other event from a normal one.
+    faulty = faulty | {actor} if handler == "adversary" else faulty - {actor}
+    world = WorldState(
+        graph=graph,
+        oscillators=oscillators,
+        normal=frozenset(range(n)) - faulty,
+        faulty=frozenset(faulty),
+        clock=2.0,
+    )
+    value = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    return world, protocol, handler, actor, value, draw(st.booleans(), label="is_start")
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=_handler_calls())
+def test_handlers_change_other_nodes_selection_inputs_only_when_they_report(call):
+    world, protocol, handler, actor, value, is_start = call
+    before = _selection_inputs(world)
+    t = world.clock
+    try:
+        if handler == "fire":
+            reported = protocol.handle_fire(world, actor, t)
+        elif handler == "update":
+            reported = protocol.handle_update(world, actor, t)
+        elif handler == "start":
+            reported = protocol.handle_start(world, actor, t)
+        else:
+            reported = protocol.deliver_adversary(world, actor, t, value, is_start)
+    except ProtocolFault:
+        return  # the run ends here, so no selection follows
+    if reported:
+        return
+    after = _selection_inputs(world)
+    # An adversary pulse has no normal actor: no node's inputs may move.
+    others = [i for i in range(len(before)) if handler == "adversary" or i != actor]
+    assert [after[i] for i in others] == [before[i] for i in others]

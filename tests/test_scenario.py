@@ -344,6 +344,19 @@ def test_cli_sweep_smoke(capsys, tmp_path):
     assert lines[1].startswith("0.05,")
 
 
+def test_cli_sweep_prints_the_bytes_it_writes(capsys, tmp_path):
+    out_csv = tmp_path / "frontier.csv"
+    command = [
+        "sweep", str(SCENARIOS / "frontier_sweep.json"),
+        "--grid", "0.05,0.3", "--trials", "4", "--spread-cap", "0.2",
+        "--tol", "0.06", "--horizon", "40",
+    ]
+    assert main(command + ["--output", str(out_csv)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(command) == 0
+    assert capsys.readouterr().out.encode() == out_csv.read_bytes()
+
+
 @pytest.mark.parametrize("parallelism", ["0", "-3"])
 def test_cli_sweep_refuses_parallelism_below_one(parallelism, capsys):
     code = main([

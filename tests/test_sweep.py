@@ -132,3 +132,24 @@ def test_serial_and_parallel_frontiers_are_byte_identical(cpus, tmp_path, overri
     write_frontier(serial, sweep_frontier(spec))
     write_frontier(parallel, sweep_frontier(spec, parallelism=parallelism))
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+class _StubEvaluator:
+    """Passes every spread up to 0.3 and fails every larger one; stops a
+    bisection that would never end."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def rate(self, grid_index, spread0):
+        self.calls += 1
+        assert self.calls < 100, f"still bisecting at spread {spread0!r}"
+        return 1.0 if spread0 <= 0.3 else 0.0
+
+
+def test_bisection_ends_when_the_tolerance_is_below_the_float_spacing():
+    stub = _StubEvaluator()
+    point = sweep._bisect_point(stub, 0, 0.05, small_spec(bisect_tol=1e-300))
+    # lo and hi end as adjacent floats around 0.3, about 55 halvings of [0, 1].
+    assert point.spread0_max == 0.3
+    assert point.success_rate == 1.0
