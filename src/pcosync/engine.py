@@ -187,28 +187,29 @@ class _CandidateTimes:
         start_target = self.start_target
         uses_start = start_target is not None
         start_limit = start_target + PHASE_SLACK if uses_start else 0.0
+        half_limit = 0.5 + PHASE_SLACK
+        inf = math.inf
         for i in nodes:
             osc = oscillators[i]
             phase = osc.phase
             omega = osc.omega
-            left = 1.0 - phase
-            times[i] = clock + (left if left > 0.0 else 0.0) / omega
+            times[i] = clock + (1.0 - phase if phase < 1.0 else 0.0) / omega
             if osc.fired and not osc.detected:
-                if phase > 0.5 + PHASE_SLACK:
+                if phase > half_limit:
                     raise InvariantViolation(
                         f"node {i} armed for update but past half phase ({phase}) "
                         f"after event {world.event_count}"
                     )
-                left = 0.5 - phase
-                times[update_at + i] = clock + (left if left > 0.0 else 0.0) / omega
+                times[update_at + i] = clock + (0.5 - phase if phase < 0.5 else 0.0) / omega
             else:
-                times[update_at + i] = math.inf
+                times[update_at + i] = inf
             if uses_start:
                 if not osc.start_emitted and phase <= start_limit:
-                    left = start_target - phase
-                    times[start_at + i] = clock + (left if left > 0.0 else 0.0) / omega
+                    times[start_at + i] = (
+                        clock + (start_target - phase if phase < start_target else 0.0) / omega
+                    )
                 else:
-                    times[start_at + i] = math.inf
+                    times[start_at + i] = inf
 
 
 def next_event(
@@ -237,7 +238,7 @@ def next_event(
         t, node, is_start = pending_adversary[0]
         # Earlier than every node, or tied with the earliest: it wins.
         if t <= limit:
-            return Event(time=t, kind=EventKind.ADVERSARY_PULSE, node=node, is_start=bool(is_start))
+            return Event(t, EventKind.ADVERSARY_PULSE, node, bool(is_start))
     if not tmin < math.inf:
         return None
     # The first slot within TIME_EPS of the earliest time wins: usually the
@@ -246,7 +247,7 @@ def next_event(
     if k and min(times[:k]) <= limit:
         k = next(compress(count(), map(limit.__ge__, times)))
     kind, node = divmod(k, table.n)
-    return Event(time=times[k], kind=table.kinds[kind], node=node)
+    return Event(times[k], table.kinds[kind], node)
 
 
 def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4.0) -> int:
