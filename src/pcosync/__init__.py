@@ -8,7 +8,6 @@ frontier harness.
 
 from .absolute import AbsoluteProtocol
 from .adversary import (
-    AttackScript,
     custom_script,
     flooding_script,
     is_stealthy,
@@ -50,7 +49,6 @@ from .metrics import (
     VirtualNode,
     check_initial_bound,
     decay_envelope,
-    write_trace,
 )
 from .msr import ConfiguredAlpha, EqualWeights, MsrParams, make_weights, msr_trim
 from .phase import Arc, clockwise_dist, containing_arc
@@ -63,21 +61,19 @@ from .scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from .sweep import FrontierPoint, SweepSpec, sweep_frontier, write_frontier
+from .sweep import SweepSpec, sweep_frontier, write_frontier
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbsoluteProtocol",
     "Arc",
-    "AttackScript",
     "AttackerSpec",
     "ConfiguredAlpha",
     "DirectedGraph",
     "EqualWeights",
     "Event",
     "EventKind",
-    "FrontierPoint",
     "GraphTooLargeError",
     "InvariantViolation",
     "MsrParams",
@@ -123,5 +119,4 @@ __all__ = [
     "stealthy_script",
     "sweep_frontier",
     "write_frontier",
-    "write_trace",
 ]

@@ -15,6 +15,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -57,32 +58,39 @@ class AttackerSpec:
     options: dict[str, Any] = field(default_factory=dict)
 
     def build(self) -> adversary.AttackScript:
-        opts = self.options
+        """The script, from the options its kind reads; refuses any other.
+        An option left out takes its factory's default, or the one here."""
+        opts = dict(self.options)
         if self.kind == "silent":
-            return adversary.silent_script(self.node)
-        if self.kind == "stealthy":
-            return adversary.stealthy_script(
+            script = adversary.silent_script(self.node)
+        elif self.kind == "stealthy":
+            script = adversary.stealthy_script(
                 self.node,
-                period_offsets=opts.get("offsets", (0.0,)),
-                claim=opts.get("claim", "one_plus_abs_sin"),
-                period=opts.get("period", 1.0),
-                start_offsets=opts.get("start_offsets", ()),
+                period_offsets=opts.pop("offsets", (0.0,)),
+                claim=opts.pop("claim", "one_plus_abs_sin"),
+                **_take(opts, "period", "start_offsets"),
             )
-        if self.kind == "flooding":
-            return adversary.flooding_script(
+        elif self.kind == "flooding":
+            script = adversary.flooding_script(
+                self.node, opts.pop("burst_count"),
+                **_take(opts, "burst_interval", "start_time", "claim"),
+            )
+        elif self.kind == "custom":
+            script = adversary.custom_script(
                 self.node,
-                burst_count=opts["burst_count"],
-                burst_interval=opts.get("burst_interval", 0.02),
-                start_time=opts.get("start_time", 1.0),
-                claim=opts.get("claim", 1.0),
+                pulses=[(float(t), float(v)) for t, v in opts.pop("pulses", ())],
+                **_take(opts, "start_pulses"),
             )
-        if self.kind == "custom":
-            return adversary.custom_script(
-                self.node,
-                pulses=[(float(t), float(v)) for t, v in opts.get("pulses", ())],
-                start_pulses=opts.get("start_pulses", ()),
-            )
-        raise ValueError(f"unknown attacker kind {self.kind!r}")
+        else:
+            raise ValueError(f"unknown attacker kind {self.kind!r}")
+        if opts:
+            raise ValueError(f"unknown {self.kind} attacker option {min(opts)!r}")
+        return script
+
+
+def _take(opts: dict[str, Any], *names: str) -> dict[str, Any]:
+    """Remove and return the named options that ``opts`` holds."""
+    return {name: opts.pop(name) for name in names if name in opts}
 
 
 @dataclass
@@ -166,6 +174,9 @@ class ScenarioConfig:
             problems.append(f"monitor must be {'/'.join(MONITOR_MODES)}, got {self.monitor!r}")
         if self.window_len is not None and self.window_len < 1:
             problems.append(f"window_len must be at least 1, got {self.window_len}")
+        for key, tol in (("tol_phase", self.tol_phase), ("tol_freq", self.tol_freq)):
+            if not 0.0 <= tol < math.inf:
+                problems.append(f"{key} must be finite and nonnegative, got {tol}")
         if n < 2:
             problems.append(f"the graph needs at least two nodes, got {n}")
 
@@ -322,40 +333,25 @@ class ScenarioConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        weights: dict[str, Any] = {"policy": "equal"}
-        if isinstance(self.weights, ConfiguredAlpha):
-            weights = {"policy": "alpha", "alpha": self.weights.alpha}
-        initials = {}
-        for key, spec in (("phases", self.phases), ("frequencies", self.frequencies)):
-            if isinstance(spec, RandomInterval):
-                rand: dict[str, Any] = {"low": spec.low, "high": spec.high}
-                if spec.seed is not None:
-                    rand["seed"] = spec.seed
-                initials[key] = {"random": rand}
-            else:
-                initials[key] = list(spec)
-        return {
-            "name": self.name,
-            "algorithm": self.algorithm,
-            "graph": {"inline": [list(row) for row in self.graph.in_neighbors]},
-            "f": self.f,
-            "weights": weights,
-            "zeta": self.zeta,
-            **initials,
-            "attackers": [
-                {"node": a.node, "type": a.kind, **a.options} for a in self.attackers
-            ],
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "normalize_phases": self.normalize_phases,
-            "normalize_frequencies": self.normalize_frequencies,
-            "window_len": self.window_len,
-            "tol_phase": self.tol_phase,
-            "tol_freq": self.tol_freq,
-            "eager_detection": self.eager_detection,
-            "halt_on_detection": self.halt_on_detection,
-            "monitor": self.monitor,
-        }
+        """The JSON object that ``scenario_from_dict`` reads back as this config."""
+        return {key: _to_json(getattr(self, key)) for key in _KEYS}
+
+
+def _to_json(value: Any) -> Any:
+    """A field value in the JSON form its ``_KEYS`` parser reads."""
+    if isinstance(value, DirectedGraph):
+        return {"inline": [list(row) for row in value.in_neighbors]}
+    if isinstance(value, EqualWeights):
+        return {"policy": "equal"}
+    if isinstance(value, ConfiguredAlpha):
+        return {"policy": "alpha", "alpha": value.alpha}
+    if isinstance(value, RandomInterval):
+        return {"random": {"low": value.low, "high": value.high, "seed": value.seed}}
+    if isinstance(value, AttackerSpec):
+        return {"node": value.node, "type": value.kind, **value.options}
+    if isinstance(value, list):
+        return [_to_json(item) for item in value]
+    return value
 
 
 @contextmanager
@@ -368,20 +364,15 @@ def _parsing(where: str):
         raise
     except KeyError as exc:
         raise ScenarioValidationError([f"{where}: missing key {exc.args[0]!r}"]) from None
-    except (AttributeError, OSError, TypeError, ValueError) as exc:
+    except (AttributeError, OSError, OverflowError, TypeError, ValueError) as exc:
         raise ScenarioValidationError([f"{where}: {exc}"]) from None
 
 
-def _field(data: dict[str, Any], key: str, parse, default):
-    with _parsing(key):
-        return parse(data.get(key, default))
-
-
-def _exactly(types: tuple[type, ...], expected: str):
+def _exactly(types: tuple[type, ...], expected: str, cast=lambda spec: spec):
     """Parser passing values of exactly these types: no bool for an int."""
     def parse(spec: Any):
         if type(spec) in types:
-            return spec
+            return cast(spec)
         raise TypeError(f"expected {expected}, got {spec!r}")
 
     return parse
@@ -390,6 +381,9 @@ def _exactly(types: tuple[type, ...], expected: str):
 _int = _exactly((int,), "an integer")
 _int_or_null = _exactly((int, type(None)), "an integer or null")
 _flag = _exactly((bool,), "true or false")
+_real = _exactly((int, float), "a number", float)
+_str = _exactly((str,), "a string")
+_object = _exactly((dict,), "an object")
 
 
 def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
@@ -400,7 +394,7 @@ def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
                 path = base_dir / path
             return load_graph(path)
         if "inline" in spec:
-            return DirectedGraph.from_lists(spec["inline"])
+            return DirectedGraph.from_lists([[_int(j) for j in row] for row in spec["inline"]])
         if "text" in spec:
             return parse_graph_text(spec["text"])
         if "named" in spec:
@@ -419,26 +413,56 @@ def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
 
 def _parse_initials(spec: Any) -> list[float] | RandomInterval:
     if isinstance(spec, dict):
-        if "random" not in spec:
+        if set(spec) != {"random"}:
             raise ValueError("object form must be {'random': {...}}")
-        rand = spec["random"]
-        return RandomInterval(
-            low=float(rand["low"]),
-            high=float(rand["high"]),
-            seed=_int_or_null(rand.get("seed")),
-        )
-    return [float(x) for x in spec]
+        rand = _object(spec["random"])
+        return RandomInterval(_real(rand["low"]), _real(rand["high"]),
+                              _int_or_null(rand.get("seed")))
+    return [_real(x) for x in _exactly((list,), "a list or {'random': {...}}")(spec)]
 
 
 def _parse_weights(spec: Any) -> WeightPolicy:
-    if spec is None:
-        return EqualWeights()
-    policy = spec.get("policy", "equal")
+    policy = _object(spec).get("policy", "equal")
     if policy == "equal":
         return EqualWeights()
     if policy == "alpha":
-        return ConfiguredAlpha(alpha=float(spec["alpha"]))
+        return ConfiguredAlpha(alpha=_real(spec["alpha"]))
     raise ValueError(f"unknown weight policy {policy!r}")
+
+
+def _parse_attackers(spec: Any) -> list[AttackerSpec]:
+    attackers = []
+    for index, item in enumerate(_exactly((list,), "a list of objects")(spec)):
+        with _parsing(f"attacker {index}"):
+            opts = dict(_object(item))
+            attackers.append(AttackerSpec(_int(opts.pop("node")), _str(opts.pop("type")), opts))
+            attackers[-1].build()  # reject missing, malformed or unknown script options now
+    return attackers
+
+
+# The scenario schema: each JSON key and the parser of its value. A key the
+# file leaves out takes the default of its ScenarioConfig field.
+_KEYS = {
+    "name": _str,
+    "algorithm": _str,
+    "graph": _parse_graph,
+    "f": _int,
+    "weights": _parse_weights,
+    "zeta": _real,
+    "phases": _parse_initials,
+    "frequencies": _parse_initials,
+    "attackers": _parse_attackers,
+    "horizon": _real,
+    "seed": _int,
+    "normalize_phases": _flag,
+    "normalize_frequencies": _flag,
+    "window_len": _int_or_null,
+    "tol_phase": _real,
+    "tol_freq": _real,
+    "eager_detection": _flag,
+    "halt_on_detection": _flag,
+    "monitor": _str,
+}
 
 
 def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> ScenarioConfig:
@@ -446,51 +470,26 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
     file paths, normally the directory containing the scenario file.
 
     Raises:
-        ScenarioValidationError: on any unknown key, missing key, or value
-            that cannot be parsed, including attacker script options.
+        ScenarioValidationError: on any unknown key, missing key, value of
+            the wrong JSON type, or value that cannot be parsed, including
+            attacker script options.
     """
     if not isinstance(data, dict):
         raise ScenarioValidationError(["a scenario must be a JSON object"])
-    known = {
-        "name", "algorithm", "graph", "f", "weights", "zeta", "phases",
-        "frequencies", "attackers", "horizon", "seed", "normalize_phases",
-        "normalize_frequencies", "window_len", "tol_phase", "tol_freq",
-        "eager_detection", "halt_on_detection", "monitor",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - set(_KEYS)
     if unknown:
         raise ScenarioValidationError(
             [f"unknown scenario key {k!r}" for k in sorted(unknown)]
         )
-    attackers = []
-    for index, item in enumerate(_field(data, "attackers", list, [])):
-        with _parsing(f"attacker {index}"):
-            opts = {k: v for k, v in item.items() if k not in ("node", "type")}
-            attackers.append(AttackerSpec(node=_int(item["node"]), kind=item["type"], options=opts))
-            attackers[-1].build()  # reject missing or malformed script options now
-    with _parsing("graph"):
-        graph = _parse_graph(data.get("graph"), base_dir)
-    return ScenarioConfig(
-        graph=graph,
-        name=data.get("name", ""),
-        algorithm=data.get("algorithm", "absolute"),
-        f=_field(data, "f", _int, 0),
-        weights=_field(data, "weights", _parse_weights, None),
-        zeta=_field(data, "zeta", float, 0.1),
-        phases=_field(data, "phases", _parse_initials, []),
-        frequencies=_field(data, "frequencies", _parse_initials, []),
-        attackers=attackers,
-        horizon=_field(data, "horizon", float, 60.0),
-        seed=_field(data, "seed", _int, 0),
-        normalize_phases=_field(data, "normalize_phases", _flag, True),
-        normalize_frequencies=_field(data, "normalize_frequencies", _flag, True),
-        window_len=_field(data, "window_len", _int_or_null, None),
-        tol_phase=_field(data, "tol_phase", float, 1e-6),
-        tol_freq=_field(data, "tol_freq", float, 1e-6),
-        eager_detection=_field(data, "eager_detection", _flag, False),
-        halt_on_detection=_field(data, "halt_on_detection", _flag, True),
-        monitor=data.get("monitor", "warn"),
-    )
+    fields: dict[str, Any] = {}
+    for key, parse in _KEYS.items():
+        if key == "graph":  # the one key without a default
+            parse = partial(parse, base_dir=base_dir)
+        elif key not in data:
+            continue
+        with _parsing(key):
+            fields[key] = parse(data.get(key))
+    return ScenarioConfig(**fields)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -1,17 +1,22 @@
 """Scenario parsing, validation, serialization, and the command line."""
 
 import dataclasses
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcosync import (
     AttackerSpec,
     ConfiguredAlpha,
+    DirectedGraph,
+    EqualWeights,
     RandomInterval,
     RunResult,
     ScenarioConfig,
@@ -24,7 +29,8 @@ from pcosync import (
     scenario_from_dict,
 )
 from pcosync.cli import main
-from pcosync.metrics import trace_header
+from pcosync.metrics import MONITOR_MODES, trace_header
+from pcosync.scenario import _KEYS
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -218,6 +224,74 @@ def test_dict_roundtrip_preserves_the_config():
     assert back.attackers == config.attackers
     assert (back.horizon, back.seed, back.window_len) == (45.0, 11, 10)
     assert back.monitor == "off"
+
+
+_REALS = st.floats(-1e3, 1e3)
+_OFFSETS = st.lists(st.floats(0.0, 0.99), min_size=1, max_size=3)
+_CLAIMS = st.one_of(st.sampled_from(["one_plus_abs_sin", "sawtooth", "constant:1.5"]),
+                    st.floats(0.5, 2.0))
+ATTACKER_OPTIONS = {
+    "silent": st.just({}),
+    "stealthy": st.fixed_dictionaries({}, optional={
+        "offsets": _OFFSETS, "claim": _CLAIMS, "period": st.floats(1.0, 2.0),
+        "start_offsets": _OFFSETS,
+    }),
+    "flooding": st.fixed_dictionaries({"burst_count": st.integers(1, 9)}, optional={
+        "burst_interval": st.floats(0.001, 0.5), "start_time": st.floats(0.0, 10.0),
+        "claim": _CLAIMS,
+    }),
+    "custom": st.fixed_dictionaries({}, optional={
+        "pulses": st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.5, 2.0)).map(list),
+                           max_size=4, unique_by=lambda pulse: pulse[0]),
+        "start_pulses": st.lists(st.floats(0.0, 50.0), max_size=3),
+    }),
+}
+
+
+@st.composite
+def scenario_configs(draw):
+    n = draw(st.integers(2, 6))
+    rows = [sorted(draw(st.sets(st.integers(0, n - 1).filter(lambda j, i=i: j != i))))
+            for i in range(n)]
+
+    def initials():
+        return st.one_of(
+            st.lists(_REALS, min_size=n, max_size=n),
+            st.builds(RandomInterval, _REALS, _REALS, st.none() | st.integers(0, 2**32)),
+        )
+
+    attackers = [
+        AttackerSpec(node, kind, draw(ATTACKER_OPTIONS[kind]))
+        for node in sorted(draw(st.sets(st.integers(0, n - 1), max_size=2)))
+        for kind in [draw(st.sampled_from(sorted(ATTACKER_OPTIONS)))]
+    ]
+    return ScenarioConfig(
+        graph=DirectedGraph.from_lists(rows),
+        algorithm=draw(st.sampled_from(["absolute", "relative"])),
+        f=draw(st.integers(0, 3)),
+        weights=draw(st.one_of(st.just(EqualWeights()), st.builds(ConfiguredAlpha, st.floats(0.01, 0.5)))),
+        zeta=draw(st.floats(0.01, 0.49)),
+        phases=draw(initials()),
+        frequencies=draw(initials()),
+        attackers=attackers,
+        horizon=draw(st.floats(0.1, 1e3)),
+        seed=draw(st.integers(0, 2**32)),
+        normalize_phases=draw(st.booleans()),
+        normalize_frequencies=draw(st.booleans()),
+        window_len=draw(st.none() | st.integers(1, 40)),
+        tol_phase=draw(st.floats(0.0, 1e-2)),
+        tol_freq=draw(st.floats(0.0, 1e-2)),
+        eager_detection=draw(st.booleans()),
+        halt_on_detection=draw(st.booleans()),
+        monitor=draw(st.sampled_from(MONITOR_MODES)),
+        name=draw(st.text(max_size=8)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=scenario_configs())
+def test_random_configs_survive_the_json_round_trip(config):
+    assert scenario_from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_load_scenario_names_unnamed_files_from_the_stem(tmp_path):
@@ -416,6 +490,8 @@ _PAIR = {
     "phases": [0.0, 0.05, 0.1, 0.15, 0.2],
     "frequencies": [1.0] * 5,
 }
+# Initial values for the three-node inline graphs below.
+_K3 = {"phases": [0.0, 0.1, 0.2], "frequencies": [1.0] * 3}
 MALFORMED = {
     "unknown_named_graph": ({"graph": {"named": "star"}}, "unknown named graph 'star'"),
     "no_graph": ({k: v for k, v in _PAIR.items() if k != "graph"}, "graph must be an object"),
@@ -450,13 +526,101 @@ MALFORMED = {
     "string_halt_on_detection": (
         {**_PAIR, "halt_on_detection": "false"}, "halt_on_detection: expected true or false"
     ),
+    "boolean_horizon": ({**_PAIR, "horizon": True}, "horizon: expected a number, got True"),
+    "string_zeta": ({**_PAIR, "zeta": "0.1"}, "zeta: expected a number, got '0.1'"),
+    "string_phases": (
+        {**_PAIR, "phases": "00000"}, "phases: expected a list or {'random': {...}}, got '00000'"
+    ),
+    "string_frequency": (
+        {**_PAIR, "frequencies": [1.0, "1.0", 1.0, 1.0, 1.0]},
+        "frequencies: expected a number, got '1.0'",
+    ),
+    "string_random_low": (
+        {**_PAIR, "phases": {"random": {"low": "1", "high": 2.0}}},
+        "phases: expected a number, got '1'",
+    ),
+    "boolean_random_high": (
+        {**_PAIR, "frequencies": {"random": {"low": 1, "high": True}}},
+        "frequencies: expected a number, got True",
+    ),
+    "string_alpha": (
+        {**_PAIR, "weights": {"policy": "alpha", "alpha": "0.1"}},
+        "weights: expected a number, got '0.1'",
+    ),
+    "fractional_inline_entry": (
+        {**_K3, "graph": {"inline": [[1.9, 2], [0, 2], [0, 1]]}}, "graph: expected an integer, got 1.9"
+    ),
+    "string_inline_entry": (
+        {**_K3, "graph": {"inline": [[1, 2], [0, 2], ["0", 1]]}}, "graph: expected an integer, got '0'"
+    ),
+    "boolean_inline_entry": (
+        {**_K3, "graph": {"inline": [[1, 2], [0, 2], [0, True]]}},
+        "graph: expected an integer, got True",
+    ),
+    "integer_name": ({**_PAIR, "name": 5}, "name: expected a string, got 5"),
+    "misspelled_stealthy_option": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "stealthy", "ofsets": [0.35]}]},
+        "attacker 0: unknown stealthy attacker option 'ofsets'",
+    ),
+    "unknown_flooding_option": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "flooding", "burst_count": 3, "rate": 2}]},
+        "attacker 0: unknown flooding attacker option 'rate'",
+    ),
 }
+# The JSON types each scenario key accepts. A value of any other type is
+# refused at load with one violation line that starts with the key.
+JSON_TYPES = {
+    "name": {str}, "algorithm": {str}, "monitor": {str},
+    "graph": {dict}, "weights": {dict}, "attackers": {list},
+    "phases": {list, dict}, "frequencies": {list, dict},
+    "f": {int}, "seed": {int}, "window_len": {int, type(None)},
+    "zeta": {int, float}, "horizon": {int, float}, "tol_phase": {int, float},
+    "tol_freq": {int, float},
+    "normalize_phases": {bool}, "normalize_frequencies": {bool},
+    "eager_detection": {bool}, "halt_on_detection": {bool},
+}
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 9),
+    st.floats(-2.0, 2.0),
+    st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+def test_every_scenario_key_has_its_json_types():
+    assert set(JSON_TYPES) == set(_KEYS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(sorted(JSON_TYPES)), value=JSON_VALUES)
+def test_a_value_of_the_wrong_json_type_exits_2_naming_its_key(key, value):
+    assume(type(value) not in JSON_TYPES[key])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "wrong_type.json"
+        path.write_text(json.dumps({**_PAIR, key: value}))
+        for command in ("validate-config", "run"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert main([command, str(path)]) == 2
+            lines = (out.getvalue() + err.getvalue()).splitlines()
+            assert len(lines) == 1 and lines[0].startswith(f"violation: {key}")
+
+
 # Well-typed but out of range: validation reports the one violation, then
 # validate-config adds its closing line; run adds none, since forcing the
 # run would not help.
 OUT_OF_RANGE = {
     "zero_window_len": ({**_PAIR, "window_len": 0}, "window_len must be at least 1, got 0"),
     "negative_window_len": ({**_PAIR, "window_len": -3}, "window_len must be at least 1, got -3"),
+    "nan_tol_phase": (
+        {**_PAIR, "tol_phase": math.nan}, "tol_phase must be finite and nonnegative, got nan"
+    ),
+    "negative_tol_freq": (
+        {**_PAIR, "tol_freq": -1e-6}, "tol_freq must be finite and nonnegative, got -1e-06"
+    ),
 }
 CLOSING_LINES = {
     "validate-config": ["invalid: 1 violation(s)"],
@@ -571,6 +735,8 @@ LEGAL = {
     # "strict" is left out: it raises InvariantViolation by design.
     "monitor": st.sampled_from(["off", "warn"]),
     "window_len": st.one_of(st.none(), st.integers(1, 12)),
+    "tol_phase": st.floats(0.0, 1e-3),
+    "tol_freq": st.floats(0.0, 1e-3),
     "attackers": st.lists(st.integers(0, 4), max_size=3, unique=True),
 }
 ILLEGAL = {
@@ -580,6 +746,8 @@ ILLEGAL = {
     "horizon": st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]),
     "monitor": st.sampled_from(["loud", ""]),
     "window_len": st.integers(-3, 0),
+    "tol_phase": st.sampled_from([-1e-6, math.nan, math.inf, -math.inf]),
+    "tol_freq": st.sampled_from([-1e-6, math.nan, math.inf, -math.inf]),
     "attackers": st.sampled_from([[9], [-1], [2, 2], [0, 1, 2, 3, 4]]),
 }
 
