@@ -37,6 +37,8 @@ def _load(path: str):
         raise ScenarioValidationError([f"cannot read scenario file {path}: {exc}"])
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"scenario file is not valid JSON: {exc}"])
+    except RecursionError:
+        raise ScenarioValidationError([f"scenario file is nested too deeply to parse: {path}"])
 
 
 def _apply_overrides(config, args) -> None:

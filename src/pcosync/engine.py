@@ -269,8 +269,9 @@ def simulate(
     """Run the event loop to the horizon, convergence, or detection.
 
     ``protocol`` supplies the threshold handlers (see the absolute and
-    relative modules); ``metrics`` observes every event and owns the
-    convergence and safety bookkeeping. Returns an outcome string:
+    relative modules); ``metrics`` observes every event, told whether its
+    handler reported a new detection, and owns the convergence and safety
+    bookkeeping. Returns an outcome string:
     "converged", "detected", or "horizon".
     """
     if horizon < 0.0:
@@ -318,7 +319,7 @@ def simulate(
             table.clock = None
 
         world.event_count += 1
-        metrics.observe(world, ev)
+        metrics.observe(world, ev, newly_detected)
 
         if world.event_count > budget:
             raise InvariantViolation(

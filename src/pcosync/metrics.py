@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import Event, WorldState
+from .engine import Event, EventKind, WorldState
 from .errors import InvariantViolation
 from .phase import clockwise_dist, containing_arc
 
@@ -169,9 +169,20 @@ class RunMetrics:
     records it in ``violations``, "strict" raises InvariantViolation.
     Safety checks express guarantees that only hold on conforming runs
     (stealthy scripts, admissible initial conditions), which is why the
-    default everywhere outside the test suite is "warn". The virtual-node
-    radius spread V is read only by those checks and by the trace, so it
-    is computed only when the monitor is on or a trace is collected.
+    default everywhere outside the test suite is "warn".
+
+    With the monitor on or a trace collected, ``observe`` computes every
+    quantity from the world on every event: the frequency extrema, the
+    arc, the virtual-node radius spread V, and a scan of every normal node
+    for new detections. With the monitor off and no trace, nothing reads V
+    or the arc of most events, so ``observe`` computes only what the run
+    reports. It recomputes the frequency extrema after update events alone,
+    the only ones that write a frequency; it scans for detections only
+    after an event whose handler reported one; and it computes the arc
+    only when the frequencies have converged. ``delta`` is computed on
+    read from the phases stored by the latest ``observe``, so it stays the
+    arc after the last observed event even when a protocol fault ends the
+    run inside a handler that has already moved the world.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -215,9 +226,10 @@ class RunMetrics:
         self.virtual_in_range = True
         self.rows: list[TraceRecord] | None = [] if collect_trace else None
 
+        self._lo, self._hi = self.hull
         floor, ceiling, self.delta_windowed = self.freq_window.push(*self.hull)
-        phases = world.normal_phases()
-        self.delta = containing_arc(phases).length
+        phases = self._phases = world.normal_phases()
+        self._delta: float | None = None
         self._prev_floor = floor
         self._prev_ceiling = ceiling
         if self._tracks_radii:
@@ -230,18 +242,33 @@ class RunMetrics:
     def advance(self, dt: float) -> None:
         self.virtual.advance(dt)
 
-    def observe(self, world: WorldState, event: Event) -> None:
+    @property
+    def delta(self) -> float:
+        """Containing arc of the normal phases after the latest event."""
+        delta = self._delta
+        if delta is None:
+            delta = self._delta = containing_arc(self._phases).length
+        return delta
+
+    def observe(self, world: WorldState, event: Event, newly_detected: bool = True) -> None:
+        """Record the world after ``event``. ``newly_detected`` is what the
+        event's handler returned; a caller that cannot tell passes True."""
         k = world.event_count
-        phases = world.normal_phases()
-        omegas = world.normal_omegas()
-        lo, hi = min(omegas), max(omegas)
+        phases = self._phases = world.normal_phases()
+        tracked = self._tracks_radii
+        if tracked or event.kind is EventKind.UPDATE:
+            omegas = world.normal_omegas()
+            self._lo = min(omegas)
+            self._hi = max(omegas)
+        lo, hi = self._lo, self._hi
         floor, ceiling, spread_w = self.freq_window.push(lo, hi)
         self.virtual.omega = floor
-        if self._tracks_radii:
-            radius_max, v = self._push_radii(phases)
-        delta = containing_arc(phases).length
-        self.delta = delta
         self.delta_windowed = spread_w
+        if tracked:
+            radius_max, v = self._push_radii(phases)
+            delta = self._delta = containing_arc(phases).length
+        else:
+            self._delta = None
 
         if self.mode != "off":
             self._check(f"frequency left the initial hull at event {k}",
@@ -281,15 +308,16 @@ class RunMetrics:
         self._prev_floor = floor
         self._prev_ceiling = ceiling
 
-        mask = self._detected_mask
-        oscillators = world.oscillators
-        for i in world.normal_ids:
-            if oscillators[i].detected and not mask >> i & 1:
-                mask |= 1 << i
-                self.detection_events.append((k, event.time, i))
-        self._detected_mask = mask
+        if tracked or newly_detected:
+            mask = self._detected_mask
+            oscillators = world.oscillators
+            for i in world.normal_ids:
+                if oscillators[i].detected and not mask >> i & 1:
+                    mask |= 1 << i
+                    self.detection_events.append((k, event.time, i))
+            self._detected_mask = mask
 
-        if delta <= self.tol_phase and hi - lo <= self.tol_freq:
+        if hi - lo <= self.tol_freq and self.delta <= self.tol_phase:
             self._streak += 1
             if self._streak >= self.window_len:
                 self.converged = True

@@ -7,6 +7,7 @@ the event engine owns every mutation of oscillator state.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Sequence
 
 
@@ -51,7 +52,7 @@ def containing_arc(phases: Sequence[float]) -> Arc:
     # everything else has tail = pts[i + 1] and head = pts[i]. The wrap gap
     # from the last point back to the first has the smallest tail, pts[0],
     # so it wins every tie; among the other gaps the first has the smallest.
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
+    gaps = list(map(operator.sub, pts[1:], pts))
     wrap = 1.0 - pts[-1] + pts[0]
     widest = max(gaps, default=wrap)
     if wrap >= widest:

@@ -386,36 +386,68 @@ _str = _exactly((str,), "a string")
 _object = _exactly((dict,), "an object")
 
 
+def _list_of(check, expected: str):
+    """Parser passing a list whose every item passes ``check``."""
+    def parse(spec: Any):
+        for item in _exactly((list,), expected)(spec):
+            check(item)
+        return spec
+
+    return parse
+
+
+def _pulse(spec: Any):
+    if type(spec) is not list or len(spec) != 2:
+        raise TypeError(f"expected a [time, claim] pair, got {spec!r}")
+    return [_real(x) for x in spec]
+
+
+def _only(spec: dict[str, Any], what: str, *allowed: str) -> dict[str, Any]:
+    """Refuse an object holding any key outside ``allowed``."""
+    unknown = set(spec).difference(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} key {min(unknown)!r}")
+    return spec
+
+
+_GRAPH_FORMS = ("file", "inline", "text", "named")
+
+
 def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
-    if isinstance(spec, dict):
-        if "file" in spec:
-            path = Path(spec["file"])
-            if base_dir is not None and not path.is_absolute():
-                path = base_dir / path
-            return load_graph(path)
-        if "inline" in spec:
-            return DirectedGraph.from_lists([[_int(j) for j in row] for row in spec["inline"]])
-        if "text" in spec:
-            return parse_graph_text(spec["text"])
-        if "named" in spec:
-            name = spec["named"]
-            if name == "demo8":
-                return demo_graph_8()
-            if name == "complete":
-                return complete_digraph(_int(spec["n"]))
-            if name == "ring":
-                return directed_ring(_int(spec["n"]))
-            raise ValueError(f"unknown named graph {name!r}")
-    raise ScenarioValidationError(
-        ["graph must be an object with one of the keys 'file', 'inline', 'text', 'named'"]
-    )
+    forms = [key for key in _GRAPH_FORMS if key in spec] if isinstance(spec, dict) else []
+    if not forms:
+        raise ScenarioValidationError(
+            ["graph must be an object with one of the keys 'file', 'inline', 'text', 'named'"]
+        )
+    if len(forms) > 1:
+        raise ValueError(f"a graph takes one form, got {forms[0]!r} and {forms[1]!r}")
+    form = forms[0]
+    value = spec[form]
+    if form == "named":
+        if value == "demo8":
+            _only(spec, "graph", "named")
+            return demo_graph_8()
+        if value in ("complete", "ring"):
+            _only(spec, "graph", "named", "n")
+            make = complete_digraph if value == "complete" else directed_ring
+            return make(_int(spec["n"]))
+        raise ValueError(f"unknown named graph {value!r}")
+    _only(spec, "graph", form)
+    if form == "file":
+        path = Path(value)
+        if base_dir is not None and not path.is_absolute():
+            path = base_dir / path
+        return load_graph(path)
+    if form == "inline":
+        return DirectedGraph.from_lists([[_int(j) for j in row] for row in value])
+    return parse_graph_text(value)
 
 
 def _parse_initials(spec: Any) -> list[float] | RandomInterval:
     if isinstance(spec, dict):
         if set(spec) != {"random"}:
             raise ValueError("object form must be {'random': {...}}")
-        rand = _object(spec["random"])
+        rand = _only(_object(spec["random"]), "random", "low", "high", "seed")
         return RandomInterval(_real(rand["low"]), _real(rand["high"]),
                               _int_or_null(rand.get("seed")))
     return [_real(x) for x in _exactly((list,), "a list or {'random': {...}}")(spec)]
@@ -424,10 +456,27 @@ def _parse_initials(spec: Any) -> list[float] | RandomInterval:
 def _parse_weights(spec: Any) -> WeightPolicy:
     policy = _object(spec).get("policy", "equal")
     if policy == "equal":
+        _only(spec, "equal weights", "policy")
         return EqualWeights()
     if policy == "alpha":
+        _only(spec, "alpha weights", "policy", "alpha")
         return ConfiguredAlpha(alpha=_real(spec["alpha"]))
     raise ValueError(f"unknown weight policy {policy!r}")
+
+
+# The JSON types of each attacker kind's options; ``AttackerSpec.build``
+# refuses unknown kinds and options, and accepts any value its factory
+# takes, numpy values from Python callers included.
+_numbers = _list_of(_real, "a list of numbers")
+_claim = _exactly((str, int, float), "a claim name or a number")
+_ATTACKER_OPTIONS = {
+    "stealthy": {"offsets": _numbers, "claim": _claim, "period": _real,
+                 "start_offsets": _numbers},
+    "flooding": {"burst_count": _int, "burst_interval": _real, "start_time": _real,
+                 "claim": _claim},
+    "custom": {"pulses": _list_of(_pulse, "a list of [time, claim] pairs"),
+               "start_pulses": _numbers},
+}
 
 
 def _parse_attackers(spec: Any) -> list[AttackerSpec]:
@@ -435,7 +484,12 @@ def _parse_attackers(spec: Any) -> list[AttackerSpec]:
     for index, item in enumerate(_exactly((list,), "a list of objects")(spec)):
         with _parsing(f"attacker {index}"):
             opts = dict(_object(item))
-            attackers.append(AttackerSpec(_int(opts.pop("node")), _str(opts.pop("type")), opts))
+            node, kind = _int(opts.pop("node")), _str(opts.pop("type"))
+            for name, parse in _ATTACKER_OPTIONS.get(kind, {}).items():
+                if name in opts:
+                    with _parsing(f"attacker {index} option {name!r}"):
+                        parse(opts[name])
+            attackers.append(AttackerSpec(node, kind, opts))
             attackers[-1].build()  # reject missing, malformed or unknown script options now
     return attackers
 

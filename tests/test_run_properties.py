@@ -1,10 +1,11 @@
-"""Whole-run invariants of attack-free runs on random robust graphs."""
+"""Whole-run invariants of runs on random robust graphs."""
 
+import dataclasses
 import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
-from pcosync import DirectedGraph, ScenarioConfig, is_r_robust, run_scenario
+from pcosync import AttackerSpec, DirectedGraph, ScenarioConfig, is_r_robust, run_scenario
 from pcosync.engine import PHASE_SLACK
 
 
@@ -61,3 +62,52 @@ def test_attack_free_runs_keep_the_hull_and_the_phase_range_and_repeat(config, t
             assert own[:1] in ([], ["fire"]), (row.k, i, phase)
     run_scenario(config, trace_path=directory / "second.csv")
     assert (directory / "first.csv").read_bytes() == (directory / "second.csv").read_bytes()
+
+
+@st.composite
+def _attacked_scenarios(draw):
+    """A robust scenario with one or two scripted attackers, which may
+    outnumber f: such runs end detected, or in a protocol fault when a
+    receiver hears too few pulses."""
+    config = draw(_robust_scenarios())
+    n = config.graph.node_count
+    attackers = []
+    for node in sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2), label="attackers")):
+        kind = draw(st.sampled_from(["silent", "stealthy", "flooding", "custom"]), label="kind")
+        if kind == "stealthy":
+            options = {"offsets": [draw(st.floats(0.0, 0.99), label="offset")]}
+        elif kind == "flooding":
+            options = {"burst_count": draw(st.integers(1, 8), label="burst"),
+                       "start_time": draw(st.floats(0.0, 4.0), label="burst start")}
+        elif kind == "custom":
+            times = draw(st.lists(st.floats(0.0, 5.0), max_size=6, unique=True), label="pulses")
+            options = {"pulses": [(t, 1.0 + t % 0.3) for t in times]}
+        else:
+            options = {}
+        attackers.append(AttackerSpec(node, kind, options))
+    return dataclasses.replace(
+        config,
+        attackers=attackers,
+        eager_detection=draw(st.booleans(), label="eager_detection"),
+        halt_on_detection=draw(st.booleans(), label="halt_on_detection"),
+    )
+
+
+def _reported(result):
+    m = result.metrics
+    return (result.outcome, result.fault_message, result.world.event_count,
+            m.delta, m.delta_windowed, result.detections)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_robust_scenarios() | _attacked_scenarios())
+def test_monitor_and_trace_leave_every_reported_value_unchanged(config):
+    # With the monitor off and no trace, observe skips what nothing reads;
+    # every value a run reports must match the runs that compute it all.
+    plain = run_scenario(config, validate=False)
+    warned = run_scenario(dataclasses.replace(config, monitor="warn"), validate=False)
+    traced = run_scenario(config, validate=False, collect_trace=True)
+    assert _reported(warned) == _reported(plain)
+    assert _reported(traced) == _reported(plain)
+    last = traced.metrics.rows[-1]
+    assert (last.delta, last.delta_windowed) == (plain.metrics.delta, plain.metrics.delta_windowed)

@@ -8,6 +8,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -566,6 +567,37 @@ MALFORMED = {
         {**_PAIR, "attackers": [{"node": 4, "type": "flooding", "burst_count": 3, "rate": 2}]},
         "attacker 0: unknown flooding attacker option 'rate'",
     ),
+    "named_demo8_with_n": (
+        {**_PAIR, "graph": {"named": "demo8", "n": 5}}, "graph: unknown graph key 'n'"
+    ),
+    "misspelled_random_seed": (
+        {**_PAIR, "phases": {"random": {"low": 0.0, "high": 0.5, "sede": 3}}},
+        "phases: unknown random key 'sede'",
+    ),
+    "misspelled_weights_alpha": (
+        {**_PAIR, "weights": {"policy": "alpha", "alpha": 0.2, "alfa": 0.1}},
+        "weights: unknown alpha weights key 'alfa'",
+    ),
+    "graph_with_two_forms": (
+        {**_K3, "graph": {"inline": [[1, 2], [0, 2], [0, 1]], "file": "graphs/demo8.txt"}},
+        "graph: a graph takes one form, got 'file' and 'inline'",
+    ),
+    "boolean_burst_count": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "flooding", "burst_count": True}]},
+        "attacker 0 option 'burst_count': expected an integer, got True",
+    ),
+    "string_stealthy_offset": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "stealthy", "offsets": ["0.35"]}]},
+        "attacker 0 option 'offsets': expected a number, got '0.35'",
+    ),
+    "boolean_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "stealthy", "claim": True}]},
+        "attacker 0 option 'claim': expected a claim name or a number, got True",
+    ),
+    "custom_pulse_without_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "pulses": [[1.0]]}]},
+        "attacker 0 option 'pulses': expected a [time, claim] pair, got [1.0]",
+    ),
 }
 # The JSON types each scenario key accepts. A value of any other type is
 # refused at load with one violation line that starts with the key.
@@ -642,6 +674,24 @@ def test_cli_malformed_scenario_exits_2_with_one_line(case, command, capsys, tmp
         lines = lines[:1]
     assert len(lines) == 1
     assert lines[0].startswith("violation: ") and message in lines[0]
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_cli_too_deeply_nested_file_exits_2_with_one_line(command, capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert lines == [f"violation: scenario file is nested too deeply to parse: {path}"]
+
+
+def test_attacker_specs_from_python_take_numpy_values():
+    # JSON options are exact-typed at load; Python callers may pass numpy.
+    flooding = AttackerSpec(4, "flooding", {"burst_count": np.int64(3), "start_time": np.float64(1.5)})
+    assert flooding.build().emission_times(10.0) == (1.5, 1.52, 1.54)
+    stealthy = AttackerSpec(4, "stealthy", {"offsets": np.array([0.25]), "claim": np.float64(1.5)})
+    assert stealthy.build().emission_times(1.0) == (0.25,)
 
 
 # Values no run can use: refused with exit 2 and only violation lines, even
