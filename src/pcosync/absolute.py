@@ -3,7 +3,9 @@
 Every fire carries the sender's frequency value, and a receiver's
 estimates of its neighbors' frequencies are simply the values it heard
 during its round. Counting, landmarks, detection and the phase jump are the
-shared W-MSR round of ``msr.py``; at the update the node replaces its
+shared W-MSR round of ``msr.py``: fires and forged pulses reach every
+receiver through its one fan-out loop, ``deliver_pulse``, and ``on_pulse``
+is that loop for a single receiver. At the update the node replaces its
 frequency with a trimmed weighted mean of the buffered values.
 """
 
@@ -20,31 +22,24 @@ class AbsoluteProtocol(MsrRound):
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
         """Node i reaches phase 1: reset, arm the update, broadcast omega."""
         value = self.reset_on_fire(world, i).omega
-        newly = False
-        for j in world.normal_receivers[i]:
-            newly |= self.on_pulse(world, j, value, t)
-        return newly
+        return self.deliver_pulse(world, world.normal_receivers[i], i, value)
 
     def handle_start(self, world: WorldState, i: int, t: float) -> None:
         raise ProtocolFault("absolute-frequency protocol has no start pulses")
 
     def on_pulse(self, world: WorldState, i: int, value: float, t: float) -> bool:
-        """Receiver i hears a pulse claiming frequency ``value``.
+        """Receiver i alone hears a pulse claiming frequency ``value``.
 
         Returns True when eager detection latched on this pulse.
         """
-        world.oscillators[i].freq_buffer.append(value)
-        return self.count_pulse(world, i)
+        return self.deliver_pulse(world, (i,), None, value)
 
     def deliver_adversary(
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
     ) -> bool:
         if is_start:
             return False  # start pulses carry no meaning for this protocol
-        newly = False
-        for j in world.normal_receivers[attacker]:
-            newly |= self.on_pulse(world, j, value, t)
-        return newly
+        return self.deliver_pulse(world, world.normal_receivers[attacker], attacker, value)
 
     # -- update plane -------------------------------------------------------
 

@@ -4,18 +4,25 @@ A misbehaving node never runs the protocol; it is a pulse source driven by
 a fixed schedule, with a frequency claim attached to each counted pulse.
 Schedules are materialized deterministically up to the run horizon, so a
 script contributes finitely many events and the engine's liveness budget
-stays meaningful.
+stays meaningful. A schedule holds at most ``MAX_SCRIPTED_PULSES`` pulses
+and keeps the last horizon it was materialized for, so the scenario gate,
+the stealth check and the event loop share one materialization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .engine import WorldState
 
 ClaimFn = Callable[[float], float]
+
+# Pulses one schedule may hold, start pulses counted apart; a larger one is
+# refused before it is built.
+MAX_SCRIPTED_PULSES = 100_000
 
 
 def one_plus_abs_sin(t: float) -> float:
@@ -74,12 +81,20 @@ def _no_times(horizon: float) -> tuple[float, ...]:
 
 
 def _periodic(offsets: Sequence[float], period: float) -> Callable[[float], tuple[float, ...]]:
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be finite and positive, got {period}")
     offs = tuple(sorted(float(o) for o in offsets))
     for o in offs:
         if not 0.0 <= o < period:
             raise ValueError(f"offset {o} outside [0, period={period})")
 
+    @lru_cache(maxsize=1)
     def schedule(horizon: float) -> tuple[float, ...]:
+        if len(offs) * (horizon / period) > MAX_SCRIPTED_PULSES:
+            raise ValueError(
+                f"{len(offs)} offset(s) every {period} schedule more than "
+                f"{MAX_SCRIPTED_PULSES} pulses by the horizon {horizon}"
+            )
         times: list[float] = []
         rounds = int(math.floor(horizon / period)) + 1
         for n in range(rounds + 1):
@@ -97,6 +112,7 @@ def _explicit(times: Iterable[float]) -> Callable[[float], tuple[float, ...]]:
     if any(t < 0.0 for t in fixed):
         raise ValueError("pulse times must be nonnegative")
 
+    @lru_cache(maxsize=1)
     def schedule(horizon: float) -> tuple[float, ...]:
         return tuple(t for t in fixed if t <= horizon)
 
@@ -134,8 +150,10 @@ def flooding_script(
 ) -> AttackScript:
     """A one-shot rapid burst; sized past a receiver's in-degree it trips
     the counter check at that receiver's next update."""
-    if burst_count < 1:
-        raise ValueError(f"burst needs at least one pulse, got {burst_count}")
+    if not 1 <= burst_count <= MAX_SCRIPTED_PULSES:
+        raise ValueError(
+            f"burst needs 1 to {MAX_SCRIPTED_PULSES} pulses, got {burst_count}"
+        )
     if burst_interval <= 0.0:
         raise ValueError(f"burst interval must be positive, got {burst_interval}")
     claim_fn = claim if callable(claim) else parse_claim(claim)

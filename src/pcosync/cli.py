@@ -8,7 +8,6 @@ runtime invariant.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -31,11 +30,13 @@ EXIT_RUNTIME = 3
 def _load(path: str):
     try:
         return load_scenario(path)
+    except ScenarioValidationError:
+        raise
     except FileNotFoundError:
         raise ScenarioValidationError([f"scenario file not found: {path}"])
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioValidationError([f"cannot read scenario file {path}: {exc}"])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ScenarioValidationError([f"scenario file is not valid JSON: {exc}"])
     except RecursionError:
         raise ScenarioValidationError([f"scenario file is nested too deeply to parse: {path}"])

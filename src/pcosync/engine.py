@@ -99,6 +99,8 @@ class WorldState:
     faulty: frozenset[int]
     clock: float = 0.0
     event_count: int = 0
+    # Receptions the protocol handled, counted once per fan-out.
+    pulses_delivered: int = 0
 
     def __post_init__(self) -> None:
         n = self.graph.node_count
@@ -114,6 +116,7 @@ class WorldState:
         self.normal_receivers = tuple(
             tuple(j for j in outs if j in self.normal) for outs in self.graph.out_neighbors
         )
+        self.in_degrees = tuple(len(ins) for ins in self.graph.in_neighbors)
 
     def normal_phases(self) -> list[float]:
         return [self.oscillators[i].phase for i in self.normal_ids]

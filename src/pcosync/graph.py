@@ -20,6 +20,9 @@ import numpy as np
 from .errors import GraphTooLargeError
 
 MAX_EXHAUSTIVE_NODES = 14
+# Nodes a graph text or a named scenario graph may declare: a few bytes
+# must not ask for an arbitrarily large allocation.
+MAX_DECLARED_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -197,8 +200,8 @@ def parse_graph_text(text: str) -> DirectedGraph:
         n = int(lines[0])
     except ValueError as exc:
         raise ValueError(f"first line must be the node count, got {lines[0]!r}") from exc
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
+    if not 1 <= n <= MAX_DECLARED_NODES:
+        raise ValueError(f"node count must lie in 1..{MAX_DECLARED_NODES}, got {n}")
     ins: list[tuple[int, ...] | None] = [None] * n
     for line in lines[1:]:
         head, sep, tail = line.partition("<-")

@@ -8,6 +8,12 @@ and d - f, and at its update jumps its phase, trims the f - (d - c) largest
 and smallest frequency estimates, and takes a weighted mean of the rest.
 The variants differ only in the estimates: claimed values
 (``absolute.py``) or pulse-pair ratios (``relative.py``).
+
+``MsrRound.deliver_pulse`` is the one loop that hands a counted pulse to
+its receivers: every fire and every forged counted pulse of both variants
+goes through it, and so do the single-receiver hooks (``on_pulse``,
+``on_end_pulse``) that call it with a one-tuple. The counter, landmark and
+eager-detection rule lives there alone.
 """
 
 from __future__ import annotations
@@ -114,8 +120,9 @@ class MsrParams:
 
 
 class MsrRound:
-    """Round bookkeeping shared by both variants; subclasses supply the
-    pulse handlers and the frequency estimate."""
+    """Round bookkeeping shared by both variants: the fire reset, the pulse
+    fan-out and the update check. Subclasses supply the event handlers and
+    the frequency estimate."""
 
     uses_start_pulses = False
     zeta = 0.0
@@ -131,26 +138,49 @@ class MsrRound:
         osc.start_emitted = False
         return osc
 
-    def count_pulse(self, world: WorldState, i: int) -> bool:
-        """Receiver i counts one pulse at its current phase and captures
-        each landmark's jump ingredient on the pulse that reaches it.
+    def deliver_pulse(self, world: WorldState, receivers, sender: int | None, value) -> bool:
+        """Every node in ``receivers`` hears one counted pulse from ``sender``.
 
-        Returns True when eager detection latched on this pulse.
+        This is the one fan-out loop of both variants. Each receiver first
+        records the pulse: the absolute variant buffers the claimed
+        frequency ``value``; the relative one pairs its phase with the
+        sender's pending start stamp, keeping ``value`` beside the pair as
+        the sender's frequency (None for a forged pulse). It then counts
+        the pulse at its current phase, captures each landmark's jump
+        ingredient on the pulse that reaches it (counts f + 1 and d - f),
+        and with eager detection latches a count past its in-degree d.
+
+        Returns True when eager detection latched on any receiver.
         """
-        osc = world.oscillators[i]
-        osc.pulse_count += 1
-        c = osc.pulse_count
-        d = len(world.graph.in_neighbors[i])
+        world.pulses_delivered += len(receivers)
+        oscillators = world.oscillators
+        in_degrees = world.in_degrees
         f = self.params.f
-        phi = osc.phase
-        if c == f + 1:
-            osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
-        if c == d - f:
-            osc.jump_down = -phi if phi < 0.5 else 0.0
-        if self.params.eager_detection and c > d and not osc.detected:
-            osc.detected = True
-            return True
-        return False
+        up_at = f + 1
+        eager = self.params.eager_detection
+        pairs = self.uses_start_pulses
+        newly = False
+        for j in receivers:
+            osc = oscillators[j]
+            phi = osc.phase
+            if pairs:
+                start = osc.pending_start.pop(sender, None)
+                if start is not None:
+                    # Latest completed pair wins; a lone end pulse pairs with nothing.
+                    osc.pulse_pairs[sender] = (start, phi, value)
+            else:
+                osc.freq_buffer.append(value)
+            c = osc.pulse_count + 1
+            osc.pulse_count = c
+            d = in_degrees[j]
+            if c == up_at:
+                osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
+            if c == d - f:
+                osc.jump_down = -phi if phi < 0.5 else 0.0
+            if eager and c > d and not osc.detected:
+                osc.detected = True
+                newly = True
+        return newly
 
     def open_update(self, world: WorldState, i: int) -> int | None:
         """Node i reaches phase 0.5 armed: check the counter and jump.
@@ -164,7 +194,7 @@ class MsrRound:
         osc = world.oscillators[i]
         osc.phase = 0.5
         c = osc.pulse_count
-        d = world.graph.in_degree(i)
+        d = world.in_degrees[i]
         if c > d:
             osc.detected = True
             osc.reset_round()

@@ -6,8 +6,12 @@ A receiver stamps its own phase at both receptions; the offset divided by
 the stamped span estimates the sender-to-receiver frequency ratio without
 any unit agreement between clocks. Only end pulses drive the shared W-MSR
 round of ``msr.py`` (counter, landmarks, detection, phase jump), so the
-pulse plane is identical to the absolute-frequency protocol; at the update
-the node scales its frequency by a trimmed weighted mean of the ratios.
+pulse plane is identical to the absolute-frequency protocol: end pulses,
+honest or forged, reach every receiver through its one fan-out loop,
+``deliver_pulse``, and start pulses through this module's one stamp loop,
+``stamp_starts``. ``on_end_pulse`` and ``on_start_pulse`` are those loops
+for a single receiver. At the update the node scales its frequency by a
+trimmed weighted mean of the ratios.
 """
 
 from __future__ import annotations
@@ -52,20 +56,24 @@ class RelativeProtocol(MsrRound):
         osc = world.oscillators[i]
         osc.phase = 1.0 - self.zeta
         osc.start_emitted = True
-        for j in world.normal_receivers[i]:
-            self.on_start_pulse(world, j, i, t)
+        self.stamp_starts(world, world.normal_receivers[i], i)
 
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
         omega = self.reset_on_fire(world, i).omega
-        newly = False
-        for j in world.normal_receivers[i]:
-            newly |= self.on_end_pulse(world, j, i, t, sender_omega=omega)
-        return newly
+        return self.deliver_pulse(world, world.normal_receivers[i], i, omega)
+
+    def stamp_starts(self, world: WorldState, receivers, sender: int) -> None:
+        """Every node in ``receivers`` stamps its phase at a start pulse
+        from ``sender``."""
+        world.pulses_delivered += len(receivers)
+        oscillators = world.oscillators
+        for j in receivers:
+            osc = oscillators[j]
+            # A pending stamp from a round the sender never closed is overwritten.
+            osc.pending_start[sender] = osc.phase
 
     def on_start_pulse(self, world: WorldState, i: int, sender: int, t: float) -> None:
-        osc = world.oscillators[i]
-        # A pending stamp from a round the sender never closed is overwritten.
-        osc.pending_start[sender] = osc.phase
+        self.stamp_starts(world, (i,), sender)
 
     def on_end_pulse(
         self,
@@ -75,23 +83,17 @@ class RelativeProtocol(MsrRound):
         t: float,
         sender_omega: float | None = None,
     ) -> bool:
-        osc = world.oscillators[i]
-        start = osc.pending_start.pop(sender, None)
-        if start is not None:
-            # Latest completed pair wins; a lone end pulse pairs with nothing.
-            osc.pulse_pairs[sender] = (start, osc.phase, sender_omega)
-        return self.count_pulse(world, i)
+        return self.deliver_pulse(world, (i,), sender, sender_omega)
 
     def deliver_adversary(
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
     ) -> bool:
-        newly = False
-        for j in world.normal_receivers[attacker]:
-            if is_start:
-                self.on_start_pulse(world, j, attacker, t)
-            else:
-                newly |= self.on_end_pulse(world, j, attacker, t, sender_omega=None)
-        return newly
+        receivers = world.normal_receivers[attacker]
+        if is_start:
+            self.stamp_starts(world, receivers, attacker)
+            return False
+        # A forged end pulse carries no sender frequency.
+        return self.deliver_pulse(world, receivers, attacker, None)
 
     # -- update plane -------------------------------------------------------
 
@@ -101,17 +103,22 @@ class RelativeProtocol(MsrRound):
             return True
         osc = world.oscillators[i]
         zeta = self.zeta
+        pairs = osc.pulse_pairs
+        ratio_log = self.ratio_log
         ratios: list[float] = []
         for j in world.graph.in_neighbors[i]:
-            pair = osc.pulse_pairs.get(j)
+            pair = pairs.get(j)
             if pair is None:
                 continue
-            ratio = pulse_pair_ratio(pair[0], pair[1], zeta)
-            if ratio is None:
+            # pulse_pair_ratio, inlined: the span modulo one cycle, and no
+            # estimate from coincident stamps.
+            span = (pair[1] - pair[0]) % 1.0
+            if span == 0.0:
                 continue
+            ratio = zeta / span
             ratios.append(ratio)
-            if self.ratio_log is not None:
-                self.ratio_log.append((t, i, j, ratio, osc.omega, pair[2]))
+            if ratio_log is not None:
+                ratio_log.append((t, i, j, ratio, osc.omega, pair[2]))
         # Missing pairs (senders whose start or end pulse fell outside this
         # round) shrink the candidate set; with 2*trim or fewer candidates
         # the trim removes everything and the frequency holds for a round.

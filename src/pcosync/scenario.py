@@ -27,6 +27,7 @@ from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
     DirectedGraph,
     GraphTooLargeError,
+    MAX_DECLARED_NODES,
     MAX_EXHAUSTIVE_NODES,
     complete_digraph,
     demo_graph_8,
@@ -156,10 +157,12 @@ class ScenarioConfig:
             return [float(x) for x in rng.uniform(spec.low, spec.high, size=n)]
         return [float(x) for x in spec]
 
-    def _runnable_initials(self) -> tuple[list[float], list[float]]:
+    def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript]]:
         """The one gate every run passes, forced or not: return the
-        resolved (phases, frequencies), or raise UnrunnableScenarioError
-        listing every value no run can use."""
+        resolved phases and frequencies and the attack scripts, or raise
+        UnrunnableScenarioError listing every value no run can use. Each
+        script's schedule is materialized up to the horizon here, where an
+        oversized one is refused; the run reuses it."""
         problems: list[str] = []
         n = self.graph.node_count
         if self.algorithm not in ALGORITHMS:
@@ -168,7 +171,8 @@ class ScenarioConfig:
             problems.append(f"trim parameter must be nonnegative, got {self.f}")
         if not 0.0 < self.zeta < 0.5:
             problems.append(f"start-pulse offset must lie in (0, 0.5), got {self.zeta}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+        horizon_ok = math.isfinite(self.horizon) and self.horizon > 0.0
+        if not horizon_ok:
             problems.append(f"horizon must be finite and positive, got {self.horizon}")
         if self.monitor not in MONITOR_MODES:
             problems.append(f"monitor must be {'/'.join(MONITOR_MODES)}, got {self.monitor!r}")
@@ -181,11 +185,22 @@ class ScenarioConfig:
             problems.append(f"the graph needs at least two nodes, got {n}")
 
         seen: set[int] = set()
+        scripts = []
         for spec in self.attackers:
             if not 0 <= spec.node < n:
                 problems.append(f"attacker node {spec.node} outside 0..{n - 1}")
             elif spec.node in seen:
                 problems.append(f"attacker node {spec.node} listed twice")
+            else:
+                try:
+                    script = spec.build()
+                    if horizon_ok:
+                        script.emission_times(self.horizon)
+                        script.start_emission_times(self.horizon)
+                except ValueError as exc:
+                    problems.append(f"attacker {spec.node}: {exc}")
+                else:
+                    scripts.append(script)
             seen.add(spec.node)
         normal = self.normal_ids
         if not normal:
@@ -198,8 +213,12 @@ class ScenarioConfig:
 
         for key, spec in (("phases", self.phases), ("frequencies", self.frequencies)):
             if isinstance(spec, RandomInterval):
-                if not (math.isfinite(spec.low) and math.isfinite(spec.high)):
-                    problems.append(f"{key} draw bounds must be finite, got {spec.low}..{spec.high}")
+                # Finite bounds can still span more than the largest float.
+                if not (math.isfinite(spec.high - spec.low) and spec.low <= spec.high):
+                    problems.append(
+                        f"{key} draw range must be finite, from low up to high, "
+                        f"got {spec.low}..{spec.high}"
+                    )
                 seed = self.seed if spec.seed is None else spec.seed
                 if seed < 0:
                     problems.append(f"{key} draw seed must be nonnegative, got {seed}")
@@ -216,7 +235,7 @@ class ScenarioConfig:
                     )
         if problems:
             raise UnrunnableScenarioError(problems)
-        return phases, freqs
+        return phases, freqs, scripts
 
     def build(self):
         """Instantiate (world, protocol, scripts) ready for the event loop;
@@ -224,7 +243,7 @@ class ScenarioConfig:
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 
-        phases, freqs = self._runnable_initials()
+        phases, freqs, scripts = self._runnable()
         oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
         world = WorldState(
             graph=self.graph,
@@ -237,7 +256,6 @@ class ScenarioConfig:
         )
         protocol = (AbsoluteProtocol(params) if self.algorithm == "absolute"
                     else RelativeProtocol(params, zeta=self.zeta))
-        scripts = [a.build() for a in self.attackers]
         return world, protocol, scripts
 
     # -- validation --------------------------------------------------------
@@ -430,7 +448,10 @@ def _parse_graph(spec: Any, base_dir: Path | None) -> DirectedGraph:
         if value in ("complete", "ring"):
             _only(spec, "graph", "named", "n")
             make = complete_digraph if value == "complete" else directed_ring
-            return make(_int(spec["n"]))
+            n = _int(spec["n"])
+            if n > MAX_DECLARED_NODES:
+                raise ValueError(f"a named graph takes at most {MAX_DECLARED_NODES} nodes, got {n}")
+            return make(n)
         raise ValueError(f"unknown named graph {value!r}")
     _only(spec, "graph", form)
     if form == "file":

@@ -5,11 +5,13 @@ most literal style available, and deliberately share no logic with the
 package: circle distances via modular arithmetic instead of branches, arcs
 by trying every tail instead of scanning gaps, robustness by materializing
 every subset pair as a frozenset instead of bitmask enumeration. The last
-section instead keeps the package's own earlier, plainer hot-path code, which
-its faster replacements must match bit for bit.
+two sections instead keep the package's own earlier, plainer hot-path code,
+which its faster replacements must match bit for bit.
 """
 
 import itertools
+
+from pcosync import AbsoluteProtocol, RelativeProtocol, make_weights, msr_trim, pulse_pair_ratio
 
 
 def circle_dist(a, b):
@@ -174,3 +176,155 @@ class RescanSpreadWindow:
         m = min(self._lo)
         big = max(self._hi)
         return m, big, big - m
+
+
+# -- previous pulse fan-out --------------------------------------------------
+#
+# The two protocols as they delivered pulses before the shared fan-out loop
+# (``MsrRound.deliver_pulse``): every receiver cost one hook call plus one
+# ``count_pulse`` call, and the relative update called ``pulse_pair_ratio``
+# once per in-neighbor. The methods are kept verbatim; ``hook_calls`` counts
+# the hook calls, one per receiver per pulse, start pulses included.
+
+
+def _count_pulse(self, world, i):
+    """Receiver i counts one pulse at its current phase and captures
+    each landmark's jump ingredient on the pulse that reaches it.
+
+    Returns True when eager detection latched on this pulse.
+    """
+    osc = world.oscillators[i]
+    osc.pulse_count += 1
+    c = osc.pulse_count
+    d = len(world.graph.in_neighbors[i])
+    f = self.params.f
+    phi = osc.phase
+    if c == f + 1:
+        osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
+    if c == d - f:
+        osc.jump_down = -phi if phi < 0.5 else 0.0
+    if self.params.eager_detection and c > d and not osc.detected:
+        osc.detected = True
+        return True
+    return False
+
+
+def _open_update(self, world, i):
+    """Node i reaches phase 0.5 armed: check the counter and jump."""
+    from pcosync import ProtocolFault
+
+    osc = world.oscillators[i]
+    osc.phase = 0.5
+    c = osc.pulse_count
+    d = world.graph.in_degree(i)
+    if c > d:
+        osc.detected = True
+        osc.reset_round()
+        return None
+    trim = self.params.f - (d - c)
+    if trim < 0:
+        raise ProtocolFault(
+            f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
+            f"the scenario violates the one-pulse-per-round precondition"
+        )
+    osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
+    return trim
+
+
+class HookAbsoluteProtocol(AbsoluteProtocol):
+    """``AbsoluteProtocol`` delivering each pulse through ``on_pulse``."""
+
+    hook_calls = 0
+    count_pulse = _count_pulse
+    open_update = _open_update
+
+    def handle_fire(self, world, i, t):
+        value = self.reset_on_fire(world, i).omega
+        newly = False
+        for j in world.normal_receivers[i]:
+            newly |= self.on_pulse(world, j, value, t)
+        return newly
+
+    def on_pulse(self, world, i, value, t):
+        self.hook_calls += 1
+        world.oscillators[i].freq_buffer.append(value)
+        return self.count_pulse(world, i)
+
+    def deliver_adversary(self, world, attacker, t, value, is_start):
+        if is_start:
+            return False  # start pulses carry no meaning for this protocol
+        newly = False
+        for j in world.normal_receivers[attacker]:
+            newly |= self.on_pulse(world, j, value, t)
+        return newly
+
+
+class HookRelativeProtocol(RelativeProtocol):
+    """``RelativeProtocol`` delivering each pulse through ``on_start_pulse``
+    and ``on_end_pulse``, with one ``pulse_pair_ratio`` call per ratio."""
+
+    hook_calls = 0
+    count_pulse = _count_pulse
+    open_update = _open_update
+
+    def handle_start(self, world, i, t):
+        osc = world.oscillators[i]
+        osc.phase = 1.0 - self.zeta
+        osc.start_emitted = True
+        for j in world.normal_receivers[i]:
+            self.on_start_pulse(world, j, i, t)
+
+    def handle_fire(self, world, i, t):
+        omega = self.reset_on_fire(world, i).omega
+        newly = False
+        for j in world.normal_receivers[i]:
+            newly |= self.on_end_pulse(world, j, i, t, sender_omega=omega)
+        return newly
+
+    def on_start_pulse(self, world, i, sender, t):
+        self.hook_calls += 1
+        osc = world.oscillators[i]
+        # A pending stamp from a round the sender never closed is overwritten.
+        osc.pending_start[sender] = osc.phase
+
+    def on_end_pulse(self, world, i, sender, t, sender_omega=None):
+        self.hook_calls += 1
+        osc = world.oscillators[i]
+        start = osc.pending_start.pop(sender, None)
+        if start is not None:
+            # Latest completed pair wins; a lone end pulse pairs with nothing.
+            osc.pulse_pairs[sender] = (start, osc.phase, sender_omega)
+        return self.count_pulse(world, i)
+
+    def deliver_adversary(self, world, attacker, t, value, is_start):
+        newly = False
+        for j in world.normal_receivers[attacker]:
+            if is_start:
+                self.on_start_pulse(world, j, attacker, t)
+            else:
+                newly |= self.on_end_pulse(world, j, attacker, t, sender_omega=None)
+        return newly
+
+    def handle_update(self, world, i, t):
+        trim = self.open_update(world, i)
+        if trim is None:
+            return True
+        osc = world.oscillators[i]
+        zeta = self.zeta
+        ratios = []
+        for j in world.graph.in_neighbors[i]:
+            pair = osc.pulse_pairs.get(j)
+            if pair is None:
+                continue
+            ratio = pulse_pair_ratio(pair[0], pair[1], zeta)
+            if ratio is None:
+                continue
+            ratios.append(ratio)
+            if self.ratio_log is not None:
+                self.ratio_log.append((t, i, j, ratio, osc.omega, pair[2]))
+        kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
+        weights = make_weights(self.params.weight_policy, len(kept))
+        omega = osc.omega
+        osc.omega = omega + omega * sum(w * (r - 1.0) for w, r in zip(weights[1:], kept))
+        osc.reset_round()
+        return False
