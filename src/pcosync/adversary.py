@@ -46,14 +46,24 @@ _NAMED_CLAIMS: dict[str, ClaimFn] = {
 }
 
 
+def _finite_claim(value: float) -> float:
+    """A claimed frequency as a float; NaN and infinities are refused, since
+    a receiver's trimmed average cannot rank them."""
+    claimed = float(value)
+    if not math.isfinite(claimed):
+        raise ValueError(f"frequency claim must be finite, got {claimed}")
+    return claimed
+
+
 def parse_claim(spec: str | float) -> ClaimFn:
-    """Resolve a claim description: a named waveform, "constant:X", or a number."""
+    """Resolve a claim description: a named waveform, "constant:X", or a
+    number; a constant claim must be finite."""
     if isinstance(spec, (int, float)):
-        return constant(float(spec))
+        return constant(_finite_claim(spec))
     if spec in _NAMED_CLAIMS:
         return _NAMED_CLAIMS[spec]
     if spec.startswith("constant:"):
-        return constant(float(spec.split(":", 1)[1]))
+        return constant(_finite_claim(spec.split(":", 1)[1]))
     raise ValueError(
         f"unknown frequency claim {spec!r}; expected one of "
         f"{sorted(_NAMED_CLAIMS)}, 'constant:X', or a number"
@@ -167,8 +177,8 @@ def custom_script(
     start_pulses: Sequence[float] = (),
 ) -> AttackScript:
     """Fully explicit schedule: (time, claimed frequency) pairs plus
-    optional forged start-pulse times."""
-    by_time = {float(t): float(v) for t, v in pulses}
+    optional forged start-pulse times. Every claim must be finite."""
+    by_time = {float(t): _finite_claim(v) for t, v in pulses}
     if len(by_time) != len(pulses):
         raise ValueError("duplicate pulse times in custom script")
 

@@ -19,7 +19,10 @@ exceptions: a handler that reports a new detection may have latched it on a
 receiver, so the next selection recomputes every node; an adversary pulse's
 actor is faulty, so no node is recomputed. The earliest slot, with ties
 within ``TIME_EPS`` going to the first slot in tie-break order, is the event:
-the one a scan of every node would return, bit for bit.
+the one a scan of every node would return, bit for bit. For the same reason
+``simulate`` advances the phases and the metrics' reference oscillator only
+when an event moves the clock forward: at an unchanged clock both advances
+would leave every value as it is.
 """
 
 from __future__ import annotations
@@ -274,7 +277,9 @@ def simulate(
     ``protocol`` supplies the threshold handlers (see the absolute and
     relative modules); ``metrics`` observes every event, told whether its
     handler reported a new detection, and owns the convergence and safety
-    bookkeeping. Returns an outcome string:
+    bookkeeping. ``advance_all`` and ``metrics.advance`` run only for an
+    event later than the clock; an event at the clock (or, by less than
+    ``TIME_EPS``, before it) moves no phase. Returns an outcome string:
     "converged", "detected", or "horizon".
     """
     if horizon < 0.0:
@@ -296,9 +301,10 @@ def simulate(
         ev = next_event(world, protocol, pending[cursor : cursor + 1], table)
         if ev is None or ev.time > horizon + TIME_EPS:
             break
-        dt = max(0.0, ev.time - world.clock)
-        advance_all(world, dt)
-        metrics.advance(dt)
+        dt = ev.time - world.clock
+        if dt > 0.0:
+            advance_all(world, dt)
+            metrics.advance(dt)
         world.clock = ev.time
 
         if ev.kind is EventKind.ADVERSARY_PULSE:

@@ -176,13 +176,18 @@ class RunMetrics:
     arc, the virtual-node radius spread V, and a scan of every normal node
     for new detections. With the monitor off and no trace, nothing reads V
     or the arc of most events, so ``observe`` computes only what the run
-    reports. It recomputes the frequency extrema after update events alone,
-    the only ones that write a frequency; it scans for detections only
-    after an event whose handler reported one; and it computes the arc
-    only when the frequencies have converged. ``delta`` is computed on
-    read from the phases stored by the latest ``observe``, so it stays the
-    arc after the last observed event even when a protocol fault ends the
-    run inside a handler that has already moved the world.
+    reports. It keeps its own list of the normal frequencies and moves the
+    extrema only after update events, the only ones that write a frequency,
+    and only from the updated node: the new value either passes an
+    extremum, leaves both where they were, or (a tie, or the node that held
+    an extremum moving inward) sends that extremum to a ``min``/``max``
+    rescan, so the extrema are always the floats a full scan would give.
+    It scans for detections only after an event whose handler reported
+    one, and it computes the arc only when the frequencies have converged.
+    ``delta`` is computed on read from the phases stored by the latest
+    ``observe``, so it stays the arc after the last observed event even
+    when a protocol fault ends the run inside a handler that has already
+    moved the world.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -208,7 +213,8 @@ class RunMetrics:
         self.tol_freq = tol_freq
         self.normal_count = len(world.normal_ids)
 
-        omegas0 = world.normal_omegas()
+        omegas0 = self._omegas = world.normal_omegas()
+        self._slots = {i: slot for slot, i in enumerate(world.normal_ids)}
         self.hull = (min(omegas0), max(omegas0))
         self.spread0 = self.hull[1] - self.hull[0]
 
@@ -256,10 +262,32 @@ class RunMetrics:
         k = world.event_count
         phases = self._phases = world.normal_phases()
         tracked = self._tracks_radii
-        if tracked or event.kind is EventKind.UPDATE:
+        if tracked:
             omegas = world.normal_omegas()
             self._lo = min(omegas)
             self._hi = max(omegas)
+        elif event.kind is EventKind.UPDATE:
+            # An update writes only its actor's frequency. Equal nonzero
+            # floats are one float, so a held frequency moves nothing. A value
+            # past an extremum becomes it; an extremum that the old and the
+            # new value both lie strictly inside stays; anything else (a tie,
+            # the holder moving inward, a NaN) rescans. So the extrema are
+            # the floats ``min`` and ``max`` of the whole list would return.
+            omegas = self._omegas
+            slot = self._slots[event.node]
+            old = omegas[slot]
+            new = world.oscillators[event.node].omega
+            if new != old or new == 0.0:
+                omegas[slot] = new
+                lo, hi = self._lo, self._hi
+                if new < lo:
+                    self._lo = new
+                elif not (new > lo and old > lo):
+                    self._lo = min(omegas)
+                if new > hi:
+                    self._hi = new
+                elif not (new < hi and old < hi):
+                    self._hi = max(omegas)
         lo, hi = self._lo, self._hi
         floor, ceiling, spread_w = self.freq_window.push(lo, hi)
         self.virtual.omega = floor

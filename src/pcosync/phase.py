@@ -8,6 +8,7 @@ the event engine owns every mutation of oscillator state.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
 
@@ -39,8 +40,20 @@ def containing_arc(phases: Sequence[float]) -> Arc:
     smallest tail phase. A single phase (or several equal ones) yields a
     zero-length arc with tail == head.
 
+    After the sort, two gaps are tried before any list of gaps is built:
+    the wrap gap from the last phase back to the first, which wins when it
+    is at least the span from the first phase to the last, and the gap
+    across phase 0.5, which wins when it is wider than the wrap gap and than
+    the spans on either side of it. No gap inside a span can be wider than
+    the span, even after rounding, so either shortcut returns exactly the
+    arc of a full scan; the first covers a cluster, the second a cluster
+    straddling phase 0. Otherwise, and whenever a phase is NaN (which
+    sorts anywhere), every gap is scanned.
+
     Args:
-        phases: nonempty sequence of values in [0, 1).
+        phases: nonempty sequence of values in [0, 1) during a run; the
+            initial phases reach here unchecked, and for any floats the
+            result is the full scan's.
 
     Returns:
         Arc(length, tail, head) with length = clockwise_dist(head, tail).
@@ -48,14 +61,27 @@ def containing_arc(phases: Sequence[float]) -> Arc:
     if len(phases) == 0:
         raise ValueError("containing_arc needs at least one phase")
     pts = sorted(phases)
+    first = pts[0]
+    last = pts[-1]
+    wrap = 1.0 - last + first
+    total = sum(pts)
+    if total == total:  # no NaN
+        if wrap >= last - first:
+            return Arc(1.0 - wrap, first, last)
+        k = bisect_left(pts, 0.5)
+        if 0 < k < len(pts):
+            lo = pts[k - 1]
+            hi = pts[k]
+            split = hi - lo
+            if split > wrap and split > lo - first and split > last - hi:
+                return Arc(1.0 - split, hi, lo)
     # Gap i runs clockwise from pts[i] to pts[i + 1]; the arc covering
     # everything else has tail = pts[i + 1] and head = pts[i]. The wrap gap
     # from the last point back to the first has the smallest tail, pts[0],
     # so it wins every tie; among the other gaps the first has the smallest.
     gaps = list(map(operator.sub, pts[1:], pts))
-    wrap = 1.0 - pts[-1] + pts[0]
     widest = max(gaps, default=wrap)
     if wrap >= widest:
-        return Arc(1.0 - wrap, pts[0], pts[-1])
+        return Arc(1.0 - wrap, first, last)
     i = gaps.index(widest)
     return Arc(1.0 - widest, pts[i + 1], pts[i])

@@ -10,6 +10,7 @@ which its faster replacements must match bit for bit.
 """
 
 import itertools
+import operator
 
 from pcosync import AbsoluteProtocol, RelativeProtocol, make_weights, msr_trim, pulse_pair_ratio
 
@@ -156,6 +157,27 @@ def gap_loop_arc(phases):
             best_gap = gap
             best = Arc(1.0 - gap, tail, pts[i])
     return best
+
+
+def max_gap_arc(phases):
+    """``phase.containing_arc`` as one ``max`` over every gap, before the
+    shortcuts that return the wrap gap or the gap crossing 0.5 unscanned."""
+    from pcosync import Arc
+
+    if len(phases) == 0:
+        raise ValueError("containing_arc needs at least one phase")
+    pts = sorted(phases)
+    # Gap i runs clockwise from pts[i] to pts[i + 1]; the arc covering
+    # everything else has tail = pts[i + 1] and head = pts[i]. The wrap gap
+    # from the last point back to the first has the smallest tail, pts[0],
+    # so it wins every tie; among the other gaps the first has the smallest.
+    gaps = list(map(operator.sub, pts[1:], pts))
+    wrap = 1.0 - pts[-1] + pts[0]
+    widest = max(gaps, default=wrap)
+    if wrap >= widest:
+        return Arc(1.0 - wrap, pts[0], pts[-1])
+    i = gaps.index(widest)
+    return Arc(1.0 - widest, pts[i + 1], pts[i])
 
 
 class RescanSpreadWindow:

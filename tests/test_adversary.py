@@ -42,6 +42,15 @@ def test_parse_claim_forms():
         parse_claim("wobble")
 
 
+@pytest.mark.parametrize("claim", [math.nan, math.inf, -math.inf, "constant:nan", "constant:-inf"])
+def test_non_finite_claims_are_refused(claim):
+    with pytest.raises(ValueError, match="frequency claim must be finite"):
+        parse_claim(claim)
+    if not isinstance(claim, str):
+        with pytest.raises(ValueError, match="frequency claim must be finite"):
+            custom_script(2, pulses=[(1.0, 1.1), (2.0, claim)])
+
+
 def world_on(graph, faulty=()):
     n = graph.node_count
     return WorldState(

@@ -1,0 +1,67 @@
+"""Frozen results of monitor-off runs on complete digraphs of 16 and 64 nodes.
+
+The trace digests pin the path ``observe`` takes when a trace is collected
+or the monitor is on, at up to 9 nodes (16 for two runs). Runs with the
+monitor off and no trace take a lighter path: the frequency extrema follow
+the updated node, and the arc is computed only once the frequencies have
+converged. These values pin that path at the sizes of the benchmark's
+``large_n`` workload: initial phases within 0.3 of a turn and frequencies
+within 5%, so every run converges. The final frequencies are pinned by the
+SHA-256 digest of their ``repr``. A value may only change together with a
+CHANGES.md entry naming the intended change in floating-point output.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from pcosync import ScenarioConfig, complete_digraph, run_scenario
+
+
+def _config(n, algorithm):
+    rng = random.Random(n)
+    phases = [rng.uniform(0.0, 0.3) for _ in range(n)]
+    frequencies = [rng.uniform(1.0, 1.05) for _ in range(n)]
+    return ScenarioConfig(
+        graph=complete_digraph(n), algorithm=algorithm, f=1, zeta=0.1,
+        phases=phases, frequencies=frequencies, horizon=200.0, monitor="off",
+        name=f"K{n}:{algorithm}",
+    )
+
+
+# (n, algorithm): outcome, events, repr(delta), repr(delta_windowed),
+# SHA-256 of repr(final normal frequencies)
+PINNED = {
+    (16, "absolute"): (
+        "converged", 575, "6.4547531808401e-07", "0.0",
+        "4f93ddda0b1b2df11ed8d46c79b4c0595bffbdff4e08a1e259c1af0fcff29167",
+    ),
+    (16, "relative"): (
+        "converged", 847, "8.683642477302911e-07", "1.2519318914883115e-11",
+        "49a0cbfa8f6773d43941e2070a6cd910af47fa5047cd66aecf68db76f9706764",
+    ),
+    (64, "absolute"): (
+        "converged", 1663, "5.52090966832175e-07", "0.0",
+        "1b4ba34b9b3edb9aa56cf4ee12969c4e47fee1f638411165e832f748d27bef30",
+    ),
+    (64, "relative"): (
+        "converged", 2431, "8.041619071752493e-07", "6.850542355607558e-11",
+        "2fa703cb8b18adc845c33b4d64e056729d6547afc6c6cda55ccb02acb48acbca",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids=lambda key: f"K{key[0]}-{key[1]}")
+def test_monitor_off_run_matches_its_frozen_result(key):
+    result = run_scenario(_config(*key))
+    metrics = result.metrics
+    omegas = repr(result.world.normal_omegas())
+    got = (
+        result.outcome,
+        result.world.event_count,
+        repr(metrics.delta),
+        repr(metrics.delta_windowed),
+        hashlib.sha256(omegas.encode()).hexdigest(),
+    )
+    assert got == PINNED[key]

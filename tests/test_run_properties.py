@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
 from pcosync import AttackerSpec, DirectedGraph, ScenarioConfig, is_r_robust, run_scenario
 from pcosync.engine import PHASE_SLACK
+from pcosync.metrics import RunMetrics
 
 
 @st.composite
@@ -111,3 +113,33 @@ def test_monitor_and_trace_leave_every_reported_value_unchanged(config):
     assert _reported(traced) == _reported(plain)
     last = traced.metrics.rows[-1]
     assert (last.delta, last.delta_windowed) == (plain.metrics.delta, plain.metrics.delta_windowed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_robust_scenarios() | _attacked_scenarios())
+def test_untracked_frequency_extrema_follow_every_update(config):
+    # With the monitor off and no trace, an update moves the extrema from the
+    # updated node alone; after every event they must be the floats min and
+    # max of the normal frequencies return.
+    observe = RunMetrics.observe
+    checked = []
+
+    def checking_observe(self, world, event, newly_detected=True):
+        observe(self, world, event, newly_detected)
+        omegas = world.normal_omegas()
+        assert (repr(self._lo), repr(self._hi)) == (repr(min(omegas)), repr(max(omegas))), (
+            world.event_count, event)
+        checked.append(event.kind)
+
+    with mock.patch.object(RunMetrics, "observe", checking_observe):
+        plain = run_scenario(config, validate=False)
+    assert len(checked) == plain.world.event_count
+    assert not plain.metrics._tracks_radii
+    traced = run_scenario(config, validate=False, collect_trace=True)
+    assert _summary(plain) == _summary(traced)
+
+
+def _summary(result):
+    m = result.metrics
+    return (result.outcome, result.world.event_count, m.detection_events,
+            repr(m.delta), repr(m.delta_windowed))

@@ -598,6 +598,28 @@ MALFORMED = {
         {**_PAIR, "attackers": [{"node": 4, "type": "custom", "pulses": [[1.0]]}]},
         "attacker 0 option 'pulses': expected a [time, claim] pair, got [1.0]",
     ),
+    # A non-finite claim would reach the receivers' trimmed averages.
+    "nan_custom_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "pulses": [[1.0, math.nan]]}]},
+        "attacker 0: frequency claim must be finite, got nan",
+    ),
+    "infinite_custom_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "pulses": [[1.0, math.inf]]}]},
+        "attacker 0: frequency claim must be finite, got inf",
+    ),
+    "nan_constant_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "flooding", "burst_count": 2,
+                                 "claim": "constant:nan"}]},
+        "attacker 0: frequency claim must be finite, got nan",
+    ),
+    "infinite_constant_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "stealthy", "claim": "constant:inf"}]},
+        "attacker 0: frequency claim must be finite, got inf",
+    ),
+    "negative_infinite_number_claim": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "stealthy", "claim": -math.inf}]},
+        "attacker 0: frequency claim must be finite, got -inf",
+    ),
 }
 # The JSON types each scenario key accepts. A value of any other type is
 # refused at load with one violation line that starts with the key.
