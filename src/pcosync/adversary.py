@@ -2,26 +2,32 @@
 
 A misbehaving node never runs the protocol; it is a pulse source driven by
 a fixed schedule, with a frequency claim attached to each counted pulse.
-Schedules are materialized deterministically up to the run horizon, so a
-script contributes finitely many events and the engine's liveness budget
-stays meaningful. A schedule holds at most ``MAX_SCRIPTED_PULSES`` pulses
-and keeps the last horizon it was materialized for, so the scenario gate,
-the stealth check and the event loop share one materialization.
+A schedule gives its pulses up to a horizon as sorted streams together with
+each stream's exact count, so a script contributes finitely many events,
+the engine's liveness budget stays meaningful, and a run pays only for the
+pulses it consumes. Nothing is materialized up front: a periodic schedule
+computes each pulse time when the run reaches it, and an explicit one reads
+a prefix of its sorted times. A periodic schedule is refused by arithmetic
+alone when it would hold more than ``MAX_SCRIPTED_PULSES`` pulses by the
+horizon; every pulse time is finite, since sorting and bisection are
+undefined over NaN.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from heapq import merge
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import WorldState
 
 ClaimFn = Callable[[float], float]
 
 # Pulses one schedule may hold, start pulses counted apart; a larger one is
-# refused before it is built.
+# refused before any is computed.
 MAX_SCRIPTED_PULSES = 100_000
 
 
@@ -70,68 +76,106 @@ def parse_claim(spec: str | float) -> ClaimFn:
     )
 
 
+Stream = tuple[int, Iterator[float]]
+
+
+class Schedule:
+    """Pulse times of one kind from one script.
+
+    ``streams(horizon)`` gives every pulse up to the horizon as a list of
+    (count, times) pairs: each ``times`` iterator is nondecreasing and
+    yields exactly ``count`` values. ``check(horizon)`` refuses, with a
+    ValueError, a schedule too large to run to that horizon; ``streams``
+    checks first. Called with a horizon, a schedule returns the tuple of
+    its streams merged in time order.
+    """
+
+    def check(self, horizon: float) -> None:
+        pass
+
+    def streams(self, horizon: float) -> list[Stream]:
+        raise NotImplementedError
+
+    def __call__(self, horizon: float) -> tuple[float, ...]:
+        return tuple(merge(*(times for _, times in self.streams(horizon))))
+
+
+class _Periodic(Schedule):
+    """One pulse at ``n * period + o`` for every offset o and n = 0, 1, ...:
+    one stream per offset, nondecreasing in n because float rounding is
+    monotone."""
+
+    def __init__(self, offsets: Sequence[float], period: float):
+        if not 0.0 < period < math.inf:
+            raise ValueError(f"period must be finite and positive, got {period}")
+        self.period = period = float(period)
+        self.offsets = tuple(sorted(float(o) for o in offsets))
+        for o in self.offsets:
+            if not 0.0 <= o < period:
+                raise ValueError(f"offset {o} outside [0, period={period})")
+
+    def check(self, horizon: float) -> None:
+        if len(self.offsets) * (horizon / self.period) > MAX_SCRIPTED_PULSES:
+            raise ValueError(
+                f"{len(self.offsets)} offset(s) every {self.period} schedule more than "
+                f"{MAX_SCRIPTED_PULSES} pulses by the horizon {horizon}"
+            )
+
+    def streams(self, horizon: float) -> list[Stream]:
+        self.check(horizon)
+        period = self.period
+        rounds = int(math.floor(horizon / period)) + 1
+        out = []
+        for o in self.offsets:
+            # Rounds 0..rounds whose pulse lies within the horizon: a prefix,
+            # found from the quotient and settled on the exact float sums.
+            m = min(rounds, max(-1, math.floor((horizon - o) / period)))
+            while m < rounds and (m + 1) * period + o <= horizon:
+                m += 1
+            while m >= 0 and m * period + o > horizon:
+                m -= 1
+            out.append((m + 1, map(o.__add__, map(period.__mul__, range(m + 1)))))
+        return out
+
+
+class _Explicit(Schedule):
+    """Fixed pulse times: one stream, a prefix of the sorted times."""
+
+    def __init__(self, times: Iterable[float]):
+        fixed = [float(t) for t in times]
+        for t in fixed:
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"pulse times must be finite and nonnegative, got {t}")
+        self.times = tuple(sorted(fixed))
+
+    def streams(self, horizon: float) -> list[Stream]:
+        count = bisect_right(self.times, horizon)
+        return [(count, islice(self.times, count))]
+
+
+_NO_TIMES = _Explicit(())
+
+
 @dataclass(frozen=True)
 class AttackScript:
     """One misbehaving node's emission plan.
 
-    ``emission_times`` maps a horizon to the sorted counted-pulse times
-    within it; ``start_emission_times`` does the same for forged start
-    pulses (only read by the relative-frequency protocol). ``freq_claim``
-    is evaluated at each counted emission time.
+    ``emission_times`` is the schedule of counted pulses and
+    ``start_emission_times`` that of forged start pulses (only read by the
+    relative-frequency protocol); each gives sorted streams with exact
+    counts, and called with a horizon, the sorted tuple of its pulse times
+    within it. ``freq_claim`` is evaluated at each counted emission time.
     """
 
     node: int
     freq_claim: ClaimFn
-    emission_times: Callable[[float], tuple[float, ...]]
-    start_emission_times: Callable[[float], tuple[float, ...]]
-
-
-def _no_times(horizon: float) -> tuple[float, ...]:
-    return ()
-
-
-def _periodic(offsets: Sequence[float], period: float) -> Callable[[float], tuple[float, ...]]:
-    if not 0.0 < period < math.inf:
-        raise ValueError(f"period must be finite and positive, got {period}")
-    offs = tuple(sorted(float(o) for o in offsets))
-    for o in offs:
-        if not 0.0 <= o < period:
-            raise ValueError(f"offset {o} outside [0, period={period})")
-
-    @lru_cache(maxsize=1)
-    def schedule(horizon: float) -> tuple[float, ...]:
-        if len(offs) * (horizon / period) > MAX_SCRIPTED_PULSES:
-            raise ValueError(
-                f"{len(offs)} offset(s) every {period} schedule more than "
-                f"{MAX_SCRIPTED_PULSES} pulses by the horizon {horizon}"
-            )
-        times: list[float] = []
-        rounds = int(math.floor(horizon / period)) + 1
-        for n in range(rounds + 1):
-            for o in offs:
-                t = n * period + o
-                if t <= horizon:
-                    times.append(t)
-        return tuple(times)
-
-    return schedule
-
-
-def _explicit(times: Iterable[float]) -> Callable[[float], tuple[float, ...]]:
-    fixed = tuple(sorted(float(t) for t in times))
-    if any(t < 0.0 for t in fixed):
-        raise ValueError("pulse times must be nonnegative")
-
-    @lru_cache(maxsize=1)
-    def schedule(horizon: float) -> tuple[float, ...]:
-        return tuple(t for t in fixed if t <= horizon)
-
-    return schedule
+    emission_times: Schedule
+    start_emission_times: Schedule
 
 
 def silent_script(node: int) -> AttackScript:
     """Never emits; receivers simply hear one pulse less per round."""
-    return AttackScript(node, constant(1.0), _no_times, _no_times)
+    return AttackScript(node, constant(1.0), _NO_TIMES, _NO_TIMES)
 
 
 def stealthy_script(
@@ -147,8 +191,8 @@ def stealthy_script(
     its in-degree; scenario loading checks this with ``is_stealthy``.
     """
     claim_fn = claim if callable(claim) else parse_claim(claim)
-    starts = _periodic(start_offsets, period) if start_offsets else _no_times
-    return AttackScript(node, claim_fn, _periodic(period_offsets, period), starts)
+    starts = _Periodic(start_offsets, period) if start_offsets else _NO_TIMES
+    return AttackScript(node, claim_fn, _Periodic(period_offsets, period), starts)
 
 
 def flooding_script(
@@ -168,7 +212,7 @@ def flooding_script(
         raise ValueError(f"burst interval must be positive, got {burst_interval}")
     claim_fn = claim if callable(claim) else parse_claim(claim)
     times = [start_time + k * burst_interval for k in range(burst_count)]
-    return AttackScript(node, claim_fn, _explicit(times), _no_times)
+    return AttackScript(node, claim_fn, _Explicit(times), _NO_TIMES)
 
 
 def custom_script(
@@ -185,8 +229,8 @@ def custom_script(
     def claim(t: float) -> float:
         return by_time[t]
 
-    starts = _explicit(start_pulses) if start_pulses else _no_times
-    return AttackScript(node, claim, _explicit(by_time), starts)
+    starts = _Explicit(start_pulses) if start_pulses else _NO_TIMES
+    return AttackScript(node, claim, _Explicit(by_time), starts)
 
 
 def is_stealthy(

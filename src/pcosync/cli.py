@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .errors import (
@@ -165,12 +166,18 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ScenarioValidationError([str(exc)]) from None
 
+    mark = time.perf_counter()
+
     def progress(point):
+        nonlocal mark
+        now = time.perf_counter()
         print(
             f"# arc {point.arc0:g}: spread {point.spread0_max:.4f} "
-            f"(rate {point.success_rate:.2f})",
+            f"(rate {point.success_rate:.2f}), {point.trials} trials, "
+            f"{point.trials / (now - mark):.0f} trials/s",
             file=sys.stderr,
         )
+        mark = now
 
     try:
         points = sweep_frontier(spec, parallelism=args.parallelism, progress=progress)

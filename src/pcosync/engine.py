@@ -30,7 +30,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import compress, count
+from bisect import insort
+from itertools import compress, count, repeat
+from typing import Iterator
 
 from .errors import InvariantViolation
 from .graph import DirectedGraph
@@ -116,10 +118,11 @@ class WorldState:
         self.normal_ids = tuple(sorted(self.normal))
         self.faulty_ids = tuple(sorted(self.faulty))
         # Pulses reach only normal nodes; faulty ones run no protocol.
-        self.normal_receivers = tuple(
-            tuple(j for j in outs if j in self.normal) for outs in self.graph.out_neighbors
-        )
-        self.in_degrees = tuple(len(ins) for ins in self.graph.in_neighbors)
+        outs = self.graph.out_neighbors
+        if self.faulty:
+            outs = tuple(tuple(j for j in row if j in self.normal) for row in outs)
+        self.normal_receivers = outs
+        self.in_degrees = self.graph.in_degrees
 
     def normal_phases(self) -> list[float]:
         return [self.oscillators[i].phase for i in self.normal_ids]
@@ -262,6 +265,41 @@ def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4
     return int((2 * n + scripted_pulses) * (horizon + 1.0) * safety) + 16
 
 
+def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float, int, int]]]:
+    """Every scripted pulse up to the horizon, and how many there are.
+
+    The pulses come as (time, node, is_start) triples in the order of that
+    tuple, merged lazily from the schedules' sorted streams: a run computes
+    only the pulses it consumes. The streams are few, so the merge keeps
+    their heads in a sorted list; a head carries its stream's index, which
+    breaks ties between equal triples without comparing the streams.
+    """
+    total = 0
+    heads = []
+    for script in scripts:
+        node = script.node
+        for is_start, schedule in ((0, script.emission_times), (1, script.start_emission_times)):
+            for size, times in schedule.streams(horizon):
+                total += size
+                if size:
+                    stream = zip(times, repeat(node), repeat(is_start))
+                    heads.append((next(stream), len(heads), stream))
+    heads.sort()
+    return total, _merged(heads)
+
+
+def _merged(heads):
+    while len(heads) > 1:
+        pulse, k, stream = heads.pop(0)
+        yield pulse
+        nxt = next(stream, None)
+        if nxt is not None:
+            insort(heads, (nxt, k, stream))
+    for pulse, _, stream in heads:
+        yield pulse
+        yield from stream
+
+
 def simulate(
     world: WorldState,
     protocol,
@@ -279,26 +317,23 @@ def simulate(
     handler reported a new detection, and owns the convergence and safety
     bookkeeping. ``advance_all`` and ``metrics.advance`` run only for an
     event later than the clock; an event at the clock (or, by less than
-    ``TIME_EPS``, before it) moves no phase. Returns an outcome string:
-    "converged", "detected", or "horizon".
+    ``TIME_EPS``, before it) moves no phase. Scripted pulses come from
+    ``scripted_pulses``: the liveness budget counts every one within the
+    horizon, but only those the run reaches are computed. Returns an
+    outcome string: "converged", "detected", or "horizon".
     """
-    if horizon < 0.0:
+    if not horizon >= 0.0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    pending: list[tuple[float, int, int]] = []
-    for script in scripts:
-        for t in script.emission_times(horizon):
-            pending.append((t, script.node, 0))
-        for t in script.start_emission_times(horizon):
-            pending.append((t, script.node, 1))
-    pending.sort()
+    pulse_count, pulses = scripted_pulses(scripts, horizon)
+    head = next(pulses, None)
+    pending = () if head is None else (head,)
     script_by_node = {script.node: script for script in scripts}
 
-    budget = event_budget(world.graph.node_count, len(pending), horizon, zeno_safety)
+    budget = event_budget(world.graph.node_count, pulse_count, horizon, zeno_safety)
     table = _CandidateTimes(world.graph.node_count, protocol)
-    cursor = 0
     outcome = "horizon"
     while True:
-        ev = next_event(world, protocol, pending[cursor : cursor + 1], table)
+        ev = next_event(world, protocol, pending, table)
         if ev is None or ev.time > horizon + TIME_EPS:
             break
         dt = ev.time - world.clock
@@ -308,7 +343,8 @@ def simulate(
         world.clock = ev.time
 
         if ev.kind is EventKind.ADVERSARY_PULSE:
-            cursor += 1
+            head = next(pulses, None)
+            pending = () if head is None else (head,)
             script = script_by_node[ev.node]
             value = 0.0 if ev.is_start else script.freq_claim(ev.time)
             newly_detected = protocol.deliver_adversary(

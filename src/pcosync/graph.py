@@ -56,6 +56,10 @@ class DirectedGraph:
         return len(self.in_neighbors[i])
 
     @cached_property
+    def in_degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.in_neighbors))
+
+    @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
         outs: list[list[int]] = [[] for _ in range(self.node_count)]
         for i, nbrs in enumerate(self.in_neighbors):

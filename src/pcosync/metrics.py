@@ -8,8 +8,10 @@ event 0 reproduces exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .engine import Event, EventKind, WorldState
@@ -111,6 +113,46 @@ class SpreadWindow:
         return m, big, big - m
 
 
+class ExtremaHistory:
+    """The per-event (lo, hi) pairs of a run, kept only where they change,
+    with the spread a ``SpreadWindow`` of the same length reports computed
+    on read.
+
+    ``move(k, lo, hi)`` records the pair that holds from event k on; event
+    0 holds the pair given at construction. ``spread(k)`` replays, into a
+    fresh ``SpreadWindow``, the pair in effect at the first of the last
+    ``window_len`` events up to k and every later move. Every value that
+    replay leaves out has left the window, and a pair repeated over several
+    events reports as the earliest of its copies, so the result is the
+    sliding window's, bit for bit. Moves before that first event are
+    dropped once they outnumber twice the window.
+    """
+
+    def __init__(self, window_len: int, lo: float, hi: float):
+        if window_len < 1:
+            raise ValueError(f"window length must be positive, got {window_len}")
+        self.window_len = window_len
+        self._moves = [(0, lo, hi)]
+
+    def _first(self, k: int) -> int:
+        """Index of the move in effect at the first event of k's window."""
+        start = k - self.window_len + 1
+        return max(0, bisect_right(self._moves, start, key=itemgetter(0)) - 1)
+
+    def move(self, k: int, lo: float, hi: float) -> None:
+        moves = self._moves
+        moves.append((k, lo, hi))
+        if len(moves) > 2 * self.window_len:
+            del moves[: self._first(k)]
+
+    def spread(self, k: int) -> float:
+        """The windowed spread after event k, the latest recorded."""
+        window = SpreadWindow(self.window_len)
+        for _, lo, hi in self._moves[self._first(k) :]:
+            spread = window.push(lo, hi)[2]
+        return spread
+
+
 @dataclass
 class VirtualNode:
     """Free-running reference oscillator: never jumps, never fires, and
@@ -172,22 +214,26 @@ class RunMetrics:
     default everywhere outside the test suite is "warn".
 
     With the monitor on or a trace collected, ``observe`` computes every
-    quantity from the world on every event: the frequency extrema, the
-    arc, the virtual-node radius spread V, and a scan of every normal node
-    for new detections. With the monitor off and no trace, nothing reads V
-    or the arc of most events, so ``observe`` computes only what the run
-    reports. It keeps its own list of the normal frequencies and moves the
-    extrema only after update events, the only ones that write a frequency,
-    and only from the updated node: the new value either passes an
+    quantity from the world on every event: the frequency extrema and their
+    sliding window, the arc, the virtual-node radius spread V, and a scan
+    of every normal node for new detections. With the monitor off and no
+    trace, nothing reads V, the window or the arc of most events, so
+    ``observe`` computes only what the run reports. It keeps its own list
+    of the normal frequencies and moves the extrema only after update
+    events, the only ones that write a frequency, and only from the
+    updated node: the new value either passes an
     extremum, leaves both where they were, or (a tie, or the node that held
     an extremum moving inward) sends that extremum to a ``min``/``max``
     rescan, so the extrema are always the floats a full scan would give.
-    It scans for detections only after an event whose handler reported
-    one, and it computes the arc only when the frequencies have converged.
-    ``delta`` is computed on read from the phases stored by the latest
-    ``observe``, so it stays the arc after the last observed event even
-    when a protocol fault ends the run inside a handler that has already
-    moved the world.
+    It records the extrema in an ``ExtremaHistory`` only at the update
+    events that move them, and leaves the virtual node alone, since only
+    the monitor and the trace read it. It scans for detections only after
+    an event whose handler reported one, and it computes the arc only when
+    the frequencies have converged. ``delta`` and ``delta_windowed`` are
+    computed on read, from the phases stored by the latest ``observe`` and
+    from the extrema recorded up to it, so they stay the values after the
+    last observed event even when a protocol fault ends the run inside a
+    handler that has already moved the world.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -218,8 +264,6 @@ class RunMetrics:
         self.hull = (min(omegas0), max(omegas0))
         self.spread0 = self.hull[1] - self.hull[0]
 
-        self.freq_window = SpreadWindow(self.window_len)
-        self.radius_window = SpreadWindow(self.window_len)
         self.virtual = VirtualNode(phase=0.0, omega=self.hull[0])
         self._tracks_radii = mode != "off" or collect_trace
 
@@ -233,20 +277,24 @@ class RunMetrics:
         self.rows: list[TraceRecord] | None = [] if collect_trace else None
 
         self._lo, self._hi = self.hull
-        floor, ceiling, self.delta_windowed = self.freq_window.push(*self.hull)
+        self._k = 0
         phases = self._phases = world.normal_phases()
         self._delta: float | None = None
-        self._prev_floor = floor
-        self._prev_ceiling = ceiling
         if self._tracks_radii:
+            self.freq_window = SpreadWindow(self.window_len)
+            self.radius_window = SpreadWindow(self.window_len)
+            self._prev_floor, self._prev_ceiling, self._spread_w = self.freq_window.push(*self.hull)
             _, v0 = self._push_radii(phases)
+        else:
+            self._extrema = ExtremaHistory(self.window_len, *self.hull)
         if self.rows is not None:
             self._append_row(world, 0, "init", -1, v0)
 
     # -- engine hooks --------------------------------------------------------
 
     def advance(self, dt: float) -> None:
-        self.virtual.advance(dt)
+        if self._tracks_radii:
+            self.virtual.advance(dt)
 
     @property
     def delta(self) -> float:
@@ -256,10 +304,17 @@ class RunMetrics:
             delta = self._delta = containing_arc(self._phases).length
         return delta
 
+    @property
+    def delta_windowed(self) -> float:
+        """Windowed frequency spread of the normal nodes after the latest event."""
+        if self._tracks_radii:
+            return self._spread_w
+        return self._extrema.spread(self._k)
+
     def observe(self, world: WorldState, event: Event, newly_detected: bool = True) -> None:
         """Record the world after ``event``. ``newly_detected`` is what the
         event's handler returned; a caller that cannot tell passes True."""
-        k = world.event_count
+        k = self._k = world.event_count
         phases = self._phases = world.normal_phases()
         tracked = self._tracks_radii
         if tracked:
@@ -288,11 +343,12 @@ class RunMetrics:
                     self._hi = new
                 elif not (new < hi and old < hi):
                     self._hi = max(omegas)
+                self._extrema.move(k, self._lo, self._hi)
         lo, hi = self._lo, self._hi
-        floor, ceiling, spread_w = self.freq_window.push(lo, hi)
-        self.virtual.omega = floor
-        self.delta_windowed = spread_w
         if tracked:
+            floor, ceiling, spread_w = self.freq_window.push(lo, hi)
+            self.virtual.omega = floor
+            self._spread_w = spread_w
             radius_max, v = self._push_radii(phases)
             delta = self._delta = containing_arc(phases).length
         else:
@@ -333,8 +389,8 @@ class RunMetrics:
                     f"containing arc exceeded the virtual-radius spread at event {k}",
                     delta <= v + 1e-9,
                 )
-        self._prev_floor = floor
-        self._prev_ceiling = ceiling
+            self._prev_floor = floor
+            self._prev_ceiling = ceiling
 
         if tracked or newly_detected:
             mask = self._detected_mask

@@ -137,9 +137,11 @@ class ScenarioConfig:
         requested draws and normalizations. Deterministic given the config;
         ``build`` checks first that lists hold one value per node."""
         n = self.graph.node_count
-        phases = self._resolve(self.phases, n, stream=0)
-        freqs = self._resolve(self.frequencies, n, stream=1)
-        normal = self.normal_ids
+        raw = self._resolve(self.phases, n, stream=0), self._resolve(self.frequencies, n, stream=1)
+        return self._normalized(*raw, self.normal_ids)
+
+    def _normalized(self, phases, freqs, normal) -> tuple[list[float], list[float]]:
+        """The drawn or listed initials after the requested normalizations."""
         if self.normalize_phases and normal:
             tail = containing_arc([phases[i] for i in normal]).tail
             phases = [clockwise_dist(p, tail) for p in phases]
@@ -157,12 +159,12 @@ class ScenarioConfig:
             return [float(x) for x in rng.uniform(spec.low, spec.high, size=n)]
         return [float(x) for x in spec]
 
-    def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript]]:
+    def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript], tuple[int, ...]]:
         """The one gate every run passes, forced or not: return the
-        resolved phases and frequencies and the attack scripts, or raise
-        UnrunnableScenarioError listing every value no run can use. Each
-        script's schedule is materialized up to the horizon here, where an
-        oversized one is refused; the run reuses it."""
+        resolved phases and frequencies, the attack scripts and the normal
+        node ids, or raise UnrunnableScenarioError listing every value no
+        run can use. A schedule too large for the horizon is refused here
+        by arithmetic; no pulse is computed until the run reaches it."""
         problems: list[str] = []
         n = self.graph.node_count
         if self.algorithm not in ALGORITHMS:
@@ -195,14 +197,14 @@ class ScenarioConfig:
                 try:
                     script = spec.build()
                     if horizon_ok:
-                        script.emission_times(self.horizon)
-                        script.start_emission_times(self.horizon)
+                        script.emission_times.check(self.horizon)
+                        script.start_emission_times.check(self.horizon)
                 except ValueError as exc:
                     problems.append(f"attacker {spec.node}: {exc}")
                 else:
                     scripts.append(script)
             seen.add(spec.node)
-        normal = self.normal_ids
+        normal = tuple(i for i in range(n) if i not in seen)
         if not normal:
             problems.append("every node is an attacker; nothing to synchronize")
         elif isinstance(self.weights, ConfiguredAlpha):
@@ -224,18 +226,29 @@ class ScenarioConfig:
                     problems.append(f"{key} draw seed must be nonnegative, got {seed}")
             elif len(spec) != n:
                 problems.append(f"{key} list has length {len(spec)}, graph has {n} nodes")
-        if not problems:
-            phases, freqs = self.resolve_initials()
+
+        def check_initials(phases, freqs, floor):
             for i in normal:
                 if not math.isfinite(phases[i]):
                     problems.append(f"node {i} initial phase must be finite, got {phases[i]}")
-                if not (math.isfinite(freqs[i]) and freqs[i] > 0.0):
+                if not (math.isfinite(freqs[i]) and freqs[i] > floor):
                     problems.append(
                         f"node {i} initial frequency must be finite and positive, got {freqs[i]}"
                     )
+
+        if not problems:
+            # The raw values first: normalizing would spread a NaN or an
+            # infinity to every node. Only a normalized frequency must be
+            # positive.
+            phases = self._resolve(self.phases, n, stream=0)
+            freqs = self._resolve(self.frequencies, n, stream=1)
+            check_initials(phases, freqs, -math.inf)
+        if not problems:
+            phases, freqs = self._normalized(phases, freqs, normal)
+            check_initials(phases, freqs, 0.0)
         if problems:
             raise UnrunnableScenarioError(problems)
-        return phases, freqs, scripts
+        return phases, freqs, scripts, normal
 
     def build(self):
         """Instantiate (world, protocol, scripts) ready for the event loop;
@@ -243,13 +256,13 @@ class ScenarioConfig:
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 
-        phases, freqs, scripts = self._runnable()
+        phases, freqs, scripts, normal = self._runnable()
         oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
         world = WorldState(
             graph=self.graph,
             oscillators=oscillators,
-            normal=frozenset(self.normal_ids),
-            faulty=self.faulty_ids,
+            normal=frozenset(normal),
+            faulty=frozenset(script.node for script in scripts),
         )
         params = MsrParams(
             f=self.f, weight_policy=self.weights, eager_detection=self.eager_detection

@@ -64,9 +64,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class FrontierPoint:
+    """One grid point's result; ``trials`` counts the trials its
+    evaluations ran (0 where a point is built by hand)."""
+
     arc0: float
     spread0_max: float
     success_rate: float
+    trials: int = 0
 
 
 def run_trial(
@@ -96,8 +100,8 @@ def run_trial(
 
     config = dataclasses.replace(
         base,
-        phases=[float(p) for p in phases],
-        frequencies=[float(w) for w in freqs],
+        phases=phases.tolist(),
+        frequencies=freqs.tolist(),
         normalize_phases=False,
         normalize_frequencies=False,
         monitor="off",
@@ -149,11 +153,13 @@ class _Evaluator:
         # About four chunks per worker: few submissions, and a slow chunk
         # leaves the other workers little to wait for.
         self.chunksize = math.ceil(spec.trials / (4 * workers))
+        self.trials = 0  # trials run so far, over every evaluation
 
     def rate(self, grid_index: int, spread0: float) -> float:
         spec = self.spec
         arc0 = spec.arc_grid[grid_index]
         n = spec.trials
+        self.trials += n
         if self.executor is None:
             outcomes = [
                 run_trial(spec.base, grid_index, t, arc0, spread0, spec.seed,
@@ -181,7 +187,8 @@ def sweep_frontier(
     even zero spread fails, report zero with its observed rate; otherwise
     bisect down to ``bisect_tol`` and report the largest passing spread.
     ``parallelism`` must be at least 1; ``pool_size`` gives the number of
-    worker processes it starts.
+    worker processes it starts. ``progress``, when given, is called with
+    each point as soon as it is done.
     """
     workers = pool_size(parallelism, spec.trials)
     executor = None
@@ -193,7 +200,9 @@ def sweep_frontier(
         evaluator = _Evaluator(spec, executor, workers)
         points = []
         for gi, arc0 in enumerate(spec.arc_grid):
+            before = evaluator.trials
             point = _bisect_point(evaluator, gi, arc0, spec)
+            point = dataclasses.replace(point, trials=evaluator.trials - before)
             points.append(point)
             if progress is not None:
                 progress(point)

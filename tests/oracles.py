@@ -350,3 +350,78 @@ class HookRelativeProtocol(RelativeProtocol):
         osc.omega = omega + omega * sum(w * (r - 1.0) for w, r in zip(weights[1:], kept))
         osc.reset_round()
         return False
+
+
+# -- previous scripted-pulse path --------------------------------------------
+#
+# Attack schedules as they were before the sorted streams: each one
+# materialized every pulse up to the horizon, and the event loop merged the
+# scripts by building the whole (time, node, is_start) list and sorting it.
+# ``_periodic`` and ``_explicit`` are kept verbatim; ``materialized_pulses``
+# is the loop's former list building, fed by them.
+
+
+def _periodic(offsets, period):
+    import math
+    from functools import lru_cache
+
+    from pcosync.adversary import MAX_SCRIPTED_PULSES
+
+    if not 0.0 < period < math.inf:
+        raise ValueError(f"period must be finite and positive, got {period}")
+    offs = tuple(sorted(float(o) for o in offsets))
+    for o in offs:
+        if not 0.0 <= o < period:
+            raise ValueError(f"offset {o} outside [0, period={period})")
+
+    @lru_cache(maxsize=1)
+    def schedule(horizon):
+        if len(offs) * (horizon / period) > MAX_SCRIPTED_PULSES:
+            raise ValueError(
+                f"{len(offs)} offset(s) every {period} schedule more than "
+                f"{MAX_SCRIPTED_PULSES} pulses by the horizon {horizon}"
+            )
+        times = []
+        rounds = int(math.floor(horizon / period)) + 1
+        for n in range(rounds + 1):
+            for o in offs:
+                t = n * period + o
+                if t <= horizon:
+                    times.append(t)
+        return tuple(times)
+
+    return schedule
+
+
+def _explicit(times):
+    from functools import lru_cache
+
+    fixed = tuple(sorted(float(t) for t in times))
+    if any(t < 0.0 for t in fixed):
+        raise ValueError("pulse times must be nonnegative")
+
+    @lru_cache(maxsize=1)
+    def schedule(horizon):
+        return tuple(t for t in fixed if t <= horizon)
+
+    return schedule
+
+
+def materialized_schedule(schedule):
+    """The former schedule of a package ``Schedule``, from its parameters."""
+    if hasattr(schedule, "period"):
+        return _periodic(schedule.offsets, schedule.period)
+    return _explicit(schedule.times)
+
+
+def materialized_pulses(scripts, horizon):
+    """``engine.scripted_pulses`` as the event loop's former sorted list:
+    the pulse count and an iterator over the list."""
+    pending = []
+    for script in scripts:
+        for t in materialized_schedule(script.emission_times)(horizon):
+            pending.append((t, script.node, 0))
+        for t in materialized_schedule(script.start_emission_times)(horizon):
+            pending.append((t, script.node, 1))
+    pending.sort()
+    return len(pending), iter(pending)

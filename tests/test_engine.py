@@ -529,3 +529,14 @@ def test_handlers_change_other_nodes_selection_inputs_only_when_they_report(call
     # An adversary pulse has no normal actor: no node's inputs may move.
     others = [i for i in range(len(before)) if handler == "adversary" or i != actor]
     assert [after[i] for i in others] == [before[i] for i in others]
+
+
+def test_a_world_reuses_the_graph_tables_when_no_node_is_faulty():
+    graph = DirectedGraph.from_lists([[1, 2], [0, 2], [0, 1]])
+    states = [OscillatorState(0.0, 1.0) for _ in range(3)]
+    world = WorldState(graph, states, frozenset(range(3)), frozenset())
+    assert world.normal_receivers is graph.out_neighbors
+    assert world.in_degrees is graph.in_degrees
+    assert graph.in_degrees == (2, 2, 2)
+    attacked = WorldState(graph, states, frozenset({0, 2}), frozenset({1}))
+    assert attacked.normal_receivers == ((2,), (0, 2), (0,))

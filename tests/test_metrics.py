@@ -23,7 +23,7 @@ from pcosync import (
     load_scenario,
     run_scenario,
 )
-from pcosync.metrics import format_trace_row, trace_header, write_trace
+from pcosync.metrics import ExtremaHistory, format_trace_row, trace_header, write_trace
 
 from oracles import RescanSpreadWindow
 
@@ -150,6 +150,32 @@ def test_spread_window_matches_the_rescan(window_len, pushes):
     window, reference = SpreadWindow(window_len), RescanSpreadWindow(window_len)
     for lo, hi in pushes:
         assert repr(window.push(lo, hi)) == repr(reference.push(lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window_len=st.integers(1, 9),
+    pushes=st.lists(st.tuples(_EXTREMA | st.just(math.nan), _EXTREMA), max_size=40),
+    repeats=st.lists(st.booleans(), max_size=40),
+)
+def test_extrema_history_reads_the_sliding_window(window_len, pushes, repeats):
+    # The pair of every event goes to the sliding window; the history gets
+    # only the pairs that change, plus some that repeat, and is read after
+    # every event, as a run with the monitor off reads it after the last.
+    window = SpreadWindow(window_len)
+    first = (0.5, 1.0)
+    spread = window.push(*first)[2]
+    history = ExtremaHistory(window_len, *first)
+    assert repr(history.spread(0)) == repr(spread)
+    previous = repr(first)
+    for k, (pair, repeat) in enumerate(zip(pushes, repeats + [False] * len(pushes)), start=1):
+        spread = window.push(*pair)[2]
+        if repr(pair) != previous or repeat:
+            history.move(k, *pair)
+        previous = repr(pair)
+        assert repr(history.spread(k)) == repr(spread), k
+    with pytest.raises(ValueError):
+        ExtremaHistory(0, 1.0, 1.0)
 
 
 def test_virtual_node_advances_modulo_one():

@@ -143,3 +143,19 @@ def _summary(result):
     m = result.metrics
     return (result.outcome, result.world.event_count, m.detection_events,
             repr(m.delta), repr(m.delta_windowed))
+
+
+def _own_updates(result, node):
+    return [r.omegas[node] for r in result.metrics.rows if r.event_kind == "update" and r.node == node]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_robust_scenarios())
+def test_attack_free_absolute_and_relative_runs_agree(config):
+    # Attack-free, each relative ratio recovers its sender's frequency, so
+    # every node takes the frequencies the absolute protocol gives it.
+    absolute = run_scenario(dataclasses.replace(config, algorithm="absolute"), collect_trace=True)
+    relative = run_scenario(dataclasses.replace(config, algorithm="relative"), collect_trace=True)
+    for node in range(config.graph.node_count):
+        pairs = list(zip(_own_updates(absolute, node), _own_updates(relative, node)))
+        assert all(abs(a - b) <= 1e-9 for a, b in pairs), (node, pairs)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -30,6 +31,7 @@ from pcosync import (
     scenario_from_dict,
 )
 from pcosync.cli import main
+from pcosync.errors import UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
 from pcosync.scenario import _KEYS
 
@@ -432,6 +434,24 @@ def test_cli_sweep_prints_the_bytes_it_writes(capsys, tmp_path):
     assert capsys.readouterr().out.encode() == out_csv.read_bytes()
 
 
+def test_cli_sweep_progress_reports_trials_and_trials_per_second(capsys):
+    command = [
+        "sweep", str(SCENARIOS / "frontier_sweep.json"),
+        "--grid", "0.05,0.3", "--trials", "4", "--spread-cap", "0.2",
+        "--tol", "0.06", "--horizon", "40",
+    ]
+    assert main(command) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        match = re.fullmatch(
+            r"# arc [0-9.]+: spread [0-9.]{6} \(rate [0-9.]{4}\), ([0-9]+) trials, [0-9]+ trials/s",
+            line,
+        )
+        assert match, line
+        assert int(match[1]) > 0 and int(match[1]) % 4 == 0
+
+
 @pytest.mark.parametrize("parallelism", ["0", "-3"])
 def test_cli_sweep_refuses_parallelism_below_one(parallelism, capsys):
     code = main([
@@ -557,6 +577,31 @@ MALFORMED = {
     "boolean_inline_entry": (
         {**_K3, "graph": {"inline": [[1, 2], [0, 2], [0, True]]}},
         "graph: expected an integer, got True",
+    ),
+    "nan_pulse_time": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "pulses": [[math.nan, 1.0]]}]},
+        "attacker 0: pulse times must be finite and nonnegative, got nan",
+    ),
+    "infinite_pulse_time": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "pulses": [[math.inf, 1.0]]}]},
+        "attacker 0: pulse times must be finite and nonnegative, got inf",
+    ),
+    "negative_infinite_start_pulse": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "start_pulses": [-math.inf]}]},
+        "attacker 0: pulse times must be finite and nonnegative, got -inf",
+    ),
+    "infinite_start_pulse": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "start_pulses": [math.inf]}]},
+        "attacker 0: pulse times must be finite and nonnegative, got inf",
+    ),
+    "nan_start_pulse": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "custom", "start_pulses": [0.5, math.nan]}]},
+        "attacker 0: pulse times must be finite and nonnegative, got nan",
+    ),
+    "nan_burst_start": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "flooding", "burst_count": 2,
+                                 "start_time": math.nan}]},
+        "attacker 0: pulse times must be finite and nonnegative, got nan",
     ),
     "integer_name": ({**_PAIR, "name": 5}, "name: expected a string, got 5"),
     "misspelled_stealthy_option": (
@@ -765,6 +810,58 @@ def test_cli_unrunnable_scenario_exits_2_even_when_forced(case, capsys, tmp_path
         assert captured.out == "" and lines
         assert all(line.startswith("violation: ") for line in lines)
         assert any(message in line for line in lines)
+
+
+@pytest.mark.parametrize("start_pulses", [False, True])
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_the_gate_refuses_non_finite_pulse_times_from_python(time, start_pulses):
+    # Python callers skip the JSON tier; the gate every run passes refuses them.
+    option = {"start_pulses": [time]} if start_pulses else {"pulses": [(time, 1.0)]}
+    config = dataclasses.replace(
+        scenario_from_dict(_PAIR), attackers=[AttackerSpec(4, "custom", option)]
+    )
+    with pytest.raises(UnrunnableScenarioError) as caught:
+        config.build()
+    assert caught.value.violations == [
+        f"attacker 4: pulse times must be finite and nonnegative, got {time}"
+    ]
+
+
+# The NaN or infinite initial value is the one named: normalizing first
+# would spread it to every node.
+NON_FINITE_INITIALS = {
+    "one_normal_node": (
+        {"graph": {"named": "complete", "n": 3}, "phases": [math.nan, 0.1, 0.2],
+         "frequencies": [1.0] * 3,
+         "attackers": [{"node": 1, "type": "silent"}, {"node": 2, "type": "silent"}]},
+        "node 0 initial phase must be finite, got nan",
+    ),
+    "five_normal_nodes": (
+        {"phases": [0.0, math.nan, 0.1, 0.15, 0.2]},
+        "node 1 initial phase must be finite, got nan",
+    ),
+    "infinite_phase": (
+        {"phases": [-math.inf, 0.05, 0.1, 0.15, 0.2]},
+        "node 0 initial phase must be finite, got -inf",
+    ),
+    "first_frequency": (
+        {"frequencies": [math.nan, 1.0, 1.0, 1.0, 1.0]},
+        "node 0 initial frequency must be finite and positive, got nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_INITIALS))
+def test_a_non_finite_initial_value_names_only_its_node(case, capsys, tmp_path):
+    overrides, message = NON_FINITE_INITIALS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps({**_PAIR, **overrides}))
+    assert main(["validate-config", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"violation: {message}", "invalid: 1 violation(s)"
+    ]
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"violation: {message}"]
 
 
 NEGATIVE_HORIZON = ({}, ["--horizon", "-1"], "horizon must be finite and positive, got -1.0")

@@ -1,0 +1,191 @@
+"""Scripted pulses on demand: the sorted streams of each schedule and the
+event loop's lazy merge, against the former materialize-then-sort path."""
+
+import math
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pcosync import AttackerSpec, InvariantViolation, ScenarioConfig, complete_digraph, custom_script
+from pcosync import engine, run_scenario, stealthy_script
+from pcosync.metrics import RunMetrics
+
+from oracles import _explicit, _periodic, materialized_pulses
+
+_PERIODS = st.sampled_from([1e-6, 1e-3, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.5, math.pi]) | st.floats(1e-6, 10.0)
+
+
+@st.composite
+def _offsets(draw, period):
+    """One to four offsets in [0, period): zero, the float just below the
+    period, or anywhere between, with duplicates."""
+    below = math.nextafter(period, 0.0)
+    one = st.sampled_from([0.0, below]) | st.floats(0.0, below)
+    offsets = draw(st.lists(one, min_size=1, max_size=3), label="offsets")
+    copies = draw(st.lists(st.sampled_from(offsets), max_size=2), label="duplicates")
+    return offsets + copies
+
+
+@st.composite
+def _horizons(draw, times, period=1.0):
+    """A horizon on one of the given pulse times, an ulp either side of it,
+    or anywhere up to a period after it."""
+    t = draw(st.sampled_from(times), label="pulse time")
+    how = draw(st.sampled_from(["on", "above", "below", "between"]), label="horizon")
+    if how == "on":
+        return t
+    if how == "above":
+        return math.nextafter(t, math.inf)
+    if how == "below":
+        return math.nextafter(t, -math.inf)
+    return t + period * draw(st.floats(0.0, 1.0), label="fraction")
+
+
+def _streams_agree(schedule, old, horizon):
+    """The schedule's tuple, streams and counts against the former schedule."""
+    expected = tuple(sorted(old(horizon)))
+    assert repr(schedule(horizon)) == repr(expected)
+    streams = [(count, list(times)) for count, times in schedule.streams(horizon)]
+    for count, times in streams:
+        assert count == len(times)
+        assert times == sorted(times)
+    assert sum(count for count, _ in streams) == len(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), period=_PERIODS)
+def test_periodic_streams_match_the_materialized_schedule(data, period):
+    offsets = data.draw(_offsets(period))
+    rounds = data.draw(st.integers(0, 150), label="rounds")
+    times = [n * period + o for n in (0, rounds, rounds + 1) for o in offsets]
+    schedule = stealthy_script(1, offsets, claim=1.0, period=period).emission_times
+    old = _periodic(offsets, period)
+    _streams_agree(schedule, old, data.draw(_horizons(times, period)))
+    # A horizon on each of the first pulse times and an ulp either side,
+    # where the quotient that starts the count is most often one short.
+    for t in (n * period + o for n in range(12) for o in offsets):
+        for horizon in (t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf)):
+            _streams_agree(schedule, old, horizon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_explicit_streams_match_the_materialized_schedule(times, data):
+    horizon = data.draw(_horizons(times))
+    # Start pulses may repeat a time; counted pulses may not.
+    script = custom_script(2, pulses=[(t, 1.0) for t in set(times)], start_pulses=times)
+    _streams_agree(script.start_emission_times, _explicit(times), horizon)
+    _streams_agree(script.emission_times, _explicit(set(times)), horizon)
+
+
+def test_an_oversized_periodic_schedule_is_refused_by_arithmetic():
+    schedule = stealthy_script(1, [0.0, 0.25], claim=1.0, period=0.5).emission_times
+    schedule.check(25000.0)  # 100000 pulses: at the limit
+    with pytest.raises(ValueError, match="more than 100000 pulses"):
+        schedule.check(25000.5)
+    with pytest.raises(ValueError, match="more than 100000 pulses"):
+        schedule.streams(30000.0)
+    with pytest.raises(ValueError, match="more than 100000 pulses"):
+        _periodic([0.0, 0.25], 0.5)(25000.5)
+
+
+@pytest.mark.parametrize("times", [[math.nan], [1.0, math.inf], [-math.inf], [-0.5]])
+def test_pulse_times_must_be_finite_and_nonnegative(times):
+    with pytest.raises(ValueError, match="pulse times must be finite and nonnegative"):
+        custom_script(2, pulses=[(t, 1.0) for t in times])
+    with pytest.raises(ValueError, match="pulse times must be finite and nonnegative"):
+        custom_script(2, pulses=[], start_pulses=times)
+
+
+# Few distinct times, so pulses of different scripts, and counted and start
+# pulses of one script, often coincide.
+_TIMES = st.sampled_from([0.0, 0.25, 0.35, 0.5, 1.0, 1.35, 2.5])
+_OFFSETS = st.sampled_from([0.0, 0.25, 0.35, 0.5])
+
+
+@st.composite
+def _scripted_scenarios(draw):
+    """A complete digraph on five or six nodes with one to three scripted
+    attackers, listed in any node order, of every kind that emits."""
+    n = draw(st.integers(5, 6), label="n")
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True), label="attackers")
+    attackers = []
+    for node in nodes:
+        kind = draw(st.sampled_from(["stealthy", "flooding", "custom"]), label="kind")
+        if kind == "stealthy":
+            options = {"offsets": draw(st.lists(_OFFSETS, min_size=1, max_size=2), label="offsets"),
+                       "start_offsets": draw(st.lists(_OFFSETS, max_size=2), label="start offsets")}
+        elif kind == "flooding":
+            options = {"burst_count": draw(st.integers(1, 6), label="burst"),
+                       "burst_interval": draw(st.sampled_from([0.02, 0.25]), label="interval"),
+                       "start_time": draw(_TIMES, label="burst start")}
+        else:
+            pulses = draw(st.lists(_TIMES, max_size=4, unique=True), label="pulses")
+            options = {"pulses": [(t, 1.0 + t % 0.3) for t in pulses],
+                       "start_pulses": draw(st.lists(_TIMES, max_size=3), label="start pulses")}
+        attackers.append(AttackerSpec(node, kind, options))
+    unit = st.floats(0.0, 1.0)
+    return ScenarioConfig(
+        graph=complete_digraph(n),
+        algorithm=draw(st.sampled_from(["absolute", "relative"]), label="algorithm"),
+        f=1,
+        phases=[0.3 * u for u in draw(st.lists(unit, min_size=n, max_size=n), label="phases")],
+        frequencies=[1.0 + 0.1 * u for u in draw(st.lists(unit, min_size=n, max_size=n), label="freqs")],
+        attackers=attackers,
+        horizon=draw(st.sampled_from([0.35, 3.0, 8.0]), label="horizon"),
+        halt_on_detection=draw(st.booleans(), label="halt_on_detection"),
+        monitor="off",
+    )
+
+
+def _recorded_run(config):
+    """Every event the run observed, its liveness budget, and its outcome."""
+    events, budgets = [], []
+    observe, budget = RunMetrics.observe, engine.event_budget
+
+    def recording_observe(self, world, event, newly_detected=True):
+        events.append(repr((event.time, event.kind, event.node, event.is_start)))
+        observe(self, world, event, newly_detected)
+
+    def recording_budget(*args):
+        budgets.append(budget(*args))
+        return budgets[-1]
+
+    with mock.patch.object(RunMetrics, "observe", recording_observe), \
+            mock.patch.object(engine, "event_budget", recording_budget):
+        try:
+            result = run_scenario(config, validate=False)
+            outcome = (result.outcome, result.fault_message, repr(result.metrics.delta_windowed))
+        except InvariantViolation as exc:  # must break both paths alike
+            outcome = repr(exc)
+    return events, budgets, outcome
+
+
+@settings(max_examples=120, deadline=None)
+@given(config=_scripted_scenarios())
+def test_scripted_runs_match_the_materialized_path(config):
+    lazy = _recorded_run(config)
+    with mock.patch.object(engine, "scripted_pulses", materialized_pulses):
+        materialized = _recorded_run(config)
+    assert lazy == materialized
+    assert lazy[1]  # the budget was computed
+
+
+def test_simultaneous_pulses_keep_the_time_node_start_order():
+    # Node 4 is listed first, and each script sends a counted and a start
+    # pulse at 0.25: the run sees node 1's pulses first, its counted one
+    # ahead of its start one.
+    stealthy = {"offsets": [0.25], "start_offsets": [0.25]}
+    config = ScenarioConfig(
+        graph=complete_digraph(6), algorithm="relative", f=2,
+        phases=[0.0] * 6, frequencies=[1.0] * 6, horizon=0.3, monitor="off",
+        attackers=[AttackerSpec(4, "stealthy", stealthy), AttackerSpec(1, "stealthy", stealthy)],
+    )
+    events, budgets, _ = _recorded_run(config)
+    assert events[:4] == [repr((0.25, engine.EventKind.ADVERSARY_PULSE, node, start))
+                          for node, start in ((1, False), (1, True), (4, False), (4, True))]
+    assert budgets == [engine.event_budget(6, 4, 0.3)]

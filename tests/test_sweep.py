@@ -153,3 +153,20 @@ def test_bisection_ends_when_the_tolerance_is_below_the_float_spacing():
     # lo and hi end as adjacent floats around 0.3, about 55 halvings of [0, 1].
     assert point.spread0_max == 0.3
     assert point.success_rate == 1.0
+
+
+def test_each_point_counts_the_trials_its_evaluations_ran(cpus, monkeypatch):
+    cpus(2)
+    run_trial = sweep.run_trial
+    calls = []
+
+    def counting_run_trial(*args):
+        calls.append(args)
+        return run_trial(*args)
+
+    monkeypatch.setattr(sweep, "run_trial", counting_run_trial)
+    spec = small_spec()
+    serial = sweep_frontier(spec)
+    assert sum(point.trials for point in serial) == len(calls)
+    assert all(point.trials and point.trials % spec.trials == 0 for point in serial)
+    assert sweep_frontier(spec, parallelism=2) == serial
