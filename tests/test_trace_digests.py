@@ -1,4 +1,4 @@
-"""Frozen SHA-256 digests of per-event trace CSVs.
+"""Frozen SHA-256 digests of per-event trace CSVs and monitor violations.
 
 The README promises byte-for-byte reproducible traces. These digests pin
 that promise across refactors: every shipped scenario runs under both
@@ -10,11 +10,14 @@ near-synchronized 16-node complete graphs, where most events share their
 clock with the event before (plus one with a flooding attacker, eager
 detection and no halt, where detection latches between such events). A
 digest may only change together with a CHANGES.md entry naming the
-intended change in floating-point output.
+intended change in floating-point output. Each case also pins its monitor
+violation messages and suppressed count, which the trace does not show.
 """
 
 import dataclasses
+import functools
 import hashlib
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -124,20 +127,62 @@ DIGESTS = {
     "stealthy_attack-seed4-relative": "2e22169e7959b458034c15a3619642480f994aabc133b070acfcd9bfc22db7ae",
 }
 
+# The monitor's findings on the same runs: most are empty, but the warn-mode
+# cases that break a guarantee condition pin the exact messages and counts.
+VIOLATION_DIGESTS = {
+    "flooding_detection-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "flooding_detection-eager-nohalt-absolute": "66d35dbbd44527db316b476fa31c71dd3b66875d8d87d6c420f39ab0a90fe092",
+    "flooding_detection-eager-nohalt-relative": "1211bd1d2b6f1db90fbf33e85cc5f6c023095cb5fb314dc01ff79feb44653414",
+    "flooding_detection-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "frontier_sweep-absolute": "f3c27717d87057bbdcc6b52c5f618146ed272e5fa1ef09a017023d0239e29c72",
+    "frontier_sweep-monitor_off-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "frontier_sweep-monitor_off-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "frontier_sweep-relative": "bbaef02288af41376ef585c0b2d4207025ef452189b2e602c803d46aa92f2359",
+    "k16_flood-eager-nohalt-monitor_off-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "k16_flood-eager-nohalt-monitor_off-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "k16_sync-monitor_off-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "k16_sync-monitor_off-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "nominal_sync-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "nominal_sync-relative": "5e1bfb0327ffc7dfbe5a005bbbf9fe696cf6087f8d9510d3534de793e9eda5f3",
+    "relative_equivalence-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "relative_equivalence-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "stealthy_attack-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "stealthy_attack-alpha-absolute": "f277640f01ed40464e8a1a88b6ba0e28eb8acd99b028e921f13214e711852fea",
+    "stealthy_attack-alpha-relative": "a159a68e445d8d879a79007c6c7daa36e98f7a62435c0b2ff1f144aa38875e2b",
+    "stealthy_attack-monitor_off-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "stealthy_attack-monitor_off-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "stealthy_attack-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
+    "stealthy_attack-seed1-absolute": "4bfdc20fc94284ff9a02225234e16b7e8abc02a7eed5f6043fed77c4fcb8b9f3",
+    "stealthy_attack-seed1-relative": "add5d1d9d945eddc23aeffaf3c3ab5a97088ca76dbe056c03c6f3b4bca858ab7",
+    "stealthy_attack-seed4-absolute": "0becf69f2e3c4c3f825268efe53a2c8535361a4732d3ea6190b1b98dc9a7e6fe",
+    "stealthy_attack-seed4-relative": "d4e607fdd7bb67e1b1d071360a3ae3cda13378580aa9d8734cbe3d1e0e4eba1f",
+}
 
-def trace_digest(case: str, directory: Path) -> str:
+
+@functools.lru_cache(maxsize=None)
+def case_digests(case: str) -> tuple[str, str]:
+    """SHA-256 of the case's trace CSV, and of the ``repr`` of its monitor
+    violations with the suppressed count."""
     source, overrides = CASES[case]
     base = load_scenario(SCENARIOS / f"{source}.json") if isinstance(source, str) else source
     config = dataclasses.replace(base, **{"monitor": "warn", **overrides})
-    path = directory / f"{case}.csv"
-    run_scenario(config, trace_path=path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"{case}.csv"
+        metrics = run_scenario(config, trace_path=path).metrics
+        trace = hashlib.sha256(path.read_bytes()).hexdigest()
+    violations = repr((metrics.violations, metrics.suppressed_violations()))
+    return trace, hashlib.sha256(violations.encode()).hexdigest()
 
 
 def test_every_case_has_a_digest():
-    assert set(DIGESTS) == set(CASES)
+    assert set(DIGESTS) == set(CASES) == set(VIOLATION_DIGESTS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_trace_digest_is_frozen(case, tmp_path):
-    assert trace_digest(case, tmp_path) == DIGESTS[case]
+def test_trace_digest_is_frozen(case):
+    assert case_digests(case)[0] == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_violation_digest_is_frozen(case):
+    assert case_digests(case)[1] == VIOLATION_DIGESTS[case]
