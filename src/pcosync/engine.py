@@ -20,9 +20,8 @@ receiver, so the next selection recomputes every node; an adversary pulse's
 actor is faulty, so no node is recomputed. The earliest slot, with ties
 within ``TIME_EPS`` going to the first slot in tie-break order, is the event:
 the one a scan of every node would return, bit for bit. For the same reason
-``simulate`` advances the phases and the metrics' reference oscillator only
-when an event moves the clock forward: at an unchanged clock both advances
-would leave every value as it is.
+``simulate`` advances the phases only when an event moves the clock forward:
+at an unchanged clock the advance would leave every phase as it is.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from bisect import insort
+from heapq import merge
 from itertools import compress, count, repeat
 from typing import Iterator
 
@@ -270,34 +269,18 @@ def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float,
 
     The pulses come as (time, node, is_start) triples in the order of that
     tuple, merged lazily from the schedules' sorted streams: a run computes
-    only the pulses it consumes. The streams are few, so the merge keeps
-    their heads in a sorted list; a head carries its stream's index, which
-    breaks ties between equal triples without comparing the streams.
+    only the pulses it consumes. Equal triples come in stream order.
     """
     total = 0
-    heads = []
+    streams = []
     for script in scripts:
         node = script.node
         for is_start, schedule in ((0, script.emission_times), (1, script.start_emission_times)):
             for size, times in schedule.streams(horizon):
                 total += size
                 if size:
-                    stream = zip(times, repeat(node), repeat(is_start))
-                    heads.append((next(stream), len(heads), stream))
-    heads.sort()
-    return total, _merged(heads)
-
-
-def _merged(heads):
-    while len(heads) > 1:
-        pulse, k, stream = heads.pop(0)
-        yield pulse
-        nxt = next(stream, None)
-        if nxt is not None:
-            insort(heads, (nxt, k, stream))
-    for pulse, _, stream in heads:
-        yield pulse
-        yield from stream
+                    streams.append(zip(times, repeat(node), repeat(is_start)))
+    return total, merge(*streams)
 
 
 def simulate(
@@ -308,14 +291,14 @@ def simulate(
     horizon: float,
     metrics,
     halt_on_detection: bool = True,
-    zeno_safety: float = 4.0,
 ) -> str:
     """Run the event loop to the horizon, convergence, or detection.
 
     ``protocol`` supplies the threshold handlers (see the absolute and
-    relative modules); ``metrics`` observes every event, told whether its
-    handler reported a new detection, and owns the convergence and safety
-    bookkeeping. ``advance_all`` and ``metrics.advance`` run only for an
+    relative modules). The loop touches ``metrics`` only through
+    ``observe``, called after every event and told whether its handler
+    reported a new detection, and ``converged``; the metrics own the
+    convergence and safety bookkeeping. ``advance_all`` runs only for an
     event later than the clock; an event at the clock (or, by less than
     ``TIME_EPS``, before it) moves no phase. Scripted pulses come from
     ``scripted_pulses``: the liveness budget counts every one within the
@@ -329,7 +312,7 @@ def simulate(
     pending = () if head is None else (head,)
     script_by_node = {script.node: script for script in scripts}
 
-    budget = event_budget(world.graph.node_count, pulse_count, horizon, zeno_safety)
+    budget = event_budget(world.graph.node_count, pulse_count, horizon)
     table = _CandidateTimes(world.graph.node_count, protocol)
     outcome = "horizon"
     while True:
@@ -339,7 +322,6 @@ def simulate(
         dt = ev.time - world.clock
         if dt > 0.0:
             advance_all(world, dt)
-            metrics.advance(dt)
         world.clock = ev.time
 
         if ev.kind is EventKind.ADVERSARY_PULSE:

@@ -2,16 +2,15 @@
 oscillator, analytic admissibility bounds, and per-event safety checks.
 
 Quantities indexed by k live on the event sequence, not on wall time; the
-window convention pads with event-0 values, which a ring buffer seeded at
-event 0 reproduces exactly.
+window convention pads with event-0 values, which a window seeded at event
+0 reproduces exactly.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 from .engine import Event, EventKind, WorldState
@@ -74,83 +73,55 @@ def check_initial_bound(
 
 
 class SpreadWindow:
-    """Sliding extrema over the last ``window_len`` per-event (lo, hi) pairs.
+    """Sliding extrema over the (lo, hi) pairs of the last ``window_len``
+    events.
 
-    Each extremum is kept in a monotonic deque of (event index, value)
-    pairs, so a push costs O(1) amortized. A value is dropped only when a
-    later one beats it strictly, so among equal values the window reports
-    the earliest, as ``min``/``max`` over the window would.
+    ``push(k, lo, hi)`` records the pair that holds from event k until the
+    next push, so a caller may push at every event or only where the pair
+    changes. Each extremum is kept in a monotonic deque of [first event,
+    value, end] entries, ``end`` being the event of the following push
+    (infinity for the latest), so a push costs O(1) amortized. A value is
+    dropped only when a later one beats it strictly, so among equal values
+    the window reports the earliest, as ``min``/``max`` over the window's
+    per-event values would. ``at(k)`` drops the entries whose pair stopped
+    holding before the window of event k opened; reads must come at
+    nondecreasing k, no earlier than the latest push.
     """
 
     def __init__(self, window_len: int):
         if window_len < 1:
             raise ValueError(f"window length must be positive, got {window_len}")
         self.window_len = window_len
-        self._count = 0
-        self._lows: deque[tuple[int, float]] = deque()
-        self._highs: deque[tuple[int, float]] = deque()
+        self._lows: deque[list] = deque()
+        self._highs: deque[list] = deque()
 
-    def push(self, lo: float, hi: float) -> tuple[float, float, float]:
-        """Append one event's extrema; return (windowed min, windowed max,
-        their difference)."""
-        k = self._count
-        self._count = k + 1
-        expired = k - self.window_len
+    def push(self, k: int, lo: float, hi: float) -> None:
+        """Record the pair that holds from event k on."""
         lows = self._lows
+        if lows:
+            lows[-1][2] = k
         while lows and lows[-1][1] > lo:
             lows.pop()
-        lows.append((k, lo))
-        if lows[0][0] == expired:
-            lows.popleft()
+        lows.append([k, lo, math.inf])
         highs = self._highs
+        if highs:
+            highs[-1][2] = k
         while highs and highs[-1][1] < hi:
             highs.pop()
-        highs.append((k, hi))
-        if highs[0][0] == expired:
+        highs.append([k, hi, math.inf])
+
+    def at(self, k: int) -> tuple[float, float, float]:
+        """(windowed min, windowed max, their difference) after event k."""
+        start = k - self.window_len + 1
+        lows = self._lows
+        while lows[0][2] <= start:
+            lows.popleft()
+        highs = self._highs
+        while highs[0][2] <= start:
             highs.popleft()
         m = lows[0][1]
         big = highs[0][1]
         return m, big, big - m
-
-
-class ExtremaHistory:
-    """The per-event (lo, hi) pairs of a run, kept only where they change,
-    with the spread a ``SpreadWindow`` of the same length reports computed
-    on read.
-
-    ``move(k, lo, hi)`` records the pair that holds from event k on; event
-    0 holds the pair given at construction. ``spread(k)`` replays, into a
-    fresh ``SpreadWindow``, the pair in effect at the first of the last
-    ``window_len`` events up to k and every later move. Every value that
-    replay leaves out has left the window, and a pair repeated over several
-    events reports as the earliest of its copies, so the result is the
-    sliding window's, bit for bit. Moves before that first event are
-    dropped once they outnumber twice the window.
-    """
-
-    def __init__(self, window_len: int, lo: float, hi: float):
-        if window_len < 1:
-            raise ValueError(f"window length must be positive, got {window_len}")
-        self.window_len = window_len
-        self._moves = [(0, lo, hi)]
-
-    def _first(self, k: int) -> int:
-        """Index of the move in effect at the first event of k's window."""
-        start = k - self.window_len + 1
-        return max(0, bisect_right(self._moves, start, key=itemgetter(0)) - 1)
-
-    def move(self, k: int, lo: float, hi: float) -> None:
-        moves = self._moves
-        moves.append((k, lo, hi))
-        if len(moves) > 2 * self.window_len:
-            del moves[: self._first(k)]
-
-    def spread(self, k: int) -> float:
-        """The windowed spread after event k, the latest recorded."""
-        window = SpreadWindow(self.window_len)
-        for _, lo, hi in self._moves[self._first(k) :]:
-            spread = window.push(lo, hi)[2]
-        return spread
 
 
 @dataclass
@@ -205,35 +176,34 @@ class RunMetrics:
     """Per-event observer: maintains spreads, windows, convergence state,
     detections, and the safety checks.
 
-    ``delta`` and ``delta_windowed`` hold the containing arc and the
-    windowed frequency spread of the normal nodes after the latest event.
-    ``mode`` controls what a failed check does: "off" skips it, "warn"
-    records it in ``violations``, "strict" raises InvariantViolation.
-    Safety checks express guarantees that only hold on conforming runs
-    (stealthy scripts, admissible initial conditions), which is why the
-    default everywhere outside the test suite is "warn".
+    ``observe`` is the only call the event loop makes into it, once after
+    every event. ``delta`` and ``delta_windowed`` are the containing arc
+    and the windowed frequency spread of the normal nodes after the latest
+    observed event. Both are computed on read, from the phases stored by
+    that ``observe`` and from the frequency window, so they stay the values
+    after the last observed event even when a protocol fault ends the run
+    inside a handler that has already moved the world. ``mode`` controls
+    what a failed check does: "off" skips it, "warn" records it in
+    ``violations``, "strict" raises InvariantViolation. Safety checks
+    express guarantees that only hold on conforming runs (stealthy scripts,
+    admissible initial conditions), which is why the default everywhere
+    outside the test suite is "warn".
 
-    With the monitor on or a trace collected, ``observe`` computes every
-    quantity from the world on every event: the frequency extrema and their
-    sliding window, the arc, the virtual-node radius spread V, and a scan
-    of every normal node for new detections. With the monitor off and no
-    trace, nothing reads V, the window or the arc of most events, so
-    ``observe`` computes only what the run reports. It keeps its own list
-    of the normal frequencies and moves the extrema only after update
-    events, the only ones that write a frequency, and only from the
-    updated node: the new value either passes an
-    extremum, leaves both where they were, or (a tie, or the node that held
-    an extremum moving inward) sends that extremum to a ``min``/``max``
-    rescan, so the extrema are always the floats a full scan would give.
-    It records the extrema in an ``ExtremaHistory`` only at the update
-    events that move them, and leaves the virtual node alone, since only
-    the monitor and the trace read it. It scans for detections only after
-    an event whose handler reported one, and it computes the arc only when
-    the frequencies have converged. ``delta`` and ``delta_windowed`` are
-    computed on read, from the phases stored by the latest ``observe`` and
-    from the extrema recorded up to it, so they stay the values after the
-    last observed event even when a protocol fault ends the run inside a
-    handler that has already moved the world.
+    One ``SpreadWindow`` holds the frequency extrema in every mode. With
+    the monitor on or a trace collected, ``observe`` rescans the normal
+    frequencies and pushes their extrema on every event. It also advances
+    the virtual node by the time since the last observed event, sets its
+    rate to the windowed floor, and pushes its radii into a second window
+    for the radius spread V. With the monitor off and no trace, nothing
+    reads V, so ``observe`` keeps its own list of the normal frequencies
+    and moves the extrema only after update events, the only ones that
+    write a frequency, and only from the updated node: the new value either
+    passes an extremum, leaves both where they were, or (a tie, or the node
+    that held an extremum moving inward) sends that extremum to a
+    ``min``/``max`` rescan, so the extrema are always the floats a full
+    scan would give. It pushes them only at the events that move them. In
+    every mode the arc is computed only when something reads it, and
+    detections are scanned only after an event whose handler reported one.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -278,23 +248,17 @@ class RunMetrics:
 
         self._lo, self._hi = self.hull
         self._k = 0
+        self._clock = world.clock
         phases = self._phases = world.normal_phases()
         self._delta: float | None = None
+        self.freq_window = SpreadWindow(self.window_len)
+        self.freq_window.push(0, *self.hull)
         if self._tracks_radii:
-            self.freq_window = SpreadWindow(self.window_len)
+            self._prev_floor, self._prev_ceiling = self.hull
             self.radius_window = SpreadWindow(self.window_len)
-            self._prev_floor, self._prev_ceiling, self._spread_w = self.freq_window.push(*self.hull)
-            _, v0 = self._push_radii(phases)
-        else:
-            self._extrema = ExtremaHistory(self.window_len, *self.hull)
+            _, v0 = self._push_radii(0, phases)
         if self.rows is not None:
             self._append_row(world, 0, "init", -1, v0)
-
-    # -- engine hooks --------------------------------------------------------
-
-    def advance(self, dt: float) -> None:
-        if self._tracks_radii:
-            self.virtual.advance(dt)
 
     @property
     def delta(self) -> float:
@@ -307,20 +271,28 @@ class RunMetrics:
     @property
     def delta_windowed(self) -> float:
         """Windowed frequency spread of the normal nodes after the latest event."""
-        if self._tracks_radii:
-            return self._spread_w
-        return self._extrema.spread(self._k)
+        return self.freq_window.at(self._k)[2]
 
     def observe(self, world: WorldState, event: Event, newly_detected: bool = True) -> None:
         """Record the world after ``event``. ``newly_detected`` is what the
         event's handler returned; a caller that cannot tell passes True."""
         k = self._k = world.event_count
         phases = self._phases = world.normal_phases()
-        tracked = self._tracks_radii
-        if tracked:
+        self._delta = None
+        if self._tracks_radii:
             omegas = world.normal_omegas()
-            self._lo = min(omegas)
-            self._hi = max(omegas)
+            lo = self._lo = min(omegas)
+            hi = self._hi = max(omegas)
+            self.freq_window.push(k, lo, hi)
+            floor, ceiling, spread_w = self.freq_window.at(k)
+            # The handlers never move the clock or the virtual node, so this
+            # is the step the event loop advanced the phases by.
+            dt = world.clock - self._clock
+            self._clock = world.clock
+            if dt > 0.0:
+                self.virtual.advance(dt)
+            self.virtual.omega = floor
+            radius_max, v = self._push_radii(k, phases)
         elif event.kind is EventKind.UPDATE:
             # An update writes only its actor's frequency. Equal nonzero
             # floats are one float, so a held frequency moves nothing. A value
@@ -343,18 +315,10 @@ class RunMetrics:
                     self._hi = new
                 elif not (new < hi and old < hi):
                     self._hi = max(omegas)
-                self._extrema.move(k, self._lo, self._hi)
-        lo, hi = self._lo, self._hi
-        if tracked:
-            floor, ceiling, spread_w = self.freq_window.push(lo, hi)
-            self.virtual.omega = floor
-            self._spread_w = spread_w
-            radius_max, v = self._push_radii(phases)
-            delta = self._delta = containing_arc(phases).length
-        else:
-            self._delta = None
+                self.freq_window.push(k, self._lo, self._hi)
 
         if self.mode != "off":
+            delta = self.delta
             self._check(f"frequency left the initial hull at event {k}",
                         lo >= self.hull[0] - 1e-9 and hi <= self.hull[1] + 1e-9)
             self._check(f"containing arc reached {delta:.6f} >= 0.5 at event {k}",
@@ -392,7 +356,7 @@ class RunMetrics:
             self._prev_floor = floor
             self._prev_ceiling = ceiling
 
-        if tracked or newly_detected:
+        if newly_detected:
             mask = self._detected_mask
             oscillators = world.oscillators
             for i in world.normal_ids:
@@ -401,7 +365,7 @@ class RunMetrics:
                     self.detection_events.append((k, event.time, i))
             self._detected_mask = mask
 
-        if hi - lo <= self.tol_freq and self.delta <= self.tol_phase:
+        if self._hi - self._lo <= self.tol_freq and self.delta <= self.tol_phase:
             self._streak += 1
             if self._streak >= self.window_len:
                 self.converged = True
@@ -423,13 +387,14 @@ class RunMetrics:
         else:
             self._suppressed += 1
 
-    def _push_radii(self, phases: list[float]) -> tuple[float, float]:
-        """Push the normal nodes' clockwise distances from the virtual node;
-        return (largest distance, windowed radius spread V)."""
+    def _push_radii(self, k: int, phases: list[float]) -> tuple[float, float]:
+        """Push the normal nodes' clockwise distances from the virtual node
+        at event k; return (largest distance, windowed radius spread V)."""
         radii = [clockwise_dist(p, self.virtual.phase) for p in phases]
         radius_max = max(radii)
-        _, _, v = self.radius_window.push(min(radii), radius_max)
-        return radius_max, v
+        window = self.radius_window
+        window.push(k, min(radii), radius_max)
+        return radius_max, window.at(k)[2]
 
     def _append_row(self, world: WorldState, k: int, kind: str, node: int, v: float) -> None:
         self.rows.append(TraceRecord(

@@ -199,8 +199,8 @@ class ScenarioConfig:
                     if horizon_ok:
                         script.emission_times.check(self.horizon)
                         script.start_emission_times.check(self.horizon)
-                except ValueError as exc:
-                    problems.append(f"attacker {spec.node}: {exc}")
+                except _BAD_VALUE as exc:
+                    problems.append(f"attacker {spec.node}: {_describe(exc)}")
                 else:
                     scripts.append(script)
             seen.add(spec.node)
@@ -385,6 +385,17 @@ def _to_json(value: Any) -> Any:
     return value
 
 
+# What parsing or building a scenario value raises when the value is bad.
+_BAD_VALUE = (AttributeError, KeyError, OSError, OverflowError, TypeError, ValueError)
+
+
+def _describe(exc: Exception) -> str:
+    """One line naming what was wrong with a value."""
+    if isinstance(exc, KeyError):
+        return f"missing key {exc.args[0]!r}"
+    return str(exc)
+
+
 @contextmanager
 def _parsing(where: str):
     """Re-raise any parse or build error in the block as a one-line
@@ -393,10 +404,8 @@ def _parsing(where: str):
         yield
     except ScenarioValidationError:
         raise
-    except KeyError as exc:
-        raise ScenarioValidationError([f"{where}: missing key {exc.args[0]!r}"]) from None
-    except (AttributeError, OSError, OverflowError, TypeError, ValueError) as exc:
-        raise ScenarioValidationError([f"{where}: {exc}"]) from None
+    except _BAD_VALUE as exc:
+        raise ScenarioValidationError([f"{where}: {_describe(exc)}"]) from None
 
 
 def _exactly(types: tuple[type, ...], expected: str, cast=lambda spec: spec):

@@ -11,6 +11,9 @@ which its faster replacements must match bit for bit.
 
 import itertools
 import operator
+from bisect import bisect_right
+from collections import deque
+from operator import itemgetter
 
 from pcosync import AbsoluteProtocol, RelativeProtocol, make_weights, msr_trim, pulse_pair_ratio
 
@@ -198,6 +201,96 @@ class RescanSpreadWindow:
         m = min(self._lo)
         big = max(self._hi)
         return m, big, big - m
+
+
+# -- previous frequency windows ----------------------------------------------
+#
+# ``metrics.SpreadWindow`` as it was in two forms before one window served
+# every monitor mode: a window that counted its own events and took one
+# (lo, hi) pair per event, and a history that recorded only the events
+# where the pair moved and replayed them into a fresh window on read. Both
+# are kept verbatim apart from the window's name; the package window must
+# match each of them, bit for bit.
+
+class EventSpreadWindow:
+    """Sliding extrema over the last ``window_len`` per-event (lo, hi) pairs.
+
+    Each extremum is kept in a monotonic deque of (event index, value)
+    pairs, so a push costs O(1) amortized. A value is dropped only when a
+    later one beats it strictly, so among equal values the window reports
+    the earliest, as ``min``/``max`` over the window would.
+    """
+
+    def __init__(self, window_len: int):
+        if window_len < 1:
+            raise ValueError(f"window length must be positive, got {window_len}")
+        self.window_len = window_len
+        self._count = 0
+        self._lows: deque[tuple[int, float]] = deque()
+        self._highs: deque[tuple[int, float]] = deque()
+
+    def push(self, lo: float, hi: float) -> tuple[float, float, float]:
+        """Append one event's extrema; return (windowed min, windowed max,
+        their difference)."""
+        k = self._count
+        self._count = k + 1
+        expired = k - self.window_len
+        lows = self._lows
+        while lows and lows[-1][1] > lo:
+            lows.pop()
+        lows.append((k, lo))
+        if lows[0][0] == expired:
+            lows.popleft()
+        highs = self._highs
+        while highs and highs[-1][1] < hi:
+            highs.pop()
+        highs.append((k, hi))
+        if highs[0][0] == expired:
+            highs.popleft()
+        m = lows[0][1]
+        big = highs[0][1]
+        return m, big, big - m
+
+
+class ExtremaHistory:
+    """The per-event (lo, hi) pairs of a run, kept only where they change,
+    with the spread an ``EventSpreadWindow`` of the same length reports computed
+    on read.
+
+    ``move(k, lo, hi)`` records the pair that holds from event k on; event
+    0 holds the pair given at construction. ``spread(k)`` replays, into a
+    fresh ``EventSpreadWindow``, the pair in effect at the first of the last
+    ``window_len`` events up to k and every later move. Every value that
+    replay leaves out has left the window, and a pair repeated over several
+    events reports as the earliest of its copies, so the result is the
+    sliding window's, bit for bit. Moves before that first event are
+    dropped once they outnumber twice the window.
+    """
+
+    def __init__(self, window_len: int, lo: float, hi: float):
+        if window_len < 1:
+            raise ValueError(f"window length must be positive, got {window_len}")
+        self.window_len = window_len
+        self._moves = [(0, lo, hi)]
+
+    def _first(self, k: int) -> int:
+        """Index of the move in effect at the first event of k's window."""
+        start = k - self.window_len + 1
+        return max(0, bisect_right(self._moves, start, key=itemgetter(0)) - 1)
+
+    def move(self, k: int, lo: float, hi: float) -> None:
+        moves = self._moves
+        moves.append((k, lo, hi))
+        if len(moves) > 2 * self.window_len:
+            del moves[: self._first(k)]
+
+    def spread(self, k: int) -> float:
+        """The windowed spread after event k, the latest recorded."""
+        window = EventSpreadWindow(self.window_len)
+        for _, lo, hi in self._moves[self._first(k) :]:
+            spread = window.push(lo, hi)[2]
+        return spread
+
 
 
 # -- previous pulse fan-out --------------------------------------------------

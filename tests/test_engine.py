@@ -1,6 +1,7 @@
 """Event engine: time advance, event ordering, the main loop's guards."""
 
 import dataclasses
+import functools
 from types import SimpleNamespace
 from unittest import mock
 
@@ -195,15 +196,10 @@ def test_simulate_enforces_the_liveness_budget():
         tol_phase=0.0,
         tol_freq=0.0,
     )
-    with pytest.raises(InvariantViolation, match="budget"):
-        simulate(
-            world,
-            protocol,
-            scripts,
-            horizon=config.horizon,
-            metrics=metrics,
-            zeno_safety=0.001,
-        )
+    tiny_budget = functools.partial(event_budget, safety=0.001)
+    with mock.patch.object(pcosync.engine, "event_budget", tiny_budget), \
+            pytest.raises(InvariantViolation, match="budget"):
+        simulate(world, protocol, scripts, horizon=config.horizon, metrics=metrics)
 
 
 def test_repeated_runs_are_identical():

@@ -23,9 +23,9 @@ from pcosync import (
     load_scenario,
     run_scenario,
 )
-from pcosync.metrics import ExtremaHistory, format_trace_row, trace_header, write_trace
+from pcosync.metrics import format_trace_row, trace_header, write_trace
 
-from oracles import RescanSpreadWindow
+from oracles import EventSpreadWindow, ExtremaHistory, RescanSpreadWindow
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -120,14 +120,29 @@ def test_initial_bound_rejects_unknown_variant():
 
 def test_spread_window_tracks_sliding_extrema():
     win = SpreadWindow(2)
-    assert win.push(1.0, 2.0) == (1.0, 2.0, 1.0)
-    assert win.push(0.5, 1.5) == (0.5, 2.0, 1.5)
-    lo, hi, diff = win.push(1.2, 1.3)
+    win.push(0, 1.0, 2.0)
+    assert win.at(0) == (1.0, 2.0, 1.0)
+    win.push(1, 0.5, 1.5)
+    assert win.at(1) == (0.5, 2.0, 1.5)
+    win.push(2, 1.2, 1.3)
+    lo, hi, diff = win.at(2)
     assert (lo, hi) == (0.5, 1.5)
     assert diff == pytest.approx(1.0)
-    assert win.push(1.2, 1.2) == (1.2, 1.3, pytest.approx(0.1))
+    win.push(3, 1.2, 1.2)
+    assert win.at(3) == (1.2, 1.3, pytest.approx(0.1))
     with pytest.raises(ValueError):
         SpreadWindow(0)
+
+
+def test_sparse_pushes_expire_when_their_pair_stops_holding():
+    # 1.0 holds for events 0-4 and 3.0 for 5-19, so at event 20 a window
+    # of 11 (events 10-20) holds 3.0 and 2.0 only: 1.0 ended at event 5,
+    # although the next entry left in the min deque starts at event 20.
+    win = SpreadWindow(11)
+    win.push(0, 1.0, 1.0)
+    win.push(5, 3.0, 3.0)
+    win.push(20, 2.0, 2.0)
+    assert win.at(20) == (2.0, 3.0, 1.0)
 
 
 # Few distinct values, signed zeros among them, so equal extrema keep
@@ -148,34 +163,46 @@ def test_spread_window_matches_the_rescan(window_len, pushes):
             SpreadWindow(window_len)
         return
     window, reference = SpreadWindow(window_len), RescanSpreadWindow(window_len)
-    for lo, hi in pushes:
-        assert repr(window.push(lo, hi)) == repr(reference.push(lo, hi))
+    for k, (lo, hi) in enumerate(pushes):
+        window.push(k, lo, hi)
+        assert repr(window.at(k)) == repr(reference.push(lo, hi))
+
+
+_EXTREMA_OR_NAN = _EXTREMA | st.just(math.nan)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     window_len=st.integers(1, 9),
-    pushes=st.lists(st.tuples(_EXTREMA | st.just(math.nan), _EXTREMA), max_size=40),
+    pushes=st.lists(st.tuples(_EXTREMA_OR_NAN, _EXTREMA_OR_NAN), max_size=40),
     repeats=st.lists(st.booleans(), max_size=40),
 )
-def test_extrema_history_reads_the_sliding_window(window_len, pushes, repeats):
-    # The pair of every event goes to the sliding window; the history gets
-    # only the pairs that change, plus some that repeat, and is read after
-    # every event, as a run with the monitor off reads it after the last.
-    window = SpreadWindow(window_len)
+def test_spread_window_matches_its_former_forms(window_len, pushes, repeats):
+    # The former every-event window reads each event's pair; the former
+    # history gets only the pairs that change, plus some that repeat. The
+    # window is pushed at every event in one copy and like the history in
+    # the other, and both copies are read after every event, as a traced
+    # run reads it after each event and a run with the monitor off after
+    # the last.
     first = (0.5, 1.0)
-    spread = window.push(*first)[2]
-    history = ExtremaHistory(window_len, *first)
-    assert repr(history.spread(0)) == repr(spread)
+    dense, sparse = SpreadWindow(window_len), SpreadWindow(window_len)
+    former, history = EventSpreadWindow(window_len), ExtremaHistory(window_len, *first)
+    dense.push(0, *first)
+    sparse.push(0, *first)
+    expected = former.push(*first)
+    assert repr(dense.at(0)) == repr(sparse.at(0)) == repr(expected)
+    assert repr(history.spread(0)) == repr(expected[2])
     previous = repr(first)
     for k, (pair, repeat) in enumerate(zip(pushes, repeats + [False] * len(pushes)), start=1):
-        spread = window.push(*pair)[2]
+        expected = former.push(*pair)
+        dense.push(k, *pair)
         if repr(pair) != previous or repeat:
             history.move(k, *pair)
+            sparse.push(k, *pair)
         previous = repr(pair)
-        assert repr(history.spread(k)) == repr(spread), k
-    with pytest.raises(ValueError):
-        ExtremaHistory(0, 1.0, 1.0)
+        assert repr(dense.at(k)) == repr(expected), k
+        assert repr(sparse.at(k)) == repr(expected), k
+        assert repr(history.spread(k)) == repr(expected[2]), k
 
 
 def test_virtual_node_advances_modulo_one():
@@ -239,9 +266,7 @@ def observe(world, metrics, phases=None, omegas=None, advance=0.0):
     if omegas is not None:
         for osc, w in zip(world.oscillators, omegas):
             osc.omega = w
-    if advance:
-        metrics.advance(advance)
-        world.clock += advance
+    world.clock += advance
     world.event_count += 1
     return metrics.observe(world, Event(time=world.clock, kind=EventKind.FIRE, node=0))
 

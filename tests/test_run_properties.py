@@ -139,6 +139,26 @@ def test_untracked_frequency_extrema_follow_every_update(config):
     assert _summary(plain) == _summary(traced)
 
 
+@settings(max_examples=100, deadline=None)
+@given(config=_robust_scenarios() | _attacked_scenarios(), eager=st.booleans())
+def test_only_an_event_whose_handler_reports_a_detection_detects(config, eager):
+    # observe scans for new detections only after a handler reported one; a
+    # full scan after every other event must find no newly detected node.
+    config = dataclasses.replace(config, eager_detection=eager)
+    observe = RunMetrics.observe
+    seen = set()
+
+    def checking_observe(self, world, event, newly_detected=True):
+        detected = {i for i in world.normal_ids if world.oscillators[i].detected}
+        assert newly_detected or detected <= seen, (world.event_count, event)
+        seen.update(detected)
+        observe(self, world, event, newly_detected)
+
+    with mock.patch.object(RunMetrics, "observe", checking_observe):
+        result = run_scenario(config, validate=False)
+    assert {node for _, _, node in result.detections} == seen
+
+
 def _summary(result):
     m = result.metrics
     return (result.outcome, result.world.event_count, m.detection_events,

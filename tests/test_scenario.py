@@ -827,6 +827,35 @@ def test_the_gate_refuses_non_finite_pulse_times_from_python(time, start_pulses)
     ]
 
 
+# Options a Python caller can pass that break inside the script factory
+# rather than in its own checks; the JSON tier refuses each before the gate.
+MALFORMED_PYTHON_ATTACKERS = {
+    "flooding_without_burst_count": (("flooding", {}), "missing key 'burst_count'"),
+    "stealthy_scalar_offsets": (("stealthy", {"offsets": 5}), "'int' object is not iterable"),
+    "custom_bare_pulse_time": (
+        ("custom", {"pulses": [1.0]}), "cannot unpack non-iterable float object"
+    ),
+    "stealthy_null_claim": (
+        ("stealthy", {"claim": None}), "'NoneType' object has no attribute 'startswith'"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PYTHON_ATTACKERS))
+def test_the_gate_reports_malformed_attacker_options_from_python(case):
+    (kind, options), message = MALFORMED_PYTHON_ATTACKERS[case]
+    config = dataclasses.replace(
+        scenario_from_dict(_PAIR), attackers=[AttackerSpec(4, kind, options)]
+    )
+    expected = [f"attacker 4: {message}"]
+    with pytest.raises(UnrunnableScenarioError) as caught:
+        config.build()
+    assert caught.value.violations == expected
+    assert config.validate() == (expected, [])
+    with pytest.raises(UnrunnableScenarioError):
+        run_scenario(config, force=True)
+
+
 # The NaN or infinite initial value is the one named: normalizing first
 # would spread it to every node.
 NON_FINITE_INITIALS = {
