@@ -248,12 +248,12 @@ class RunMetrics:
 
         self._lo, self._hi = self.hull
         self._k = 0
-        self._clock = world.clock
         phases = self._phases = world.normal_phases()
         self._delta: float | None = None
         self.freq_window = SpreadWindow(self.window_len)
         self.freq_window.push(0, *self.hull)
         if self._tracks_radii:
+            self._clock = world.clock
             self._prev_floor, self._prev_ceiling = self.hull
             self.radius_window = SpreadWindow(self.window_len)
             _, v0 = self._push_radii(0, phases)
