@@ -9,6 +9,7 @@ clean monitor when the corpus was frozen, and they must keep doing so.
 
 import dataclasses
 import functools
+import hashlib
 import time
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from pcosync import (
     sweep_frontier,
     write_frontier,
 )
+from pcosync.sweep import format_frontier
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -268,3 +270,14 @@ def test_08_runs_are_deterministic(tmp_path):
         write_frontier(csv_serial, serial)
         write_frontier(csv_parallel, parallel)
         assert csv_serial.read_bytes() == csv_parallel.read_bytes()
+
+
+# SHA-256 of the shipped 5-point seed-0 frontier CSV. It may only change
+# together with a CHANGES.md entry naming the intended change in output.
+SHIPPED_FRONTIER_DIGEST = "0f18385be0fc0ef7260e87f30e1603a7506b0ff0b4eef0963348c03a0b27e942"
+
+
+def test_09_shipped_frontier_is_frozen():
+    with _Gate("frozen frontier", 120.0):
+        csv = format_frontier(frontier(1))
+        assert hashlib.sha256(csv.encode()).hexdigest() == SHIPPED_FRONTIER_DIGEST

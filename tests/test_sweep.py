@@ -1,7 +1,8 @@
-"""Frontier sweep dispatch: the worker cap, chunked trials, and serial/parallel
-byte-identity."""
+"""Frontier sweep dispatch: the worker cap, chunked trials, serial/parallel
+byte-identity, and the frozen frontier bytes."""
 
 import dataclasses
+import hashlib
 import io
 import os
 import pickle
@@ -10,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from pcosync import ScenarioConfig, SweepSpec, load_scenario, sweep_frontier, write_frontier
+from pcosync import (
+    RandomInterval,
+    ScenarioConfig,
+    SweepSpec,
+    load_scenario,
+    sweep_frontier,
+    write_frontier,
+)
 from pcosync import sweep
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -170,3 +178,46 @@ def test_each_point_counts_the_trials_its_evaluations_ran(cpus, monkeypatch):
     assert sum(point.trials for point in serial) == len(calls)
     assert all(point.trials and point.trials % spec.trials == 0 for point in serial)
     assert sweep_frontier(spec, parallelism=2) == serial
+
+
+# SHA-256 of the frontier CSV of three small sweeps. A digest may only change
+# together with a CHANGES.md entry naming the intended change in output.
+FRONTIER_DIGESTS = {
+    "absolute": "d574c1c72533f78ae867aa9e8f6d5c0be4ee61c6d3723c89ef639d8a650398dd",
+    "relative": "d574c1c72533f78ae867aa9e8f6d5c0be4ee61c6d3723c89ef639d8a650398dd",
+    "synchronized-only": "318bc7b61837cc525e62eff2da72b0344d8c3b0d20ec93b6491418f5b99089c8",
+}
+
+
+def pinned_spec(case: str) -> SweepSpec:
+    if case == "relative":
+        return small_spec(base=dataclasses.replace(small_spec().base, algorithm="relative"))
+    return small_spec(synchronized_only=case == "synchronized-only")
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("case", sorted(FRONTIER_DIGESTS))
+def test_frontier_csv_is_frozen(cpus, case, parallelism):
+    cpus(2)
+    points = sweep_frontier(pinned_spec(case), parallelism=parallelism)
+    digest = hashlib.sha256(sweep.format_frontier(points).encode()).hexdigest()
+    assert digest == FRONTIER_DIGESTS[case]
+
+
+def test_the_base_initial_conditions_and_monitor_are_ignored():
+    shipped = small_spec()
+    n = shipped.base.graph.node_count
+    expected = sweep_frontier(shipped)
+    bases = [
+        dataclasses.replace(
+            shipped.base, phases=RandomInterval(0.0, 0.9), frequencies=[1.0] * (n - 1),
+            normalize_phases=True, normalize_frequencies=True, monitor="warn",
+        ),
+        dataclasses.replace(
+            shipped.base, phases=[0.0, 0.1], frequencies=RandomInterval(1.0, 3.0, seed=-1),
+            normalize_phases=True, normalize_frequencies=False, monitor="loud",
+        ),
+    ]
+    for base in bases:
+        assert sweep_frontier(dataclasses.replace(shipped, base=base)) == expected
+
