@@ -1,4 +1,6 @@
-"""Single-scenario execution: validate, build, simulate, collect results."""
+"""Single-scenario execution: validate, build, simulate, collect results.
+
+``run_built`` is the part after the build, which a sweep trial shares."""
 
 from __future__ import annotations
 
@@ -40,14 +42,14 @@ def run_scenario(
 ) -> RunResult:
     """Execute one scenario end to end.
 
-    Validation violations abort unless ``force`` is set; sweeps that
+    Validation violations abort unless ``force`` is set; callers that
     generate admissible configs by construction pass ``validate=False`` to
-    skip the exhaustive robustness recheck on every trial. Either way,
+    skip the exhaustive robustness recheck on every run. Either way,
     ``config.build()`` runs first and raises UnrunnableScenarioError on
     values no run can use, which callers can tell from the guarantee
-    violations that ``force`` skips. A protocol fault is reported as the "fault" outcome rather
-    than propagated, so batch callers can count it alongside the other
-    outcomes.
+    violations that ``force`` skips. A protocol fault is reported as the
+    "fault" outcome rather than propagated, so batch callers can count it
+    alongside the other outcomes.
     """
     built = config.build()
     world, protocol, scripts = built
@@ -60,29 +62,9 @@ def run_scenario(
 
     if collect_ratios and isinstance(protocol, RelativeProtocol):
         protocol.ratio_log = []
-    metrics = RunMetrics(
-        world,
-        alpha=config.effective_alpha(),
-        window_len=config.window_len,
-        mode=config.monitor,
-        tol_phase=config.tol_phase,
-        tol_freq=config.tol_freq,
-        collect_trace=collect_trace or trace_path is not None,
+    outcome, metrics, fault_message = run_built(
+        config, world, protocol, scripts, collect_trace=collect_trace or trace_path is not None
     )
-
-    fault_message = ""
-    try:
-        outcome = simulate(
-            world,
-            protocol,
-            scripts,
-            horizon=config.horizon,
-            metrics=metrics,
-            halt_on_detection=config.halt_on_detection,
-        )
-    except ProtocolFault as exc:
-        outcome = "fault"
-        fault_message = str(exc)
 
     if trace_path is not None and metrics.rows is not None:
         write_trace(trace_path, world.graph.node_count, metrics.rows)
@@ -97,3 +79,33 @@ def run_scenario(
         fault_message=fault_message,
         ratio_log=getattr(protocol, "ratio_log", None),
     )
+
+
+def run_built(
+    config: ScenarioConfig, world: WorldState, protocol, scripts, *, collect_trace: bool = False
+) -> tuple[str, RunMetrics, str]:
+    """Run a built world to its end under ``config``'s horizon, monitor and
+    tolerances: make its metrics, run the event loop, and report a protocol
+    fault as the "fault" outcome. Returns (outcome, metrics, fault message,
+    empty unless the outcome is "fault")."""
+    metrics = RunMetrics(
+        world,
+        alpha=config.effective_alpha(),
+        window_len=config.window_len,
+        mode=config.monitor,
+        tol_phase=config.tol_phase,
+        tol_freq=config.tol_freq,
+        collect_trace=collect_trace,
+    )
+    try:
+        outcome = simulate(
+            world,
+            protocol,
+            scripts,
+            horizon=config.horizon,
+            metrics=metrics,
+            halt_on_detection=config.halt_on_detection,
+        )
+    except ProtocolFault as exc:
+        return "fault", metrics, str(exc)
+    return outcome, metrics, ""

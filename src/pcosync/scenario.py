@@ -2,7 +2,9 @@
 
 A scenario pins everything a run needs: topology, protocol variant and its
 parameters, initial conditions (explicit or drawn), and attacker scripts.
-``build``, which every run calls, refuses every value no run can use.
+``build``, which every run calls, refuses every value no run can use;
+``prepare`` is its first half, the gate plus what no run changes, which a
+sweep calls once for all its trials.
 ``validate`` also reports the paper's guarantee conditions (locality at
 most f, (2f+1)-robustness, an initial arc under half a circle, phases in
 [0, 1), slowest normal frequency exactly 1), which a forced run skips to
@@ -92,6 +94,46 @@ class AttackerSpec:
 def _take(opts: dict[str, Any], *names: str) -> dict[str, Any]:
     """Remove and return the named options that ``opts`` holds."""
     return {name: opts.pop(name) for name in names if name in opts}
+
+
+def initial_value_problems(phases, freqs, normal, floor: float) -> list[str]:
+    """One line for each normal node whose initial phase is not finite and
+    for each whose initial frequency is not finite or not above ``floor``."""
+    problems = []
+    for i in normal:
+        if not math.isfinite(phases[i]):
+            problems.append(f"node {i} initial phase must be finite, got {phases[i]}")
+        if not (math.isfinite(freqs[i]) and freqs[i] > floor):
+            problems.append(
+                f"node {i} initial frequency must be finite and positive, got {freqs[i]}"
+            )
+    return problems
+
+
+class PreparedScenario:
+    """What a scenario that passed the gate keeps for every run: the graph,
+    the normal node ids (ascending) and sets, the protocol and the attack
+    scripts. No run changes them; ``world`` makes the state a run does
+    change."""
+
+    __slots__ = ("graph", "normal_ids", "normal", "faulty", "protocol", "scripts")
+
+    def __init__(self, graph: DirectedGraph, normal_ids: tuple[int, ...], protocol, scripts):
+        self.graph = graph
+        self.normal_ids = normal_ids
+        self.normal = frozenset(normal_ids)
+        self.faulty = frozenset(script.node for script in scripts)
+        self.protocol = protocol
+        self.scripts = scripts
+
+    def world(self, phases, freqs) -> WorldState:
+        """A fresh world at these initial phases and frequencies."""
+        return WorldState(
+            graph=self.graph,
+            oscillators=[OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)],
+            normal=self.normal,
+            faulty=self.faulty,
+        )
 
 
 @dataclass
@@ -227,49 +269,40 @@ class ScenarioConfig:
             elif len(spec) != n:
                 problems.append(f"{key} list has length {len(spec)}, graph has {n} nodes")
 
-        def check_initials(phases, freqs, floor):
-            for i in normal:
-                if not math.isfinite(phases[i]):
-                    problems.append(f"node {i} initial phase must be finite, got {phases[i]}")
-                if not (math.isfinite(freqs[i]) and freqs[i] > floor):
-                    problems.append(
-                        f"node {i} initial frequency must be finite and positive, got {freqs[i]}"
-                    )
-
         if not problems:
             # The raw values first: normalizing would spread a NaN or an
             # infinity to every node. Only a normalized frequency must be
             # positive.
             phases = self._resolve(self.phases, n, stream=0)
             freqs = self._resolve(self.frequencies, n, stream=1)
-            check_initials(phases, freqs, -math.inf)
+            problems = initial_value_problems(phases, freqs, normal, -math.inf)
         if not problems:
             phases, freqs = self._normalized(phases, freqs, normal)
-            check_initials(phases, freqs, 0.0)
+            problems = initial_value_problems(phases, freqs, normal, 0.0)
         if problems:
             raise UnrunnableScenarioError(problems)
         return phases, freqs, scripts, normal
 
-    def build(self):
-        """Instantiate (world, protocol, scripts) ready for the event loop;
-        raise UnrunnableScenarioError listing every value no run can use."""
+    def prepare(self) -> tuple[PreparedScenario, list[float], list[float]]:
+        """Pass the gate and build what no run changes; return it with the
+        resolved initial phases and frequencies. Raises
+        UnrunnableScenarioError listing every value no run can use."""
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 
         phases, freqs, scripts, normal = self._runnable()
-        oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
-        world = WorldState(
-            graph=self.graph,
-            oscillators=oscillators,
-            normal=frozenset(normal),
-            faulty=frozenset(script.node for script in scripts),
-        )
         params = MsrParams(
             f=self.f, weight_policy=self.weights, eager_detection=self.eager_detection
         )
         protocol = (AbsoluteProtocol(params) if self.algorithm == "absolute"
                     else RelativeProtocol(params, zeta=self.zeta))
-        return world, protocol, scripts
+        return PreparedScenario(self.graph, normal, protocol, scripts), phases, freqs
+
+    def build(self):
+        """Instantiate (world, protocol, scripts) ready for the event loop;
+        raise UnrunnableScenarioError listing every value no run can use."""
+        prepared, phases, freqs = self.prepare()
+        return prepared.world(phases, freqs), prepared.protocol, prepared.scripts
 
     # -- validation --------------------------------------------------------
 

@@ -8,8 +8,15 @@ underlying draws (common random numbers); this keeps the per-trial response
 nearly monotone in the spread and makes serial and parallel execution
 byte-identical.
 
-A parallel sweep sends the base scenario to each worker once, when the pool
-starts, and then sends each evaluation's trial indices in a few chunks.
+Each process checks and builds the base scenario once: the gate runs in
+the calling process before any trial or worker starts, so a base no run can
+use raises UnrunnableScenarioError there. A trial then makes only fresh
+oscillator states, a world and its metrics. Each process also keeps every
+trial's draws while the sweep stays at one grid point: a trial's phases do
+not depend on the spread, and its frequencies are rebuilt from the kept
+unit draws with numpy's own ``uniform`` formula. A parallel sweep sends the
+base scenario to each worker once, when the pool starts, and then sends
+each evaluation's trial indices in a few chunks.
 """
 
 from __future__ import annotations
@@ -24,15 +31,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .runner import run_scenario
-from .scenario import ScenarioConfig
+from .errors import UnrunnableScenarioError
+from .runner import run_built
+# Not called here: the benchmark's tracing module reads this name when it
+# is imported.
+from .runner import run_scenario  # noqa: F401
+from .scenario import ScenarioConfig, initial_value_problems
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Template plus grid. ``base`` supplies everything a trial does not
     override: topology, algorithm, trim parameter, attackers, horizon,
-    tolerances. Initial conditions in ``base`` are ignored."""
+    tolerances. Its initial conditions, their normalization flags and its
+    monitor mode are ignored: every trial draws its own initial values,
+    runs them as drawn, and runs with the monitor off."""
 
     base: ScenarioConfig
     arc_grid: tuple[float, ...]
@@ -73,8 +86,65 @@ class FrontierPoint:
     trials: int = 0
 
 
+def unit_draws(
+    seed: int, grid_index: int, trial_index: int, n: int
+) -> tuple[list[float], list[float]]:
+    """A trial's two draws of ``n`` unit values, phases' then frequencies':
+    ``rng.random(n)`` twice from the trial's own generator."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index))
+    )
+    return rng.random(n).tolist(), rng.random(n).tolist()
+
+
+def uniform(low: float, high: float, units: list[float]) -> list[float]:
+    """What ``rng.uniform(low, high, n)`` returns when ``rng.random(n)``
+    would return ``units``: numpy computes each value as
+    ``low + (high - low) * u``."""
+    scale = high - low
+    return [low + scale * u for u in units]
+
+
+class PreparedBase:
+    """What the trials of one sweep share in one process: the base scenario
+    with a trial's overrides, checked and built once, and each trial's
+    draws at the current grid point."""
+
+    def __init__(self, base: ScenarioConfig):
+        n = base.graph.node_count
+        # Placeholder initial values of the right length: the gate checks
+        # every other field, and each trial checks its own draws.
+        self.config = dataclasses.replace(
+            base,
+            phases=[0.0] * n,
+            frequencies=[1.0] * n,
+            normalize_phases=False,
+            normalize_frequencies=False,
+            monitor="off",
+        )
+        self.prepared = self.config.prepare()[0]
+        self.n = n
+        self._point = None
+        self._draws: dict[int, tuple[list[float], list[float]]] = {}
+
+    def draws(self, grid_index: int, trial_index: int, arc0: float, seed: int):
+        """The trial's shifted phases and its frequencies' unit draws, kept
+        until a trial at another grid point asks."""
+        point = (grid_index, arc0, seed)
+        if point != self._point:
+            self._point = point
+            self._draws = {}
+        drawn = self._draws.get(trial_index)
+        if drawn is None:
+            u0, u1 = unit_draws(seed, grid_index, trial_index, self.n)
+            raw_phase = uniform(0.0, arc0, u0)
+            low = min(raw_phase)
+            drawn = self._draws[trial_index] = [p - low for p in raw_phase], u1
+        return drawn
+
+
 def run_trial(
-    base: ScenarioConfig,
+    base: PreparedBase,
     grid_index: int,
     trial_index: int,
     arc0: float,
@@ -82,45 +152,40 @@ def run_trial(
     seed: int,
     synchronized_only: bool,
 ) -> bool:
-    """One Monte Carlo trial; top level so process pools can pickle it.
+    """One Monte Carlo trial on the prepared base; the sweep calls it once
+    per trial.
 
     Phases are drawn uniformly on [0, arc0] and shifted so the slowest
     point sits exactly at 0; frequencies on [1, 1 + spread0] shifted so the
     minimum is exactly 1 (Sterbenz: both endpoints within a factor of two,
     so the subtraction is exact). Draw order is phases then frequencies,
-    which keeps the phase sample fixed across bisection evaluations."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index))
-    )
-    n = base.graph.node_count
-    raw_phase = rng.uniform(0.0, arc0, size=n)
-    phases = raw_phase - raw_phase.min()
-    raw_freq = rng.uniform(1.0, 1.0 + spread0, size=n)
-    freqs = (raw_freq - raw_freq.min()) + 1.0
-
-    config = dataclasses.replace(
-        base,
-        phases=phases.tolist(),
-        frequencies=freqs.tolist(),
-        normalize_phases=False,
-        normalize_frequencies=False,
-        monitor="off",
-        seed=trial_index,
-    )
-    result = run_scenario(config, validate=False, collect_trace=False)
-    if result.outcome == "converged":
+    which keeps the phase sample fixed across bisection evaluations. The
+    drawn values pass the gate's check of initial values, and the trial
+    runs them on a fresh world with the base's protocol and scripts."""
+    phases, units = base.draws(grid_index, trial_index, arc0, seed)
+    raw_freq = uniform(1.0, 1.0 + spread0, units)
+    low = min(raw_freq)
+    freqs = [(w - low) + 1.0 for w in raw_freq]
+    prepared = base.prepared
+    problems = initial_value_problems(phases, freqs, prepared.normal_ids, 0.0)
+    if problems:
+        raise UnrunnableScenarioError(problems)
+    outcome = run_built(
+        base.config, prepared.world(phases, freqs), prepared.protocol, prepared.scripts
+    )[0]
+    if outcome == "converged":
         return True
-    return result.outcome == "detected" and not synchronized_only
+    return outcome == "detected" and not synchronized_only
 
 
-# A pool worker's copy of the sweep's base scenario, set once per worker by
-# the pool initializer; the parent process never sets it.
-_worker_base: ScenarioConfig | None = None
+# A pool worker's prepared copy of the sweep's base scenario, set once per
+# worker by the pool initializer; the parent process never sets it.
+_worker_base: PreparedBase | None = None
 
 
 def _set_worker_base(base: ScenarioConfig) -> None:
     global _worker_base
-    _worker_base = base
+    _worker_base = PreparedBase(base)
 
 
 def _worker_trial(grid_index, trial_index, arc0, spread0, seed, synchronized_only) -> bool:
@@ -147,8 +212,12 @@ class _Evaluator:
     """Runs one (grid point, spread) evaluation across all trials and
     aggregates by trial index, so completion order never matters."""
 
-    def __init__(self, spec: SweepSpec, executor: ProcessPoolExecutor | None, workers: int):
+    def __init__(
+        self, spec: SweepSpec, base: PreparedBase, executor: ProcessPoolExecutor | None,
+        workers: int,
+    ):
         self.spec = spec
+        self.base = base
         self.executor = executor
         # About four chunks per worker: few submissions, and a slow chunk
         # leaves the other workers little to wait for.
@@ -162,7 +231,7 @@ class _Evaluator:
         self.trials += n
         if self.executor is None:
             outcomes = [
-                run_trial(spec.base, grid_index, t, arc0, spread0, spec.seed,
+                run_trial(self.base, grid_index, t, arc0, spread0, spec.seed,
                           spec.synchronized_only)
                 for t in range(n)
             ]
@@ -188,16 +257,18 @@ def sweep_frontier(
     bisect down to ``bisect_tol`` and report the largest passing spread.
     ``parallelism`` must be at least 1; ``pool_size`` gives the number of
     worker processes it starts. ``progress``, when given, is called with
-    each point as soon as it is done.
+    each point as soon as it is done. A base scenario no run can use raises
+    UnrunnableScenarioError before any trial runs or any worker starts.
     """
     workers = pool_size(parallelism, spec.trials)
+    base = PreparedBase(spec.base)
     executor = None
     if workers > 1:
         executor = ProcessPoolExecutor(
             max_workers=workers, initializer=_set_worker_base, initargs=(spec.base,)
         )
     try:
-        evaluator = _Evaluator(spec, executor, workers)
+        evaluator = _Evaluator(spec, base, executor, workers)
         points = []
         for gi, arc0 in enumerate(spec.arc_grid):
             before = evaluator.trials

@@ -518,3 +518,41 @@ def materialized_pulses(scripts, horizon):
             pending.append((t, script.node, 1))
     pending.sort()
     return len(pending), iter(pending)
+
+
+# -- previous sweep trial ------------------------------------------------------
+#
+# A sweep trial as it was before the sweep prepared its base once per
+# process: a fresh generator per evaluation, numpy's ``uniform`` draws, and
+# the full build and run of ``run_scenario`` on the drawn scenario. Kept
+# verbatim apart from the dropped, unread ``seed=trial_index``.
+
+
+def former_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synchronized_only):
+    import dataclasses
+
+    import numpy as np
+
+    from pcosync import run_scenario
+
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index))
+    )
+    n = base.graph.node_count
+    raw_phase = rng.uniform(0.0, arc0, size=n)
+    phases = raw_phase - raw_phase.min()
+    raw_freq = rng.uniform(1.0, 1.0 + spread0, size=n)
+    freqs = (raw_freq - raw_freq.min()) + 1.0
+
+    config = dataclasses.replace(
+        base,
+        phases=phases.tolist(),
+        frequencies=freqs.tolist(),
+        normalize_phases=False,
+        normalize_frequencies=False,
+        monitor="off",
+    )
+    result = run_scenario(config, validate=False, collect_trace=False)
+    if result.outcome == "converged":
+        return True
+    return result.outcome == "detected" and not synchronized_only

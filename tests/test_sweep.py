@@ -1,7 +1,8 @@
 """Frontier sweep dispatch: the worker cap, chunked trials, serial/parallel
-byte-identity, and the frozen frontier bytes."""
+byte-identity, the frozen frontier bytes, and a base checked and built once."""
 
 import dataclasses
+import functools
 import hashlib
 import io
 import os
@@ -9,9 +10,14 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import former_run_trial
 from pcosync import (
+    AttackerSpec,
     RandomInterval,
     ScenarioConfig,
     SweepSpec,
@@ -20,6 +26,7 @@ from pcosync import (
     write_frontier,
 )
 from pcosync import sweep
+from pcosync.errors import UnrunnableScenarioError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -221,3 +228,74 @@ def test_the_base_initial_conditions_and_monitor_are_ignored():
     for base in bases:
         assert sweep_frontier(dataclasses.replace(shipped, base=base)) == expected
 
+
+def test_an_unrunnable_base_is_refused_before_any_pool_starts(monkeypatch, cpus):
+    def refuse(**kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", refuse)
+    cpus(2)
+    spec = small_spec()
+    spec = dataclasses.replace(spec, base=dataclasses.replace(spec.base, window_len=0))
+    with pytest.raises(UnrunnableScenarioError) as caught:
+        sweep_frontier(spec, parallelism=2)
+    assert caught.value.violations == ["window_len must be at least 1, got 0"]
+
+
+def test_a_serial_sweep_builds_each_attack_script_once(monkeypatch):
+    spec = small_spec()
+    build = AttackerSpec.build
+    built = []
+
+    def counting_build(attacker):
+        built.append(attacker.node)
+        return build(attacker)
+
+    monkeypatch.setattr(AttackerSpec, "build", counting_build)
+    points = sweep_frontier(spec)
+    assert sum(point.trials for point in points) > spec.trials
+    assert sorted(built) == sorted(a.node for a in spec.base.attackers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0),
+    grid_index=st.integers(0, 2**63),
+    trial_index=st.integers(0, 2**63),
+    arc0=st.floats(0.0, 0.5, exclude_max=True),
+    spread0=st.floats(0.0, 1e300),
+    n=st.integers(1, 70),
+)
+def test_rebuilt_draws_equal_numpy_uniform_bit_for_bit(seed, grid_index, trial_index, arc0,
+                                                       spread0, n):
+    u0, u1 = sweep.unit_draws(seed, grid_index, trial_index, n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index)))
+    phases = rng.uniform(0.0, arc0, n)
+    freqs = rng.uniform(1.0, 1.0 + spread0, n)
+    assert np.array(sweep.uniform(0.0, arc0, u0)).tobytes() == phases.tobytes()
+    assert np.array(sweep.uniform(1.0, 1.0 + spread0, u1)).tobytes() == freqs.tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def prepared_base(algorithm: str):
+    """One prepared base per algorithm, shared by every example below, so
+    its draws move between grid points as the examples do."""
+    base = dataclasses.replace(small_spec().base, algorithm=algorithm)
+    return base, sweep.PreparedBase(base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    algorithm=st.sampled_from(["absolute", "relative"]),
+    grid_index=st.integers(0, 3),
+    trial_index=st.integers(0, 20),
+    arc0=st.sampled_from([0.0, 0.05, 0.25, 0.45]),
+    spread0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 3),
+    synchronized_only=st.booleans(),
+)
+def test_a_trial_matches_the_former_build_and_run(algorithm, grid_index, trial_index, arc0,
+                                                  spread0, seed, synchronized_only):
+    base, prepared = prepared_base(algorithm)
+    args = (grid_index, trial_index, arc0, spread0, seed, synchronized_only)
+    assert sweep.run_trial(prepared, *args) == former_run_trial(base, *args)
