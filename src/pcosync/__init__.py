@@ -52,7 +52,7 @@ from .metrics import (
 )
 from .msr import ConfiguredAlpha, EqualWeights, MsrParams, make_weights, msr_trim
 from .phase import Arc, clockwise_dist, containing_arc
-from .relative import RelativeProtocol, pulse_pair_ratio
+from .relative import RelativeProtocol
 from .runner import RunResult, run_scenario
 from .scenario import (
     AttackerSpec,
@@ -109,7 +109,6 @@ __all__ = [
     "msr_trim",
     "one_plus_abs_sin",
     "parse_claim",
-    "pulse_pair_ratio",
     "random_digraph",
     "run_scenario",
     "sawtooth",

@@ -12,7 +12,6 @@ frequency with a trimmed weighted mean of the buffered values.
 from __future__ import annotations
 
 from .engine import WorldState
-from .errors import ProtocolFault
 from .msr import MsrRound, make_weights, msr_trim
 
 
@@ -23,9 +22,6 @@ class AbsoluteProtocol(MsrRound):
         """Node i reaches phase 1: reset, arm the update, broadcast omega."""
         value = self.reset_on_fire(world, i).omega
         return self.deliver_pulse(world, world.normal_receivers[i], i, value)
-
-    def handle_start(self, world: WorldState, i: int, t: float) -> None:
-        raise ProtocolFault("absolute-frequency protocol has no start pulses")
 
     def on_pulse(self, world: WorldState, i: int, value: float, t: float) -> bool:
         """Receiver i alone hears a pulse claiming frequency ``value``.

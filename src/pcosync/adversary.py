@@ -1,16 +1,17 @@
 """Scripted misbehaving nodes.
 
 A misbehaving node never runs the protocol; it is a pulse source driven by
-a fixed schedule, with a frequency claim attached to each counted pulse.
-A schedule gives its pulses up to a horizon as sorted streams together with
+a fixed schedule, with a frequency claim attached to each counted pulse. A
+schedule gives its pulses up to a horizon as sorted streams together with
 each stream's exact count, so a script contributes finitely many events,
 the engine's liveness budget stays meaningful, and a run pays only for the
 pulses it consumes. Nothing is materialized up front: a periodic schedule
 computes each pulse time when the run reaches it, and an explicit one reads
-a prefix of its sorted times. A periodic schedule is refused by arithmetic
-alone when it would hold more than ``MAX_SCRIPTED_PULSES`` pulses by the
-horizon; every pulse time is finite, since sorting and bisection are
-undefined over NaN.
+a prefix of its sorted times. The stealth check walks the same merged
+streams and stops at the first gap shorter than a period. A periodic
+schedule is refused by arithmetic alone when it would hold more than
+``MAX_SCRIPTED_PULSES`` pulses by the horizon; every pulse time is finite,
+since sorting and bisection are undefined over NaN.
 """
 
 from __future__ import annotations
@@ -86,8 +87,7 @@ class Schedule:
     (count, times) pairs: each ``times`` iterator is nondecreasing and
     yields exactly ``count`` values. ``check(horizon)`` refuses, with a
     ValueError, a schedule too large to run to that horizon; ``streams``
-    checks first. Called with a horizon, a schedule returns the tuple of
-    its streams merged in time order.
+    checks first. Readers merge the streams lazily (``heapq.merge``).
     """
 
     def check(self, horizon: float) -> None:
@@ -95,9 +95,6 @@ class Schedule:
 
     def streams(self, horizon: float) -> list[Stream]:
         raise NotImplementedError
-
-    def __call__(self, horizon: float) -> tuple[float, ...]:
-        return tuple(merge(*(times for _, times in self.streams(horizon))))
 
 
 class _Periodic(Schedule):
@@ -162,9 +159,9 @@ class AttackScript:
 
     ``emission_times`` is the schedule of counted pulses and
     ``start_emission_times`` that of forged start pulses (only read by the
-    relative-frequency protocol); each gives sorted streams with exact
-    counts, and called with a horizon, the sorted tuple of its pulse times
-    within it. ``freq_claim`` is evaluated at each counted emission time.
+    relative-frequency protocol); each gives its pulses up to a horizon as
+    sorted streams with exact counts. ``freq_claim`` is evaluated at each
+    counted emission time.
     """
 
     node: int
@@ -250,8 +247,9 @@ def is_stealthy(
     """
     if not world.normal_receivers[script.node]:
         return True
-    times = script.emission_times(horizon)
-    for prev, cur in zip(times, times[1:]):
+    prev = -math.inf
+    for cur in merge(*(times for _, times in script.emission_times.streams(horizon))):
         if cur - prev < 1.0 - 1e-12:
             return False
+        prev = cur
     return True

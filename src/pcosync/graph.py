@@ -52,9 +52,6 @@ class DirectedGraph:
     def node_count(self) -> int:
         return len(self.in_neighbors)
 
-    def in_degree(self, i: int) -> int:
-        return len(self.in_neighbors[i])
-
     @cached_property
     def in_degrees(self) -> tuple[int, ...]:
         return tuple(map(len, self.in_neighbors))

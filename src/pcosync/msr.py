@@ -125,7 +125,6 @@ class MsrRound:
     the frequency estimate."""
 
     uses_start_pulses = False
-    zeta = 0.0
 
     def __init__(self, params: MsrParams):
         self.params = params

@@ -12,26 +12,19 @@ honest or forged, reach every receiver through its one fan-out loop,
 ``stamp_starts``. ``on_end_pulse`` and ``on_start_pulse`` are those loops
 for a single receiver. At the update the node scales its frequency by a
 trimmed weighted mean of the ratios.
+
+Attack-free, each ratio is the sender's frequency over the receiver's, so a
+run takes the absolute protocol's frequencies, within rounding, when two
+conditions hold: every pulse a node counts completes a start/end pair by
+its update, and no counted pulse reaches a receiver within rounding of
+phase 0.5, where a landmark's jump rule switches and a pulse can trade
+places with the update.
 """
 
 from __future__ import annotations
 
 from .engine import WorldState
 from .msr import MsrParams, MsrRound, make_weights, msr_trim
-
-
-def pulse_pair_ratio(start_stamp: float, end_stamp: float, zeta: float) -> float | None:
-    """Frequency ratio estimate from one sender's stamped pulse pair.
-
-    The receiver may legitimately fire (and so wrap its phase) between the
-    two receptions whenever it runs ahead of the sender, so the span is the
-    elapsed receiver phase modulo one cycle. Exactly coincident stamps give
-    no estimate.
-    """
-    span = (end_stamp - start_stamp) % 1.0
-    if span == 0.0:
-        return None
-    return zeta / span
 
 
 class RelativeProtocol(MsrRound):
@@ -110,8 +103,8 @@ class RelativeProtocol(MsrRound):
             pair = pairs.get(j)
             if pair is None:
                 continue
-            # pulse_pair_ratio, inlined: the span modulo one cycle, and no
-            # estimate from coincident stamps.
+            # The receiver may fire between the receptions; coincident
+            # stamps give no estimate.
             span = (pair[1] - pair[0]) % 1.0
             if span == 0.0:
                 continue

@@ -3,8 +3,8 @@
 A scenario pins everything a run needs: topology, protocol variant and its
 parameters, initial conditions (explicit or drawn), and attacker scripts.
 ``build``, which every run calls, refuses every value no run can use;
-``prepare`` is its first half, the gate plus what no run changes, which a
-sweep calls once for all its trials.
+``prepare``, its first half, returns the checked initial values and what
+no run changes, and a sweep calls it once for all its trials.
 ``validate`` also reports the paper's guarantee conditions (locality at
 most f, (2f+1)-robustness, an initial arc under half a circle, phases in
 [0, 1), slowest normal frequency exactly 1), which a forced run skips to
@@ -170,27 +170,9 @@ class ScenarioConfig:
         return tuple(i for i in range(self.graph.node_count) if i not in bad)
 
     def effective_alpha(self) -> float:
-        degrees = [self.graph.in_degree(i) for i in self.normal_ids]
+        degrees = [self.graph.in_degrees[i] for i in self.normal_ids]
         d_max = max(degrees) if degrees else 0
         return effective_alpha(self.weights, d_max)
-
-    def resolve_initials(self) -> tuple[list[float], list[float]]:
-        """Materialize phases and frequencies for all nodes, applying the
-        requested draws and normalizations. Deterministic given the config;
-        ``build`` checks first that lists hold one value per node."""
-        n = self.graph.node_count
-        raw = self._resolve(self.phases, n, stream=0), self._resolve(self.frequencies, n, stream=1)
-        return self._normalized(*raw, self.normal_ids)
-
-    def _normalized(self, phases, freqs, normal) -> tuple[list[float], list[float]]:
-        """The drawn or listed initials after the requested normalizations."""
-        if self.normalize_phases and normal:
-            tail = containing_arc([phases[i] for i in normal]).tail
-            phases = [clockwise_dist(p, tail) for p in phases]
-        if self.normalize_frequencies and normal:
-            low = min(freqs[i] for i in normal)
-            freqs = [(w - low) + 1.0 for w in freqs]
-        return phases, freqs
 
     def _resolve(self, spec, n: int, stream: int) -> list[float]:
         if isinstance(spec, RandomInterval):
@@ -203,7 +185,7 @@ class ScenarioConfig:
 
     def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript], tuple[int, ...]]:
         """The one gate every run passes, forced or not: return the
-        resolved phases and frequencies, the attack scripts and the normal
+        drawn and normalized phases and frequencies, the scripts and the normal
         node ids, or raise UnrunnableScenarioError listing every value no
         run can use. A schedule too large for the horizon is refused here
         by arithmetic; no pulse is computed until the run reaches it."""
@@ -251,7 +233,7 @@ class ScenarioConfig:
             problems.append("every node is an attacker; nothing to synchronize")
         elif isinstance(self.weights, ConfiguredAlpha):
             alpha = self.weights.alpha
-            worst = max(self.graph.in_degree(i) for i in normal)
+            worst = max(self.graph.in_degrees[i] for i in normal)
             if not (alpha > 0.0 and alpha * (worst + 1) <= 1.0 + 1e-12):
                 problems.append(f"neighbor weight {alpha} is infeasible at in-degree {worst}")
 
@@ -277,7 +259,12 @@ class ScenarioConfig:
             freqs = self._resolve(self.frequencies, n, stream=1)
             problems = initial_value_problems(phases, freqs, normal, -math.inf)
         if not problems:
-            phases, freqs = self._normalized(phases, freqs, normal)
+            if self.normalize_phases:
+                tail = containing_arc([phases[i] for i in normal]).tail
+                phases = [clockwise_dist(p, tail) for p in phases]
+            if self.normalize_frequencies:
+                low = min(freqs[i] for i in normal)
+                freqs = [(w - low) + 1.0 for w in freqs]
             problems = initial_value_problems(phases, freqs, normal, 0.0)
         if problems:
             raise UnrunnableScenarioError(problems)

@@ -13,9 +13,10 @@ import itertools
 import operator
 from bisect import bisect_right
 from collections import deque
+from heapq import merge
 from operator import itemgetter
 
-from pcosync import AbsoluteProtocol, RelativeProtocol, make_weights, msr_trim, pulse_pair_ratio
+from pcosync import AbsoluteProtocol, RelativeProtocol, make_weights, msr_trim
 
 
 def circle_dist(a, b):
@@ -88,6 +89,12 @@ def all_digraphs(n):
 def update_sequence(rows):
     """(node, omegas) at every update event of a recorded trace."""
     return [(r.node, r.omegas) for r in rows if r.event_kind == "update"]
+
+
+def streams(schedule, horizon):
+    """A package ``Schedule``'s pulse times up to the horizon: its sorted
+    streams merged into one tuple."""
+    return tuple(merge(*(times for _, times in schedule.streams(horizon))))
 
 
 # -- previous hot-path implementations -------------------------------------
@@ -298,8 +305,23 @@ class ExtremaHistory:
 # The two protocols as they delivered pulses before the shared fan-out loop
 # (``MsrRound.deliver_pulse``): every receiver cost one hook call plus one
 # ``count_pulse`` call, and the relative update called ``pulse_pair_ratio``
-# once per in-neighbor. The methods are kept verbatim; ``hook_calls`` counts
-# the hook calls, one per receiver per pulse, start pulses included.
+# once per in-neighbor. The methods and that function are kept verbatim;
+# ``hook_calls`` counts the hook calls, one per receiver per pulse, start
+# pulses included.
+
+
+def pulse_pair_ratio(start_stamp, end_stamp, zeta):
+    """Frequency ratio estimate from one sender's stamped pulse pair.
+
+    The receiver may legitimately fire (and so wrap its phase) between the
+    two receptions whenever it runs ahead of the sender, so the span is the
+    elapsed receiver phase modulo one cycle. Exactly coincident stamps give
+    no estimate.
+    """
+    span = (end_stamp - start_stamp) % 1.0
+    if span == 0.0:
+        return None
+    return zeta / span
 
 
 def _count_pulse(self, world, i):
@@ -331,7 +353,7 @@ def _open_update(self, world, i):
     osc = world.oscillators[i]
     osc.phase = 0.5
     c = osc.pulse_count
-    d = world.graph.in_degree(i)
+    d = len(world.graph.in_neighbors[i])
     if c > d:
         osc.detected = True
         osc.reset_round()

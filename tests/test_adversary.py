@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcosync import (
     OscillatorState,
@@ -19,6 +20,8 @@ from pcosync import (
     stealthy_script,
 )
 from pcosync.adversary import constant
+
+from oracles import materialized_schedule, streams
 
 
 def test_claim_waveforms():
@@ -63,9 +66,9 @@ def world_on(graph, faulty=()):
 
 def test_stealthy_script_schedule_and_predicate():
     script = stealthy_script(1, period_offsets=[0.35], claim="one_plus_abs_sin")
-    assert script.emission_times(3.0) == (0.35, 1.35, 2.35)
-    assert script.emission_times(0.3) == ()
-    assert script.start_emission_times(3.0) == ()
+    assert streams(script.emission_times, 3.0) == (0.35, 1.35, 2.35)
+    assert streams(script.emission_times, 0.3) == ()
+    assert streams(script.start_emission_times, 3.0) == ()
     world = world_on(demo_graph_8(), faulty=(1,))
     assert is_stealthy(script, world, horizon=100.0)
 
@@ -86,7 +89,7 @@ def test_offsets_outside_the_period_are_rejected():
 
 def test_flooding_script_burst():
     script = flooding_script(1, burst_count=7, burst_interval=0.02, start_time=1.2)
-    times = script.emission_times(60.0)
+    times = streams(script.emission_times, 60.0)
     assert len(times) == 7
     assert times[0] == pytest.approx(1.2)
     assert times[-1] == pytest.approx(1.32)
@@ -103,9 +106,9 @@ def test_flooding_script_burst():
 
 def test_custom_script_explicit_times():
     script = custom_script(2, pulses=[(1.7, 2.0), (0.5, 1.1)], start_pulses=[0.4])
-    assert script.emission_times(10.0) == (0.5, 1.7)
-    assert script.emission_times(1.0) == (0.5,)
-    assert script.start_emission_times(10.0) == (0.4,)
+    assert streams(script.emission_times, 10.0) == (0.5, 1.7)
+    assert streams(script.emission_times, 1.0) == (0.5,)
+    assert streams(script.start_emission_times, 10.0) == (0.4,)
     assert script.freq_claim(0.5) == 1.1
     assert script.freq_claim(1.7) == 2.0
     with pytest.raises(ValueError):
@@ -116,7 +119,7 @@ def test_custom_script_explicit_times():
 
 def test_silent_script_is_trivially_stealthy():
     script = silent_script(4)
-    assert script.emission_times(100.0) == ()
+    assert streams(script.emission_times, 100.0) == ()
     world = world_on(demo_graph_8(), faulty=(4,))
     assert is_stealthy(script, world, horizon=100.0)
 
@@ -127,3 +130,35 @@ def test_stealth_is_vacuous_without_normal_receivers():
     world = world_on(graph, faulty=(2,))
     script = flooding_script(2, burst_count=50)
     assert is_stealthy(script, world, horizon=10.0)
+
+
+# Spacings on and an ulp either side of the one-period stealth threshold.
+_NEAR_ONE = [math.nextafter(1.0 - 1e-12, 0.0), 1.0 - 1e-12, 1.0, math.nextafter(1.0, 2.0)]
+_GAPS = st.sampled_from([0.02, 0.5, 1.5, *_NEAR_ONE]) | st.floats(0.01, 3.0)
+
+
+@st.composite
+def _scripts(draw):
+    """A periodic, flooding or custom script for node 1 of the demo graph."""
+    kind = draw(st.sampled_from(["periodic", "flooding", "custom"]), label="kind")
+    if kind == "periodic":
+        period = draw(_GAPS, label="period")
+        offset = st.floats(0.0, period, exclude_max=True)
+        return stealthy_script(1, draw(st.lists(offset, min_size=1, max_size=3)), 1.0, period)
+    if kind == "flooding":
+        return flooding_script(1, draw(st.integers(1, 8)), burst_interval=draw(_GAPS),
+                               start_time=draw(st.floats(0.0, 5.0)))
+    steps = draw(st.lists(_GAPS, max_size=8), label="gaps")
+    times = [draw(st.floats(0.0, 5.0), label="first")]
+    for gap in steps:
+        times.append(times[-1] + gap)
+    return custom_script(1, pulses=[(t, 1.0) for t in set(times)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(script=_scripts(), horizon=st.floats(0.0, 30.0))
+def test_streamed_stealth_equals_the_pairwise_check_of_the_materialized_schedule(script, horizon):
+    times = sorted(materialized_schedule(script.emission_times)(horizon))
+    pairwise = all(cur - prev >= 1.0 - 1e-12 for prev, cur in zip(times, times[1:]))
+    world = world_on(demo_graph_8(), faulty=(1,))
+    assert is_stealthy(script, world, horizon) == pairwise

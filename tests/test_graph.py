@@ -38,7 +38,7 @@ def test_adjacency_views():
     ring = directed_ring(3)
     assert ring.in_neighbors == ((2,), (0,), (1,))
     assert ring.out_neighbors == ((1,), (2,), (0,))
-    assert ring.in_degree(0) == 1
+    assert ring.in_degrees == (1, 1, 1)
     k3 = complete_digraph(3)
     assert k3.in_masks == (0b110, 0b101, 0b011)
 

@@ -11,6 +11,7 @@ from pcosync import (
     AbsoluteProtocol,
     ConfiguredAlpha,
     EqualWeights,
+    EventKind,
     MsrParams,
     OscillatorState,
     ProtocolFault,
@@ -20,6 +21,7 @@ from pcosync import (
     make_weights,
     msr_trim,
 )
+from pcosync.engine import next_event
 from pcosync.msr import effective_alpha
 
 
@@ -203,11 +205,13 @@ def test_underheard_round_is_a_protocol_fault():
 
 
 def test_absolute_protocol_has_no_start_pulses():
-    world = k5_world()
+    # The event loop schedules no start pulse for it, so it has no handler.
     proto = AbsoluteProtocol(MsrParams(f=0))
     assert proto.uses_start_pulses is False
-    with pytest.raises(ProtocolFault):
-        proto.handle_start(world, 0, t=0.0)
+    assert not hasattr(proto, "handle_start")
+    world = k5_world()
+    world.oscillators[0].phase = 0.85  # a relative node's start pulse is due at 0.9
+    assert next_event(world, proto).kind is EventKind.FIRE
 
 
 # -- properties of the shared core -------------------------------------------

@@ -15,32 +15,12 @@ from pcosync import (
     WorldState,
     complete_digraph,
     load_scenario,
-    pulse_pair_ratio,
     run_scenario,
 )
 
 from oracles import update_sequence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def test_ratio_from_plain_pair():
-    # Offset 0.1 heard over a span of 0.05 receiver phase: sender runs twice
-    # as fast as the receiver.
-    assert pulse_pair_ratio(0.40, 0.45, 0.1) == pytest.approx(2.0)
-    assert pulse_pair_ratio(0.40, 0.50, 0.1) == pytest.approx(1.0)
-    assert pulse_pair_ratio(0.40, 0.60, 0.1) == pytest.approx(0.5)
-
-
-def test_ratio_with_receiver_wrap():
-    # A receiver running ahead of the sender fires between the two
-    # receptions; the span is the elapsed phase modulo one cycle.
-    assert pulse_pair_ratio(0.95, 0.05, 0.1) == pytest.approx(1.0)
-    assert pulse_pair_ratio(0.998, 0.0998, 0.1) == pytest.approx(0.1 / 0.1018, rel=1e-9)
-
-
-def test_ratio_coincident_stamps_give_no_estimate():
-    assert pulse_pair_ratio(0.3, 0.3, 0.1) is None
 
 
 def k5_world():
@@ -52,6 +32,44 @@ def k5_world():
         normal=frozenset(range(5)),
         faulty=frozenset(),
     )
+
+
+def update_from_pairs(*pairs):
+    """Node 0 of K5 (f = 0, omega 1) updates from the stamped (start, end)
+    pairs of senders 1, 2, ...: the ratios its update logs, by sender, and
+    its new frequency."""
+    world = k5_world()
+    proto = RelativeProtocol(MsrParams(f=0), zeta=0.1, ratio_log=[])
+    osc = world.oscillators[0]
+    osc.pulse_pairs = {j: (start, end, None) for j, (start, end) in enumerate(pairs, 1)}
+    osc.pulse_count = 4
+    osc.fired = True
+    osc.phase = 0.5
+    assert proto.handle_update(world, 0, t=1.0) is False
+    return {j: ratio for _, _, j, ratio, _, _ in proto.ratio_log}, osc.omega
+
+
+def test_ratio_from_plain_pair():
+    # Offset 0.1 heard over a span of 0.05 receiver phase: sender runs twice
+    # as fast as the receiver.
+    ratios, _ = update_from_pairs((0.40, 0.45), (0.40, 0.50), (0.40, 0.60))
+    assert ratios == pytest.approx({1: 2.0, 2: 1.0, 3: 0.5})
+
+
+def test_ratio_with_receiver_wrap():
+    # A receiver running ahead of the sender fires between the two
+    # receptions; the span is the elapsed phase modulo one cycle.
+    ratios, _ = update_from_pairs((0.95, 0.05), (0.998, 0.0998))
+    assert ratios[1] == pytest.approx(1.0)
+    assert ratios[2] == pytest.approx(0.1 / 0.1018, rel=1e-9)
+
+
+def test_ratio_coincident_stamps_give_no_estimate():
+    # Sender 1's stamps coincide: only sender 2's ratio 2.0 is averaged, and
+    # self and sender 2 weigh one half each.
+    ratios, omega = update_from_pairs((0.3, 0.3), (0.40, 0.45))
+    assert ratios == pytest.approx({2: 2.0})
+    assert omega == pytest.approx(1.5)
 
 
 def test_params_validate_offset_range():

@@ -2,13 +2,23 @@
 
 import dataclasses
 import itertools
+import math
 from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
-from pcosync import AttackerSpec, DirectedGraph, ScenarioConfig, is_r_robust, run_scenario
+from pcosync import (
+    AttackerSpec,
+    DirectedGraph,
+    RelativeProtocol,
+    ScenarioConfig,
+    complete_digraph,
+    is_r_robust,
+    run_scenario,
+)
 from pcosync.engine import PHASE_SLACK
 from pcosync.metrics import RunMetrics
+from pcosync.msr import MsrRound
 
 
 @st.composite
@@ -46,7 +56,7 @@ HULL_SLACK = {"absolute": 0.0, "relative": 1e-9}
 @given(config=_robust_scenarios())
 def test_attack_free_runs_keep_the_hull_and_the_phase_range_and_repeat(config, tmp_path_factory):
     assert config.validate()[0] == []
-    _, initial = config.resolve_initials()
+    initial = config.prepare()[2]
     slack = HULL_SLACK[config.algorithm]
     low, high = min(initial) - slack, max(initial) + slack
     directory = tmp_path_factory.mktemp("runs")
@@ -165,17 +175,69 @@ def _summary(result):
             repr(m.delta), repr(m.delta_windowed))
 
 
-def _own_updates(result, node):
-    return [r.omegas[node] for r in result.metrics.rows if r.event_kind == "update" and r.node == node]
+def _own_updates(result, node, before):
+    return [r.omegas[node] for r in result.metrics.rows
+            if r.event_kind == "update" and r.node == node and r.t < before]
+
+
+# Attack-free, each relative ratio recovers its sender's frequency over the
+# receiver's, so every node takes the frequencies the absolute protocol gives
+# it, within rounding, while two conditions hold (see ``relative.py``):
+# - every pulse a node counts completes a start/end pair by its update; and
+# - no counted pulse reaches a receiver within rounding of phase 0.5, where
+#   a landmark's jump rule switches and a pulse can trade places with the
+#   update. A relative run's start pulses split its phase advance, so its
+#   phases round differently from an absolute run's.
+HALF_PHASE_BAND = 1e-9
+
+
+def _runs_and_first_breach(config):
+    """Both protocols' traced runs of ``config``, and the time at which either
+    run first breaks a condition above (infinity when neither does)."""
+    breaches = [math.inf]
+    deliver = MsrRound.deliver_pulse
+    update = RelativeProtocol.handle_update
+
+    def checking_deliver(self, world, receivers, sender, value):
+        if any(abs(world.oscillators[j].phase - 0.5) <= HALF_PHASE_BAND for j in receivers):
+            breaches.append(world.clock)
+        return deliver(self, world, receivers, sender, value)
+
+    def checking_update(self, world, i, t):
+        osc = world.oscillators[i]
+        if osc.pulse_count != len(osc.pulse_pairs):
+            breaches.append(t)
+        return update(self, world, i, t)
+
+    with mock.patch.object(MsrRound, "deliver_pulse", checking_deliver), \
+            mock.patch.object(RelativeProtocol, "handle_update", checking_update):
+        runs = [run_scenario(dataclasses.replace(config, algorithm=algorithm), collect_trace=True)
+                for algorithm in ("absolute", "relative")]
+    return runs, min(breaches)
+
+
+def _attack_free(graph, phases, frequencies):
+    return ScenarioConfig(graph=graph, phases=phases, frequencies=frequencies, horizon=5.0,
+                          monitor="off")
 
 
 @settings(max_examples=60, deadline=None)
 @given(config=_robust_scenarios())
+# At t = 1.0 landmark pulses reach node 4 at phase 0.49999999999999994 in the
+# absolute run and at 0.5 in the relative one, so its jumps differ by about
+# 0.5; at t = 1.5 node 0 counts 5 pulses but holds only 4 pulse pairs.
+@example(config=_attack_free(complete_digraph(5), [0.0, 0.0, 0.0, 0.0, 0.375],
+                             [1.0, 1.0, 1.0, 1.125, 1.125]))
+# At t = 2.2251 node 3 counts 5 pulses but holds only 4 pulse pairs.
+@example(config=_attack_free(
+    DirectedGraph.from_lists([(2, 3, 4, 5), (0, 2, 3, 4, 5), (0, 1, 3, 4, 5), (0, 1, 2, 4, 5),
+                              (1, 2, 5), (0, 1, 2, 3, 4)]),
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.25], [1.0, 1.1875, 1.1875, 1.0, 1.1875, 1.1875]))
 def test_attack_free_absolute_and_relative_runs_agree(config):
-    # Attack-free, each relative ratio recovers its sender's frequency, so
-    # every node takes the frequencies the absolute protocol gives it.
-    absolute = run_scenario(dataclasses.replace(config, algorithm="absolute"), collect_trace=True)
-    relative = run_scenario(dataclasses.replace(config, algorithm="relative"), collect_trace=True)
+    # Every update before the first breach must agree; with no breach, all do.
+    (absolute, relative), breach = _runs_and_first_breach(config)
+    event("both conditions hold" if breach == math.inf else "a condition breaks")
     for node in range(config.graph.node_count):
-        pairs = list(zip(_own_updates(absolute, node), _own_updates(relative, node)))
-        assert all(abs(a - b) <= 1e-9 for a, b in pairs), (node, pairs)
+        pairs = list(zip(_own_updates(absolute, node, breach),
+                         _own_updates(relative, node, breach)))
+        assert all(abs(a - b) <= 1e-9 for a, b in pairs), (node, breach, pairs)

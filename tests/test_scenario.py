@@ -35,6 +35,8 @@ from pcosync.errors import UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
 from pcosync.scenario import _KEYS
 
+from oracles import streams
+
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 FIXTURES = (
@@ -94,8 +96,8 @@ def test_random_initials_are_deterministic():
         normalize_phases=False,
         normalize_frequencies=False,
     )
-    phases_a, freqs_a = base.resolve_initials()
-    phases_b, freqs_b = base.resolve_initials()
+    phases_a, freqs_a = base.prepare()[1:]
+    phases_b, freqs_b = base.prepare()[1:]
     assert phases_a == phases_b and freqs_a == freqs_b
     assert all(0.0 <= p < 0.4 for p in phases_a)
     assert all(1.0 <= w < 1.5 for w in freqs_a)
@@ -103,15 +105,15 @@ def test_random_initials_are_deterministic():
     assert phases_a != freqs_a
 
     other = dataclasses.replace(base, seed=8)
-    assert other.resolve_initials()[0] != phases_a
+    assert other.prepare()[1] != phases_a
 
     # A dedicated interval seed decouples that draw from the scenario seed.
     pinned = dataclasses.replace(
         base, phases=RandomInterval(0.0, 0.4, seed=123)
     )
-    pinned_phases = pinned.resolve_initials()[0]
-    assert dataclasses.replace(pinned, seed=9).resolve_initials()[0] == pinned_phases
-    assert dataclasses.replace(pinned, seed=9).resolve_initials()[1] != freqs_a
+    pinned_phases = pinned.prepare()[1]
+    assert dataclasses.replace(pinned, seed=9).prepare()[1] == pinned_phases
+    assert dataclasses.replace(pinned, seed=9).prepare()[2] != freqs_a
 
 
 def test_normalization_pins_tail_and_floor():
@@ -123,7 +125,7 @@ def test_normalization_pins_tail_and_floor():
         attackers=[AttackerSpec(node=4, kind="silent")],
         seed=3,
     )
-    phases, freqs = config.resolve_initials()
+    phases, freqs = config.prepare()[1:]
     normal = config.normal_ids
     assert min(phases[i] for i in normal) == 0.0
     assert min(freqs[i] for i in normal) == 1.0
@@ -139,6 +141,8 @@ def test_unnormalized_slow_frequencies_are_flagged():
     )
     violations, _ = config.validate()
     assert any("slowest normal frequency" in v for v in violations)
+    violations, _ = dataclasses.replace(config, frequencies=[0.9, 1.3]).validate()
+    assert "node 0 initial frequency 0.9 below 1" in violations
 
 
 def test_wide_initial_arc_is_flagged():
@@ -150,6 +154,9 @@ def test_wide_initial_arc_is_flagged():
     )
     violations, _ = config.validate()
     assert any("half circle" in v for v in violations)
+    violations, info = dataclasses.replace(config, phases=[0.1, 0.2]).validate()
+    assert violations == []
+    assert "phases not rotated to put the arc tail at 0 (min is 0.1)" in info
 
 
 def test_crowded_attackers_break_locality():
@@ -476,12 +483,14 @@ def test_cli_sweep_refuses_parallelism_below_one(parallelism, capsys):
         ("--threshold", "1.5", "success threshold must lie in [0, 1], got 1.5"),
         ("--threshold", "-0.1", "success threshold must lie in [0, 1], got -0.1"),
         ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ("--trials", "0", "need at least one trial, got 0"),
     ],
 )
 def test_cli_sweep_refuses_bad_numeric_options(option, value, message, capsys):
+    # The option under test comes last, so it overrides the defaults here.
     code = main([
-        "sweep", str(SCENARIOS / "frontier_sweep.json"), option, value,
-        "--grid", "0.05", "--trials", "2",
+        "sweep", str(SCENARIOS / "frontier_sweep.json"), "--grid", "0.05", "--trials", "2",
+        option, value,
     ])
     assert code == 2
     captured = capsys.readouterr()
@@ -604,6 +613,13 @@ MALFORMED = {
         "attacker 0: pulse times must be finite and nonnegative, got nan",
     ),
     "integer_name": ({**_PAIR, "name": 5}, "name: expected a string, got 5"),
+    "unknown_weight_policy": (
+        {**_PAIR, "weights": {"policy": "median"}}, "weights: unknown weight policy 'median'"
+    ),
+    "unknown_attacker_type": (
+        {**_PAIR, "attackers": [{"node": 4, "type": "byzantine"}]},
+        "attacker 0: unknown attacker kind 'byzantine'",
+    ),
     "misspelled_stealthy_option": (
         {**_PAIR, "attackers": [{"node": 4, "type": "stealthy", "ofsets": [0.35]}]},
         "attacker 0: unknown stealthy attacker option 'ofsets'",
@@ -756,9 +772,9 @@ def test_cli_too_deeply_nested_file_exits_2_with_one_line(command, capsys, tmp_p
 def test_attacker_specs_from_python_take_numpy_values():
     # JSON options are exact-typed at load; Python callers may pass numpy.
     flooding = AttackerSpec(4, "flooding", {"burst_count": np.int64(3), "start_time": np.float64(1.5)})
-    assert flooding.build().emission_times(10.0) == (1.5, 1.52, 1.54)
+    assert streams(flooding.build().emission_times, 10.0) == (1.5, 1.52, 1.54)
     stealthy = AttackerSpec(4, "stealthy", {"offsets": np.array([0.25]), "claim": np.float64(1.5)})
-    assert stealthy.build().emission_times(1.0) == (0.25,)
+    assert streams(stealthy.build().emission_times, 1.0) == (0.25,)
 
 
 # Values no run can use: refused with exit 2 and only violation lines, even
@@ -785,6 +801,10 @@ UNRUNNABLE = {
     ),
     "loud_monitor": ({"monitor": "loud"}, "monitor must be off/warn/strict, got 'loud'"),
     "negative_f": ({"f": -1}, "trim parameter must be nonnegative, got -1"),
+    "negative_draw_seed": (
+        {"phases": {"random": {"low": 0.0, "high": 0.2}}, "seed": -1},
+        "phases draw seed must be nonnegative, got -1",
+    ),
     "attacker_node_9": (
         {"attackers": [{"node": 9, "type": "silent"}]}, "attacker node 9 outside 0..4"
     ),

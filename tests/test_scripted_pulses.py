@@ -11,7 +11,7 @@ from pcosync import AttackerSpec, InvariantViolation, ScenarioConfig, complete_d
 from pcosync import engine, run_scenario, stealthy_script
 from pcosync.metrics import RunMetrics
 
-from oracles import _explicit, _periodic, materialized_pulses
+from oracles import _explicit, _periodic, materialized_pulses, streams
 
 _PERIODS = st.sampled_from([1e-6, 1e-3, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.5, math.pi]) | st.floats(1e-6, 10.0)
 
@@ -43,14 +43,15 @@ def _horizons(draw, times, period=1.0):
 
 
 def _streams_agree(schedule, old, horizon):
-    """The schedule's tuple, streams and counts against the former schedule."""
+    """The schedule's merged streams, each stream and its count against the
+    former schedule."""
     expected = tuple(sorted(old(horizon)))
-    assert repr(schedule(horizon)) == repr(expected)
-    streams = [(count, list(times)) for count, times in schedule.streams(horizon)]
-    for count, times in streams:
+    assert repr(streams(schedule, horizon)) == repr(expected)
+    parts = [(count, list(times)) for count, times in schedule.streams(horizon)]
+    for count, times in parts:
         assert count == len(times)
         assert times == sorted(times)
-    assert sum(count for count, _ in streams) == len(expected)
+    assert sum(count for count, _ in parts) == len(expected)
 
 
 @settings(max_examples=200, deadline=None)

@@ -81,6 +81,21 @@ def test_one_usable_worker_runs_serially(monkeypatch, cpus):
     assert sweep_frontier(dataclasses.replace(spec, trials=1), parallelism=4)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"arc_grid": ()}, "arc grid is empty"),
+        ({"arc_grid": (0.05, 0.5)}, r"arc width 0.5 outside \[0, 0.5\)"),
+        ({"arc_grid": (-0.1,)}, r"arc width -0.1 outside \[0, 0.5\)"),
+        ({"trials": 0}, "need at least one trial, got 0"),
+    ],
+    ids=["empty-grid", "half-circle-arc", "negative-arc", "no-trials"],
+)
+def test_a_spec_outside_its_domain_is_refused(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        small_spec(**overrides)
+
+
 @pytest.mark.parametrize("parallelism", [0, -3])
 def test_parallelism_below_one_is_refused(parallelism):
     with pytest.raises(ValueError, match=f"parallelism must be at least 1, got {parallelism}"):
