@@ -22,6 +22,14 @@ within ``TIME_EPS`` going to the first slot in tie-break order, is the event:
 the one a scan of every node would return, bit for bit. For the same reason
 ``simulate`` advances the phases only when an event moves the clock forward:
 at an unchanged clock the advance would leave every phase as it is.
+
+The unchanged-clock contract has a second reader: with the monitor off and
+no trace, ``RunMetrics.observe`` keeps its own list of the normal phases and
+rereads every phase only when the clock has moved; at an unchanged clock it
+rereads the actor's phase alone, and after an adversary pulse none. So every
+handler must keep to it: it moves no normal phase but its actor's (a
+detection latches a flag, never a phase), an adversary pulse moves no
+normal phase, and no handler moves the clock.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import Event, EventKind, WorldState
+from .engine import PHASE_SLACK, Event, EventKind, WorldState
 from .errors import InvariantViolation
 from .phase import clockwise_dist, containing_arc
 
@@ -201,9 +201,21 @@ class RunMetrics:
     passes an extremum, leaves both where they were, or (a tie, or the node
     that held an extremum moving inward) sends that extremum to a
     ``min``/``max`` rescan, so the extrema are always the floats a full
-    scan would give. It pushes them only at the events that move them. In
-    every mode the arc is computed only when something reads it, and
-    detections are scanned only after an event whose handler reported one.
+    scan would give. It pushes them only at the events that move them.
+
+    On that path ``observe`` also keeps its list of the normal phases in
+    place: it rereads every phase only when the clock has moved since the
+    last observed event, and otherwise writes the actor's slot alone, or
+    nothing after an adversary pulse. That rests on the event loop's
+    unchanged-clock contract (see ``engine``). The list is still the
+    snapshot of the last observed event, so ``delta`` after a protocol fault
+    is that event's arc. Once the frequencies have converged, the phase test
+    first reads a witness pair, the tail and head nodes of the last arc
+    found wider than ``tol_phase``; while their circular distance rules the
+    arc out, the streak resets without a sort (``_phases_within_tol`` gives
+    the bound). In every mode the arc is computed only when something reads
+    it, and detections are scanned only after an event whose handler
+    reported one.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -249,11 +261,17 @@ class RunMetrics:
         self._lo, self._hi = self.hull
         self._k = 0
         phases = self._phases = world.normal_phases()
+        # A run mutates the world's oscillators but never replaces them.
+        self._normal_oscillators = [world.oscillators[i] for i in world.normal_ids]
+        self._clock = world.clock
         self._delta: float | None = None
+        # Slots of the tail and head of the last arc found wider than
+        # tol_phase; see ``_phases_within_tol``.
+        self._witness = (0, 0)
+        self._witness_bound = tol_phase + PHASE_SLACK + 1e-12
         self.freq_window = SpreadWindow(self.window_len)
         self.freq_window.push(0, *self.hull)
         if self._tracks_radii:
-            self._clock = world.clock
             self._prev_floor, self._prev_ceiling = self.hull
             self.radius_window = SpreadWindow(self.window_len)
             _, v0 = self._push_radii(0, phases)
@@ -275,11 +293,19 @@ class RunMetrics:
 
     def observe(self, world: WorldState, event: Event, newly_detected: bool = True) -> None:
         """Record the world after ``event``. ``newly_detected`` is what the
-        event's handler returned; a caller that cannot tell passes True."""
+        event's handler returned; a caller that cannot tell passes True.
+
+        With the monitor off and no trace, the caller must keep the event
+        loop's contract (see ``engine``): at the clock of the previous
+        observed event, the handler moved no normal phase but its actor's,
+        and an adversary pulse moved none. Across a clock change any phase
+        may have moved.
+        """
         k = self._k = world.event_count
-        phases = self._phases = world.normal_phases()
         self._delta = None
+        clock = world.clock
         if self._tracks_radii:
+            phases = self._phases = world.normal_phases()
             omegas = world.normal_omegas()
             lo = self._lo = min(omegas)
             hi = self._hi = max(omegas)
@@ -287,35 +313,47 @@ class RunMetrics:
             floor, ceiling, spread_w = self.freq_window.at(k)
             # The handlers never move the clock or the virtual node, so this
             # is the step the event loop advanced the phases by.
-            dt = world.clock - self._clock
-            self._clock = world.clock
+            dt = clock - self._clock
+            self._clock = clock
             if dt > 0.0:
                 self.virtual.advance(dt)
             self.virtual.omega = floor
             radius_max, v = self._push_radii(k, phases)
-        elif event.kind is EventKind.UPDATE:
-            # An update writes only its actor's frequency. Equal nonzero
-            # floats are one float, so a held frequency moves nothing. A value
-            # past an extremum becomes it; an extremum that the old and the
-            # new value both lie strictly inside stays; anything else (a tie,
-            # the holder moving inward, a NaN) rescans. So the extrema are
-            # the floats ``min`` and ``max`` of the whole list would return.
-            omegas = self._omegas
-            slot = self._slots[event.node]
-            old = omegas[slot]
-            new = world.oscillators[event.node].omega
-            if new != old or new == 0.0:
-                omegas[slot] = new
-                lo, hi = self._lo, self._hi
-                if new < lo:
-                    self._lo = new
-                elif not (new > lo and old > lo):
-                    self._lo = min(omegas)
-                if new > hi:
-                    self._hi = new
-                elif not (new < hi and old < hi):
-                    self._hi = max(omegas)
-                self.freq_window.push(k, self._lo, self._hi)
+        else:
+            # A clock change may have moved every phase; at the same clock
+            # only the actor's phase can have moved, and an adversary
+            # pulse's actor is faulty.
+            node = event.node
+            kind = event.kind
+            if clock != self._clock:
+                self._clock = clock
+                self._phases = [osc.phase for osc in self._normal_oscillators]
+            elif kind is not EventKind.ADVERSARY_PULSE:
+                self._phases[self._slots[node]] = world.oscillators[node].phase
+            if kind is EventKind.UPDATE:
+                # An update writes only its actor's frequency. Equal nonzero
+                # floats are one float, so a held frequency moves nothing. A
+                # value past an extremum becomes it; an extremum that the old
+                # and the new value both lie strictly inside stays; anything
+                # else (a tie, the holder moving inward, a NaN) rescans. So
+                # the extrema are the floats ``min`` and ``max`` of the whole
+                # list would return.
+                omegas = self._omegas
+                slot = self._slots[node]
+                old = omegas[slot]
+                new = world.oscillators[node].omega
+                if new != old or new == 0.0:
+                    omegas[slot] = new
+                    lo, hi = self._lo, self._hi
+                    if new < lo:
+                        self._lo = new
+                    elif not (new > lo and old > lo):
+                        self._lo = min(omegas)
+                    if new > hi:
+                        self._hi = new
+                    elif not (new < hi and old < hi):
+                        self._hi = max(omegas)
+                    self.freq_window.push(k, self._lo, self._hi)
 
         if self.mode != "off":
             delta = self.delta
@@ -365,7 +403,7 @@ class RunMetrics:
                     self.detection_events.append((k, event.time, i))
             self._detected_mask = mask
 
-        if self._hi - self._lo <= self.tol_freq and self.delta <= self.tol_phase:
+        if self._hi - self._lo <= self.tol_freq and self._phases_within_tol():
             self._streak += 1
             if self._streak >= self.window_len:
                 self.converged = True
@@ -376,6 +414,42 @@ class RunMetrics:
             self._append_row(world, k, event.kind.value, event.node, v)
 
     # -- internals -----------------------------------------------------------
+
+    def _phases_within_tol(self) -> bool:
+        """Whether the containing arc after the latest event is at most
+        ``tol_phase``, ruled out first, where it can be, by the witness pair.
+
+        The witness pair is the tail and the head node of the last arc found
+        wider than ``tol_phase``. Their shorter circular distance D bounds
+        the arc from below. Take the sorted phases x_1 <= ... <= x_m, all in
+        [0, 1 + s] with s = PHASE_SLACK (``advance_all`` raises past that),
+        and a witness pair a <= b among them with c = b - a, so that
+        D = min(c, 1 - c). The arc is 1 - G, G the widest gap. A gap inside
+        [a, b] is at most c, so there 1 - G >= 1 - c >= D. The wrap gap
+        1 - (x_m - x_1) is at most 1 - c, so there 1 - G >= c >= D. The gaps
+        below a and above b sum to (x_m - x_1) - c <= 1 + s - c, so there
+        1 - G >= c - s >= D - s. Hence the arc is at least D - s. In floats
+        every result lies in [-s, 1 + s], so each subtraction or addition is
+        off by at most 2**-52: ``containing_arc`` (three operations deep)
+        reads at most 3 * 2**-52 < 7e-16 below the exact arc, and D (two
+        deep) at most 2 * 2**-52 < 5e-16 above its exact value. A computed D
+        above tol_phase + s + 1e-12 therefore leaves the computed arc above
+        tol_phase by more than 1e-12 - 1.2e-15: the streak would reset, and
+        no sort is needed to say so. A NaN compares false and falls through
+        to the sort.
+        """
+        delta = self._delta
+        if delta is None:
+            phases = self._phases
+            a, b = self._witness
+            d = abs(phases[a] - phases[b])
+            if min(d, 1.0 - d) > self._witness_bound:
+                return False
+            arc = containing_arc(phases)
+            delta = self._delta = arc.length
+            if delta > self.tol_phase:
+                self._witness = (phases.index(arc.tail), phases.index(arc.head))
+        return delta <= self.tol_phase
 
     def _check(self, message: str, ok: bool) -> None:
         if ok:

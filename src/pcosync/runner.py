@@ -1,6 +1,7 @@
 """Single-scenario execution: validate, build, simulate, collect results.
 
-``run_built`` is the part after the build, which a sweep trial shares."""
+``run_built`` is the part after the build. A sweep trial shares its body,
+``_run_built``, passing the weight floor its prepared scenario computed once."""
 
 from __future__ import annotations
 
@@ -88,9 +89,18 @@ def run_built(
     tolerances: make its metrics, run the event loop, and report a protocol
     fault as the "fault" outcome. Returns (outcome, metrics, fault message,
     empty unless the outcome is "fault")."""
+    return _run_built(config, config.effective_alpha(), world, protocol, scripts, collect_trace)
+
+
+def _run_built(
+    config: ScenarioConfig, alpha: float, world: WorldState, protocol, scripts,
+    collect_trace: bool = False,
+) -> tuple[str, RunMetrics, str]:
+    """``run_built`` with the weight floor ``alpha`` already computed, as a
+    prepared scenario keeps it."""
     metrics = RunMetrics(
         world,
-        alpha=config.effective_alpha(),
+        alpha=alpha,
         window_len=config.window_len,
         mode=config.monitor,
         tol_phase=config.tol_phase,

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnrunnableScenarioError
-from .runner import run_built
+from .runner import _run_built
 # Not called here: the benchmark's tracing module reads this name when it
 # is imported.
 from .runner import run_scenario  # noqa: F401
@@ -170,8 +170,9 @@ def run_trial(
     problems = initial_value_problems(phases, freqs, prepared.normal_ids, 0.0)
     if problems:
         raise UnrunnableScenarioError(problems)
-    outcome = run_built(
-        base.config, prepared.world(phases, freqs), prepared.protocol, prepared.scripts
+    outcome = _run_built(
+        base.config, prepared.alpha, prepared.world(phases, freqs), prepared.protocol,
+        prepared.scripts,
     )[0]
     if outcome == "converged":
         return True

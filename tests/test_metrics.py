@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,10 @@ from pcosync import (
     load_scenario,
     run_scenario,
 )
+import pcosync.metrics
+from pcosync.engine import PHASE_SLACK
 from pcosync.metrics import format_trace_row, trace_header, write_trace
+from pcosync.phase import containing_arc
 
 from oracles import EventSpreadWindow, ExtremaHistory, RescanSpreadWindow
 
@@ -260,6 +264,9 @@ def fresh(phases=(0.0, 0.3), omegas=(1.0, 1.2), mode="warn", window_len=None):
 
 
 def observe(world, metrics, phases=None, omegas=None, advance=0.0):
+    # Moves every phase at one clock, which only the tracked path (monitor on
+    # or trace collected, as in ``fresh``) allows; the untracked path rests
+    # on the event loop's unchanged-clock contract, see ``untracked``.
     if phases is not None:
         for osc, p in zip(world.oscillators, phases):
             osc.phase = p
@@ -365,6 +372,70 @@ def test_convergence_needs_a_full_quiet_window():
     assert not metrics.converged
     observe(world, metrics)
     assert metrics.converged
+
+
+def untracked(phases, tol_phase):
+    """Monitor-off, untraced metrics over equal frequencies, and a step that
+    sets every phase at a new clock, as the event loop's contract requires
+    of the untracked path; it counts the arcs ``observe`` computes."""
+    n = len(phases)
+    world = WorldState(
+        graph=complete_digraph(n),
+        oscillators=[OscillatorState(p, 1.0) for p in phases],
+        normal=frozenset(range(n)),
+        faulty=frozenset(),
+    )
+    metrics = RunMetrics(world, alpha=0.5, mode="off", tol_phase=tol_phase, collect_trace=False)
+    arcs = []
+
+    def counting(ps):
+        arcs.append(1)
+        return containing_arc(ps)
+
+    def step(new_phases):
+        for osc, p in zip(world.oscillators, new_phases):
+            osc.phase = p
+        world.clock += 0.25
+        world.event_count += 1
+        with mock.patch.object(pcosync.metrics, "containing_arc", counting):
+            metrics.observe(world, Event(time=world.clock, kind=EventKind.FIRE, node=0))
+        return metrics._streak
+
+    return metrics, step, arcs
+
+
+def test_witness_pair_across_phase_zero_rules_the_arc_out_without_a_sort():
+    # 0.9999996 and 3e-7 lie 7e-7 apart across phase 0, not 0.9999993.
+    phases = [0.9999996, 3e-7, 0.9999998]
+    metrics, step, arcs = untracked(phases, tol_phase=5e-7)
+    assert step(phases) == 0 and arcs == [1]  # the sort names the witness pair
+    assert metrics._witness == (0, 1)
+    assert step(phases) == 0 and arcs == [1]  # the pair alone rules it out
+    # Within tol_phase the pair cannot decide, so the arc is computed.
+    metrics, step, arcs = untracked(phases, tol_phase=1e-6)
+    assert [step(phases), step(phases)] == [1, 2] and arcs == [1, 1]
+
+
+@pytest.mark.parametrize("offset", [-1e-15, 0.0, 1e-15, PHASE_SLACK, PHASE_SLACK + 1e-15])
+@pytest.mark.parametrize("tail", [0.25, 0.9999995])
+def test_witness_pair_near_the_tolerance_leaves_the_decision_to_the_arc(tail, offset):
+    # A witness within tol_phase + PHASE_SLACK + 1e-12 rules nothing out: the
+    # streak is what the arc itself says, at every event.
+    tol = 1e-6
+    phases = [tail, (tail + tol + offset) % 1.0]
+    metrics, step, arcs = untracked([0.5, 0.5], tol_phase=tol)
+    step([0.5, 0.5 + 2 * tol])  # sets the witness pair to nodes 0 and 1
+    assert metrics._witness == (0, 1)
+    within = containing_arc(phases).length <= tol
+    assert [step(phases), step(phases)] == ([1, 2] if within else [0, 0])
+    assert len(arcs) == 3
+
+
+def test_witness_pair_past_the_margin_rules_the_arc_out():
+    tol = 1e-6
+    metrics, step, arcs = untracked([0.5, 0.5], tol_phase=tol)
+    step([0.5, 0.5 + 2 * tol])
+    assert step([0.1, 0.1 + tol + PHASE_SLACK + 2e-12]) == 0 and len(arcs) == 1
 
 
 def test_violation_recording_is_capped():

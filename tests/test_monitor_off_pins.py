@@ -3,19 +3,27 @@
 The trace digests pin the path ``observe`` takes when a trace is collected
 or the monitor is on, at up to 9 nodes (16 for two runs). Runs with the
 monitor off and no trace take a lighter path: the frequency extrema follow
-the updated node, and the arc is computed only once the frequencies have
-converged. These values pin that path at the sizes of the benchmark's
-``large_n`` workload: initial phases within 0.3 of a turn and frequencies
-within 5%, so every run converges. The final frequencies are pinned by the
-SHA-256 digest of their ``repr``. A value may only change together with a
-CHANGES.md entry naming the intended change in floating-point output.
+the updated node; the normal phases are kept in place, reread in full only
+when the clock moves and otherwise only at the actor's slot; and once the
+frequencies have converged, the arc is computed only when the witness pair
+(the tail and head nodes of the last arc found wider than ``tol_phase``)
+cannot rule it out. These values pin that path at the sizes of the
+benchmark's ``large_n`` workload: initial phases within 0.3 of a turn and
+frequencies within 5%, so every run converges. The final frequencies are
+pinned by the SHA-256 digest of their ``repr``. The number of arcs each run
+computes is pinned too, so a return to sorting the phases at every event
+fails here although no timing is taken. A value may only change together
+with a CHANGES.md entry naming the intended change in floating-point
+output or in that count.
 """
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 
+import pcosync.metrics
 from pcosync import ScenarioConfig, complete_digraph, run_scenario
 
 
@@ -65,3 +73,30 @@ def test_monitor_off_run_matches_its_frozen_result(key):
         hashlib.sha256(omegas.encode()).hexdigest(),
     )
     assert got == PINNED[key]
+
+
+# (n, algorithm): containing_arc calls made by observe during the run. Each
+# run sorts once when its frequencies first converge, names the witness pair
+# and is ruled out by it until the phases converge too; then it sorts at
+# each of the window_len = 2n events of its streak.
+ARC_CALLS = {
+    (16, "absolute"): 33,
+    (16, "relative"): 33,
+    (64, "absolute"): 129,
+    (64, "relative"): 129,
+}
+
+
+@pytest.mark.parametrize("key", sorted(ARC_CALLS), ids=lambda key: f"K{key[0]}-{key[1]}")
+def test_monitor_off_run_computes_its_frozen_number_of_arcs(key):
+    arc = pcosync.metrics.containing_arc
+    calls = []
+
+    def counting(phases):
+        calls.append(len(phases))
+        return arc(phases)
+
+    with mock.patch.object(pcosync.metrics, "containing_arc", counting):
+        result = run_scenario(_config(*key))
+    assert result.outcome == "converged"
+    assert len(calls) == ARC_CALLS[key]

@@ -19,6 +19,8 @@ from pcosync import (
 from pcosync.engine import PHASE_SLACK
 from pcosync.metrics import RunMetrics
 from pcosync.msr import MsrRound
+from pcosync.phase import containing_arc
+from pcosync.runner import run_built
 
 
 @st.composite
@@ -147,6 +149,91 @@ def test_untracked_frequency_extrema_follow_every_update(config):
     assert not plain.metrics._tracks_radii
     traced = run_scenario(config, validate=False, collect_trace=True)
     assert _summary(plain) == _summary(traced)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_robust_scenarios() | _attacked_scenarios())
+def test_untracked_phases_and_streak_follow_every_event(config):
+    # With the monitor off and no trace, observe rereads the phases only when
+    # the clock moves, and lets its witness pair rule the arc out where it
+    # can. After every event the kept phases must be the world's, and the
+    # streak and convergence what computing the arc at every event gives.
+    observe = RunMetrics.observe
+    reference = {"streak": 0, "converged": False}
+
+    def checking_observe(self, world, event, newly_detected=True):
+        observe(self, world, event, newly_detected)
+        phases = world.normal_phases()
+        assert self._phases == phases, (world.event_count, event)
+        omegas = world.normal_omegas()
+        if (max(omegas) - min(omegas) <= self.tol_freq
+                and containing_arc(phases).length <= self.tol_phase):
+            reference["streak"] += 1
+            reference["converged"] |= reference["streak"] >= self.window_len
+        else:
+            reference["streak"] = 0
+        assert (self._streak, self.converged) == (reference["streak"], reference["converged"]), (
+            world.event_count, event)
+
+    with mock.patch.object(RunMetrics, "observe", checking_observe):
+        plain = run_scenario(config, validate=False)
+    assert not plain.metrics._tracks_radii
+    event(f"outcome {plain.outcome}")
+
+
+class ContractCheckingProtocol:
+    """A protocol wrapper that checks, around every handler call, the event
+    loop's unchanged-clock contract that event selection and the untracked
+    ``observe`` both rely on (see ``engine``): a handler moves no normal
+    phase but its actor's and never the clock, and an adversary pulse moves
+    no normal phase. Every other attribute is the wrapped protocol's;
+    ``checked`` counts the handler calls that returned."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.checked = 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def _call(self, world, actor, handler, *args):
+        before = world.normal_phases()
+        clock = world.clock
+        result = handler(world, *args)
+        moved = [i for i, old, new in zip(world.normal_ids, before, world.normal_phases())
+                 if old != new and i != actor]
+        assert moved == [], (world.event_count, handler.__name__, actor, moved)
+        assert world.clock == clock, (world.event_count, handler.__name__)
+        self.checked += 1
+        return result
+
+    def handle_fire(self, world, i, t):
+        return self._call(world, i, self.inner.handle_fire, i, t)
+
+    def handle_start(self, world, i, t):
+        return self._call(world, i, self.inner.handle_start, i, t)
+
+    def handle_update(self, world, i, t):
+        return self._call(world, i, self.inner.handle_update, i, t)
+
+    def deliver_adversary(self, world, attacker, t, value, is_start):
+        return self._call(world, None, self.inner.deliver_adversary, attacker, t, value, is_start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_robust_scenarios() | _attacked_scenarios(),
+       algorithm=st.sampled_from(["absolute", "relative"]), eager=st.booleans())
+def test_handlers_keep_the_unchanged_clock_contract(config, algorithm, eager):
+    config = dataclasses.replace(config, algorithm=algorithm, eager_detection=eager)
+    world, protocol, scripts = config.build()
+    checking = ContractCheckingProtocol(protocol)
+    outcome, metrics, fault = run_built(config, world, checking, scripts)
+    # A handler that raised a protocol fault ended the run uncounted.
+    assert checking.checked == world.event_count
+    plain = run_scenario(config, validate=False)
+    assert (outcome, fault) == (plain.outcome, plain.fault_message)
+    assert world.event_count == plain.world.event_count
+    event(f"outcome {outcome}")
 
 
 @settings(max_examples=100, deadline=None)

@@ -19,10 +19,12 @@ from pcosync import (
     ConfiguredAlpha,
     DirectedGraph,
     EqualWeights,
+    OscillatorState,
     RandomInterval,
     RunResult,
     ScenarioConfig,
     ScenarioValidationError,
+    WorldState,
     complete_digraph,
     demo_graph_8,
     directed_ring,
@@ -33,6 +35,7 @@ from pcosync import (
 from pcosync.cli import main
 from pcosync.errors import UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
+from pcosync.runner import run_built
 from pcosync.scenario import _KEYS
 
 from oracles import streams
@@ -130,6 +133,38 @@ def test_normalization_pins_tail_and_floor():
     assert min(phases[i] for i in normal) == 0.0
     assert min(freqs[i] for i in normal) == 1.0
     assert max(freqs[i] for i in normal) < 1.7 + 1e-12
+
+
+@pytest.mark.parametrize("weights", [EqualWeights(), ConfiguredAlpha(0.125)])
+def test_prepared_worlds_are_the_world_a_direct_build_gives(weights):
+    # The prepared scenario checks the partition and derives the world's
+    # tables once; each world it makes must equal one built and checked
+    # directly, and share no state a run changes with the worlds before it.
+    config = ScenarioConfig(
+        graph=demo_graph_8(),
+        f=1,
+        weights=weights,
+        phases=RandomInterval(0.1, 0.45),
+        frequencies=RandomInterval(1.2, 1.9),
+        attackers=[AttackerSpec(node=4, kind="silent")],
+        seed=3,
+        horizon=5.0,
+        monitor="off",
+    )
+    prepared, phases, freqs = config.prepare()
+    assert prepared.alpha == config.effective_alpha()
+
+    def direct():
+        return WorldState(config.graph, [OscillatorState(p, w) for p, w in zip(phases, freqs)],
+                          prepared.normal, prepared.faulty)
+
+    first = prepared.world(phases, freqs)
+    assert vars(first) == vars(direct())
+    run_built(config, first, prepared.protocol, prepared.scripts)
+    assert first.event_count > 0
+    second = prepared.world(phases, freqs)
+    assert vars(second) == vars(direct()) != vars(first)
+    assert not {id(osc) for osc in first.oscillators} & {id(osc) for osc in second.oscillators}
 
 
 def test_unnormalized_slow_frequencies_are_flagged():
