@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 on validation failure (including unreadable or
-malformed inputs), 3 when a run aborts on a protocol fault or a broken
-runtime invariant.
+malformed inputs and output files that cannot be written), 3 when a run
+aborts on a protocol fault or a broken runtime invariant.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import (
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
 from .scenario import load_scenario
-from .sweep import SweepSpec, format_frontier, pool_size, sweep_frontier, write_frontier
+from .sweep import SweepSpec, format_frontier, pool_size, sweep_frontier
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -77,6 +77,21 @@ def _summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
+def _check_output(path: str | None, what: str) -> None:
+    """Refuse, before any run, an output path that is a directory or lies
+    outside an existing directory."""
+    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+        raise ScenarioValidationError(
+            [f"cannot write {what} to {path}: not a file in an existing directory"])
+
+
+def _write_text(path: str, what: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ScenarioValidationError([f"cannot write {what} to {path}: {exc}"]) from None
+
+
 def _report(exc: ScenarioValidationError, stream) -> int:
     for line in exc.violations:
         print(f"violation: {line}", file=stream)
@@ -119,6 +134,9 @@ def _cmd_check_robustness(args) -> int:
 def _cmd_run(args) -> int:
     config = _load(args.scenario)
     _apply_overrides(config, args)
+    summary = args.summary if args.summary != "-" else None
+    _check_output(args.trace, "the trace")
+    _check_output(summary, "the summary")
     try:
         result = run_scenario(
             config,
@@ -135,13 +153,15 @@ def _cmd_run(args) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # the trace, the one file a run writes
+        raise ScenarioValidationError([f"cannot write the trace to {args.trace}: {exc}"]) from None
 
     lines = _summary_lines(result)
     if args.trace:
         lines.append(f"trace: {args.trace}")
     text = "\n".join(lines) + "\n"
-    if args.summary and args.summary != "-":
-        Path(args.summary).write_text(text)
+    if summary:
+        _write_text(summary, "the summary", text)
     else:
         sys.stdout.write(text)
     return EXIT_RUNTIME if result.outcome == "fault" else EXIT_OK
@@ -165,6 +185,7 @@ def _cmd_sweep(args) -> int:
         pool_size(args.parallelism, spec.trials)  # refuse a bad --parallelism before any trial
     except ValueError as exc:
         raise ScenarioValidationError([str(exc)]) from None
+    _check_output(args.output, "the frontier")
 
     mark = time.perf_counter()
 
@@ -185,10 +206,11 @@ def _cmd_sweep(args) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
+    text = format_frontier(points)
     if args.output:
-        write_frontier(args.output, points)
+        _write_text(args.output, "the frontier", text)
     else:
-        sys.stdout.write(format_frontier(points))
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -305,8 +305,9 @@ class RunMetrics:
         self._delta = None
         clock = world.clock
         if self._tracks_radii:
-            phases = self._phases = world.normal_phases()
-            omegas = world.normal_omegas()
+            oscillators = self._normal_oscillators
+            phases = self._phases = [osc.phase for osc in oscillators]
+            omegas = [osc.omega for osc in oscillators]
             lo = self._lo = min(omegas)
             hi = self._hi = max(omegas)
             self.freq_window.push(k, lo, hi)

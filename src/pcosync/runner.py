@@ -1,7 +1,7 @@
 """Single-scenario execution: validate, build, simulate, collect results.
 
-``run_built`` is the part after the build. A sweep trial shares its body,
-``_run_built``, passing the weight floor its prepared scenario computed once."""
+``run_built(prepared, world)`` is the one runner, for ``run_scenario`` and
+each sweep trial alike: it makes the run's metrics and runs the event loop."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .engine import WorldState, simulate
 from .errors import ProtocolFault, ScenarioValidationError
 from .metrics import RunMetrics, write_trace
 from .relative import RelativeProtocol
-from .scenario import ScenarioConfig
+from .scenario import PreparedScenario, ScenarioConfig
 
 
 @dataclass
@@ -52,19 +52,15 @@ def run_scenario(
     "fault" outcome rather than propagated, so batch callers can count it
     alongside the other outcomes.
     """
-    built = config.build()
-    world, protocol, scripts = built
-    violations: list[str] = []
-    info: list[str] = []
-    if validate:
-        violations, info = config.validate(built)
-        if violations and not force:
-            raise ScenarioValidationError(violations)
+    prepared, world = built = config.build()
+    violations, info = config.validate(built) if validate else ([], [])
+    if violations and not force:
+        raise ScenarioValidationError(violations)
 
-    if collect_ratios and isinstance(protocol, RelativeProtocol):
-        protocol.ratio_log = []
+    if collect_ratios and isinstance(prepared.protocol, RelativeProtocol):
+        prepared.protocol.ratio_log = []
     outcome, metrics, fault_message = run_built(
-        config, world, protocol, scripts, collect_trace=collect_trace or trace_path is not None
+        prepared, world, collect_trace=collect_trace or trace_path is not None
     )
 
     if trace_path is not None and metrics.rows is not None:
@@ -78,29 +74,21 @@ def run_scenario(
         violations=violations,
         info=info,
         fault_message=fault_message,
-        ratio_log=getattr(protocol, "ratio_log", None),
+        ratio_log=getattr(prepared.protocol, "ratio_log", None),
     )
 
 
 def run_built(
-    config: ScenarioConfig, world: WorldState, protocol, scripts, *, collect_trace: bool = False
+    prepared: PreparedScenario, world: WorldState, *, collect_trace: bool = False
 ) -> tuple[str, RunMetrics, str]:
-    """Run a built world to its end under ``config``'s horizon, monitor and
-    tolerances: make its metrics, run the event loop, and report a protocol
+    """Run ``world``, made by ``prepared.world``, to its end as the prepared
+    config says: make its metrics, run the event loop, and report a protocol
     fault as the "fault" outcome. Returns (outcome, metrics, fault message,
     empty unless the outcome is "fault")."""
-    return _run_built(config, config.effective_alpha(), world, protocol, scripts, collect_trace)
-
-
-def _run_built(
-    config: ScenarioConfig, alpha: float, world: WorldState, protocol, scripts,
-    collect_trace: bool = False,
-) -> tuple[str, RunMetrics, str]:
-    """``run_built`` with the weight floor ``alpha`` already computed, as a
-    prepared scenario keeps it."""
+    config = prepared.config
     metrics = RunMetrics(
         world,
-        alpha=alpha,
+        alpha=prepared.alpha,
         window_len=config.window_len,
         mode=config.monitor,
         tol_phase=config.tol_phase,
@@ -110,8 +98,8 @@ def _run_built(
     try:
         outcome = simulate(
             world,
-            protocol,
-            scripts,
+            prepared.protocol,
+            prepared.scripts,
             horizon=config.horizon,
             metrics=metrics,
             halt_on_detection=config.halt_on_detection,

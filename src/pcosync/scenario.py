@@ -2,9 +2,10 @@
 
 A scenario pins everything a run needs: topology, protocol variant and its
 parameters, initial conditions (explicit or drawn), and attacker scripts.
-``build``, which every run calls, refuses every value no run can use;
-``prepare``, its first half, returns the checked initial values and what
-no run changes, and a sweep calls it once for all its trials.
+``build``, which every run calls, refuses every value no run can use and
+returns the prepared scenario and a world; ``prepare``, its first half,
+returns the first with the checked initial values, and a sweep calls it
+once for all its trials.
 ``validate`` also reports the paper's guarantee conditions (locality at
 most f, (2f+1)-robustness, an initial arc under half a circle, phases in
 [0, 1), slowest normal frequency exactly 1), which a forced run skips to
@@ -111,28 +112,25 @@ def initial_value_problems(phases, freqs, normal, floor: float) -> list[str]:
 
 
 class PreparedScenario:
-    """What a scenario that passed the gate keeps for every run: the graph,
-    the normal node ids (ascending) and sets, the protocol, the attack
-    scripts and the weight floor ``alpha``. No run changes them; ``world``
-    makes the state a run does change."""
+    """The object every run starts from: what a scenario that passed the
+    gate keeps for all its runs, namely its ``config``, normal node ids
+    (ascending), protocol, attack scripts and weight floor ``alpha``. No run
+    changes them; ``world`` makes the state a run does change."""
 
-    __slots__ = ("graph", "normal_ids", "normal", "faulty", "protocol", "scripts", "alpha",
-                 "_world_fields")
+    __slots__ = ("config", "normal_ids", "protocol", "scripts", "alpha", "_world_fields")
 
-    def __init__(
-        self, graph: DirectedGraph, normal_ids: tuple[int, ...], protocol, scripts, alpha: float
-    ):
-        self.graph = graph
+    def __init__(self, config: ScenarioConfig, normal_ids: tuple[int, ...], protocol, scripts):
+        graph = config.graph
+        self.config = config
         self.normal_ids = normal_ids
-        self.normal = frozenset(normal_ids)
-        self.faulty = frozenset(script.node for script in scripts)
         self.protocol = protocol
         self.scripts = scripts
-        self.alpha = alpha
+        self.alpha = effective_alpha(config.weights, max(graph.in_degrees[i] for i in normal_ids))
         # A world that never runs: its partition is checked and its derived
         # tables built here, once, and each run's world copies its fields,
         # with oscillators of its own in place of these placeholders.
-        blank = WorldState(graph, [None] * graph.node_count, self.normal, self.faulty)
+        blank = WorldState(graph, [None] * graph.node_count, frozenset(normal_ids),
+                           frozenset(script.node for script in scripts))
         self._world_fields = tuple(vars(blank).items())
 
     def world(self, phases, freqs) -> WorldState:
@@ -181,11 +179,6 @@ class ScenarioConfig:
     def normal_ids(self) -> tuple[int, ...]:
         bad = self.faulty_ids
         return tuple(i for i in range(self.graph.node_count) if i not in bad)
-
-    def effective_alpha(self) -> float:
-        degrees = [self.graph.in_degrees[i] for i in self.normal_ids]
-        d_max = max(degrees) if degrees else 0
-        return effective_alpha(self.weights, d_max)
 
     def _resolve(self, spec, n: int, stream: int) -> list[float]:
         if isinstance(spec, RandomInterval):
@@ -296,14 +289,13 @@ class ScenarioConfig:
         )
         protocol = (AbsoluteProtocol(params) if self.algorithm == "absolute"
                     else RelativeProtocol(params, zeta=self.zeta))
-        prepared = PreparedScenario(self.graph, normal, protocol, scripts, self.effective_alpha())
-        return prepared, phases, freqs
+        return PreparedScenario(self, normal, protocol, scripts), phases, freqs
 
-    def build(self):
-        """Instantiate (world, protocol, scripts) ready for the event loop;
-        raise UnrunnableScenarioError listing every value no run can use."""
+    def build(self) -> tuple[PreparedScenario, WorldState]:
+        """The prepared scenario and a world at its initial values; raise
+        UnrunnableScenarioError listing every value no run can use."""
         prepared, phases, freqs = self.prepare()
-        return prepared.world(phases, freqs), prepared.protocol, prepared.scripts
+        return prepared, prepared.world(phases, freqs)
 
     # -- validation --------------------------------------------------------
 
@@ -318,7 +310,7 @@ class ScenarioConfig:
                 built = self.build()
             except ScenarioValidationError as exc:
                 return exc.violations, []
-        world, _, scripts = built
+        prepared, world = built
         violations: list[str] = []
         info: list[str] = []
         normal = world.normal_ids
@@ -371,13 +363,12 @@ class ScenarioConfig:
                     f"graph is not {required}-robust, required for f={self.f}"
                 )
 
-        for spec, script in zip(self.attackers, scripts):
+        for spec, script in zip(self.attackers, prepared.scripts):
             tag = "stealthy" if adversary.is_stealthy(script, world, self.horizon) else "NOT stealthy"
             info.append(f"attacker {spec.node} ({spec.kind}) is {tag} over the horizon")
 
-        alpha = self.effective_alpha()
         info.append(
-            f"initial arc {arc0!r}, frequency spread {spread0!r}, weight floor {alpha!r}"
+            f"initial arc {arc0!r}, frequency spread {spread0!r}, weight floor {prepared.alpha!r}"
         )
         for variant in ("strict", "relaxed", "relative"):
             ok, lhs, rhs = check_initial_bound(
@@ -386,7 +377,7 @@ class ScenarioConfig:
                 spread0=spread0,
                 node_count=self.graph.node_count,
                 normal_count=len(normal),
-                alpha=alpha,
+                alpha=prepared.alpha,
                 window_len=self.window_len,
                 zeta=self.zeta,
             )

@@ -8,15 +8,16 @@ underlying draws (common random numbers); this keeps the per-trial response
 nearly monotone in the spread and makes serial and parallel execution
 byte-identical.
 
-Each process checks and builds the base scenario once: the gate runs in
-the calling process before any trial or worker starts, so a base no run can
-use raises UnrunnableScenarioError there. A trial then makes only fresh
-oscillator states, a world and its metrics. Each process also keeps every
-trial's draws while the sweep stays at one grid point: a trial's phases do
-not depend on the spread, and its frequencies are rebuilt from the kept
-unit draws with numpy's own ``uniform`` formula. A parallel sweep sends the
-base scenario to each worker once, when the pool starts, and then sends
-each evaluation's trial indices in a few chunks.
+Each process checks and builds the base scenario once and keeps its
+prepared scenario: the gate runs in the calling process before any trial or
+worker starts, so a base no run can use raises UnrunnableScenarioError
+there. A trial then makes a fresh world and runs it with ``run_built``.
+Each process also keeps every trial's draws while the sweep stays at one
+grid point: a trial's phases do not depend on the spread, and its
+frequencies are rebuilt from the kept unit draws with numpy's own
+``uniform`` formula. A parallel sweep sends the base scenario to each
+worker once, when the pool starts, and then sends each evaluation's trial
+indices in a few chunks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnrunnableScenarioError
-from .runner import _run_built
+from .runner import run_built
 # Not called here: the benchmark's tracing module reads this name when it
 # is imported.
 from .runner import run_scenario  # noqa: F401
@@ -106,23 +107,22 @@ def uniform(low: float, high: float, units: list[float]) -> list[float]:
 
 
 class PreparedBase:
-    """What the trials of one sweep share in one process: the base scenario
-    with a trial's overrides, checked and built once, and each trial's
-    draws at the current grid point."""
+    """What the trials of one sweep share in one process: the prepared
+    scenario of the base with a trial's overrides, checked and built once,
+    and each trial's draws at the current grid point."""
 
     def __init__(self, base: ScenarioConfig):
         n = base.graph.node_count
         # Placeholder initial values of the right length: the gate checks
         # every other field, and each trial checks its own draws.
-        self.config = dataclasses.replace(
+        self.prepared = dataclasses.replace(
             base,
             phases=[0.0] * n,
             frequencies=[1.0] * n,
             normalize_phases=False,
             normalize_frequencies=False,
             monitor="off",
-        )
-        self.prepared = self.config.prepare()[0]
+        ).prepare()[0]
         self.n = n
         self._point = None
         self._draws: dict[int, tuple[list[float], list[float]]] = {}
@@ -170,10 +170,7 @@ def run_trial(
     problems = initial_value_problems(phases, freqs, prepared.normal_ids, 0.0)
     if problems:
         raise UnrunnableScenarioError(problems)
-    outcome = _run_built(
-        base.config, prepared.alpha, prepared.world(phases, freqs), prepared.protocol,
-        prepared.scripts,
-    )[0]
+    outcome = run_built(prepared, prepared.world(phases, freqs))[0]
     if outcome == "converged":
         return True
     return outcome == "detected" and not synchronized_only

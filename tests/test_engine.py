@@ -165,10 +165,10 @@ def pair_config(**overrides):
 
 def test_simulate_converges_a_homogeneous_pair():
     config = pair_config()
-    world, protocol, scripts = config.build()
-    metrics = RunMetrics(world, alpha=config.effective_alpha(), mode="strict")
+    prepared, world = config.build()
+    metrics = RunMetrics(world, alpha=prepared.alpha, mode="strict")
     outcome = simulate(
-        world, protocol, scripts, horizon=config.horizon, metrics=metrics
+        world, prepared.protocol, prepared.scripts, horizon=config.horizon, metrics=metrics
     )
     assert outcome == "converged"
     assert metrics.delta <= 1e-6
@@ -188,10 +188,10 @@ def test_simulate_enforces_the_liveness_budget():
         frequencies=[1.0, 1.02, 1.05],
         horizon=60.0,
     )
-    world, protocol, scripts = config.build()
+    prepared, world = config.build()
     metrics = RunMetrics(
         world,
-        alpha=config.effective_alpha(),
+        alpha=prepared.alpha,
         mode="off",
         tol_phase=0.0,
         tol_freq=0.0,
@@ -199,7 +199,8 @@ def test_simulate_enforces_the_liveness_budget():
     tiny_budget = functools.partial(event_budget, safety=0.001)
     with mock.patch.object(pcosync.engine, "event_budget", tiny_budget), \
             pytest.raises(InvariantViolation, match="budget"):
-        simulate(world, protocol, scripts, horizon=config.horizon, metrics=metrics)
+        simulate(world, prepared.protocol, prepared.scripts, horizon=config.horizon,
+                 metrics=metrics)
 
 
 def test_repeated_runs_are_identical():

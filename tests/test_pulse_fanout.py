@@ -9,6 +9,7 @@ bit for bit, and ``WorldState.pulses_delivered`` must equal the number of
 hook calls the old path made.
 """
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -21,11 +22,10 @@ from pcosync import (
     OscillatorState,
     ProtocolFault,
     RelativeProtocol,
-    RunMetrics,
     WorldState,
     load_scenario,
-    simulate,
 )
+from pcosync.runner import run_built
 
 from oracles import HookAbsoluteProtocol, HookRelativeProtocol
 
@@ -162,20 +162,16 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
 
 
 def _run(config, hooks):
-    """Simulate ``config`` through the package's protocol or its hook-path
-    oracle; returns (world, protocol, outcome)."""
-    world, protocol, scripts = config.build()
+    """Run ``config`` with the monitor off through the package's protocol or
+    its hook-path oracle; returns (world, protocol, outcome)."""
+    prepared, world = dataclasses.replace(config, monitor="off").build()
     if hooks:
         cls = HookRelativeProtocol if config.algorithm == "relative" else HookAbsoluteProtocol
         kwargs = {"zeta": config.zeta} if config.algorithm == "relative" else {}
-        protocol = cls(protocol.params, **kwargs)
-    metrics = RunMetrics(
-        world, alpha=config.effective_alpha(), window_len=config.window_len, mode="off",
-        tol_phase=config.tol_phase, tol_freq=config.tol_freq, collect_trace=False,
-    )
-    outcome = simulate(world, protocol, scripts, horizon=config.horizon, metrics=metrics,
-                       halt_on_detection=config.halt_on_detection)
-    return world, protocol, outcome
+        prepared.protocol = cls(prepared.protocol.params, **kwargs)
+    outcome, _, fault = run_built(prepared, world)
+    assert not fault, fault
+    return world, prepared.protocol, outcome
 
 
 def test_pulse_counter_equals_the_hook_calls_of_whole_runs():

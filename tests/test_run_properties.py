@@ -29,12 +29,7 @@ def _robust_scenarios(draw):
     a complete digraph on 4-8 nodes with a few edges removed."""
     n = draw(st.integers(4, 8), label="n")
     f = draw(st.integers(0, 1), label="f")
-    pairs = [(i, j) for i, j in itertools.product(range(n), repeat=2) if i != j]
-    removed = draw(st.sets(st.sampled_from(pairs), max_size=n), label="removed edges")
-    graph = DirectedGraph.from_lists(
-        [j for j in range(n) if j != i and (i, j) not in removed] for i in range(n)
-    )
-    assume(is_r_robust(graph, 2 * f + 1))
+    graph = _draw_robust_graph(draw, n, 2 * f + 1)
     arc = draw(st.floats(0.0, 0.45), label="arc")
     spread = draw(st.floats(0.0, 0.2), label="spread")
     unit = st.floats(0.0, 1.0)
@@ -47,6 +42,17 @@ def _robust_scenarios(draw):
         horizon=draw(st.sampled_from([5.0, 15.0]), label="horizon"),
         monitor="off",
     )
+
+
+def _draw_robust_graph(draw, n, r):
+    """An r-robust complete digraph on ``n`` nodes with at most n edges removed."""
+    pairs = [(i, j) for i, j in itertools.product(range(n), repeat=2) if i != j]
+    removed = draw(st.sets(st.sampled_from(pairs), max_size=n), label="removed edges")
+    graph = DirectedGraph.from_lists(
+        [j for j in range(n) if j != i and (i, j) not in removed] for i in range(n)
+    )
+    assume(is_r_robust(graph, r))
+    return graph
 
 
 # Relative runs estimate each frequency ratio from two stamped phases, so a
@@ -87,24 +93,74 @@ def _attacked_scenarios(draw):
     n = config.graph.node_count
     attackers = []
     for node in sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2), label="attackers")):
-        kind = draw(st.sampled_from(["silent", "stealthy", "flooding", "custom"]), label="kind")
-        if kind == "stealthy":
-            options = {"offsets": [draw(st.floats(0.0, 0.99), label="offset")]}
-        elif kind == "flooding":
-            options = {"burst_count": draw(st.integers(1, 8), label="burst"),
-                       "start_time": draw(st.floats(0.0, 4.0), label="burst start")}
-        elif kind == "custom":
-            times = draw(st.lists(st.floats(0.0, 5.0), max_size=6, unique=True), label="pulses")
-            options = {"pulses": [(t, 1.0 + t % 0.3) for t in times]}
-        else:
-            options = {}
-        attackers.append(AttackerSpec(node, kind, options))
+        attackers.append(_draw_attacker(draw, node))
     return dataclasses.replace(
         config,
         attackers=attackers,
         eager_detection=draw(st.booleans(), label="eager_detection"),
         halt_on_detection=draw(st.booleans(), label="halt_on_detection"),
     )
+
+
+def _draw_attacker(draw, node):
+    """A scripted attacker of any kind at ``node``."""
+    kind = draw(st.sampled_from(["silent", "stealthy", "flooding", "custom"]), label="kind")
+    if kind == "stealthy":
+        options = {"offsets": [draw(st.floats(0.0, 0.99), label="offset")]}
+    elif kind == "flooding":
+        options = {"burst_count": draw(st.integers(1, 8), label="burst"),
+                   "start_time": draw(st.floats(0.0, 4.0), label="burst start")}
+    elif kind == "custom":
+        times = draw(st.lists(st.floats(0.0, 5.0), max_size=6, unique=True), label="pulses")
+        options = {"pulses": [(t, 1.0 + t % 0.3) for t in times]}
+    else:
+        options = {}
+    return AttackerSpec(node, kind, options)
+
+
+@st.composite
+def _admissible_attacked_scenarios(draw):
+    """A scenario inside the paper's conditions: f = 1 on a 3-robust digraph
+    built as in ``_robust_scenarios``, one attacker, so no normal node hears
+    more than f misbehaving in-neighbors, and equal initial frequencies with
+    an initial arc of at most 0.45. With a spread of 0 the strict initial
+    bound of ``check_initial_bound`` reads the arc alone, against 0.5; any
+    spread above 0 meets a coefficient of about 1e30 at n = 5."""
+    n = draw(st.integers(5, 8), label="n")
+    graph = _draw_robust_graph(draw, n, 3)
+    arc = draw(st.floats(0.0, 0.45), label="arc")
+    phases = [arc * u for u in draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                                     label="phases")]
+    return ScenarioConfig(
+        graph=graph,
+        algorithm=draw(st.sampled_from(["absolute", "relative"]), label="algorithm"),
+        f=1,
+        phases=phases,
+        frequencies=[1.0] * n,
+        attackers=[_draw_attacker(draw, draw(st.integers(0, n - 1), label="attacker"))],
+        horizon=60.0,
+        eager_detection=draw(st.booleans(), label="eager_detection"),
+        monitor="off",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=_admissible_attacked_scenarios())
+def test_admissible_attacked_runs_detect_or_synchronize_inside_the_hull(config):
+    # The paper's dichotomy: under its conditions the normal nodes either
+    # detect the misbehaving one or synchronize, and W-MSR trimming keeps
+    # every normal frequency inside the initial normal hull.
+    assert config.validate()[0] == []
+    initial = config.prepare()[2]
+    normal = config.normal_ids
+    slack = HULL_SLACK[config.algorithm]
+    low = min(initial[i] for i in normal) - slack
+    high = max(initial[i] for i in normal) + slack
+    result = run_scenario(config, validate=False, collect_trace=True)
+    assert result.outcome in ("converged", "detected"), (result.outcome, result.fault_message)
+    for row in result.metrics.rows:
+        assert all(low <= row.omegas[i] <= high for i in normal), (row.k, row.omegas, low, high)
+    event(f"{config.algorithm} {config.attackers[0].kind} {result.outcome}")
 
 
 def _reported(result):
@@ -225,9 +281,9 @@ class ContractCheckingProtocol:
        algorithm=st.sampled_from(["absolute", "relative"]), eager=st.booleans())
 def test_handlers_keep_the_unchanged_clock_contract(config, algorithm, eager):
     config = dataclasses.replace(config, algorithm=algorithm, eager_detection=eager)
-    world, protocol, scripts = config.build()
-    checking = ContractCheckingProtocol(protocol)
-    outcome, metrics, fault = run_built(config, world, checking, scripts)
+    prepared, world = config.build()
+    checking = prepared.protocol = ContractCheckingProtocol(prepared.protocol)
+    outcome, metrics, fault = run_built(prepared, world)
     # A handler that raised a protocol fault ended the run uncounted.
     assert checking.checked == world.event_count
     plain = run_scenario(config, validate=False)

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, serialization, and the command line."""
 
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from pcosync import (
 from pcosync.cli import main
 from pcosync.errors import UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
+from pcosync.msr import effective_alpha
 from pcosync.runner import run_built
 from pcosync.scenario import _KEYS
 
@@ -152,15 +155,17 @@ def test_prepared_worlds_are_the_world_a_direct_build_gives(weights):
         monitor="off",
     )
     prepared, phases, freqs = config.prepare()
-    assert prepared.alpha == config.effective_alpha()
+    assert prepared.config is config
+    d_max = max(len(config.graph.in_neighbors[i]) for i in config.normal_ids)
+    assert prepared.alpha == effective_alpha(weights, d_max)
 
     def direct():
         return WorldState(config.graph, [OscillatorState(p, w) for p, w in zip(phases, freqs)],
-                          prepared.normal, prepared.faulty)
+                          frozenset(config.normal_ids), config.faulty_ids)
 
     first = prepared.world(phases, freqs)
     assert vars(first) == vars(direct())
-    run_built(config, first, prepared.protocol, prepared.scripts)
+    run_built(prepared, first)
     assert first.event_count > 0
     second = prepared.world(phases, freqs)
     assert vars(second) == vars(direct()) != vars(first)
@@ -447,6 +452,50 @@ def test_cli_run_exit_codes(capsys, tmp_path):
     assert "--force" in capsys.readouterr().err
     assert main(["run", str(starved), "--force"]) == 3
     assert "outcome: fault" in capsys.readouterr().out
+
+
+# Each output option: the command, its scenario, the extra arguments and
+# what the output holds.
+OUTPUTS = {
+    "--summary": ("run", "nominal_sync", [], "the summary"),
+    "--trace": ("run", "nominal_sync", [], "the trace"),
+    "--output": ("sweep", "frontier_sweep",
+                 ["--grid", "0.05", "--trials", "2", "--spread-cap", "0.2", "--tol", "0.1",
+                  "--horizon", "20"], "the frontier"),
+}
+
+
+@pytest.mark.parametrize("option", OUTPUTS)
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_cli_unwritable_output_exits_2_before_the_run(option, where, capsys, tmp_path):
+    command, stem, extra, what = OUTPUTS[option]
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    with mock.patch("pcosync.cli.run_scenario") as run, \
+            mock.patch("pcosync.cli.sweep_frontier") as sweep:
+        code = main([command, str(SCENARIOS / f"{stem}.json"), *extra, option, str(path)])
+    assert code == 2
+    assert not run.called and not sweep.called
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"violation: cannot write {what} to {path}: not a file in an existing directory"
+    ]
+
+
+@pytest.mark.parametrize("option", OUTPUTS)
+def test_cli_output_that_fails_to_write_exits_2(option, capsys, tmp_path):
+    command, stem, extra, what = OUTPUTS[option]
+    path = tmp_path / "out.txt"
+    full = OSError(errno.ENOSPC, "No space left on device")
+    with mock.patch("pcosync.runner.write_trace", side_effect=full), \
+            mock.patch.object(Path, "write_text", side_effect=full):
+        code = main([command, str(SCENARIOS / f"{stem}.json"), *extra, option, str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if not line.startswith("# arc")] == [
+        f"violation: cannot write {what} to {path}: {full}"
+    ]
 
 
 def test_cli_sweep_smoke(capsys, tmp_path):
