@@ -1,6 +1,8 @@
 """Relative-frequency protocol: stamp pairing, ratio estimates, updates."""
 
 import dataclasses
+import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -257,3 +259,39 @@ def test_nominal_sync_relative_trips_the_strict_windowed_ceiling():
     config = load_scenario(SCENARIOS / "nominal_sync.json")
     assert config.monitor == "strict"
     run_scenario(dataclasses.replace(config, algorithm="relative"))
+
+
+def _k16_draw():
+    """The benchmark-sized K16 relative draw of ``test_monitor_off_pins``."""
+    rng = random.Random(16)
+    phases = [rng.uniform(0.0, 0.3) for _ in range(16)]
+    frequencies = [rng.uniform(1.0, 1.05) for _ in range(16)]
+    return ScenarioConfig(
+        graph=complete_digraph(16), algorithm="relative", f=1, zeta=0.1,
+        phases=phases, frequencies=frequencies, horizon=200.0, monitor="off",
+    )
+
+
+# Run: (records in the ratio log, SHA-256 of its repr). No other digest
+# covers the ratios, their order or the sender frequencies they carry; a
+# value may only change together with a CHANGES.md entry naming the
+# intended change in floating-point output.
+RATIO_LOG_PINS = {
+    "relative_equivalence": (
+        360, "c1257d0062183a569b9d7819bb758ed12fcc919ec7a539d6a1ff958601cad02f",
+    ),
+    "K16": (4080, "ee104d950f1dada5a5e835a5a4eb7390f831896ecd482685b2f9344604799e52"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_LOG_PINS))
+def test_ratio_log_matches_its_frozen_digest(name):
+    if name == "K16":
+        config = _k16_draw()
+    else:
+        config = load_scenario(SCENARIOS / f"{name}.json")
+    result = run_scenario(config, collect_ratios=True)
+    assert result.outcome == "converged"
+    log = repr(result.ratio_log)
+    got = (len(result.ratio_log), hashlib.sha256(log.encode()).hexdigest())
+    assert got == RATIO_LOG_PINS[name]
