@@ -12,7 +12,7 @@ frequency with a trimmed weighted mean of the buffered values.
 from __future__ import annotations
 
 from .engine import WorldState
-from .msr import MsrRound, make_weights, msr_trim
+from .msr import MsrRound, msr_trim, neighbor_weight
 
 
 class AbsoluteProtocol(MsrRound):
@@ -21,21 +21,21 @@ class AbsoluteProtocol(MsrRound):
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
         """Node i reaches phase 1: reset, arm the update, broadcast omega."""
         value = self.reset_on_fire(world, i).omega
-        return self.deliver_pulse(world, world.normal_receivers[i], i, value)
+        return self.deliver_pulse(world, world.receiver_slots[i], value)
 
     def on_pulse(self, world: WorldState, i: int, value: float, t: float) -> bool:
         """Receiver i alone hears a pulse claiming frequency ``value``.
 
         Returns True when eager detection latched on this pulse.
         """
-        return self.deliver_pulse(world, (i,), None, value)
+        return self.deliver_pulse(world, ((i, None),), value)
 
     def deliver_adversary(
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
     ) -> bool:
         if is_start:
             return False  # start pulses carry no meaning for this protocol
-        return self.deliver_pulse(world, world.normal_receivers[attacker], attacker, value)
+        return self.deliver_pulse(world, world.receiver_slots[attacker], value)
 
     # -- update plane -------------------------------------------------------
 
@@ -49,10 +49,10 @@ class AbsoluteProtocol(MsrRound):
             return True
         osc = world.oscillators[i]
         kept = msr_trim(osc.freq_buffer, trim)
-        weights = make_weights(self.params.weight_policy, len(kept))
+        w = neighbor_weight(self.params.weight_policy, len(kept))
         omega = osc.omega
         # Deviation form of the convex combination: exact when all inputs
         # equal the current value, and sign-safe at the hull edges.
-        osc.omega = omega + sum(w * (v - omega) for w, v in zip(weights[1:], kept))
+        osc.omega = omega + sum([w * (v - omega) for v in kept])
         osc.reset_round()
         return False

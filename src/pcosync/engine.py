@@ -74,10 +74,15 @@ class OscillatorState:
     arms the mid-cycle update trigger. ``jump_up``/``jump_down`` hold the
     two phase-correction ingredients captured when the pulse counter
     crosses its lower and upper landmarks; each is written at most once
-    per round. The pairing dicts are only used by the relative-frequency
-    protocol: ``pending_start`` maps sender id to the receiver's phase at
-    an unmatched start pulse, ``pulse_pairs`` to the latest completed
-    (start stamp, end stamp, sender frequency or None if forged) triple.
+    per round. The pairing slots are only used by the relative-frequency
+    protocol, and stay None in a world that runs the absolute one (see
+    ``WorldState.add_pair_slots``). Slot k belongs to the node's k-th
+    in-neighbor: ``stamps`` holds the node's phase at that sender's
+    unmatched start pulse, ``ratios`` the frequency ratio of the latest
+    completed start/end pair (0.0 when the stamps coincided, which gives no
+    estimate), and ``sender_omegas`` that pair's sender frequency (None if
+    forged), kept only while the protocol logs its ratios. None marks an
+    empty slot; every slot is emptied at the end of each round.
     """
 
     phase: float
@@ -87,10 +92,17 @@ class OscillatorState:
     freq_buffer: list[float] = field(default_factory=list)
     jump_up: float = 0.0
     jump_down: float = 0.0
-    pending_start: dict[int, float] = field(default_factory=dict)
-    pulse_pairs: dict[int, tuple[float, float, float | None]] = field(default_factory=dict)
+    stamps: list[float | None] | None = None
+    ratios: list[float | None] | None = None
+    sender_omegas: list[float | None] | None = None
     start_emitted: bool = False
     detected: bool = False
+
+    def open_pair_slots(self, d: int) -> None:
+        """Empty pairing slots for ``d`` in-neighbors."""
+        self.stamps = [None] * d
+        self.ratios = [None] * d
+        self.sender_omegas = [None] * d
 
     def reset_round(self) -> None:
         """End-of-round cleanup shared by both protocols."""
@@ -99,8 +111,8 @@ class OscillatorState:
         self.freq_buffer.clear()
         self.jump_up = 0.0
         self.jump_down = 0.0
-        self.pending_start.clear()
-        self.pulse_pairs.clear()
+        if self.stamps is not None:
+            self.open_pair_slots(len(self.stamps))
 
 
 @dataclass
@@ -126,10 +138,22 @@ class WorldState:
         self.faulty_ids = tuple(sorted(self.faulty))
         # Pulses reach only normal nodes; faulty ones run no protocol.
         outs = self.graph.out_neighbors
+        slots = self.graph.out_slots
         if self.faulty:
-            outs = tuple(tuple(j for j in row if j in self.normal) for row in outs)
+            normal = self.normal
+            outs = tuple(tuple(j for j in row if j in normal) for row in outs)
+            slots = tuple(tuple(edge for edge in row if edge[0] in normal) for row in slots)
         self.normal_receivers = outs
+        # Per sender, (receiver, slot) for each of its normal receivers, in
+        # ``normal_receivers`` order: the protocols' fan-outs walk these.
+        self.receiver_slots = slots
         self.in_degrees = self.graph.in_degrees
+
+    def add_pair_slots(self) -> None:
+        """Give every oscillator empty pairing slots, one per in-neighbor,
+        as the relative protocol needs (see ``OscillatorState``)."""
+        for osc, d in zip(self.oscillators, self.in_degrees):
+            osc.open_pair_slots(d)
 
     def normal_phases(self) -> list[float]:
         return [self.oscillators[i].phase for i in self.normal_ids]

@@ -65,6 +65,17 @@ class DirectedGraph:
         return tuple(tuple(sorted(o)) for o in outs)
 
     @cached_property
+    def out_slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node j, one (i, k) pair for each out-neighbor i, in
+        ``out_neighbors`` order, where k is j's position in i's in-neighbor
+        list."""
+        outs: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
+        for i, nbrs in enumerate(self.in_neighbors):
+            for k, j in enumerate(nbrs):
+                outs[j].append((i, k))
+        return tuple(map(tuple, outs))
+
+    @cached_property
     def in_masks(self) -> tuple[int, ...]:
         """In-neighbor sets as bitmasks, for the exhaustive subset scans."""
         return tuple(sum(1 << j for j in nbrs) for nbrs in self.in_neighbors)

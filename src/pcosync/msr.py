@@ -12,8 +12,13 @@ The variants differ only in the estimates: claimed values
 ``MsrRound.deliver_pulse`` is the one loop that hands a counted pulse to
 its receivers: every fire and every forged counted pulse of both variants
 goes through it, and so do the single-receiver hooks (``on_pulse``,
-``on_end_pulse``) that call it with a one-tuple. The counter, landmark and
-eager-detection rule lives there alone.
+``on_end_pulse``) that call it with a one-tuple. It walks (receiver, slot)
+pairs, the slot being the sender's position in the receiver's in-neighbor
+list, where the relative variant pairs the end pulse with its start stamp
+and keeps the pair's ratio. The counter, landmark and eager-detection rule
+lives there alone. Every kept neighbor value weighs the same under both
+weight policies (``neighbor_weight``), so both updates sum one weight times
+each kept value's deviation.
 """
 
 from __future__ import annotations
@@ -50,11 +55,18 @@ def make_weights(policy: WeightPolicy, j_count: int) -> tuple[float, ...]:
     All weights are positive, at least the policy's floor, and sum to 1
     within floating-point roundoff.
     """
+    w = neighbor_weight(policy, j_count)
+    self_weight = w if isinstance(policy, EqualWeights) else 1.0 - j_count * w
+    return (self_weight,) + (w,) * j_count
+
+
+def neighbor_weight(policy: WeightPolicy, j_count: int) -> float:
+    """The one weight every kept neighbor value takes when ``j_count`` are
+    kept: each entry of ``make_weights(policy, j_count)`` after the first."""
     if j_count < 0:
         raise ValueError(f"j_count must be nonnegative, got {j_count}")
     if isinstance(policy, EqualWeights):
-        w = 1.0 / (j_count + 1)
-        return (w,) * (j_count + 1)
+        return 1.0 / (j_count + 1)
     alpha = policy.alpha
     if alpha <= 0.0:
         raise ValueError(f"weight floor must be positive, got {alpha}")
@@ -62,7 +74,7 @@ def make_weights(policy: WeightPolicy, j_count: int) -> tuple[float, ...]:
         raise ValueError(
             f"alpha={alpha} cannot give {j_count + 1} weights each >= alpha summing to 1"
         )
-    return (1.0 - j_count * alpha,) + (alpha,) * j_count
+    return alpha
 
 
 def effective_alpha(policy: WeightPolicy, d_max: int) -> float:
@@ -137,36 +149,49 @@ class MsrRound:
         osc.start_emitted = False
         return osc
 
-    def deliver_pulse(self, world: WorldState, receivers, sender: int | None, value) -> bool:
-        """Every node in ``receivers`` hears one counted pulse from ``sender``.
+    def deliver_pulse(self, world: WorldState, edges, value) -> bool:
+        """Every receiver in ``edges`` hears one counted pulse.
 
-        This is the one fan-out loop of both variants. Each receiver first
-        records the pulse: the absolute variant buffers the claimed
-        frequency ``value``; the relative one pairs its phase with the
-        sender's pending start stamp, keeping ``value`` beside the pair as
-        the sender's frequency (None for a forged pulse). It then counts
-        the pulse at its current phase, captures each landmark's jump
-        ingredient on the pulse that reaches it (counts f + 1 and d - f),
-        and with eager detection latches a count past its in-degree d.
+        ``edges`` holds a (receiver, slot) pair per receiver, the slot being
+        the sender's position in the receiver's in-neighbor list, as
+        ``WorldState.receiver_slots`` lists them for one sender. This is the
+        one fan-out loop of both variants. Each receiver first records the
+        pulse: the absolute variant buffers the claimed frequency ``value``;
+        the relative one pairs its phase with the sender's pending start
+        stamp, emptying the stamp and keeping the pair's frequency ratio in
+        the slot, and, while it logs ratios, ``value`` beside it as the
+        sender's frequency (None for a forged pulse). It then counts the
+        pulse at its current phase, captures each landmark's jump ingredient
+        on the pulse that reaches it (counts f + 1 and d - f), and with
+        eager detection latches a count past its in-degree d.
 
         Returns True when eager detection latched on any receiver.
         """
-        world.pulses_delivered += len(receivers)
+        world.pulses_delivered += len(edges)
         oscillators = world.oscillators
         in_degrees = world.in_degrees
         f = self.params.f
         up_at = f + 1
         eager = self.params.eager_detection
         pairs = self.uses_start_pulses
+        if pairs:
+            zeta = self.zeta
+            keep_sender = self.ratio_log is not None
         newly = False
-        for j in receivers:
+        for j, k in edges:
             osc = oscillators[j]
             phi = osc.phase
             if pairs:
-                start = osc.pending_start.pop(sender, None)
+                stamps = osc.stamps
+                start = stamps[k]
+                # Latest completed pair wins; a lone end pulse pairs with nothing.
                 if start is not None:
-                    # Latest completed pair wins; a lone end pulse pairs with nothing.
-                    osc.pulse_pairs[sender] = (start, phi, value)
+                    stamps[k] = None
+                    # The receiver may fire between the receptions.
+                    span = (phi - start) % 1.0
+                    osc.ratios[k] = zeta / span if span else 0.0
+                    if keep_sender:
+                        osc.sender_omegas[k] = value
             else:
                 osc.freq_buffer.append(value)
             c = osc.pulse_count + 1

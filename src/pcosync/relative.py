@@ -10,8 +10,12 @@ pulse plane is identical to the absolute-frequency protocol: end pulses,
 honest or forged, reach every receiver through its one fan-out loop,
 ``deliver_pulse``, and start pulses through this module's one stamp loop,
 ``stamp_starts``. ``on_end_pulse`` and ``on_start_pulse`` are those loops
-for a single receiver. At the update the node scales its frequency by a
-trimmed weighted mean of the ratios.
+for a single receiver. A receiver keeps its stamps and ratios in slots, one
+per in-neighbor (see ``OscillatorState``): a start pulse writes the stamp in
+its sender's slot, and the end pulse that completes the pair empties the
+stamp and computes the ratio there. At the update the node reads the ratios
+in in-neighbor order and scales its frequency by their trimmed weighted
+mean.
 
 Attack-free, each ratio is the sender's frequency over the receiver's, so a
 run takes the absolute protocol's frequencies, within rounding, when two
@@ -24,7 +28,7 @@ places with the update.
 from __future__ import annotations
 
 from .engine import WorldState
-from .msr import MsrParams, MsrRound, make_weights, msr_trim
+from .msr import MsrParams, MsrRound, msr_trim, neighbor_weight
 
 
 class RelativeProtocol(MsrRound):
@@ -49,24 +53,28 @@ class RelativeProtocol(MsrRound):
         osc = world.oscillators[i]
         osc.phase = 1.0 - self.zeta
         osc.start_emitted = True
-        self.stamp_starts(world, world.normal_receivers[i], i)
+        self.stamp_starts(world, world.receiver_slots[i])
 
     def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
         omega = self.reset_on_fire(world, i).omega
-        return self.deliver_pulse(world, world.normal_receivers[i], i, omega)
+        return self.deliver_pulse(world, world.receiver_slots[i], omega)
 
-    def stamp_starts(self, world: WorldState, receivers, sender: int) -> None:
-        """Every node in ``receivers`` stamps its phase at a start pulse
-        from ``sender``."""
-        world.pulses_delivered += len(receivers)
+    def stamp_starts(self, world: WorldState, edges) -> None:
+        """Every receiver in ``edges``, (receiver, slot) pairs as
+        ``deliver_pulse`` takes them, stamps its phase at a start pulse."""
+        world.pulses_delivered += len(edges)
         oscillators = world.oscillators
-        for j in receivers:
+        for j, k in edges:
             osc = oscillators[j]
             # A pending stamp from a round the sender never closed is overwritten.
-            osc.pending_start[sender] = osc.phase
+            osc.stamps[k] = osc.phase
 
     def on_start_pulse(self, world: WorldState, i: int, sender: int, t: float) -> None:
-        self.stamp_starts(world, (i,), sender)
+        nbrs = world.graph.in_neighbors[i]
+        if sender in nbrs:
+            self.stamp_starts(world, ((i, nbrs.index(sender)),))
+        else:
+            world.pulses_delivered += 1  # no slot to stamp
 
     def on_end_pulse(
         self,
@@ -76,17 +84,28 @@ class RelativeProtocol(MsrRound):
         t: float,
         sender_omega: float | None = None,
     ) -> bool:
-        return self.deliver_pulse(world, (i,), sender, sender_omega)
+        nbrs = world.graph.in_neighbors[i]
+        if sender in nbrs:
+            return self.deliver_pulse(world, ((i, nbrs.index(sender)),), sender_omega)
+        # A sender outside the in-neighbor list has no slot: its pulse is
+        # counted against a blank stamp and pairs nothing.
+        osc = world.oscillators[i]
+        stamps = osc.stamps
+        osc.stamps = [None]
+        try:
+            return self.deliver_pulse(world, ((i, 0),), sender_omega)
+        finally:
+            osc.stamps = stamps
 
     def deliver_adversary(
         self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
     ) -> bool:
-        receivers = world.normal_receivers[attacker]
+        edges = world.receiver_slots[attacker]
         if is_start:
-            self.stamp_starts(world, receivers, attacker)
+            self.stamp_starts(world, edges)
             return False
         # A forged end pulse carries no sender frequency.
-        return self.deliver_pulse(world, receivers, attacker, None)
+        return self.deliver_pulse(world, edges, None)
 
     # -- update plane -------------------------------------------------------
 
@@ -95,31 +114,25 @@ class RelativeProtocol(MsrRound):
         if trim is None:
             return True
         osc = world.oscillators[i]
-        zeta = self.zeta
-        pairs = osc.pulse_pairs
+        omega = osc.omega
         ratio_log = self.ratio_log
-        ratios: list[float] = []
-        for j in world.graph.in_neighbors[i]:
-            pair = pairs.get(j)
-            if pair is None:
-                continue
-            # The receiver may fire between the receptions; coincident
-            # stamps give no estimate.
-            span = (pair[1] - pair[0]) % 1.0
-            if span == 0.0:
-                continue
-            ratio = zeta / span
-            ratios.append(ratio)
-            if ratio_log is not None:
-                ratio_log.append((t, i, j, ratio, osc.omega, pair[2]))
+        # The slots, in in-neighbor order, hold each completed pair's ratio;
+        # an empty slot and coincident stamps (0.0) give no estimate.
+        if ratio_log is None:
+            ratios = [r for r in osc.ratios if r]
+        else:
+            ratios = []
+            for j, r, sender_omega in zip(world.graph.in_neighbors[i], osc.ratios, osc.sender_omegas):
+                if r:
+                    ratios.append(r)
+                    ratio_log.append((t, i, j, r, omega, sender_omega))
         # Missing pairs (senders whose start or end pulse fell outside this
         # round) shrink the candidate set; with 2*trim or fewer candidates
         # the trim removes everything and the frequency holds for a round.
         kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
-        weights = make_weights(self.params.weight_policy, len(kept))
-        omega = osc.omega
+        w = neighbor_weight(self.params.weight_policy, len(kept))
         # omega * (a_self + sum a_j * ratio_j) in deviation form, exact when
         # every kept ratio is 1.
-        osc.omega = omega + omega * sum(w * (r - 1.0) for w, r in zip(weights[1:], kept))
+        osc.omega = omega + omega * sum([w * (r - 1.0) for r in kept])
         osc.reset_round()
         return False

@@ -135,7 +135,7 @@ class PreparedScenario:
 
     def world(self, phases, freqs) -> WorldState:
         """A fresh world at these initial phases and frequencies, one per
-        node."""
+        node, with empty pairing slots when the protocol pairs pulses."""
         # Set one by one in the constructor's order, never through the new
         # world's ``__dict__``: CPython keeps such attributes inline, and a
         # world whose dict was touched slows every attribute read of the
@@ -144,6 +144,8 @@ class PreparedScenario:
         for name, value in self._world_fields:
             setattr(world, name, value)
         world.oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
+        if self.protocol.uses_start_pulses:
+            world.add_pair_slots()
         return world
 
 

@@ -13,10 +13,11 @@ import itertools
 import operator
 from bisect import bisect_right
 from collections import deque
+from dataclasses import dataclass, field
 from heapq import merge
 from operator import itemgetter
 
-from pcosync import AbsoluteProtocol, RelativeProtocol, make_weights, msr_trim
+from pcosync import AbsoluteProtocol, OscillatorState, RelativeProtocol, make_weights, msr_trim
 
 
 def circle_dist(a, b):
@@ -307,7 +308,49 @@ class ExtremaHistory:
 # ``count_pulse`` call, and the relative update called ``pulse_pair_ratio``
 # once per in-neighbor. The methods and that function are kept verbatim;
 # ``hook_calls`` counts the hook calls, one per receiver per pulse, start
-# pulses included.
+# pulses included. They keep a receiver's pulse pairing in the two dicts of
+# ``DictPairingOscillator``, keyed by sender id, where the package keeps one
+# slot per in-neighbor; ``pairing`` projects either form onto sender ids.
+
+
+@dataclass(slots=True)
+class DictPairingOscillator(OscillatorState):
+    """``OscillatorState`` with the pairing dicts of the hook path:
+    ``pending_start`` maps sender id to the receiver's phase at an unmatched
+    start pulse, ``pulse_pairs`` to the latest completed (start stamp, end
+    stamp, sender frequency or None if forged) triple."""
+
+    pending_start: dict = field(default_factory=dict)
+    pulse_pairs: dict = field(default_factory=dict)
+
+    def reset_round(self):
+        OscillatorState.reset_round(self)
+        self.pending_start.clear()
+        self.pulse_pairs.clear()
+
+
+def pairing(world, i, zeta=None):
+    """Node i's pulse pairing keyed by sender id, in in-neighbor order: its
+    pending start stamps, and its completed pairs as (frequency ratio, or
+    None for coincident stamps; sender frequency, or None if forged or not
+    kept). Reads the pairing slots of an ``OscillatorState`` (none in a
+    world without them), or the dicts of a ``DictPairingOscillator``, whose
+    pairs become ratios through ``pulse_pair_ratio`` at ``zeta``. Only
+    in-neighbors have slots, and only their pairs are ever read."""
+    osc = world.oscillators[i]
+    nbrs = world.graph.in_neighbors[i]
+    if isinstance(osc, DictPairingOscillator):
+        pending = {s: osc.pending_start[s] for s in nbrs if s in osc.pending_start}
+        pairs = osc.pulse_pairs
+        done = {s: (pulse_pair_ratio(pairs[s][0], pairs[s][1], zeta), pairs[s][2])
+                for s in nbrs if s in pairs}
+        return pending, done
+    if osc.stamps is None:
+        return {}, {}
+    pending = {s: stamp for s, stamp in zip(nbrs, osc.stamps) if stamp is not None}
+    done = {s: (ratio or None, omega)
+            for s, ratio, omega in zip(nbrs, osc.ratios, osc.sender_omegas) if ratio is not None}
+    return pending, done
 
 
 def pulse_pair_ratio(start_stamp, end_stamp, zeta):

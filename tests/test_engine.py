@@ -477,12 +477,12 @@ def _handler_calls(draw):
             pulse_count=draw(st.integers(0, n)),
             detected=draw(st.booleans()),
             start_emitted=draw(st.booleans()),
-            pending_start=draw(st.dictionaries(st.integers(0, n - 1), phases)),
         )
         for _ in range(n)
     ]
     params = MsrParams(f=draw(st.integers(0, 2), label="f"), eager_detection=draw(st.booleans()))
-    if draw(st.booleans(), label="relative"):
+    relative = draw(st.booleans(), label="relative")
+    if relative:
         protocol = RelativeProtocol(params, zeta=0.25)
         handler = draw(st.sampled_from(["fire", "update", "start", "adversary"]))
     else:
@@ -499,6 +499,10 @@ def _handler_calls(draw):
         faulty=frozenset(faulty),
         clock=2.0,
     )
+    if relative:
+        world.add_pair_slots()
+        for osc, d in zip(oscillators, graph.in_degrees):
+            osc.stamps = draw(st.lists(st.none() | phases, min_size=d, max_size=d))
     value = draw(st.sampled_from([0.5, 1.0, 1.5]))
     return world, protocol, handler, actor, value, draw(st.booleans(), label="is_start")
 
@@ -533,7 +537,11 @@ def test_a_world_reuses_the_graph_tables_when_no_node_is_faulty():
     states = [OscillatorState(0.0, 1.0) for _ in range(3)]
     world = WorldState(graph, states, frozenset(range(3)), frozenset())
     assert world.normal_receivers is graph.out_neighbors
+    assert world.receiver_slots is graph.out_slots
     assert world.in_degrees is graph.in_degrees
     assert graph.in_degrees == (2, 2, 2)
+    # (receiver, the sender's position in the receiver's in-neighbor list)
+    assert graph.out_slots == (((1, 0), (2, 0)), ((0, 0), (2, 1)), ((0, 1), (1, 1)))
     attacked = WorldState(graph, states, frozenset({0, 2}), frozenset({1}))
     assert attacked.normal_receivers == ((2,), (0, 2), (0,))
+    assert attacked.receiver_slots == (((2, 0),), ((0, 0), (2, 1)), ((0, 1),))

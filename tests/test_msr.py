@@ -279,7 +279,11 @@ def test_each_landmark_is_written_at_most_once_per_round(variant, n, f, phases):
     osc.writes = Counter()
     d = n - 1
     params = MsrParams(f=f)
-    proto = AbsoluteProtocol(params) if variant == "absolute" else RelativeProtocol(params)
+    if variant == "absolute":
+        proto = AbsoluteProtocol(params)
+    else:
+        proto = RelativeProtocol(params)
+        world.add_pair_slots()
     expected = {}
     for count, phi in enumerate(phases, start=1):
         osc.phase = phi

@@ -2,11 +2,14 @@
 
 ``oracles.HookAbsoluteProtocol`` and ``oracles.HookRelativeProtocol`` keep
 the earlier delivery path verbatim: one hook call and one ``count_pulse``
-call per receiver, and one ``pulse_pair_ratio`` call per ratio. Driven by
-the same pulse sequence, both paths must leave every oscillator field,
-every returned flag, every updated frequency and the ratio log identical,
-bit for bit, and ``WorldState.pulses_delivered`` must equal the number of
-hook calls the old path made.
+call per receiver, one ``pulse_pair_ratio`` call per ratio, and pulse pairs
+kept in dicts by sender id (``oracles.DictPairingOscillator``), where the
+package keeps one slot per in-neighbor and computes each ratio when its pair
+completes. Driven by the same pulse sequence, both paths must leave every
+other oscillator field, each node's pairing projected onto sender ids
+(``oracles.pairing``), every returned flag, every updated frequency and the
+ratio log identical, bit for bit, and ``WorldState.pulses_delivered`` must
+equal the number of hook calls the old path made.
 """
 
 import dataclasses
@@ -27,7 +30,7 @@ from pcosync import (
 )
 from pcosync.runner import run_built
 
-from oracles import HookAbsoluteProtocol, HookRelativeProtocol
+from oracles import DictPairingOscillator, HookAbsoluteProtocol, HookRelativeProtocol, pairing
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -50,7 +53,8 @@ OPS += ("round", "updates") * 2
 
 @st.composite
 def _worlds(draw):
-    """Two identical worlds on a random digraph of 2-6 nodes, up to two faulty."""
+    """Two worlds on a random digraph of 2-6 nodes, up to two faulty, alike
+    but for how their oscillators keep pulse pairs: slots, then dicts."""
     n = draw(st.integers(2, 6))
     others = [[j for j in range(n) if j != i] for i in range(n)]
     if draw(st.booleans()):
@@ -62,15 +66,15 @@ def _worlds(draw):
         (draw(PHASES), draw(st.floats(0.5, 2.0))) for _ in range(n)
     ]
 
-    def world():
+    def world(oscillator):
         return WorldState(
             graph=DirectedGraph.from_lists(rows),
-            oscillators=[OscillatorState(phase=p, omega=w) for p, w in initial],
+            oscillators=[oscillator(phase=p, omega=w) for p, w in initial],
             normal=frozenset(range(n)) - faulty,
             faulty=frozenset(faulty),
         )
 
-    return world(), world()
+    return world(OscillatorState), world(DictPairingOscillator)
 
 
 def _steps(n):
@@ -110,8 +114,14 @@ def _apply(proto, world, op, node, value, t):
         return ("fault", str(exc))
 
 
-def _state(world):
-    return [repr(osc) for osc in world.oscillators]
+SLOTS = ("stamps", "ratios", "sender_omegas")
+FIELDS = [f.name for f in dataclasses.fields(OscillatorState) if f.name not in SLOTS]
+
+
+def _state(world, zeta=ZETA):
+    """Every oscillator field but the pairing slots, and the node's pairing."""
+    return [repr([getattr(osc, name) for name in FIELDS] + [pairing(world, i, zeta)])
+            for i, osc in enumerate(world.oscillators)]
 
 
 @settings(deadline=None, max_examples=200)
@@ -130,6 +140,7 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
     else:
         new = RelativeProtocol(params, zeta=ZETA, ratio_log=[])
         old = HookRelativeProtocol(params, zeta=ZETA, ratio_log=[])
+        new_world.add_pair_slots()
     n = new_world.graph.node_count
     # handle_start only raises in the absolute variant; test_msr covers that.
     kinds = ("fire",) if variant == "absolute" else ("start", "fire")
@@ -163,12 +174,17 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
 
 def _run(config, hooks):
     """Run ``config`` with the monitor off through the package's protocol or
-    its hook-path oracle; returns (world, protocol, outcome)."""
+    its hook-path oracle, logging ratios; returns (world, protocol,
+    outcome)."""
     prepared, world = dataclasses.replace(config, monitor="off").build()
+    relative = config.algorithm == "relative"
     if hooks:
-        cls = HookRelativeProtocol if config.algorithm == "relative" else HookAbsoluteProtocol
-        kwargs = {"zeta": config.zeta} if config.algorithm == "relative" else {}
+        cls = HookRelativeProtocol if relative else HookAbsoluteProtocol
+        kwargs = {"zeta": config.zeta} if relative else {}
         prepared.protocol = cls(prepared.protocol.params, **kwargs)
+        world.oscillators = [DictPairingOscillator(osc.phase, osc.omega) for osc in world.oscillators]
+    if relative:
+        prepared.protocol.ratio_log = []
     outcome, _, fault = run_built(prepared, world)
     assert not fault, fault
     return world, prepared.protocol, outcome
@@ -187,10 +203,12 @@ def test_pulse_counter_equals_the_hook_calls_of_whole_runs():
                 for spec in config.attackers:
                     if spec.kind == "stealthy":
                         spec.options["start_offsets"] = [0.2]
-            new_world, _, new_outcome = _run(config, hooks=False)
+            new_world, new, new_outcome = _run(config, hooks=False)
             old_world, old, old_outcome = _run(config, hooks=True)
             assert new_outcome == old_outcome
-            assert _state(new_world) == _state(old_world)
+            assert _state(new_world, config.zeta) == _state(old_world, config.zeta)
+            if algorithm == "relative":
+                assert repr(new.ratio_log) == repr(old.ratio_log)
             assert new_world.event_count == old_world.event_count
             assert new_world.pulses_delivered == old.hook_calls > 0
             checked += 1

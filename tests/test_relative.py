@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pcosync import (
+    DirectedGraph,
     InvariantViolation,
     MsrParams,
     OscillatorState,
@@ -20,7 +21,7 @@ from pcosync import (
     run_scenario,
 )
 
-from oracles import update_sequence
+from oracles import pairing, update_sequence
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -28,12 +29,28 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def k5_world():
     graph = complete_digraph(5)
     oscillators = [OscillatorState(phase=0.0, omega=1.0) for _ in range(5)]
-    return WorldState(
+    world = WorldState(
         graph=graph,
         oscillators=oscillators,
         normal=frozenset(range(5)),
         faulty=frozenset(),
     )
+    world.add_pair_slots()
+    return world
+
+
+def complete_pairs(world, proto, pairs):
+    """Node 0 hears, from each sender j of ``pairs``, a start pulse at phase
+    ``pairs[j][0]`` and an end pulse at ``pairs[j][1]`` through the
+    single-receiver hooks; its counter and landmarks then start afresh."""
+    osc = world.oscillators[0]
+    for j, (start, end) in pairs.items():
+        osc.phase = start
+        proto.on_start_pulse(world, 0, sender=j, t=0.0)
+        osc.phase = end
+        proto.on_end_pulse(world, 0, sender=j, t=0.0)
+    osc.pulse_count = 0
+    osc.jump_up = osc.jump_down = 0.0
 
 
 def update_from_pairs(*pairs):
@@ -43,7 +60,7 @@ def update_from_pairs(*pairs):
     world = k5_world()
     proto = RelativeProtocol(MsrParams(f=0), zeta=0.1, ratio_log=[])
     osc = world.oscillators[0]
-    osc.pulse_pairs = {j: (start, end, None) for j, (start, end) in enumerate(pairs, 1)}
+    complete_pairs(world, proto, dict(enumerate(pairs, 1)))
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5
@@ -85,22 +102,22 @@ def test_params_validate_offset_range():
 
 def test_stamp_pairing_state_machine():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1))
+    proto = RelativeProtocol(MsrParams(f=1), ratio_log=[])
     osc = world.oscillators[0]
 
     # A lone end pulse has nothing to pair with but still counts.
     osc.phase = 0.55
     proto.on_end_pulse(world, 0, sender=1, t=0.0, sender_omega=1.2)
-    assert osc.pulse_pairs == {}
+    assert pairing(world, 0) == ({}, {})
     assert osc.pulse_count == 1
 
     # Start then end completes a pair carrying the sender's frequency.
     osc.phase = 0.60
     proto.on_start_pulse(world, 0, sender=2, t=0.0)
+    assert pairing(world, 0) == ({2: 0.60}, {})
     osc.phase = 0.68
     proto.on_end_pulse(world, 0, sender=2, t=0.0, sender_omega=1.5)
-    assert osc.pulse_pairs[2] == (0.60, 0.68, 1.5)
-    assert 2 not in osc.pending_start
+    assert pairing(world, 0) == ({}, {2: (0.1 / ((0.68 - 0.60) % 1.0), 1.5)})
 
     # A second start from the same sender overwrites a stale one.
     osc.phase = 0.70
@@ -109,10 +126,43 @@ def test_stamp_pairing_state_machine():
     proto.on_start_pulse(world, 0, sender=3, t=0.0)
     osc.phase = 0.90
     proto.on_end_pulse(world, 0, sender=3, t=0.0, sender_omega=1.0)
-    assert osc.pulse_pairs[3] == (0.80, 0.90, 1.0)
+    assert pairing(world, 0)[1][3] == (0.1 / ((0.90 - 0.80) % 1.0), 1.0)
+
+    # The latest completed pair wins.
+    osc.phase = 0.10
+    proto.on_start_pulse(world, 0, sender=2, t=0.0)
+    osc.phase = 0.30
+    proto.on_end_pulse(world, 0, sender=2, t=0.0, sender_omega=0.5)
+    assert pairing(world, 0)[1][2] == (0.1 / ((0.30 - 0.10) % 1.0), 0.5)
 
     osc.reset_round()
-    assert osc.pulse_pairs == {} and osc.pending_start == {}
+    assert pairing(world, 0) == ({}, {})
+
+
+def test_hooks_pair_in_the_senders_in_neighbor_slot():
+    # Node 0 listens to 3 and then 1, so sender 1 holds its slot 1; sender 2
+    # is no in-neighbor: its pulses are counted and pair nothing.
+    graph = DirectedGraph.from_lists([(3, 1), (0,), (0,), (0,)])
+    world = WorldState(graph, [OscillatorState(0.0, 1.0) for _ in range(4)],
+                       frozenset(range(4)), frozenset())
+    world.add_pair_slots()
+    proto = RelativeProtocol(MsrParams(f=0), ratio_log=[])
+    osc = world.oscillators[0]
+    osc.phase = 0.1
+    proto.on_start_pulse(world, 0, sender=3, t=0.0)
+    osc.phase = 0.2
+    proto.on_start_pulse(world, 0, sender=1, t=0.0)
+    proto.on_start_pulse(world, 0, sender=2, t=0.0)
+    assert osc.stamps == [0.1, 0.2]
+    osc.phase = 0.25
+    proto.on_end_pulse(world, 0, sender=2, t=0.0, sender_omega=1.5)
+    assert osc.pulse_count == 1
+    assert (osc.stamps, osc.ratios, osc.sender_omegas) == ([0.1, 0.2], [None, None], [None, None])
+    proto.on_end_pulse(world, 0, sender=1, t=0.0, sender_omega=2.0)
+    assert osc.pulse_count == 2
+    assert (osc.stamps, osc.ratios, osc.sender_omegas) == (
+        [0.1, None], [None, 0.1 / ((0.25 - 0.2) % 1.0)], [None, 2.0])
+    assert world.pulses_delivered == 5
 
 
 def test_start_emission_snaps_phase_and_stamps_listeners():
@@ -125,21 +175,22 @@ def test_start_emission_snaps_phase_and_stamps_listeners():
     assert world.oscillators[1].phase == 0.9
     assert world.oscillators[1].start_emitted
     for i in (0, 2, 3, 4):
-        assert world.oscillators[i].pending_start[1] == world.oscillators[i].phase
+        assert pairing(world, i) == ({1: world.oscillators[i].phase}, {})
 
 
 def test_fire_delivers_end_pulses_with_sender_frequency():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1))
+    proto = RelativeProtocol(MsrParams(f=1), ratio_log=[])
     world.oscillators[1].omega = 1.25
     for i in (0, 2, 3, 4):
-        world.oscillators[i].pending_start[1] = 0.4
+        world.oscillators[i].phase = 0.4
+        proto.on_start_pulse(world, i, sender=1, t=0.5)
         world.oscillators[i].phase = 0.48
     proto.handle_fire(world, 1, t=1.0)
     assert world.oscillators[1].phase == 0.0
     assert world.oscillators[1].fired
     for i in (0, 2, 3, 4):
-        assert world.oscillators[i].pulse_pairs[1] == (0.4, 0.48, 1.25)
+        assert pairing(world, i) == ({}, {1: (0.1 / ((0.48 - 0.4) % 1.0), 1.25)})
         assert world.oscillators[i].pulse_count == 1
 
 
@@ -150,12 +201,12 @@ def test_update_trims_ratio_extremes():
     proto = RelativeProtocol(MsrParams(f=1), zeta=0.1, ratio_log=[])
     osc = world.oscillators[0]
     osc.omega = 1.2
-    osc.pulse_pairs = {
-        1: (0.4, 0.525, None),  # ratio 0.8
-        2: (0.4, 0.5, None),  # ratio 1.0
-        3: (0.4, 0.48, None),  # ratio 1.25
-        4: (0.4, 0.45, None),  # ratio 2.0
-    }
+    complete_pairs(world, proto, {
+        1: (0.4, 0.525),  # ratio 0.8
+        2: (0.4, 0.5),  # ratio 1.0
+        3: (0.4, 0.48),  # ratio 1.25
+        4: (0.4, 0.45),  # ratio 2.0
+    })
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5
@@ -176,7 +227,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
     proto = RelativeProtocol(MsrParams(f=1), zeta=0.1)
     osc = world.oscillators[0]
     osc.omega = 1.37
-    osc.pulse_pairs = {1: (0.4, 0.5, None), 2: (0.4, 0.46, None)}
+    complete_pairs(world, proto, {1: (0.4, 0.5), 2: (0.4, 0.46)})
     osc.pulse_count = 4  # all pulses heard, but two pairs never completed
     osc.jump_down = -0.2
     osc.fired = True
@@ -185,7 +236,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
     assert osc.omega == 1.37
     assert osc.phase == pytest.approx(0.4)
 
-    osc.pulse_pairs = {1: (0.4, 0.5, None)}
+    complete_pairs(world, proto, {1: (0.4, 0.5)})
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5

@@ -22,6 +22,8 @@ from pcosync.msr import MsrRound
 from pcosync.phase import containing_arc
 from pcosync.runner import run_built
 
+from oracles import pairing
+
 
 @st.composite
 def _robust_scenarios(draw):
@@ -341,14 +343,13 @@ def _runs_and_first_breach(config):
     deliver = MsrRound.deliver_pulse
     update = RelativeProtocol.handle_update
 
-    def checking_deliver(self, world, receivers, sender, value):
-        if any(abs(world.oscillators[j].phase - 0.5) <= HALF_PHASE_BAND for j in receivers):
+    def checking_deliver(self, world, edges, value):
+        if any(abs(world.oscillators[j].phase - 0.5) <= HALF_PHASE_BAND for j, _ in edges):
             breaches.append(world.clock)
-        return deliver(self, world, receivers, sender, value)
+        return deliver(self, world, edges, value)
 
     def checking_update(self, world, i, t):
-        osc = world.oscillators[i]
-        if osc.pulse_count != len(osc.pulse_pairs):
+        if world.oscillators[i].pulse_count != len(pairing(world, i)[1]):
             breaches.append(t)
         return update(self, world, i, t)
 
