@@ -23,6 +23,18 @@ the one a scan of every node would return, bit for bit. For the same reason
 ``simulate`` advances the phases only when an event moves the clock forward:
 at an unchanged clock the advance would leave every phase as it is.
 
+A burst at one clock is one tie window walked slot by slot, so at an
+unchanged clock the selection also resumes where the previous one ended.
+The table keeps that selection's earliest time and the slot it chose, the
+cursor. If the actor's refreshed slots are not below that earliest time
+and some slot from the cursor on still holds it exactly, the earliest time
+and its tie window (``TIME_EPS`` wide) stand, and the winner is the first
+slot within the window among the actor's slots before the cursor and the
+slots from the cursor on. The full scan runs instead when the clock moved
+(a detection clears the table too), when an actor slot fell below the
+earliest time, or when no slot from the cursor on holds it any more;
+``_CandidateTimes`` proves that both ways pick the same slot.
+
 The unchanged-clock contract has a second reader: with the monitor off and
 no trace, ``RunMetrics.observe`` keeps its own list of the normal phases and
 rereads every phase only when the clock has moved; at an unchanged clock it
@@ -200,9 +212,43 @@ class _CandidateTimes:
     ``clock`` is the clock the slots were computed at, or None when every
     normal node must be recomputed; ``actor`` is the node the last event
     changed, recomputed on the next selection at the same clock.
+
+    ``tmin`` and ``cursor`` carry one selection over to the next at the
+    same clock: ``tmin`` is the earliest time the previous selection found,
+    and ``cursor`` is the slot it chose, or 0 when an adversary pulse won.
+    Write ``limit`` for ``tmin + TIME_EPS``. The full scan picks the first
+    slot within ``min(times) + TIME_EPS``. Resuming from the cursor picks
+    the same slot, bit for bit, because of one invariant: (a) no slot lies
+    below ``tmin``, and (b) every slot before the cursor but the actor's
+    lies above ``limit``. Both hold of every slot right after a selection:
+    (a) because ``tmin`` was the minimum, and (b) because the cursor was the
+    first slot within ``limit``, or 0, before which there is no slot. Until
+    the next selection only the actor's slots change, so both still hold of
+    every other slot. ``next_event`` checks the actor's refreshed slots
+    against (a); it need not look when ``tmin`` is the clock, since every
+    slot is the clock plus a quotient of nonnegatives, and rounding keeps
+    such a sum at or above the clock. It then looks for a slot from the
+    cursor on that holds exactly ``tmin``. If both succeed, ``tmin`` is the
+    minimum again: ``min(times)`` would be the same float, and ``limit``
+    the same sum. By (b) the first slot within ``limit`` is then the first
+    of the actor's slots before the cursor that lies within it, or, if none
+    does, the first slot from the cursor on that does, which the tie pass
+    finds. That slot becomes the cursor, so (b) holds again, and (a) holds
+    with the same ``tmin``. In every other case (the clock moved or a
+    detection cleared the table, an actor slot fell below ``tmin``, or no
+    slot from the cursor on holds it) ``next_event`` falls back to the full
+    scan, which computes ``tmin`` afresh and starts from cursor 0.
+
+    In ``simulate`` an event at an unchanged clock happened at the chosen
+    slot's time, so that time is the clock and ``tmin``, which lies between
+    the clock and it, is the clock too: there an actor slot never falls
+    below ``tmin``, and the fallback comes from the clock moving or from the
+    last slot holding ``tmin`` acting.
     """
 
-    __slots__ = ("clock", "actor", "n", "kinds", "start_target", "update_at", "times")
+    __slots__ = (
+        "clock", "actor", "n", "kinds", "start_target", "update_at", "times", "tmin", "cursor",
+    )
 
     def __init__(self, n: int, protocol):
         self.clock: float | None = None
@@ -216,6 +262,8 @@ class _CandidateTimes:
             self.start_target = None
         self.update_at = (len(self.kinds) - 1) * n
         self.times = [math.inf] * (len(self.kinds) * n)
+        self.tmin = math.inf
+        self.cursor = 0
 
     def refresh(self, world: WorldState, nodes) -> None:
         """Recompute the candidate times of the given normal nodes at the clock."""
@@ -263,29 +311,64 @@ def next_event(
     ``table``, kept by ``simulate`` across one run, carries the candidate
     times between selections (see the module docstring); without it a
     fresh table is built and every normal node is computed.
+
+    At an unchanged clock the selection resumes from the table's cursor,
+    the slot the previous selection chose: it keeps that selection's
+    earliest time if a slot from the cursor on still holds it, and looks for
+    the winner only among the actor's slots before the cursor and the slots
+    from the cursor on. It scans every slot instead when the clock moved,
+    when an actor slot fell below that earliest time, or when no slot from
+    the cursor on still holds it. ``_CandidateTimes`` proves both paths pick
+    the same event.
     """
     if table is None:
         table = _CandidateTimes(world.graph.node_count, protocol)
+    times = table.times
+    actor = table.actor
     if table.clock != world.clock:
         table.clock = world.clock
         table.refresh(world, world.normal_ids)
-    elif table.actor is not None:
-        table.refresh(world, (table.actor,))
-    times = table.times
-    tmin = min(times)
+        tmin = None
+    else:
+        tmin, cursor = table.tmin, table.cursor
+        if actor is not None:
+            table.refresh(world, (actor,))
+            # A refreshed slot is never below the clock; see _CandidateTimes.
+            if tmin > table.clock and min(times[actor :: table.n]) < tmin:
+                tmin = None
+        if tmin is not None:
+            # A sentinel ends the search when no slot from the cursor on holds tmin.
+            times.append(tmin)
+            k = times.index(tmin, cursor)
+            times.pop()
+            if k == len(times):
+                tmin = None
+    if tmin is None:
+        tmin = table.tmin = min(times)
+        cursor = 0
+        k = None  # searched for once no adversary pulse wins
     limit = tmin + TIME_EPS
     if pending_adversary:
         t, node, is_start = pending_adversary[0]
         # Earlier than every node, or tied with the earliest: it wins.
         if t <= limit:
+            table.cursor = 0
             return Event(t, EventKind.ADVERSARY_PULSE, node, bool(is_start))
     if not tmin < math.inf:
         return None
-    # The first slot within TIME_EPS of the earliest time wins: usually the
-    # first slot holding that time, unless an earlier slot is near.
-    k = times.index(tmin)
-    if k and min(times[:k]) <= limit:
-        k = next(compress(count(), map(limit.__ge__, times)))
+    if k is None:
+        k = times.index(tmin)
+    # The first slot within TIME_EPS of the earliest time wins. Before the
+    # cursor only the actor's slots can be that near; from it on, the first
+    # slot holding the earliest time usually wins, unless an earlier one is near.
+    if actor is not None and actor < cursor:
+        for s in range(actor, cursor, table.n):
+            if times[s] <= limit:
+                cursor = k = s
+                break
+    if k > cursor and min(times[cursor:k]) <= limit:
+        k = next(compress(count(cursor), map(limit.__ge__, times[cursor:k])))
+    table.cursor = k
     kind, node = divmod(k, table.n)
     return Event(times[k], table.kinds[kind], node)
 

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import adversary
-from .engine import OscillatorState, WorldState
+from .engine import TIME_EPS, OscillatorState, WorldState
 from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
     DirectedGraph,
@@ -274,6 +274,21 @@ class ScenarioConfig:
                 low = min(freqs[i] for i in normal)
                 freqs = [(w - low) + 1.0 for w in freqs]
             problems = initial_value_problems(phases, freqs, normal, 0.0)
+        if not problems:
+            # A node crosses its thresholds a phase of 0.5 apart (fire, then
+            # update), or zeta apart (start pulse, then fire) under the
+            # relative protocol. A step no longer than TIME_EPS plus the
+            # clock's resolution at the horizon ties with the event before
+            # it, and the node acts again and again at one clock.
+            fastest = max(freqs[i] for i in normal)
+            gap = self.zeta if self.algorithm == "relative" else 0.5
+            resolution = TIME_EPS + math.ulp(self.horizon)
+            if not gap / fastest > resolution:
+                problems.append(
+                    f"normal frequency {fastest!r} is too fast to simulate: a phase "
+                    f"step of {gap!r} takes {gap / fastest!r}, not above {resolution!r} "
+                    f"(TIME_EPS plus the clock's resolution at the horizon)"
+                )
         if problems:
             raise UnrunnableScenarioError(problems)
         return phases, freqs, scripts, normal

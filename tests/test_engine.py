@@ -2,11 +2,12 @@
 
 import dataclasses
 import functools
+import math
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import pcosync.engine
 from pcosync import (
@@ -26,7 +27,7 @@ from pcosync import (
     run_scenario,
     simulate,
 )
-from pcosync.engine import advance_all, event_budget, next_event
+from pcosync.engine import TIME_EPS, _CandidateTimes, advance_all, event_budget, next_event
 
 from oracles import scan_next_event
 
@@ -246,24 +247,10 @@ def _nodes(fired):
 _NODE = st.one_of(_nodes(False), _nodes(True))
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    nodes=st.lists(_NODE, min_size=2, max_size=5),
-    clock=st.sampled_from([0.0, 0.375, 3.0, 41.125]),
-    protocol=st.sampled_from([
-        PLAIN,
-        SimpleNamespace(uses_start_pulses=True, zeta=0.25),
-        SimpleNamespace(uses_start_pulses=True, zeta=0.125),
-    ]),
-    head=st.one_of(
-        st.none(),
-        st.tuples(st.integers(0, 16), st.integers(0, 4), st.booleans()),
-    ),
-)
-def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
+def _drawn_world(nodes, clock):
     n = len(nodes)
     faulty = frozenset(i for i, node in enumerate(nodes) if node["faulty"])
-    world = WorldState(
+    return WorldState(
         graph=complete_digraph(n),
         oscillators=[
             OscillatorState(
@@ -279,6 +266,24 @@ def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
         faulty=faulty,
         clock=clock,
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.lists(_NODE, min_size=2, max_size=5),
+    clock=st.sampled_from([0.0, 0.375, 3.0, 41.125]),
+    protocol=st.sampled_from([
+        PLAIN,
+        SimpleNamespace(uses_start_pulses=True, zeta=0.25),
+        SimpleNamespace(uses_start_pulses=True, zeta=0.125),
+    ]),
+    head=st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 16), st.integers(0, 4), st.booleans()),
+    ),
+)
+def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
+    world = _drawn_world(nodes, clock)
     pending = ()
     if head is not None:
         steps, node, is_start = head
@@ -295,6 +300,101 @@ def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
         assert got is None
     else:
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))
+
+
+# -- selections at one clock: resuming from the cursor --------------------------
+#
+# One table serves a walk of selections at an unchanged clock. Between two
+# of them either one actor's selection inputs change (``table.actor`` names
+# it) or only a new adversary head arrives (no actor), as in ``simulate``.
+# Steps can aim an actor's slot at the kept earliest time: exactly on it, a
+# 2**-44 nudge either side, 2**-44 inside or outside TIME_EPS above it, or
+# 1/16 below it. Adversary heads land at the same offsets.
+_AIMS = (0.0, 0.0, 2.0**-44, -(2.0**-44), TIME_EPS - 2.0**-44, TIME_EPS + 2.0**-44, -1 / 16)
+
+
+def _selection_path(world, protocol, table):
+    """The way ``next_event`` goes at this selection, read from the table and
+    a fresh computation of every slot."""
+    if table.clock != world.clock:
+        return "full scan: clock moved"
+    fresh = _CandidateTimes(table.n, protocol)
+    fresh.clock = world.clock
+    fresh.refresh(world, world.normal_ids)
+    times, actor, n = fresh.times, table.actor, table.n
+    if actor is not None and min(times[actor::n]) < table.tmin:
+        return "full scan: an actor slot fell below tmin"
+    if table.tmin not in times[table.cursor:]:
+        return "full scan: no slot from the cursor on holds tmin"
+    limit = table.tmin + TIME_EPS
+    if actor is not None and any(times[s] <= limit for s in range(actor, table.cursor, n)):
+        return "resumed: an actor slot before the cursor wins"
+    return "resumed from the cursor"
+
+
+def _actor_step(data, world, protocol, table, last):
+    """Change one normal node's phase, omega or flags and name it the actor.
+    An aimed step moves one slot, often one before the cursor, to the kept
+    earliest time; the other steps favor the node of the last event."""
+    n = table.n
+    normal = world.normal_ids
+    change = data.draw(st.sampled_from(["aim", "aim", "phase", "omega", "flags"]), label="change")
+    if change == "aim" and table.tmin < math.inf:
+        # A slot's threshold phase, in slot order: fire, start pulse, update.
+        targets = [1.0] + ([1.0 - protocol.zeta] if protocol.uses_start_pulses else []) + [0.5]
+        slots = [s for s in range(len(targets) * n) if s % n in normal]
+        before = [s for s in slots if s < table.cursor]
+        slot = data.draw(st.sampled_from(before or slots) | st.sampled_from(slots), label="aimed slot")
+        actor, target = slot % n, targets[slot // n]
+        osc = world.oscillators[actor]
+        at = table.tmin + data.draw(st.sampled_from(_AIMS), label="aim")
+        osc.phase = target - (at - world.clock) * osc.omega
+    else:
+        actor = data.draw(st.sampled_from(normal if last not in normal else (last,) + normal), label="actor")
+        osc = world.oscillators[actor]
+        if change == "omega":
+            osc.omega = data.draw(st.sampled_from([0.5, 1.0, 1.25, 2.0]), label="omega")
+        elif change == "flags":
+            osc.fired, osc.detected, osc.start_emitted = data.draw(
+                st.tuples(st.booleans(), st.booleans(), st.booleans()), label="flags")
+        else:
+            osc.phase = data.draw(_PHASES, label="phase")
+    table.actor = actor
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    nodes=st.lists(_NODE, min_size=2, max_size=6),
+    clock=st.sampled_from([0.0, 0.375, 41.125]),
+    protocol=st.sampled_from([PLAIN, SimpleNamespace(uses_start_pulses=True, zeta=0.25)]),
+)
+def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, protocol):
+    world = _drawn_world(nodes, clock)
+    table = _CandidateTimes(len(nodes), protocol)
+    pending = ()
+    last = None
+    for _ in range(data.draw(st.integers(1, 16), label="steps")):
+        try:
+            expected = scan_next_event(world, protocol, pending)
+        except InvariantViolation as exc:
+            with pytest.raises(InvariantViolation) as raised:
+                next_event(world, protocol, pending, table)
+            assert str(raised.value) == str(exc)
+            event("raised")
+            return
+        event(_selection_path(world, protocol, table))
+        got = next_event(world, protocol, pending, table)
+        assert repr(got) == repr(expected)
+        last = None if got is None or got.kind is EventKind.ADVERSARY_PULSE else got.node
+        if world.normal_ids and data.draw(st.booleans(), label="actor step"):
+            _actor_step(data, world, protocol, table, last)
+            pending = ()
+        else:
+            table.actor = None
+            near = table.tmin if table.tmin < math.inf else clock
+            t = data.draw(st.sampled_from([near + aim for aim in _AIMS] + [clock + 1.0]), label="head")
+            pending = ((t, data.draw(st.integers(0, 7), label="head node"), int(data.draw(st.booleans()))),)
 
 
 # -- selections inside simulate -----------------------------------------------

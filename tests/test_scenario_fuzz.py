@@ -165,9 +165,9 @@ def test_a_random_text_file_exits_0_or_2(text):
     _check(_exit_codes(text))
 
 
-# Files that once ended in a traceback, or in an allocation sized by one
-# number in the file; each now exits 2 naming the value. Sizes sit just
-# past each limit.
+# Files that once ended in a traceback, in an allocation sized by one
+# number in the file, or in a run stuck at one clock; each now exits 2 with
+# one violation line naming the value. Sizes sit just past each limit.
 _STEALTHY = BASES[0]["attackers"][0]
 REFUSED = {
     "tiny_period": (
@@ -204,6 +204,13 @@ REFUSED = {
     "draw_range_from_high_down_to_low": (
         _replaced(BASES[0], ("frequencies", "random", "low"), 2), "from low up to high"
     ),
+    "frequency_past_the_clock_resolution": (
+        _replaced(BASES[1], ("frequencies", 1), 1e308), "too fast to simulate"
+    ),
+    "frequency_draw_past_the_clock_resolution": (
+        _replaced(BASES[0], ("frequencies", "random"), {"low": 1.0, "high": 1e308}),
+        "too fast to simulate",
+    ),
 }
 
 
@@ -215,7 +222,9 @@ def test_a_file_past_a_limit_exits_2_naming_it(case, capsys, tmp_path):
     for command in ("validate-config", "run"):
         assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
-        assert message in captured.out + captured.err
+        lines = (captured.out + captured.err).splitlines()
+        violations = [line for line in lines if line.startswith("violation:")]
+        assert len(violations) == 1 and message in violations[0]
 
 
 def test_an_integer_too_long_to_convert_exits_2(capsys, tmp_path):
