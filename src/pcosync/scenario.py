@@ -3,9 +3,9 @@
 A scenario pins everything a run needs: topology, protocol variant and its
 parameters, initial conditions (explicit or drawn), and attacker scripts.
 ``build``, which every run calls, refuses every value no run can use and
-returns the prepared scenario and a world; ``prepare``, its first half,
-returns the first with the checked initial values, and a sweep calls it
-once for all its trials.
+returns the prepared scenario and a world: ``prepare`` refuses what every
+run of the config shares, and the prepared scenario's ``world``, which
+every run and every sweep trial calls, refuses initial values.
 ``validate`` also reports the paper's guarantee conditions (locality at
 most f, (2f+1)-robustness, an initial arc under half a circle, phases in
 [0, 1), slowest normal frequency exactly 1), which a forced run skips to
@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from . import adversary
-from .engine import TIME_EPS, OscillatorState, WorldState
+from .engine import PHASE_SLACK, TIME_EPS, OscillatorState, WorldState
 from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
     DirectedGraph,
@@ -97,7 +97,7 @@ def _take(opts: dict[str, Any], *names: str) -> dict[str, Any]:
     return {name: opts.pop(name) for name in names if name in opts}
 
 
-def initial_value_problems(phases, freqs, normal, floor: float) -> list[str]:
+def _initial_value_problems(phases, freqs, normal, floor: float) -> list[str]:
     """One line for each normal node whose initial phase is not finite and
     for each whose initial frequency is not finite or not above ``floor``."""
     problems = []
@@ -135,7 +135,59 @@ class PreparedScenario:
 
     def world(self, phases, freqs) -> WorldState:
         """A fresh world at these initial phases and frequencies, one per
-        node, with empty pairing slots when the protocol pairs pulses."""
+        node, with empty pairing slots when the protocol pairs pulses.
+        Raises UnrunnableScenarioError listing each normal node whose phase
+        is not finite or whose frequency is not finite and positive, or else
+        a fastest normal frequency too fast to simulate."""
+        problems = _initial_value_problems(phases, freqs, self.normal_ids, 0.0)
+        if not problems:
+            fastest = max(freqs[i] for i in self.normal_ids)
+            horizon = self.config.horizon
+            # A node crosses its thresholds a phase of 0.5 apart (fire, then
+            # update), or zeta apart (start pulse, then fire) when the
+            # protocol sends start pulses. A step no longer than TIME_EPS
+            # plus the clock's resolution at the horizon ties with the event
+            # before it, and the node acts again and again at one clock.
+            gap = self.protocol.zeta if self.protocol.uses_start_pulses else 0.5
+            resolution = TIME_EPS + math.ulp(horizon)
+            # Inside one tie window the clock can also pass a node's
+            # threshold crossing, since the loop takes any event within
+            # TIME_EPS of the earliest slot m. Take a normal node at phase p
+            # below a threshold g (1, 0.5 or the start target), frequency w
+            # and clock c, so it crosses at x = c + (g - p) / w, and an event
+            # taken at t <= fl(m + TIME_EPS). The node's slot
+            # fl(c + fl(fl(g - p) / w)) is not below m, so t - x is at most
+            # TIME_EPS plus the rounding of four times: the quotient, the
+            # slot, m + TIME_EPS, and the step fl(t - c) that advance_all
+            # takes. If the node ends past g at all, each lies below
+            # B = 2 * (horizon + 2 * TIME_EPS), as t <= fl(horizon + TIME_EPS)
+            # or the loop stops, so each is off by at most half an ulp of B.
+            # Two phase roundings, of g - p and of w times the step, err by at
+            # most 2**-53 of w times a time below B: less than w ulps of B
+            # each. So p + fl(w * step) ends less than w * reach past g. Its
+            # own rounding cannot carry it past the float limit
+            # fl(g + PHASE_SLACK) that advance_all and _CandidateTimes.refresh
+            # compare with, which is at most 2**-53 below g + PHASE_SLACK; the
+            # margin of 2**-52 below also covers the rounding of this test.
+            # This covers a node below its threshold when a window opens, not
+            # one already past it that a further event within TIME_EPS,
+            # earlier in tie order, carries on, nor a run whose updates raise
+            # its fastest frequency.
+            reach = TIME_EPS + 4 * math.ulp(2 * (horizon + 2 * TIME_EPS))
+            if not gap / fastest > resolution:
+                problems.append(
+                    f"normal frequency {fastest!r} is too fast to simulate: a phase "
+                    f"step of {gap!r} takes {gap / fastest!r}, not above {resolution!r} "
+                    f"(TIME_EPS plus the clock's resolution at the horizon)"
+                )
+            elif fastest * reach > PHASE_SLACK - 2**-52:
+                problems.append(
+                    f"normal frequency {fastest!r} is too fast to simulate: one tie "
+                    f"window of {reach!r} can carry a node {fastest * reach!r} past a "
+                    f"threshold, more than PHASE_SLACK ({PHASE_SLACK!r}) less rounding"
+                )
+        if problems:
+            raise UnrunnableScenarioError(problems)
         # Set one by one in the constructor's order, never through the new
         # world's ``__dict__``: CPython keeps such attributes inline, and a
         # world whose dict was touched slows every attribute read of the
@@ -192,11 +244,11 @@ class ScenarioConfig:
         return [float(x) for x in spec]
 
     def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript], tuple[int, ...]]:
-        """The one gate every run passes, forced or not: return the
-        drawn and normalized phases and frequencies, the scripts and the normal
-        node ids, or raise UnrunnableScenarioError listing every value no
-        run can use. A schedule too large for the horizon is refused here
-        by arithmetic; no pulse is computed until the run reaches it."""
+        """The gate's first half, passed by every run, forced or not: return
+        the drawn and normalized phases and frequencies, the scripts and the
+        normal node ids, or raise UnrunnableScenarioError listing every value
+        no run of the config can use. A schedule too large for the horizon is
+        refused by arithmetic; no pulse is computed until the run reaches it."""
         problems: list[str] = []
         n = self.graph.node_count
         if self.algorithm not in ALGORITHMS:
@@ -260,43 +312,27 @@ class ScenarioConfig:
                 problems.append(f"{key} list has length {len(spec)}, graph has {n} nodes")
 
         if not problems:
-            # The raw values first: normalizing would spread a NaN or an
-            # infinity to every node. Only a normalized frequency must be
-            # positive.
             phases = self._resolve(self.phases, n, stream=0)
             freqs = self._resolve(self.frequencies, n, stream=1)
-            problems = initial_value_problems(phases, freqs, normal, -math.inf)
-        if not problems:
-            if self.normalize_phases:
-                tail = containing_arc([phases[i] for i in normal]).tail
-                phases = [clockwise_dist(p, tail) for p in phases]
-            if self.normalize_frequencies:
-                low = min(freqs[i] for i in normal)
-                freqs = [(w - low) + 1.0 for w in freqs]
-            problems = initial_value_problems(phases, freqs, normal, 0.0)
-        if not problems:
-            # A node crosses its thresholds a phase of 0.5 apart (fire, then
-            # update), or zeta apart (start pulse, then fire) under the
-            # relative protocol. A step no longer than TIME_EPS plus the
-            # clock's resolution at the horizon ties with the event before
-            # it, and the node acts again and again at one clock.
-            fastest = max(freqs[i] for i in normal)
-            gap = self.zeta if self.algorithm == "relative" else 0.5
-            resolution = TIME_EPS + math.ulp(self.horizon)
-            if not gap / fastest > resolution:
-                problems.append(
-                    f"normal frequency {fastest!r} is too fast to simulate: a phase "
-                    f"step of {gap!r} takes {gap / fastest!r}, not above {resolution!r} "
-                    f"(TIME_EPS plus the clock's resolution at the horizon)"
-                )
+            # Normalizing would spread a NaN or an infinity to every node, so
+            # the raw values come first; ``world`` checks the values a run
+            # starts from, of which only the frequencies must be positive.
+            if self.normalize_phases or self.normalize_frequencies:
+                problems = _initial_value_problems(phases, freqs, normal, -math.inf)
         if problems:
             raise UnrunnableScenarioError(problems)
+        if self.normalize_phases:
+            tail = containing_arc([phases[i] for i in normal]).tail
+            phases = [clockwise_dist(p, tail) for p in phases]
+        if self.normalize_frequencies:
+            low = min(freqs[i] for i in normal)
+            freqs = [(w - low) + 1.0 for w in freqs]
         return phases, freqs, scripts, normal
 
     def prepare(self) -> tuple[PreparedScenario, list[float], list[float]]:
-        """Pass the gate and build what no run changes; return it with the
-        resolved initial phases and frequencies. Raises
-        UnrunnableScenarioError listing every value no run can use."""
+        """Build what no run changes; return it with the resolved initial
+        phases and frequencies. Raises UnrunnableScenarioError on what every
+        run of the config shares; the prepared ``world`` refuses initial values."""
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 

@@ -11,7 +11,8 @@ byte-identical.
 Each process checks and builds the base scenario once and keeps its
 prepared scenario: the gate runs in the calling process before any trial or
 worker starts, so a base no run can use raises UnrunnableScenarioError
-there. A trial then makes a fresh world and runs it with ``run_built``.
+there. A trial then makes a fresh world, which refuses its draws as it
+would a single run's initial values, and runs it with ``run_built``.
 Each process also keeps every trial's draws while the sweep stays at one
 grid point: a trial's phases do not depend on the spread, and its
 frequencies are rebuilt from the kept unit draws with numpy's own
@@ -32,12 +33,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import UnrunnableScenarioError
 from .runner import run_built
 # Not called here: the benchmark's tracing module reads this name when it
 # is imported.
 from .runner import run_scenario  # noqa: F401
-from .scenario import ScenarioConfig, initial_value_problems
+from .scenario import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,11 @@ class PreparedBase:
 
     def __init__(self, base: ScenarioConfig):
         n = base.graph.node_count
-        # Placeholder initial values of the right length: the gate checks
-        # every other field, and each trial checks its own draws.
+        # Placeholder initial values of the right length, which normalize to
+        # themselves; each trial's world checks its own draws.
         self.prepared = dataclasses.replace(
-            base,
-            phases=[0.0] * n,
-            frequencies=[1.0] * n,
-            normalize_phases=False,
-            normalize_frequencies=False,
-            monitor="off",
-        ).prepare()[0]
+            base, phases=[0.0] * n, frequencies=[1.0] * n, monitor="off"
+        ).build()[0]
         self.n = n
         self._point = None
         self._draws: dict[int, tuple[list[float], list[float]]] = {}
@@ -160,16 +155,13 @@ def run_trial(
     minimum is exactly 1 (Sterbenz: both endpoints within a factor of two,
     so the subtraction is exact). Draw order is phases then frequencies,
     which keeps the phase sample fixed across bisection evaluations. The
-    drawn values pass the gate's check of initial values, and the trial
-    runs them on a fresh world with the base's protocol and scripts."""
+    trial runs them on a fresh world with the base's protocol and scripts,
+    which refuses them as it would a single run's initial values."""
     phases, units = base.draws(grid_index, trial_index, arc0, seed)
     raw_freq = uniform(1.0, 1.0 + spread0, units)
     low = min(raw_freq)
     freqs = [(w - low) + 1.0 for w in raw_freq]
     prepared = base.prepared
-    problems = initial_value_problems(phases, freqs, prepared.normal_ids, 0.0)
-    if problems:
-        raise UnrunnableScenarioError(problems)
     outcome = run_built(prepared, prepared.world(phases, freqs))[0]
     if outcome == "converged":
         return True
@@ -256,7 +248,8 @@ def sweep_frontier(
     ``parallelism`` must be at least 1; ``pool_size`` gives the number of
     worker processes it starts. ``progress``, when given, is called with
     each point as soon as it is done. A base scenario no run can use raises
-    UnrunnableScenarioError before any trial runs or any worker starts.
+    UnrunnableScenarioError before any trial runs or any worker starts, and
+    the first trial whose draws no run can use raises it when it runs.
     """
     workers = pool_size(parallelism, spec.trials)
     base = PreparedBase(spec.base)

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pcosync import (
@@ -35,6 +35,7 @@ from pcosync import (
     scenario_from_dict,
 )
 from pcosync.cli import main
+from pcosync.engine import TIME_EPS
 from pcosync.errors import UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
 from pcosync.msr import effective_alpha
@@ -999,6 +1000,18 @@ def test_a_non_finite_initial_value_names_only_its_node(case, capsys, tmp_path):
 
 NEGATIVE_HORIZON = ({}, ["--horizon", "-1"], "horizon must be finite and positive, got -1.0")
 ZERO_WINDOW = ({"window_len": 0}, [], "window_len must be at least 1, got 0")
+# Spread caps whose first trial draws a frequency too fast to simulate: past
+# the clock's resolution, and past one tie window's reach.
+SPREAD_1E300 = ({}, ["--spread-cap", "1e300"], (
+    "normal frequency 8.558969105758093e+299 is too fast to simulate: a phase step of 0.5 "
+    "takes 5.8418250354896394e-301, not above 1.007105427357601e-12 (TIME_EPS plus the "
+    "clock's resolution at the horizon)"
+))
+SPREAD_1E10 = ({}, ["--spread-cap", "1e10"], (
+    "normal frequency 8558969106.758094 is too fast to simulate: one tie window of "
+    "1.056843418860808e-12 can carry a node 0.009045490172710259 past a threshold, more "
+    "than PHASE_SLACK (1e-09) less rounding"
+))
 
 
 @pytest.mark.parametrize(
@@ -1009,9 +1022,14 @@ ZERO_WINDOW = ({"window_len": 0}, [], "window_len must be at least 1, got 0")
         (["sweep", "--parallelism", "2"], NEGATIVE_HORIZON),
         (["sweep", "--parallelism", "1"], ZERO_WINDOW),
         (["sweep", "--parallelism", "2"], ZERO_WINDOW),
+        (["sweep", "--parallelism", "1"], SPREAD_1E300),
+        (["sweep", "--parallelism", "2"], SPREAD_1E300),
+        (["sweep", "--parallelism", "1"], SPREAD_1E10),
+        (["sweep", "--parallelism", "2"], SPREAD_1E10),
     ],
     ids=["run-force-horizon", "sweep-p1-horizon", "sweep-p2-horizon", "sweep-p1-window",
-         "sweep-p2-window"],
+         "sweep-p2-window", "sweep-p1-spread-1e300", "sweep-p2-spread-1e300",
+         "sweep-p1-spread-1e10", "sweep-p2-spread-1e10"],
 )
 def test_cli_unrunnable_overrides_and_sweep_trials_exit_2(command, case, capsys, tmp_path):
     overrides, options, message = case
@@ -1023,6 +1041,105 @@ def test_cli_unrunnable_overrides_and_sweep_trials_exit_2(command, case, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"violation: {message}"]
+
+
+# -- one check of initial values, for a run and for a sweep trial -------------
+
+
+def _refusal(make) -> list[str] | None:
+    """The violations ``make()`` raises, or None when it returns."""
+    try:
+        make()
+    except UnrunnableScenarioError as exc:
+        return exc.violations
+    return None
+
+
+# Initial values around each edge of the check: not finite, not positive,
+# and each side of the step rule's two clauses: the tie window's, near 1000
+# at the short horizons and 64 at 1e4, and the clock resolution's, near 5e11
+# for a phase step of 0.5 and near 100 for a step of zeta = 1e-10.
+EDGE_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0]),
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.floats(50.0, 2000.0),
+    st.floats(1e11, 1e12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    algorithm=st.sampled_from(["absolute", "relative"]),
+    zeta=st.sampled_from([0.1, 0.45, 1e-10]),
+    horizon=st.sampled_from([0.5, 60.0, 1e4]),
+    attacked=st.booleans(),
+    phases=st.lists(EDGE_VALUES, min_size=3, max_size=3),
+    freqs=st.lists(EDGE_VALUES, min_size=3, max_size=3),
+)
+def test_a_trial_world_refuses_what_a_run_refuses(algorithm, zeta, horizon, attacked, phases,
+                                                   freqs):
+    config = ScenarioConfig(
+        graph=complete_digraph(3),
+        algorithm=algorithm,
+        zeta=zeta,
+        horizon=horizon,
+        attackers=[AttackerSpec(2, "silent")] if attacked else [],
+        phases=phases,
+        frequencies=freqs,
+        normalize_phases=False,
+        normalize_frequencies=False,
+        monitor="off",
+    )
+    refused = _refusal(config.build)
+    # A sweep prepares its base on placeholder values and makes each trial's
+    # world from its draws.
+    prepared = dataclasses.replace(config, phases=[0.0] * 3, frequencies=[1.0] * 3).build()[0]
+    event("accepted" if refused is None else "tie window" if "tie window" in refused[0]
+          else "phase step" if "phase step" in refused[0] else "initial value")
+    assert _refusal(lambda: prepared.world(phases, freqs)) == refused
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    algorithm=st.sampled_from(["absolute", "relative"]),
+    fast=st.one_of(st.floats(0.5, 1100.0), st.floats(2.0, 12.0).map(lambda x: 10.0 ** x)),
+    lag=st.floats(0.0, 1.0),
+    horizon=st.sampled_from([None, 5.0, 60.0, 1e4]),
+    periods=st.floats(1.5, 4.0),
+    share=st.one_of(st.none(), st.floats(0.1, 0.9)),
+)
+def test_a_frequency_the_check_accepts_survives_a_two_node_tie(algorithm, fast, lag, horizon,
+                                                                periods, share):
+    # None: a few of node 1's periods, where the clock rounds finest.
+    horizon = periods / fast if horizon is None else horizon
+    # The slow node 0 fires ``lag`` of TIME_EPS after the fast node 1
+    # crosses its threshold, inside its tie window and first in tie order,
+    # so the clock passes node 1's crossing before node 1 fires. The tie
+    # comes at node 1's first crossing from phase 0, or, from negative
+    # phases, at a share of the horizon, where the clock rounds coarser. The
+    # second is left to the absolute protocol: the relative one estimates
+    # frequency ratios from phases it reads as lying in [0, 1).
+    late = share is not None and algorithm == "absolute"
+    at = share * horizon if late else 1.0 / fast
+    config = ScenarioConfig(
+        graph=complete_digraph(2),
+        algorithm=algorithm,
+        phases=[1.0 - (at + lag * TIME_EPS), 1.0 - fast * at],
+        frequencies=[1.0, fast],
+        normalize_phases=False,
+        normalize_frequencies=False,
+        horizon=horizon,
+        monitor="off",
+    )
+    try:
+        built = config.build()
+    except UnrunnableScenarioError as exc:
+        assert "too fast to simulate" in exc.violations[0]
+        event("refused")
+        return
+    event("accepted")
+    run_built(*built)  # raises InvariantViolation on an overshoot
 
 
 # -- the run-ability gate, over legal and illegal scalar values ---------------

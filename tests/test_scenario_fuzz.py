@@ -211,6 +211,14 @@ REFUSED = {
         _replaced(BASES[0], ("frequencies", "random"), {"low": 1.0, "high": 1e308}),
         "too fast to simulate",
     ),
+    # Node 0 fires 0.9 * TIME_EPS after node 1 crosses its threshold, inside
+    # one tie window, which carries node 1 9e-9 past it.
+    "frequency_past_one_tie_window": (
+        {"graph": {"named": "complete", "n": 2}, "f": 0, "phases": [0.9998999999991, 0.0],
+         "frequencies": [1.0, 10000.0], "normalize_phases": False,
+         "normalize_frequencies": False, "horizon": 5.0, "monitor": "off"},
+        "too fast to simulate",
+    ),
 }
 
 
