@@ -621,3 +621,48 @@ def former_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synchro
     if result.outcome == "converged":
         return True
     return result.outcome == "detected" and not synchronized_only
+
+
+# -- previous attacker build -------------------------------------------------
+#
+# ``AttackerSpec.build`` as it was before one table declared each attacker
+# kind's factory and options: an ``if``/``elif`` chain over the kinds, with
+# three defaults supplied here rather than by the factories. Kept verbatim
+# apart from taking the spec as an argument; the package build must give
+# the same pulse times and claims.
+
+
+def former_attacker_build(self):
+    from pcosync import adversary
+
+    opts = dict(self.options)
+    if self.kind == "silent":
+        script = adversary.silent_script(self.node)
+    elif self.kind == "stealthy":
+        script = adversary.stealthy_script(
+            self.node,
+            period_offsets=opts.pop("offsets", (0.0,)),
+            claim=opts.pop("claim", "one_plus_abs_sin"),
+            **_take(opts, "period", "start_offsets"),
+        )
+    elif self.kind == "flooding":
+        script = adversary.flooding_script(
+            self.node, opts.pop("burst_count"),
+            **_take(opts, "burst_interval", "start_time", "claim"),
+        )
+    elif self.kind == "custom":
+        script = adversary.custom_script(
+            self.node,
+            pulses=[(float(t), float(v)) for t, v in opts.pop("pulses", ())],
+            **_take(opts, "start_pulses"),
+        )
+    else:
+        raise ValueError(f"unknown attacker kind {self.kind!r}")
+    if opts:
+        raise ValueError(f"unknown {self.kind} attacker option {min(opts)!r}")
+    return script
+
+
+def _take(opts, *names):
+    """Remove and return the named options that ``opts`` holds."""
+    return {name: opts.pop(name) for name in names if name in opts}

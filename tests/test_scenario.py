@@ -42,7 +42,7 @@ from pcosync.msr import effective_alpha
 from pcosync.runner import run_built
 from pcosync.scenario import _KEYS
 
-from oracles import streams
+from oracles import former_attacker_build, streams
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -343,6 +343,30 @@ def scenario_configs(draw):
 @given(config=scenario_configs())
 def test_random_configs_survive_the_json_round_trip(config):
     assert scenario_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def _emissions(script, horizon=60.0):
+    """A script's counted pulse times, the claim at each, and its start
+    pulse times, up to the horizon."""
+    counted = streams(script.emission_times, horizon)
+    claims = tuple(script.freq_claim(t) for t in counted)
+    return counted, claims, streams(script.start_emission_times, horizon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(ATTACKER_OPTIONS)))
+def test_attacker_scripts_match_the_former_build(data, kind):
+    spec = AttackerSpec(3, kind, data.draw(ATTACKER_OPTIONS[kind], label="options"))
+    assert _emissions(spec.build()) == _emissions(former_attacker_build(spec))
+
+
+# Each kind with no options but the required one, so every default applies.
+@pytest.mark.parametrize("kind, options", [
+    ("silent", {}), ("stealthy", {}), ("flooding", {"burst_count": 3}), ("custom", {}),
+])
+def test_defaulted_attacker_scripts_match_the_former_build(kind, options):
+    spec = AttackerSpec(3, kind, options)
+    assert _emissions(spec.build()) == _emissions(former_attacker_build(spec))
 
 
 def test_load_scenario_names_unnamed_files_from_the_stem(tmp_path):
