@@ -177,8 +177,8 @@ def silent_script(node: int) -> AttackScript:
 
 def stealthy_script(
     node: int,
-    period_offsets: Sequence[float],
-    claim: ClaimFn | str | float,
+    period_offsets: Sequence[float] = (0.0,),
+    claim: ClaimFn | str | float = "one_plus_abs_sin",
     period: float = 1.0,
     start_offsets: Sequence[float] = (),
 ) -> AttackScript:
@@ -214,7 +214,7 @@ def flooding_script(
 
 def custom_script(
     node: int,
-    pulses: Sequence[tuple[float, float]],
+    pulses: Sequence[tuple[float, float]] = (),
     start_pulses: Sequence[float] = (),
 ) -> AttackScript:
     """Fully explicit schedule: (time, claimed frequency) pairs plus

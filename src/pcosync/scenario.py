@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -62,39 +63,19 @@ class AttackerSpec:
     options: dict[str, Any] = field(default_factory=dict)
 
     def build(self) -> adversary.AttackScript:
-        """The script, from the options its kind reads; refuses any other.
-        An option left out takes its factory's default, or the one here."""
-        opts = dict(self.options)
-        if self.kind == "silent":
-            script = adversary.silent_script(self.node)
-        elif self.kind == "stealthy":
-            script = adversary.stealthy_script(
-                self.node,
-                period_offsets=opts.pop("offsets", (0.0,)),
-                claim=opts.pop("claim", "one_plus_abs_sin"),
-                **_take(opts, "period", "start_offsets"),
-            )
-        elif self.kind == "flooding":
-            script = adversary.flooding_script(
-                self.node, opts.pop("burst_count"),
-                **_take(opts, "burst_interval", "start_time", "claim"),
-            )
-        elif self.kind == "custom":
-            script = adversary.custom_script(
-                self.node,
-                pulses=[(float(t), float(v)) for t, v in opts.pop("pulses", ())],
-                **_take(opts, "start_pulses"),
-            )
-        else:
+        """The script from its kind's factory, each option passed under its
+        factory keyword; refuses an unknown kind or option. An option left
+        out takes the factory's default."""
+        if self.kind not in _ATTACKER_KINDS:
             raise ValueError(f"unknown attacker kind {self.kind!r}")
-        if opts:
-            raise ValueError(f"unknown {self.kind} attacker option {min(opts)!r}")
-        return script
-
-
-def _take(opts: dict[str, Any], *names: str) -> dict[str, Any]:
-    """Remove and return the named options that ``opts`` holds."""
-    return {name: opts.pop(name) for name in names if name in opts}
+        factory, options = _ATTACKER_KINDS[self.kind]
+        # A required option is read by key: left out, it raises KeyError.
+        given = {option.keyword: self.options[name] for name, option in options.items()
+                 if option.required or name in self.options}
+        unknown = set(self.options).difference(options)
+        if unknown:
+            raise ValueError(f"unknown {self.kind} attacker option {min(unknown)!r}")
+        return factory(self.node, **given)
 
 
 def _initial_value_problems(phases, freqs, normal, floor: float) -> list[str]:
@@ -585,18 +566,25 @@ def _parse_weights(spec: Any) -> WeightPolicy:
     raise ValueError(f"unknown weight policy {policy!r}")
 
 
-# The JSON types of each attacker kind's options; ``AttackerSpec.build``
-# refuses unknown kinds and options, and accepts any value its factory
-# takes, numpy values from Python callers included.
+# Each attacker kind's script factory and, per JSON option, the factory
+# keyword it fills, its JSON parser and whether the kind requires it. The
+# parsers check JSON types at load; ``AttackerSpec.build`` passes its factory
+# any value, numpy values from Python callers included.
+_Option = namedtuple("_Option", "keyword parse required", defaults=(False,))
 _numbers = _list_of(_real, "a list of numbers")
 _claim = _exactly((str, int, float), "a claim name or a number")
-_ATTACKER_OPTIONS = {
-    "stealthy": {"offsets": _numbers, "claim": _claim, "period": _real,
-                 "start_offsets": _numbers},
-    "flooding": {"burst_count": _int, "burst_interval": _real, "start_time": _real,
-                 "claim": _claim},
-    "custom": {"pulses": _list_of(_pulse, "a list of [time, claim] pairs"),
-               "start_pulses": _numbers},
+_ATTACKER_KINDS = {
+    "silent": (adversary.silent_script, {}),
+    "stealthy": (adversary.stealthy_script, {
+        "offsets": _Option("period_offsets", _numbers), "claim": _Option("claim", _claim),
+        "period": _Option("period", _real), "start_offsets": _Option("start_offsets", _numbers)}),
+    "flooding": (adversary.flooding_script, {
+        "burst_count": _Option("burst_count", _int, required=True),
+        "burst_interval": _Option("burst_interval", _real),
+        "start_time": _Option("start_time", _real), "claim": _Option("claim", _claim)}),
+    "custom": (adversary.custom_script, {
+        "pulses": _Option("pulses", _list_of(_pulse, "a list of [time, claim] pairs")),
+        "start_pulses": _Option("start_pulses", _numbers)}),
 }
 
 
@@ -606,10 +594,10 @@ def _parse_attackers(spec: Any) -> list[AttackerSpec]:
         with _parsing(f"attacker {index}"):
             opts = dict(_object(item))
             node, kind = _int(opts.pop("node")), _str(opts.pop("type"))
-            for name, parse in _ATTACKER_OPTIONS.get(kind, {}).items():
+            for name, option in _ATTACKER_KINDS.get(kind, (None, {}))[1].items():
                 if name in opts:
                     with _parsing(f"attacker {index} option {name!r}"):
-                        parse(opts[name])
+                        option.parse(opts[name])
             attackers.append(AttackerSpec(node, kind, opts))
             attackers[-1].build()  # reject missing, malformed or unknown script options now
     return attackers
