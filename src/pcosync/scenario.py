@@ -92,6 +92,18 @@ def _initial_value_problems(phases, freqs, normal, floor: float) -> list[str]:
     return problems
 
 
+def normalized_phases(phases, normal) -> list[float]:
+    """Every phase rotated to put the tail of the normal nodes' arc at 0."""
+    tail = containing_arc([phases[i] for i in normal]).tail
+    return [clockwise_dist(p, tail) for p in phases]
+
+
+def normalized_frequencies(freqs, normal) -> list[float]:
+    """Every frequency shifted to make the slowest normal node's exactly 1."""
+    low = min(freqs[i] for i in normal)
+    return [(w - low) + 1.0 for w in freqs]
+
+
 class PreparedScenario:
     """The object every run starts from: what a scenario that passed the
     gate keeps for all its runs, namely its ``config``, normal node ids
@@ -303,11 +315,9 @@ class ScenarioConfig:
         if problems:
             raise UnrunnableScenarioError(problems)
         if self.normalize_phases:
-            tail = containing_arc([phases[i] for i in normal]).tail
-            phases = [clockwise_dist(p, tail) for p in phases]
+            phases = normalized_phases(phases, normal)
         if self.normalize_frequencies:
-            low = min(freqs[i] for i in normal)
-            freqs = [(w - low) + 1.0 for w in freqs]
+            freqs = normalized_frequencies(freqs, normal)
         return phases, freqs, scripts, normal
 
     def prepare(self) -> tuple[PreparedScenario, list[float], list[float]]:

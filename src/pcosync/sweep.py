@@ -11,8 +11,8 @@ byte-identical.
 Each process checks and builds the base scenario once and keeps its
 prepared scenario: the gate runs in the calling process before any trial or
 worker starts, so a base no run can use raises UnrunnableScenarioError
-there. A trial then makes a fresh world, which refuses its draws as it
-would a single run's initial values, and runs it with ``run_built``.
+there. A trial normalizes its draws as a scenario's are, makes a fresh
+world, which refuses them as it would a run's, and runs it with ``run_built``.
 Each process also keeps every trial's draws while the sweep stays at one
 grid point: a trial's phases do not depend on the spread, and its
 frequencies are rebuilt from the kept unit draws with numpy's own
@@ -37,7 +37,7 @@ from .runner import run_built
 # Not called here: the benchmark's tracing module reads this name when it
 # is imported.
 from .runner import run_scenario  # noqa: F401
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, normalized_frequencies, normalized_phases
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,8 @@ class SweepSpec:
     override: topology, algorithm, trim parameter, attackers, horizon,
     tolerances. Its initial conditions, their normalization flags and its
     monitor mode are ignored: every trial draws its own initial values,
-    runs them as drawn, and runs with the monitor off."""
+    normalizes them as a scenario file's are, leaving out the attackers'
+    draws, and runs with the monitor off."""
 
     base: ScenarioConfig
     arc_grid: tuple[float, ...]
@@ -123,8 +124,8 @@ class PreparedBase:
         self._draws: dict[int, tuple[list[float], list[float]]] = {}
 
     def draws(self, grid_index: int, trial_index: int, arc0: float, seed: int):
-        """The trial's shifted phases and its frequencies' unit draws, kept
-        until a trial at another grid point asks."""
+        """The trial's normalized phases and its frequencies' unit draws,
+        kept until a trial at another grid point asks."""
         point = (grid_index, arc0, seed)
         if point != self._point:
             self._point = point
@@ -132,9 +133,8 @@ class PreparedBase:
         drawn = self._draws.get(trial_index)
         if drawn is None:
             u0, u1 = unit_draws(seed, grid_index, trial_index, self.n)
-            raw_phase = uniform(0.0, arc0, u0)
-            low = min(raw_phase)
-            drawn = self._draws[trial_index] = [p - low for p in raw_phase], u1
+            phases = normalized_phases(uniform(0.0, arc0, u0), self.prepared.normal_ids)
+            drawn = self._draws[trial_index] = phases, u1
         return drawn
 
 
@@ -150,18 +150,15 @@ def run_trial(
     """One Monte Carlo trial on the prepared base; the sweep calls it once
     per trial.
 
-    Phases are drawn uniformly on [0, arc0] and shifted so the slowest
-    point sits exactly at 0; frequencies on [1, 1 + spread0] shifted so the
-    minimum is exactly 1 (Sterbenz: both endpoints within a factor of two,
-    so the subtraction is exact). Draw order is phases then frequencies,
-    which keeps the phase sample fixed across bisection evaluations. The
-    trial runs them on a fresh world with the base's protocol and scripts,
-    which refuses them as it would a single run's initial values."""
+    Phases are drawn uniformly on [0, arc0) and frequencies on
+    [1, 1 + spread0), phases first, which keeps the phase sample fixed
+    across bisection evaluations. Both are normalized as a scenario file's
+    are, over the normal nodes only. The trial runs them on a fresh world
+    with the base's protocol and scripts, which refuses them as it would a
+    single run's initial values."""
     phases, units = base.draws(grid_index, trial_index, arc0, seed)
-    raw_freq = uniform(1.0, 1.0 + spread0, units)
-    low = min(raw_freq)
-    freqs = [(w - low) + 1.0 for w in raw_freq]
     prepared = base.prepared
+    freqs = normalized_frequencies(uniform(1.0, 1.0 + spread0, units), prepared.normal_ids)
     outcome = run_built(prepared, prepared.world(phases, freqs))[0]
     if outcome == "converged":
         return True

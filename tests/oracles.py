@@ -585,15 +585,15 @@ def materialized_pulses(scripts, horizon):
     return len(pending), iter(pending)
 
 
-# -- previous sweep trial ------------------------------------------------------
+# -- sweep trial as a scenario run --------------------------------------------
 #
-# A sweep trial as it was before the sweep prepared its base once per
-# process: a fresh generator per evaluation, numpy's ``uniform`` draws, and
-# the full build and run of ``run_scenario`` on the drawn scenario. Kept
-# verbatim apart from the dropped, unread ``seed=trial_index``.
+# A sweep trial as one whole scenario run: a fresh generator per evaluation,
+# numpy's ``uniform`` draws taken raw, and the full build and run of
+# ``run_scenario`` with both normalize flags on, so the scenario's own rules
+# normalize the draws, over the normal nodes only.
 
 
-def former_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synchronized_only):
+def scenario_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synchronized_only):
     import dataclasses
 
     import numpy as np
@@ -604,17 +604,12 @@ def former_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synchro
         np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index))
     )
     n = base.graph.node_count
-    raw_phase = rng.uniform(0.0, arc0, size=n)
-    phases = raw_phase - raw_phase.min()
-    raw_freq = rng.uniform(1.0, 1.0 + spread0, size=n)
-    freqs = (raw_freq - raw_freq.min()) + 1.0
-
     config = dataclasses.replace(
         base,
-        phases=phases.tolist(),
-        frequencies=freqs.tolist(),
-        normalize_phases=False,
-        normalize_frequencies=False,
+        phases=rng.uniform(0.0, arc0, size=n).tolist(),
+        frequencies=rng.uniform(1.0, 1.0 + spread0, size=n).tolist(),
+        normalize_phases=True,
+        normalize_frequencies=True,
         monitor="off",
     )
     result = run_scenario(config, validate=False, collect_trace=False)

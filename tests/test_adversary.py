@@ -20,6 +20,7 @@ from pcosync import (
     stealthy_script,
 )
 from pcosync.adversary import constant
+from pcosync.engine import TIME_EPS
 
 from oracles import materialized_schedule, streams
 
@@ -102,6 +103,21 @@ def test_flooding_script_burst():
         flooding_script(1, burst_count=0)
     with pytest.raises(ValueError):
         flooding_script(1, burst_count=3, burst_interval=0.0)
+
+
+def test_flooding_pulses_within_time_eps_are_refused_unless_equal():
+    # Once the clock sits at a pulse, the engine ties every event up to
+    # TIME_EPS later with it; a burst may not step the clock that finely.
+    at_eps = 1.0 + TIME_EPS
+    with pytest.raises(ValueError, match=f"burst pulses 1.0 and {at_eps!r} are distinct but"):
+        flooding_script(1, burst_count=2, burst_interval=TIME_EPS, start_time=1.0)
+    # One float further, the second pulse lies past the first one's tie window.
+    past = math.nextafter(at_eps, math.inf)
+    script = flooding_script(1, burst_count=2, burst_interval=past - 1.0, start_time=1.0)
+    assert streams(script.emission_times, 2.0) == (1.0, past)
+    # Pulses that round to one time never move the clock.
+    script = flooding_script(1, burst_count=3, burst_interval=1.0, start_time=1e17)
+    assert streams(script.emission_times, 2e17) == (1e17, 1e17, 1e17)
 
 
 def test_custom_script_explicit_times():

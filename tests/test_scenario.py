@@ -36,7 +36,7 @@ from pcosync import (
 )
 from pcosync.cli import main
 from pcosync.engine import TIME_EPS
-from pcosync.errors import UnrunnableScenarioError
+from pcosync.errors import InvariantViolation, UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
 from pcosync.msr import effective_alpha
 from pcosync.runner import run_built
@@ -1164,6 +1164,27 @@ def test_a_frequency_the_check_accepts_survives_a_two_node_tie(algorithm, fast, 
         return
     event("accepted")
     run_built(*built)  # raises InvariantViolation on an overshoot
+
+
+# The check bounds one tie window, not a chain of them: nodes 0 and 1 fire
+# 0.9 and 1.8 TIME_EPS after node 2 crosses its threshold, each within
+# TIME_EPS of the clock and before node 2 in tie order, so node 2 is
+# carried past its threshold twice. Passes once the check covers chains.
+@pytest.mark.xfail(strict=True, raises=InvariantViolation)
+def test_a_frequency_the_check_accepts_survives_a_three_node_tie_chain():
+    config = ScenarioConfig(
+        graph=complete_digraph(3),
+        f=0,
+        phases=[0.9988888888879, 0.998888888887, 0.0],
+        frequencies=[1.0, 1.0, 900.0],
+        normalize_phases=False,
+        normalize_frequencies=False,
+        horizon=5.0,
+        monitor="off",
+    )
+    built = config.build()
+    assert config.validate(built)[0] == []
+    run_built(*built)
 
 
 # -- the run-ability gate, over legal and illegal scalar values ---------------

@@ -219,6 +219,16 @@ REFUSED = {
          "normalize_frequencies": False, "horizon": 5.0, "monitor": "off"},
         "too fast to simulate",
     ),
+    # Burst pulses 9e-13 apart: once node 0 sits at its threshold, each
+    # one ties with it and moves the clock on, carrying it past.
+    "burst_within_one_tie_window": (
+        {"graph": {"named": "complete", "n": 7}, "f": 1, "phases": [0.45, 0, 0, 0, 0, 0, 0],
+         "frequencies": [1, 1, 1, 1, 1, 1, 1],
+         "attackers": [{"node": 6, "type": "flooding", "burst_count": 5000,
+                        "burst_interval": 9e-13, "start_time": 0.5499999999999}],
+         "halt_on_detection": False, "horizon": 5.0, "monitor": "off"},
+        "are distinct but within 1e-12",
+    ),
 }
 
 

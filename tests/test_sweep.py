@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import former_run_trial
+from oracles import scenario_run_trial
 from pcosync import (
     AttackerSpec,
     RandomInterval,
@@ -313,4 +313,4 @@ def test_a_trial_matches_the_former_build_and_run(algorithm, grid_index, trial_i
                                                   spread0, seed, synchronized_only):
     base, prepared = prepared_base(algorithm)
     args = (grid_index, trial_index, arc0, spread0, seed, synchronized_only)
-    assert sweep.run_trial(prepared, *args) == former_run_trial(base, *args)
+    assert sweep.run_trial(prepared, *args) == scenario_run_trial(base, *args)
