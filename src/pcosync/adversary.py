@@ -209,7 +209,7 @@ def flooding_script(
         raise ValueError(f"burst interval must be positive, got {burst_interval}")
     claim_fn = claim if callable(claim) else parse_claim(claim)
     times = [start_time + k * burst_interval for k in range(burst_count)]
-    # The engine's tie test once the clock sits at a; equal times never move it.
+    # Once the clock sits at a, the engine ties b with it; equal times never move it.
     for a, b in zip(times, times[1:]):
         if a < b <= a + TIME_EPS:
             raise ValueError(f"burst pulses {a!r} and {b!r} are distinct but within {TIME_EPS!r}")
