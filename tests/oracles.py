@@ -4,9 +4,9 @@ The oracles are written straight from the definitions, in the
 most literal style available, and deliberately share no logic with the
 package: circle distances via modular arithmetic instead of branches, arcs
 by trying every tail instead of scanning gaps, robustness by materializing
-every subset pair as a frozenset instead of bitmask enumeration. The last
-two sections instead keep the package's own earlier, plainer hot-path code,
-which its faster replacements must match bit for bit.
+every subset pair as a frozenset instead of bitmask enumeration. The later
+sections instead keep the package's own earlier, plainer code, which its
+faster replacements must match bit for bit.
 """
 
 import itertools
@@ -661,3 +661,18 @@ def former_attacker_build(self):
 def _take(opts, *names):
     """Remove and return the named options that ``opts`` holds."""
     return {name: opts.pop(name) for name in names if name in opts}
+
+
+# -- previous trace row formatter --------------------------------------------
+#
+# ``metrics.format_trace_row`` as it was before a row could reuse the
+# previous row's cells: every float formatted with ``repr``. Kept verbatim;
+# the trace writer's bytes must equal its rows joined under the header.
+
+
+def former_format_trace_row(row):
+    parts = [str(row.k), repr(row.t), row.event_kind, str(row.node)]
+    parts += [repr(p) for p in row.phases]
+    parts += [repr(w) for w in row.omegas]
+    parts += [repr(row.delta), repr(row.delta_windowed), repr(row.v), str(row.detected_mask)]
+    return ",".join(parts)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +30,12 @@ from pcosync.engine import PHASE_SLACK
 from pcosync.metrics import format_trace_row, trace_header, write_trace
 from pcosync.phase import containing_arc
 
-from oracles import EventSpreadWindow, ExtremaHistory, RescanSpreadWindow
+from oracles import (
+    EventSpreadWindow,
+    ExtremaHistory,
+    RescanSpreadWindow,
+    former_format_trace_row,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -249,6 +255,51 @@ def test_write_trace_file(tmp_path):
     assert len(lines) == 3
 
 
+# A trace cell: None is the float object the previous row held at that
+# position, an int picks one of three objects the example shares across
+# rows and positions, and a float becomes a fresh object, so rows hold
+# equal-but-distinct floats, both zeros, NaN and infinities.
+_TRACE_CELL = st.none() | st.integers(0, 2) | st.sampled_from(
+    [0.0, -0.0, 1.0, 0.1, math.nan, math.inf, -math.inf]
+) | st.floats()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    shared=st.lists(st.floats(), min_size=3, max_size=3),
+    drawn=st.lists(
+        st.tuples(st.lists(_TRACE_CELL, min_size=18, max_size=18), st.floats()),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_written_trace_is_its_rows_formatted_one_by_one(n, shared, drawn):
+    pool = [float(repr(x)) for x in shared]
+    previous = [0.0] * (2 * n)
+    rows = []
+    for k, (cells, t) in enumerate(drawn):
+        values = []
+        for i, cell in enumerate(cells[: 2 * n]):
+            if cell is None:
+                values.append(previous[i])
+            elif isinstance(cell, int):
+                values.append(pool[cell])
+            else:
+                values.append(float(repr(cell)))
+        previous = values
+        rows.append(TraceRecord(
+            k, float(repr(t)), "fire", k % n, tuple(values[:n]), tuple(values[n:]),
+            pool[0], values[0], float(repr(t)), k,
+        ))
+    expected = "\n".join([trace_header(n)] + [former_format_trace_row(r) for r in rows]) + "\n"
+    assert [format_trace_row(r) for r in rows] == [former_format_trace_row(r) for r in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace(path, n, rows)
+        assert path.read_bytes() == expected.encode()
+
+
 # -- RunMetrics, driven with fabricated events --------------------------------
 
 
@@ -444,6 +495,50 @@ def test_violation_recording_is_capped():
         observe(world, metrics, phases=[0.0, 0.6])
     assert len(metrics.violations) == 200
     assert metrics.suppressed_violations() > 0
+
+
+@pytest.mark.parametrize("fresh_args, steps, expected", [
+    ({}, [dict(omegas=[1.0, 1.3])], [
+        "frequency left the initial hull at event 1",
+        "windowed frequency ceiling increased at event 1",
+        "windowed spread 3.000e-01 broke its decay envelope at event 1",
+    ]),
+    ({"window_len": 4}, [dict(omegas=[1.1, 1.2])] * 4 + [dict(omegas=[1.05, 1.2])], [
+        "windowed frequency floor decreased at event 5",
+    ]),
+    ({"window_len": 2}, [{}] * 4, [
+        "windowed spread 2.000e-01 broke its decay envelope at event 4",
+    ]),
+    ({}, [dict(phases=[0.0, 0.5])], [
+        "containing arc reached 0.500000 >= 0.5 at event 1",
+    ]),
+    ({}, [dict(phases=[0.9, 0.1])], [
+        "virtual node left the tail of the containing arc at event 1",
+    ]),
+    # With the virtual node at the tail, the radius spread covers the arc,
+    # so only a NaN phase, which fails every comparison, trips this check.
+    ({}, [dict(phases=[0.1, 0.2], advance=0.05), dict(phases=[0.15, math.nan], advance=0.05)], [
+        "containing arc reached nan >= 0.5 at event 2",
+        "virtual node left the tail of the containing arc at event 2",
+        "containing arc exceeded the virtual-radius spread at event 2",
+    ]),
+])
+def test_each_monitor_message_is_pinned(fresh_args, steps, expected):
+    world, metrics = fresh(**fresh_args)
+    for step in steps:
+        observe(world, metrics, **step)
+    assert metrics.violations == expected
+    assert metrics.suppressed_violations() == 0
+
+
+def test_strict_mode_raises_the_first_failed_check():
+    world, metrics = fresh(mode="strict", window_len=2)
+    for _ in range(3):
+        observe(world, metrics)
+    with pytest.raises(InvariantViolation) as raised:
+        observe(world, metrics)
+    assert str(raised.value) == "windowed spread 2.000e-01 broke its decay envelope at event 4"
+    assert metrics.violations == []
 
 
 def test_clean_reference_run(tmp_path):
