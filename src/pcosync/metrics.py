@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .engine import PHASE_SLACK, Event, EventKind, WorldState
 from .errors import InvariantViolation
-from .phase import clockwise_dist, containing_arc
+from .phase import containing_arc
 
 MONITOR_MODES = ("off", "warn", "strict")
 
@@ -158,17 +158,44 @@ def trace_header(node_count: int) -> str:
     return ",".join(cols)
 
 
-def format_trace_row(row: TraceRecord) -> str:
-    parts = [str(row.k), repr(row.t), row.event_kind, str(row.node)]
-    parts += [repr(p) for p in row.phases]
-    parts += [repr(w) for w in row.omegas]
-    parts += [repr(row.delta), repr(row.delta_windowed), repr(row.v), str(row.detected_mask)]
-    return ",".join(parts)
+def format_trace_row(
+    row: TraceRecord, previous: TraceRecord | None = None, cells: list[str] | None = None
+) -> str:
+    """One trace line: integers as ``str``, floats as ``repr``.
+
+    ``write_trace`` also passes ``previous``, the row written just before
+    (same node count), and ``cells``, that row's phase and omega strings,
+    which this call updates to its own. A phase or omega that is the float
+    object ``previous`` held at its position keeps its string; it is an
+    ``is`` test, so equal but distinct floats, -0.0 and NaN are formatted
+    afresh. Without ``previous`` every float is formatted.
+    """
+    values = row.phases + row.omegas
+    if cells is None:
+        cells = []
+    if previous is None:
+        cells[:] = map(repr, values)
+    else:
+        before = previous.phases + previous.omegas
+        for i in range(len(values)):
+            x = values[i]
+            if x is not before[i]:
+                cells[i] = repr(x)
+    return (
+        f"{row.k},{row.t!r},{row.event_kind},{row.node},{','.join(cells)},"
+        f"{row.delta!r},{row.delta_windowed!r},{row.v!r},{row.detected_mask}"
+    )
 
 
 def write_trace(path: str | Path, node_count: int, rows: list[TraceRecord]) -> None:
+    """Write the header and one line per row. A run's rows share the float
+    objects of values that did not move, so each row hands its cells on."""
     lines = [trace_header(node_count)]
-    lines += [format_trace_row(r) for r in rows]
+    cells: list[str] = []
+    previous = None
+    for row in rows:
+        lines.append(format_trace_row(row, previous, cells))
+        previous = row
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -184,8 +211,10 @@ class RunMetrics:
     after the last observed event even when a protocol fault ends the run
     inside a handler that has already moved the world. ``mode`` controls
     what a failed check does: "off" skips it, "warn" records it in
-    ``violations``, "strict" raises InvariantViolation. Safety checks
-    express guarantees that only hold on conforming runs (stealthy scripts,
+    ``violations``, "strict" raises InvariantViolation. A check builds its
+    message only when it fails, and the decay envelope is recomputed only
+    when ``k // (window_len * normal_count)`` moves. Safety checks express
+    guarantees that only hold on conforming runs (stealthy scripts,
     admissible initial conditions), which is why the default everywhere
     outside the test suite is "warn".
 
@@ -194,7 +223,9 @@ class RunMetrics:
     frequencies and pushes their extrema on every event. It also advances
     the virtual node by the time since the last observed event, sets its
     rate to the windowed floor, and pushes its radii into a second window
-    for the radius spread V. With the monitor off and no trace, nothing
+    for the radius spread V. A collected trace row holds the oscillators'
+    own float objects, so ``write_trace`` formats a value that did not move
+    since the previous row once. With the monitor off and no trace, nothing
     reads V, so ``observe`` keeps its own list of the normal frequencies
     and moves the extrema only after update events, the only ones that
     write a frequency, and only from the updated node: the new value either
@@ -273,6 +304,9 @@ class RunMetrics:
         self.freq_window.push(0, *self.hull)
         if self._tracks_radii:
             self._prev_floor, self._prev_ceiling = self.hull
+            # The decay envelope moves once per period; see ``observe``.
+            self._period = self.window_len * self.normal_count
+            self._envelope_step = -1
             self.radius_window = SpreadWindow(self.window_len)
             _, v0 = self._push_radii(0, phases)
         if self.rows is not None:
@@ -357,22 +391,24 @@ class RunMetrics:
                     self.freq_window.push(k, self._lo, self._hi)
 
         if self.mode != "off":
+            # A check builds its message only when it fails.
             delta = self.delta
-            self._check(f"frequency left the initial hull at event {k}",
-                        lo >= self.hull[0] - 1e-9 and hi <= self.hull[1] + 1e-9)
-            self._check(f"containing arc reached {delta:.6f} >= 0.5 at event {k}",
-                        delta < 0.5)
-            self._check(f"windowed frequency floor decreased at event {k}",
-                        floor >= self._prev_floor - 1e-12)
-            self._check(f"windowed frequency ceiling increased at event {k}",
-                        ceiling <= self._prev_ceiling + 1e-12)
-            envelope = decay_envelope(
-                self.spread0, self.alpha, self.window_len, self.normal_count, k
-            )
-            self._check(
-                f"windowed spread {spread_w:.3e} broke its decay envelope at event {k}",
-                spread_w <= envelope + 1e-9,
-            )
+            if not (lo >= self.hull[0] - 1e-9 and hi <= self.hull[1] + 1e-9):
+                self._fail(f"frequency left the initial hull at event {k}")
+            if not delta < 0.5:
+                self._fail(f"containing arc reached {delta:.6f} >= 0.5 at event {k}")
+            if not floor >= self._prev_floor - 1e-12:
+                self._fail(f"windowed frequency floor decreased at event {k}")
+            if not ceiling <= self._prev_ceiling + 1e-12:
+                self._fail(f"windowed frequency ceiling increased at event {k}")
+            step = k // self._period
+            if step != self._envelope_step:
+                self._envelope_step = step
+                self._envelope = decay_envelope(
+                    self.spread0, self.alpha, self.window_len, self.normal_count, k
+                )
+            if not spread_w <= self._envelope + 1e-9:
+                self._fail(f"windowed spread {spread_w:.3e} broke its decay envelope at event {k}")
             # The tail and radius-spread properties read the virtual node as
             # the rear of the shortest containing arc, which is only defined
             # while that arc spans less than a half circle.  The reference
@@ -384,14 +420,10 @@ class RunMetrics:
             if self.virtual_in_range and arc_with_virtual >= 0.5:
                 self.virtual_in_range = False
             if self.virtual_in_range:
-                self._check(
-                    f"virtual node left the tail of the containing arc at event {k}",
-                    abs(arc_with_virtual - radius_max) <= 1e-9,
-                )
-                self._check(
-                    f"containing arc exceeded the virtual-radius spread at event {k}",
-                    delta <= v + 1e-9,
-                )
+                if not abs(arc_with_virtual - radius_max) <= 1e-9:
+                    self._fail(f"virtual node left the tail of the containing arc at event {k}")
+                if not delta <= v + 1e-9:
+                    self._fail(f"containing arc exceeded the virtual-radius spread at event {k}")
             self._prev_floor = floor
             self._prev_ceiling = ceiling
 
@@ -452,9 +484,8 @@ class RunMetrics:
                 self._witness = (phases.index(arc.tail), phases.index(arc.head))
         return delta <= self.tol_phase
 
-    def _check(self, message: str, ok: bool) -> None:
-        if ok:
-            return
+    def _fail(self, message: str) -> None:
+        """Act on a failed check as ``mode`` says."""
         if self.mode == "strict":
             raise InvariantViolation(message)
         if len(self.violations) < self._MAX_RECORDED_VIOLATIONS:
@@ -465,20 +496,22 @@ class RunMetrics:
     def _push_radii(self, k: int, phases: list[float]) -> tuple[float, float]:
         """Push the normal nodes' clockwise distances from the virtual node
         at event k; return (largest distance, windowed radius spread V)."""
-        radii = [clockwise_dist(p, self.virtual.phase) for p in phases]
+        b = self.virtual.phase
+        radii = [a - b if a >= b else 1.0 - b + a for a in phases]  # clockwise_dist, inlined
         radius_max = max(radii)
         window = self.radius_window
         window.push(k, min(radii), radius_max)
         return radius_max, window.at(k)[2]
 
     def _append_row(self, world: WorldState, k: int, kind: str, node: int, v: float) -> None:
+        oscillators = world.oscillators
         self.rows.append(TraceRecord(
             k=k,
             t=world.clock,
             event_kind=kind,
             node=node,
-            phases=tuple(o.phase for o in world.oscillators),
-            omegas=tuple(o.omega for o in world.oscillators),
+            phases=tuple([o.phase for o in oscillators]),
+            omegas=tuple([o.omega for o in oscillators]),
             delta=self.delta,
             delta_windowed=self.delta_windowed,
             v=v,
