@@ -153,6 +153,15 @@ class _Explicit(Schedule):
 _NO_TIMES = _Explicit(())
 
 
+def _refuse_within_one_tie(times: Sequence[float], what: str) -> None:
+    """Refuse sorted times a < b <= a + TIME_EPS: once the clock sits at a,
+    the engine ties b with it and steps the clock on by less than TIME_EPS.
+    Equal times never move the clock."""
+    for a, b in zip(times, times[1:]):
+        if a < b <= a + TIME_EPS:
+            raise ValueError(f"{what} {a!r} and {b!r} are distinct but within {TIME_EPS!r}")
+
+
 @dataclass(frozen=True)
 class AttackScript:
     """One misbehaving node's emission plan.
@@ -209,10 +218,7 @@ def flooding_script(
         raise ValueError(f"burst interval must be positive, got {burst_interval}")
     claim_fn = claim if callable(claim) else parse_claim(claim)
     times = [start_time + k * burst_interval for k in range(burst_count)]
-    # Once the clock sits at a, the engine ties b with it; equal times never move it.
-    for a, b in zip(times, times[1:]):
-        if a < b <= a + TIME_EPS:
-            raise ValueError(f"burst pulses {a!r} and {b!r} are distinct but within {TIME_EPS!r}")
+    _refuse_within_one_tie(times, "burst pulses")
     return AttackScript(node, claim_fn, _Explicit(times), _NO_TIMES)
 
 
@@ -222,7 +228,9 @@ def custom_script(
     start_pulses: Sequence[float] = (),
 ) -> AttackScript:
     """Fully explicit schedule: (time, claimed frequency) pairs plus
-    optional forged start-pulse times. Every claim must be finite."""
+    optional forged start-pulse times. Every claim must be finite, and no
+    two distinct times, counted and start pulses taken together, may lie
+    within ``TIME_EPS`` of each other."""
     by_time = {float(t): _finite_claim(v) for t, v in pulses}
     if len(by_time) != len(pulses):
         raise ValueError("duplicate pulse times in custom script")
@@ -230,8 +238,10 @@ def custom_script(
     def claim(t: float) -> float:
         return by_time[t]
 
+    counted = _Explicit(by_time)
     starts = _Explicit(start_pulses) if start_pulses else _NO_TIMES
-    return AttackScript(node, claim, _Explicit(by_time), starts)
+    _refuse_within_one_tie(list(merge(counted.times, starts.times)), "custom pulses")
+    return AttackScript(node, claim, counted, starts)
 
 
 def is_stealthy(

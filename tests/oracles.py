@@ -663,6 +663,19 @@ def _take(opts, *names):
     return {name: opts.pop(name) for name in names if name in opts}
 
 
+# -- pulse spacing -------------------------------------------------------------
+
+
+def spaced_pulse_times(times):
+    """Whether no two distinct times lie within ``TIME_EPS`` of each other,
+    the rule scripted pulse times must keep; every pair is compared."""
+    from pcosync.engine import TIME_EPS
+
+    return not any(
+        a != b and abs(a - b) <= TIME_EPS for a, b in itertools.combinations(times, 2)
+    )
+
+
 # -- previous trace row formatter --------------------------------------------
 #
 # ``metrics.format_trace_row`` as it was before a row could reuse the

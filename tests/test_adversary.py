@@ -120,6 +120,23 @@ def test_flooding_pulses_within_time_eps_are_refused_unless_equal():
     assert streams(script.emission_times, 2e17) == (1e17, 1e17, 1e17)
 
 
+def test_custom_pulses_within_time_eps_are_refused_unless_equal():
+    # Counted and start pulses share the clock, so they are taken together.
+    at_eps = 1.0 + TIME_EPS
+    message = f"custom pulses 1.0 and {at_eps!r} are distinct but within"
+    with pytest.raises(ValueError, match=message):
+        custom_script(1, pulses=[(1.0, 1.1), (at_eps, 1.1)])
+    with pytest.raises(ValueError, match=message):
+        custom_script(1, pulses=[(at_eps, 1.1)], start_pulses=[1.0])
+    with pytest.raises(ValueError, match=message):
+        custom_script(1, start_pulses=[at_eps, 1.0])
+    # One float further, and at equal times, the clock is never stepped finely.
+    past = math.nextafter(at_eps, math.inf)
+    script = custom_script(1, pulses=[(1.0, 1.1), (past, 1.2)], start_pulses=[1.0, past, past])
+    assert streams(script.emission_times, 2.0) == (1.0, past)
+    assert streams(script.start_emission_times, 2.0) == (1.0, past, past)
+
+
 def test_custom_script_explicit_times():
     script = custom_script(2, pulses=[(1.7, 2.0), (0.5, 1.1)], start_pulses=[0.4])
     assert streams(script.emission_times, 10.0) == (0.5, 1.7)

@@ -42,7 +42,7 @@ from pcosync.msr import effective_alpha
 from pcosync.runner import run_built
 from pcosync.scenario import _KEYS
 
-from oracles import former_attacker_build, streams
+from oracles import former_attacker_build, spaced_pulse_times, streams
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -291,11 +291,14 @@ ATTACKER_OPTIONS = {
         "burst_interval": st.floats(0.001, 0.5), "start_time": st.floats(0.0, 10.0),
         "claim": _CLAIMS,
     }),
+    # Counted and start pulses together keep custom_script's spacing rule.
     "custom": st.fixed_dictionaries({}, optional={
         "pulses": st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.5, 2.0)).map(list),
                            max_size=4, unique_by=lambda pulse: pulse[0]),
         "start_pulses": st.lists(st.floats(0.0, 50.0), max_size=3),
-    }),
+    }).filter(lambda options: spaced_pulse_times(
+        [t for t, _ in options.get("pulses", ())] + options.get("start_pulses", [])
+    )),
 }
 
 

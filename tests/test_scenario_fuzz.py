@@ -229,6 +229,15 @@ REFUSED = {
          "halt_on_detection": False, "horizon": 5.0, "monitor": "off"},
         "are distinct but within 1e-12",
     ),
+    # The same pulses as one custom attacker's explicit schedule.
+    "custom_pulses_within_one_tie_window": (
+        {"graph": {"named": "complete", "n": 7}, "f": 1, "phases": [0.45, 0, 0, 0, 0, 0, 0],
+         "frequencies": [1, 1, 1, 1, 1, 1, 1],
+         "attackers": [{"node": 6, "type": "custom",
+                        "pulses": [[0.5499999999999 + k * 9e-13, 1.0] for k in range(5000)]}],
+         "halt_on_detection": False, "horizon": 5.0, "monitor": "off"},
+        "custom pulses 0.5499999999999 and 0.5500000000008 are distinct but within 1e-12",
+    ),
 }
 
 
