@@ -155,7 +155,7 @@ _NO_TIMES = _Explicit(())
 
 def _refuse_within_one_tie(times: Sequence[float], what: str) -> None:
     """Refuse sorted times a < b <= a + TIME_EPS: once the clock sits at a,
-    the engine ties b with it and steps the clock on by less than TIME_EPS.
+    the engine ties b with it and moves the clock on by at most TIME_EPS.
     Equal times never move the clock."""
     for a, b in zip(times, times[1:]):
         if a < b <= a + TIME_EPS:

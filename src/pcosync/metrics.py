@@ -391,7 +391,6 @@ class RunMetrics:
                     self.freq_window.push(k, self._lo, self._hi)
 
         if self.mode != "off":
-            # A check builds its message only when it fails.
             delta = self.delta
             if not (lo >= self.hull[0] - 1e-9 and hi <= self.hull[1] + 1e-9):
                 self._fail(f"frequency left the initial hull at event {k}")
