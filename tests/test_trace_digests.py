@@ -11,7 +11,10 @@ clock with the event before (plus one with a flooding attacker, eager
 detection and no halt, where detection latches between such events). A
 digest may only change together with a CHANGES.md entry naming the
 intended change in floating-point output. Each case also pins its monitor
-violation messages and suppressed count, which the trace does not show.
+violation messages and suppressed count, which the trace does not show, and,
+apart from the bytes, its outcome, its event count and a digest of the
+(kind, node) sequence of its trace rows: a change that may move the floats
+by rounding must leave these as they are.
 """
 
 import dataclasses
@@ -159,23 +162,59 @@ VIOLATION_DIGESTS = {
 }
 
 
+# Each case's event order apart from its floats: the SHA-256 of its trace
+# rows' (kind, node) pairs, its outcome and its event count.
+EVENT_ORDERS = {
+    "flooding_detection-absolute": ("3f7cd1c973659c8dde623ad83ddb6221aa4ac4f71f04dcdb9fb089d49f6797da", "detected", 14),
+    "flooding_detection-eager-nohalt-absolute": ("9a4959a9d244e580be69c83c7de2d047f95a2d7f187065d83395e07abd1c4d19", "horizon", 609),
+    "flooding_detection-eager-nohalt-relative": ("32de2d367cfabc142c2f4a1a2d930572c98b3ffd1465222625874ff53e9cf41c", "horizon", 1036),
+    "flooding_detection-relative": ("91786241cc20cbca998f07f308a859ff73446a07b2300a4964828041a378fd70", "detected", 21),
+    "frontier_sweep-absolute": ("9649bdc864ea8d209ca698fa16e8cfc3fc398a13664bacef57344d8fcd98b575", "detected", 10),
+    "frontier_sweep-monitor_off-absolute": ("9649bdc864ea8d209ca698fa16e8cfc3fc398a13664bacef57344d8fcd98b575", "detected", 10),
+    "frontier_sweep-monitor_off-relative": ("55859fa4c76434fd674d2b886a9ae4dbcfa5fad81c54b3f12008554d84735e24", "detected", 16),
+    "frontier_sweep-relative": ("55859fa4c76434fd674d2b886a9ae4dbcfa5fad81c54b3f12008554d84735e24", "detected", 16),
+    "k16_flood-eager-nohalt-monitor_off-absolute": ("8b669f767c60ee5d4d52b04b35a2754434407ba3423820c8599ade750fbf86d4", "horizon", 634),
+    "k16_flood-eager-nohalt-monitor_off-relative": ("e9b9443ace4a83534c85f8903c5adaa45b6f83ba1d54e218dd80374ec03ea89d", "horizon", 1234),
+    "k16_sync-monitor_off-absolute": ("6cb85f0349d9ae5733f58642a40741a0865afa15d54f5080901f3857f70c8070", "converged", 479),
+    "k16_sync-monitor_off-relative": ("8c9cb2d660aab8c04ab8537c487dd31c682cda1a615133debd6d199071810fd0", "converged", 703),
+    "nominal_sync-absolute": ("b853f6302f238effc805b5b3945e4936ff168e6dd1687436dfaa75bcd5583bea", "converged", 328),
+    "nominal_sync-relative": ("e2e23c901e38edc2a6bbb07e75634fdb70105d673038674c0ea30b0a27a90e1c", "converged", 488),
+    "relative_equivalence-absolute": ("3a36615ef31d7e15d4b93cfa270d037023761bd85196033ce146a07015423965", "converged", 189),
+    "relative_equivalence-relative": ("8afea13de666e2f41116655e6fba99ccd54e52ef0487c65f774ceef690ed11a1", "converged", 279),
+    "stealthy_attack-absolute": ("6786ab7cf58b5edb3ebb1818a5d3ad4bffc5bab71ba02ae495221546d88b32d3", "converged", 84),
+    "stealthy_attack-alpha-absolute": ("05a9cf502487e8873afe2a5fbdf1c47b31f77dd1f100ebaf9b380e8fb07d3ff9", "detected", 16),
+    "stealthy_attack-alpha-relative": ("ce2da5e70f2b3053c58fc61cae6bac451d3526eb3f0f04fda4aeac2ab5f4e6b0", "detected", 25),
+    "stealthy_attack-monitor_off-absolute": ("6786ab7cf58b5edb3ebb1818a5d3ad4bffc5bab71ba02ae495221546d88b32d3", "converged", 84),
+    "stealthy_attack-monitor_off-relative": ("8dc8553ec743a29e4b67d39965646b5ca20c37afed293a5b742ecee01ea3753e", "converged", 153),
+    "stealthy_attack-relative": ("8dc8553ec743a29e4b67d39965646b5ca20c37afed293a5b742ecee01ea3753e", "converged", 153),
+    "stealthy_attack-seed1-absolute": ("8aaa210bc3b75eee80d2ee97f8378814e95bcc81f1e37a55d15a25f416fb4004", "detected", 16),
+    "stealthy_attack-seed1-relative": ("ca2da4debbec12ae8c13a37d205cf38536986ddb5dc5f42e759820f683bd0e3f", "detected", 26),
+    "stealthy_attack-seed4-absolute": ("49c774689fe86a04cb5530bb2d3622c0d156465346b3e9f7e458f29685ae6bc2", "fault", 4),
+    "stealthy_attack-seed4-relative": ("09365842d6aaccffc31c777d52a3ea234e0d16f1292af821da9d8ede1dcf259d", "fault", 7),
+}
+
 @functools.lru_cache(maxsize=None)
-def case_digests(case: str) -> tuple[str, str]:
-    """SHA-256 of the case's trace CSV, and of the ``repr`` of its monitor
-    violations with the suppressed count."""
+def case_digests(case: str) -> tuple[str, str, tuple[str, str, int]]:
+    """SHA-256 of the case's trace CSV, of the ``repr`` of its monitor
+    violations with the suppressed count, and the case's event order:
+    the SHA-256 of its rows' (kind, node) pairs, its outcome and its event
+    count."""
     source, overrides = CASES[case]
     base = load_scenario(SCENARIOS / f"{source}.json") if isinstance(source, str) else source
     config = dataclasses.replace(base, **{"monitor": "warn", **overrides})
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / f"{case}.csv"
-        metrics = run_scenario(config, trace_path=path).metrics
+        result = run_scenario(config, trace_path=path)
         trace = hashlib.sha256(path.read_bytes()).hexdigest()
+    metrics = result.metrics
     violations = repr((metrics.violations, metrics.suppressed_violations()))
-    return trace, hashlib.sha256(violations.encode()).hexdigest()
+    kinds = "".join(f"{row.event_kind},{row.node}\n" for row in metrics.rows)
+    order = (hashlib.sha256(kinds.encode()).hexdigest(), result.outcome, result.world.event_count)
+    return trace, hashlib.sha256(violations.encode()).hexdigest(), order
 
 
 def test_every_case_has_a_digest():
-    assert set(DIGESTS) == set(CASES) == set(VIOLATION_DIGESTS)
+    assert set(DIGESTS) == set(CASES) == set(VIOLATION_DIGESTS) == set(EVENT_ORDERS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -186,3 +225,8 @@ def test_trace_digest_is_frozen(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_violation_digest_is_frozen(case):
     assert case_digests(case)[1] == VIOLATION_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_event_order_outcome_and_count_are_frozen(case):
+    assert case_digests(case)[2] == EVENT_ORDERS[case]
