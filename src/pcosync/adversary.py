@@ -23,7 +23,7 @@ from heapq import merge
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .engine import TIME_EPS, WorldState
+from .engine import WorldState
 
 ClaimFn = Callable[[float], float]
 
@@ -153,15 +153,6 @@ class _Explicit(Schedule):
 _NO_TIMES = _Explicit(())
 
 
-def _refuse_within_one_tie(times: Sequence[float], what: str) -> None:
-    """Refuse sorted times a < b <= a + TIME_EPS: once the clock sits at a,
-    the engine ties b with it and moves the clock on by at most TIME_EPS.
-    Equal times never move the clock."""
-    for a, b in zip(times, times[1:]):
-        if a < b <= a + TIME_EPS:
-            raise ValueError(f"{what} {a!r} and {b!r} are distinct but within {TIME_EPS!r}")
-
-
 @dataclass(frozen=True)
 class AttackScript:
     """One misbehaving node's emission plan.
@@ -218,7 +209,6 @@ def flooding_script(
         raise ValueError(f"burst interval must be positive, got {burst_interval}")
     claim_fn = claim if callable(claim) else parse_claim(claim)
     times = [start_time + k * burst_interval for k in range(burst_count)]
-    _refuse_within_one_tie(times, "burst pulses")
     return AttackScript(node, claim_fn, _Explicit(times), _NO_TIMES)
 
 
@@ -228,9 +218,7 @@ def custom_script(
     start_pulses: Sequence[float] = (),
 ) -> AttackScript:
     """Fully explicit schedule: (time, claimed frequency) pairs plus
-    optional forged start-pulse times. Every claim must be finite, and no
-    two distinct times, counted and start pulses taken together, may lie
-    within ``TIME_EPS`` of each other."""
+    optional forged start-pulse times. Every claim must be finite."""
     by_time = {float(t): _finite_claim(v) for t, v in pulses}
     if len(by_time) != len(pulses):
         raise ValueError("duplicate pulse times in custom script")
@@ -238,10 +226,8 @@ def custom_script(
     def claim(t: float) -> float:
         return by_time[t]
 
-    counted = _Explicit(by_time)
     starts = _Explicit(start_pulses) if start_pulses else _NO_TIMES
-    _refuse_within_one_tie(list(merge(counted.times, starts.times)), "custom pulses")
-    return AttackScript(node, claim, counted, starts)
+    return AttackScript(node, claim, _Explicit(by_time), starts)
 
 
 def is_stealthy(

@@ -4,9 +4,13 @@ Between events every oscillator's phase grows linearly at its own rate;
 everything discontinuous (pulse emission, counter updates, phase jumps,
 frequency updates, detection) happens inside an event handler. Events are
 totally ordered by time, then by kind (adversary pulse, fire, start pulse,
-update trigger), then by node id; two times closer than ``TIME_EPS`` count
-as simultaneous. After each event the acting node's phase sits exactly on
-its threshold value, so threshold comparisons never accumulate drift.
+update trigger), then by node id. One tie window is one instant: each event
+within ``TIME_EPS`` of the earliest candidate time happens at that time (a
+scripted pulse at the earlier of its own time and that one, its claim still
+read at its own). So the clock never passes a node's candidate time, and a
+node that acts up to ``TIME_EPS`` early is set onto its threshold by its
+handler: after each event the acting node's phase sits exactly on its
+threshold value, so threshold comparisons never accumulate drift.
 
 Every selection reads one table of candidate times per run: each normal
 node's fire, start-pulse and update time at the current clock. Synchronized
@@ -181,6 +185,25 @@ def advance_all(world: WorldState, dt: float) -> None:
     picks ``dt`` from the earliest pending event), so they never wrap here.
     Faulty oscillators carry no protocol state; their displayed phase
     free-runs modulo 1.
+
+    Under the tie rule of the module docstring an advance carries a node
+    less than w * 4 ulps of B past a threshold before the final rounding,
+    where w is its frequency and B = 2 * (horizon + 2 * TIME_EPS). Take a
+    normal node at phase p below a threshold g it has a slot for (1, 0.5
+    armed, or the start target), at clock c. Its slot is s = fl(c + q) with
+    q = fl(fl(g - p) / w), and it crosses g at c + (g - p) / w. The event
+    happens at e <= ``min(times)`` <= s, so the step fl(e - c) is at most
+    fl(s - c), however many events share the window. If the node ends past
+    g, every time here lies below B, as ``simulate`` stops before an event
+    past fl(horizon + TIME_EPS). So three times (q, s and the step) are off
+    by half an ulp of B each, and two phase roundings (g - p, and w times
+    the step) by 2**-53 of w times a time below B, less than w ulps of B
+    each. The final sum adds at most 2**-53. ``PreparedScenario.world``
+    refuses a fastest frequency for which this could pass
+    fl(g + PHASE_SLACK), the limit checked here and in
+    ``_CandidateTimes.refresh``. A node at or past its threshold has a slot
+    at the clock, so it acts before any advance. The bound does not cover a
+    run whose updates raise its fastest frequency.
     """
     if dt < 0.0:
         raise ValueError(f"cannot advance time by {dt}")
@@ -239,11 +262,10 @@ class _CandidateTimes:
     slot from the cursor on holds it) ``next_event`` falls back to the full
     scan, which computes ``tmin`` afresh and starts from cursor 0.
 
-    In ``simulate`` an event at an unchanged clock happened at the chosen
-    slot's time, so that time is the clock and ``tmin``, which lies between
-    the clock and it, is the clock too: there an actor slot never falls
-    below ``tmin``, and the fallback comes from the clock moving or from the
-    last slot holding ``tmin`` acting.
+    In ``simulate`` a normal node's event happens at ``tmin``, so after it
+    ``tmin`` is the clock: there an actor slot never falls below ``tmin``,
+    and the fallback comes from the clock moving or from the last slot
+    holding ``tmin`` acting.
     """
 
     __slots__ = (
@@ -307,7 +329,9 @@ def next_event(
 
     ``pending_adversary`` holds (time, node, is_start) triples sorted by
     that tuple; only the head competes. Ties within ``TIME_EPS`` resolve by
-    kind priority then node id. Returns None when nothing is pending.
+    kind priority then node id, and the event happens at the earliest time
+    of its window (the earlier of its own and ``tmin`` for a scripted
+    pulse). Returns None when nothing is pending.
     ``table``, kept by ``simulate`` across one run, carries the candidate
     times between selections (see the module docstring); without it a
     fresh table is built and every normal node is computed.
@@ -353,7 +377,7 @@ def next_event(
         # Earlier than every node, or tied with the earliest: it wins.
         if t <= limit:
             table.cursor = 0
-            return Event(t, EventKind.ADVERSARY_PULSE, node, bool(is_start))
+            return Event(min(t, tmin), EventKind.ADVERSARY_PULSE, node, bool(is_start))
     if not tmin < math.inf:
         return None
     if k is None:
@@ -370,7 +394,7 @@ def next_event(
         k = next(compress(count(cursor), map(limit.__ge__, times[cursor:k])))
     table.cursor = k
     kind, node = divmod(k, table.n)
-    return Event(times[k], table.kinds[kind], node)
+    return Event(tmin, table.kinds[kind], node)
 
 
 def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4.0) -> int:
@@ -414,8 +438,8 @@ def simulate(
     ``observe``, called after every event and told whether its handler
     reported a new detection, and ``converged``; the metrics own the
     convergence and safety bookkeeping. ``advance_all`` runs only for an
-    event later than the clock; an event at the clock (or, by less than
-    ``TIME_EPS``, before it) moves no phase. Scripted pulses come from
+    event later than the clock; an event at the clock moves no phase, and
+    no event is earlier than the clock. Scripted pulses come from
     ``scripted_pulses``: the liveness budget counts every one within the
     horizon, but only those the run reaches are computed. Returns an
     outcome string: "converged", "detected", or "horizon".
@@ -440,10 +464,12 @@ def simulate(
         world.clock = ev.time
 
         if ev.kind is EventKind.ADVERSARY_PULSE:
+            # The claim is read at the scripted time, not at the event's.
+            scripted_at = pending[0][0]
             head = next(pulses, None)
             pending = () if head is None else (head,)
             script = script_by_node[ev.node]
-            value = 0.0 if ev.is_start else script.freq_claim(ev.time)
+            value = 0.0 if ev.is_start else script.freq_claim(scripted_at)
             newly_detected = protocol.deliver_adversary(
                 world, ev.node, ev.time, value, ev.is_start
             )

@@ -143,30 +143,11 @@ class PreparedScenario:
             # before it, and the node acts again and again at one clock.
             gap = self.protocol.zeta if self.protocol.uses_start_pulses else 0.5
             resolution = TIME_EPS + math.ulp(horizon)
-            # Inside one tie window the clock can also pass a node's
-            # threshold crossing, since the loop takes any event within
-            # TIME_EPS of the earliest slot m. Take a normal node at phase p
-            # below a threshold g (1, 0.5 or the start target), frequency w
-            # and clock c, so it crosses at x = c + (g - p) / w, and an event
-            # taken at t <= fl(m + TIME_EPS). The node's slot
-            # fl(c + fl(fl(g - p) / w)) is not below m, so t - x is at most
-            # TIME_EPS plus the rounding of four times: the quotient, the
-            # slot, m + TIME_EPS, and the step fl(t - c) that advance_all
-            # takes. If the node ends past g at all, each lies below
-            # B = 2 * (horizon + 2 * TIME_EPS), as t <= fl(horizon + TIME_EPS)
-            # or the loop stops, so each is off by at most half an ulp of B.
-            # Two phase roundings, of g - p and of w times the step, err by at
-            # most 2**-53 of w times a time below B: less than w ulps of B
-            # each. So p + fl(w * step) ends less than w * reach past g. Its
-            # own rounding cannot carry it past the float limit
-            # fl(g + PHASE_SLACK) that advance_all and _CandidateTimes.refresh
-            # compare with, which is at most 2**-53 below g + PHASE_SLACK; the
-            # margin of 2**-52 below also covers the rounding of this test.
-            # This covers a node below its threshold when a window opens, not
-            # one already past it that a further event within TIME_EPS,
-            # earlier in tie order, carries on, nor a run whose updates raise
-            # its fastest frequency.
-            reach = TIME_EPS + 4 * math.ulp(2 * (horizon + 2 * TIME_EPS))
+            # The clock never passes a node's slot, so only rounding carries
+            # a node past a threshold: less than fastest * reach before the
+            # final rounding, as ``engine.advance_all`` proves. The margin of
+            # 2**-52 covers that rounding and the limit's, fl(g + PHASE_SLACK).
+            reach = 4 * math.ulp(2 * (horizon + 2 * TIME_EPS))
             if not gap / fastest > resolution:
                 problems.append(
                     f"normal frequency {fastest!r} is too fast to simulate: a phase "
@@ -175,8 +156,8 @@ class PreparedScenario:
                 )
             elif fastest * reach > PHASE_SLACK - 2**-52:
                 problems.append(
-                    f"normal frequency {fastest!r} is too fast to simulate: one tie "
-                    f"window of {reach!r} can carry a node {fastest * reach!r} past a "
+                    f"normal frequency {fastest!r} is too fast to simulate: the clock's "
+                    f"rounding of {reach!r} can carry a node {fastest * reach!r} past a "
                     f"threshold, more than PHASE_SLACK ({PHASE_SLACK!r}) less rounding"
                 )
         if problems:

@@ -102,13 +102,18 @@ def streams(schedule, horizon):
 #
 # The three functions below are the straightforward versions of the event
 # selection, the containing arc and the sliding window that the package
-# replaced with faster ones. They are kept verbatim as references: the
+# replaced with faster ones. They are kept as references, changed only
+# where the contract changed (the selection's time of a tie window): the
 # package versions must return exactly the same values, bit for bit, and
 # raise exactly where these raise.
 
 
 def scan_next_event(world, protocol, pending_adversary=()):
-    """``engine.next_event`` as a candidate list plus two ``min`` calls."""
+    """``engine.next_event`` as a candidate list plus two ``min`` calls.
+
+    Every event of a tie window happens at the window's earliest time. A
+    scripted pulse that wins is the earliest candidate or ties with a node's,
+    so the earlier of its time and the nodes' earliest is that minimum too."""
     from pcosync import Event, EventKind, InvariantViolation
     from pcosync.engine import PHASE_SLACK, TIME_EPS
 
@@ -144,7 +149,7 @@ def scan_next_event(world, protocol, pending_adversary=()):
         (c for c in candidates if c[0] <= tmin + TIME_EPS),
         key=lambda c: (c[1], c[2], c[3]),
     )
-    return Event(time=best[0], kind=_KINDS[best[1]], node=best[2], is_start=bool(best[3]))
+    return Event(time=tmin, kind=_KINDS[best[1]], node=best[2], is_start=bool(best[3]))
 
 
 def gap_loop_arc(phases):
@@ -661,19 +666,6 @@ def former_attacker_build(self):
 def _take(opts, *names):
     """Remove and return the named options that ``opts`` holds."""
     return {name: opts.pop(name) for name in names if name in opts}
-
-
-# -- pulse spacing -------------------------------------------------------------
-
-
-def spaced_pulse_times(times):
-    """Whether no two distinct times lie within ``TIME_EPS`` of each other,
-    the rule scripted pulse times must keep; every pair is compared."""
-    from pcosync.engine import TIME_EPS
-
-    return not any(
-        a != b and abs(a - b) <= TIME_EPS for a, b in itertools.combinations(times, 2)
-    )
 
 
 # -- previous trace row formatter --------------------------------------------

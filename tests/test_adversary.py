@@ -6,15 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcosync import (
+    AttackerSpec,
     OscillatorState,
+    ScenarioConfig,
     WorldState,
     DirectedGraph,
+    complete_digraph,
     custom_script,
     demo_graph_8,
     flooding_script,
     is_stealthy,
     one_plus_abs_sin,
     parse_claim,
+    run_scenario,
     sawtooth,
     silent_script,
     stealthy_script,
@@ -105,36 +109,48 @@ def test_flooding_script_burst():
         flooding_script(1, burst_count=3, burst_interval=0.0)
 
 
-def test_flooding_pulses_within_time_eps_are_refused_unless_equal():
-    # Once the clock sits at a pulse, the engine ties every event up to
-    # TIME_EPS later with it; a burst may not step the clock that finely.
-    at_eps = 1.0 + TIME_EPS
-    with pytest.raises(ValueError, match=f"burst pulses 1.0 and {at_eps!r} are distinct but"):
-        flooding_script(1, burst_count=2, burst_interval=TIME_EPS, start_time=1.0)
-    # One float further, the second pulse lies past the first one's tie window.
-    past = math.nextafter(at_eps, math.inf)
-    script = flooding_script(1, burst_count=2, burst_interval=past - 1.0, start_time=1.0)
-    assert streams(script.emission_times, 2.0) == (1.0, past)
+# Node 0 crosses its firing threshold at 1.0 + TIME_EPS / 2, and node 1 its
+# update threshold at 1.0, inside a burst of pulses TIME_EPS apart from 1.0
+# on. When the clock moved to each pulse's own time, 2500 such pulses carried
+# node 1 1e-9 past its threshold; the clock now stops at each crossing.
+def _k4_run(attacker, algorithm):
+    config = ScenarioConfig(
+        graph=complete_digraph(4),
+        algorithm=algorithm,
+        f=1,
+        phases=[-0.5 * TIME_EPS, 0.5, 0.25, 0.0],
+        frequencies=[1.0] * 4,
+        attackers=[attacker],
+        normalize_phases=False,
+        normalize_frequencies=False,
+        horizon=3.0,
+        monitor="off",
+    )
+    return run_scenario(config, validate=False)
+
+
+def test_flooding_pulses_within_time_eps_run_without_overshoot():
+    script = flooding_script(1, burst_count=2, burst_interval=TIME_EPS, start_time=1.0)
+    assert streams(script.emission_times, 2.0) == (1.0, 1.0 + TIME_EPS)
+    burst = {"burst_count": 2500, "burst_interval": TIME_EPS, "start_time": 1.0}
+    for algorithm in ("absolute", "relative"):
+        assert _k4_run(AttackerSpec(3, "flooding", burst), algorithm).outcome == "detected"
     # Pulses that round to one time never move the clock.
     script = flooding_script(1, burst_count=3, burst_interval=1.0, start_time=1e17)
     assert streams(script.emission_times, 2e17) == (1e17, 1e17, 1e17)
 
 
-def test_custom_pulses_within_time_eps_are_refused_unless_equal():
-    # Counted and start pulses share the clock, so they are taken together.
+def test_custom_pulses_within_time_eps_run_without_overshoot():
     at_eps = 1.0 + TIME_EPS
-    message = f"custom pulses 1.0 and {at_eps!r} are distinct but within"
-    with pytest.raises(ValueError, match=message):
-        custom_script(1, pulses=[(1.0, 1.1), (at_eps, 1.1)])
-    with pytest.raises(ValueError, match=message):
-        custom_script(1, pulses=[(at_eps, 1.1)], start_pulses=[1.0])
-    with pytest.raises(ValueError, match=message):
-        custom_script(1, start_pulses=[at_eps, 1.0])
-    # One float further, and at equal times, the clock is never stepped finely.
-    past = math.nextafter(at_eps, math.inf)
-    script = custom_script(1, pulses=[(1.0, 1.1), (past, 1.2)], start_pulses=[1.0, past, past])
-    assert streams(script.emission_times, 2.0) == (1.0, past)
-    assert streams(script.start_emission_times, 2.0) == (1.0, past, past)
+    script = custom_script(1, pulses=[(1.0, 1.1), (at_eps, 1.2)], start_pulses=[at_eps, 1.0])
+    assert streams(script.emission_times, 2.0) == (1.0, at_eps)
+    assert streams(script.start_emission_times, 2.0) == (1.0, at_eps)
+    # Counted pulses alone, and counted and start pulses interleaved.
+    counted = [[1.0 + k * TIME_EPS, 1.1] for k in range(2500)]
+    mixed = {"pulses": counted[1::2], "start_pulses": [t for t, _ in counted[::2]]}
+    for options in ({"pulses": counted}, mixed):
+        for algorithm in ("absolute", "relative"):
+            assert _k4_run(AttackerSpec(3, "custom", options), algorithm).outcome == "detected"
 
 
 def test_custom_script_explicit_times():

@@ -40,12 +40,12 @@ DIGESTS = {
     "run-flooding_detection-relative": "4a5b3556ed9a90bf31d6f1c88b315acac4f0efed1243123f96b60ca7bb13223b",
     "run-frontier_sweep-absolute": "8cfac8ecf27480fb4f61f11358bf298cb62774a87baab2dfe132dace987ca21f",
     "run-frontier_sweep-relative": "1978fb9f9a4ef345cc89dc2c80f040ec8a00cad5fadb0b295965af85a6d010a1",
-    "run-nominal_sync-absolute": "6496fe1129b0705a76468fa0037000782f791207d7532164fed5db752cbcb3b8",
+    "run-nominal_sync-absolute": "a1f957e464240e9b090ea3697076d7d46d1af0631a3ca69dc31b3fc4cf904c9c",
     "run-nominal_sync-relative": "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
     "run-relative_equivalence-absolute": "756798287f6fd237801c67af5787075698d4fe75d392679ae225767c9a65b2be",
-    "run-relative_equivalence-relative": "b03a9e74892710b4ade44c7be3d291d824280bd53aa0d79551e47b82288ca24f",
-    "run-stealthy_attack-absolute": "14fc12333e939a807143ea824235376b2d6459a827a232925154b58a16d2bc10",
-    "run-stealthy_attack-relative": "9c4d24ce103b3085e0b9a70525dbbe38d46c2592ca3ba875b29896fb646aada9",
+    "run-relative_equivalence-relative": "d696684c0d10db6ad1ecfab38ea16edcfe53a87e64081ef69b4a314b0cff8ed5",
+    "run-stealthy_attack-absolute": "b8318a6839df7db382e5b17961a0ce38ea3d15f4e3b80110db9e0c7df2851ef6",
+    "run-stealthy_attack-relative": "9d46014a1486a6581847d85336bf12d470005d23d30dced6760d27f4ccc43ad0",
     "validate-config-flooding_detection": "1eaa434eead365999bbbf0e459275086700c95b9cab6069cee58b573f9f3ac4d",
     "validate-config-frontier_sweep": "51305262212068d94fe4672b3fd4de8d12f737da8a39970226115bba0b85a83e",
     "validate-config-nominal_sync": "a751f556d81cfcf045a6056be53dd5440ca1b7fae5d73affa969d397f5389a8e",

@@ -42,20 +42,20 @@ def _config(n, algorithm):
 # SHA-256 of repr(final normal frequencies)
 PINNED = {
     (16, "absolute"): (
-        "converged", 575, "6.4547531808401e-07", "0.0",
+        "converged", 575, "6.454753200824115e-07", "0.0",
         "4f93ddda0b1b2df11ed8d46c79b4c0595bffbdff4e08a1e259c1af0fcff29167",
     ),
     (16, "relative"): (
-        "converged", 847, "8.683642477302911e-07", "1.2519318914883115e-11",
-        "49a0cbfa8f6773d43941e2070a6cd910af47fa5047cd66aecf68db76f9706764",
+        "converged", 847, "8.683637690021229e-07", "3.3077984795681914e-12",
+        "da20d28cc239aafbdb4a0ee4f9e27f0bdebb446fea4ef63299965234b43920c9",
     ),
     (64, "absolute"): (
-        "converged", 1663, "5.52090966832175e-07", "0.0",
+        "converged", 1663, "5.520909702738663e-07", "0.0",
         "1b4ba34b9b3edb9aa56cf4ee12969c4e47fee1f638411165e832f748d27bef30",
     ),
     (64, "relative"): (
-        "converged", 2431, "8.041619071752493e-07", "6.850542355607558e-11",
-        "2fa703cb8b18adc845c33b4d64e056729d6547afc6c6cda55ccb02acb48acbca",
+        "converged", 2431, "8.041792878277221e-07", "9.688028157484041e-12",
+        "62dc102d032ec12cff3dd065b7d6b0ca428d6ca817c05de1194eb4e7d513a0ba",
     ),
 }
 

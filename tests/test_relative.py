@@ -329,9 +329,9 @@ def _k16_draw():
 # intended change in floating-point output.
 RATIO_LOG_PINS = {
     "relative_equivalence": (
-        360, "c1257d0062183a569b9d7819bb758ed12fcc919ec7a539d6a1ff958601cad02f",
+        360, "9dca63815e8ff5e11fd50bae962620f8ca2d4a97b4d090f437f03bcaac687737",
     ),
-    "K16": (4080, "ee104d950f1dada5a5e835a5a4eb7390f831896ecd482685b2f9344604799e52"),
+    "K16": (4080, "a621018a258879c9828c5c96c159b5e0f88a489f87a3cedbbdcbf150decb1042"),
 }
 
 

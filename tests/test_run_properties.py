@@ -22,7 +22,7 @@ from pcosync.msr import MsrRound
 from pcosync.phase import containing_arc
 from pcosync.runner import run_built
 
-from oracles import pairing, spaced_pulse_times
+from oracles import pairing
 
 
 @st.composite
@@ -113,8 +113,7 @@ def _draw_attacker(draw, node):
         options = {"burst_count": draw(st.integers(1, 8), label="burst"),
                    "start_time": draw(st.floats(0.0, 4.0), label="burst start")}
     elif kind == "custom":
-        times = draw(st.lists(st.floats(0.0, 5.0), max_size=6, unique=True)
-                     .filter(spaced_pulse_times), label="pulses")
+        times = draw(st.lists(st.floats(0.0, 5.0), max_size=6, unique=True), label="pulses")
         options = {"pulses": [(t, 1.0 + t % 0.3) for t in times]}
     else:
         options = {}

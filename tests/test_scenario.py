@@ -36,13 +36,13 @@ from pcosync import (
 )
 from pcosync.cli import main
 from pcosync.engine import TIME_EPS
-from pcosync.errors import InvariantViolation, UnrunnableScenarioError
+from pcosync.errors import UnrunnableScenarioError
 from pcosync.metrics import MONITOR_MODES, trace_header
 from pcosync.msr import effective_alpha
 from pcosync.runner import run_built
 from pcosync.scenario import _KEYS
 
-from oracles import former_attacker_build, spaced_pulse_times, streams
+from oracles import former_attacker_build, streams
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -291,14 +291,11 @@ ATTACKER_OPTIONS = {
         "burst_interval": st.floats(0.001, 0.5), "start_time": st.floats(0.0, 10.0),
         "claim": _CLAIMS,
     }),
-    # Counted and start pulses together keep custom_script's spacing rule.
     "custom": st.fixed_dictionaries({}, optional={
         "pulses": st.lists(st.tuples(st.floats(0.0, 50.0), st.floats(0.5, 2.0)).map(list),
                            max_size=4, unique_by=lambda pulse: pulse[0]),
         "start_pulses": st.lists(st.floats(0.0, 50.0), max_size=3),
-    }).filter(lambda options: spaced_pulse_times(
-        [t for t, _ in options.get("pulses", ())] + options.get("start_pulses", [])
-    )),
+    }),
 }
 
 
@@ -1028,15 +1025,15 @@ def test_a_non_finite_initial_value_names_only_its_node(case, capsys, tmp_path):
 NEGATIVE_HORIZON = ({}, ["--horizon", "-1"], "horizon must be finite and positive, got -1.0")
 ZERO_WINDOW = ({"window_len": 0}, [], "window_len must be at least 1, got 0")
 # Spread caps whose first trial draws a frequency too fast to simulate: past
-# the clock's resolution, and past one tie window's reach.
+# the clock's resolution, and past what the clock's rounding may carry.
 SPREAD_1E300 = ({}, ["--spread-cap", "1e300"], (
     "normal frequency 8.558969105758093e+299 is too fast to simulate: a phase step of 0.5 "
     "takes 5.8418250354896394e-301, not above 1.007105427357601e-12 (TIME_EPS plus the "
     "clock's resolution at the horizon)"
 ))
 SPREAD_1E10 = ({}, ["--spread-cap", "1e10"], (
-    "normal frequency 8558969106.758094 is too fast to simulate: one tie window of "
-    "1.056843418860808e-12 can carry a node 0.009045490172710259 past a threshold, more "
+    "normal frequency 8558969106.758094 is too fast to simulate: the clock's rounding of "
+    "5.684341886080802e-14 can carry a node 0.00048652106595216616 past a threshold, more "
     "than PHASE_SLACK (1e-09) less rounding"
 ))
 
@@ -1083,14 +1080,16 @@ def _refusal(make) -> list[str] | None:
 
 
 # Initial values around each edge of the check: not finite, not positive,
-# and each side of the step rule's two clauses: the tie window's, near 1000
-# at the short horizons and 64 at 1e4, and the clock resolution's, near 5e11
-# for a phase step of 0.5 and near 100 for a step of zeta = 1e-10.
+# and each side of the step rule's two clauses: the clock rounding's, near
+# 1.1e6 at horizon 0.5, 1.8e4 at 60 and 69 at 1e4, and the clock
+# resolution's, near 5e11 for a phase step of 0.5 and near 100 (36 at 1e4)
+# for a step of zeta = 1e-10.
 EDGE_VALUES = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1.0]),
     st.floats(),
     st.floats(0.0, 1.0),
-    st.floats(50.0, 2000.0),
+    st.floats(20.0, 200.0),
+    st.floats(1e4, 2e6),
     st.floats(1e11, 1e12),
 )
 
@@ -1122,7 +1121,7 @@ def test_a_trial_world_refuses_what_a_run_refuses(algorithm, zeta, horizon, atta
     # A sweep prepares its base on placeholder values and makes each trial's
     # world from its draws.
     prepared = dataclasses.replace(config, phases=[0.0] * 3, frequencies=[1.0] * 3).build()[0]
-    event("accepted" if refused is None else "tie window" if "tie window" in refused[0]
+    event("accepted" if refused is None else "rounding" if "rounding" in refused[0]
           else "phase step" if "phase step" in refused[0] else "initial value")
     assert _refusal(lambda: prepared.world(phases, freqs)) == refused
 
@@ -1142,7 +1141,8 @@ def test_a_frequency_the_check_accepts_survives_a_two_node_tie(algorithm, fast, 
     horizon = periods / fast if horizon is None else horizon
     # The slow node 0 fires ``lag`` of TIME_EPS after the fast node 1
     # crosses its threshold, inside its tie window and first in tie order,
-    # so the clock passes node 1's crossing before node 1 fires. The tie
+    # so node 0 fires at node 1's crossing, and the clock must not pass it
+    # before node 1 fires. The tie
     # comes at node 1's first crossing from phase 0, or, from negative
     # phases, at a share of the horizon, where the clock rounds coarser. The
     # second is left to the absolute protocol: the relative one estimates
@@ -1169,11 +1169,11 @@ def test_a_frequency_the_check_accepts_survives_a_two_node_tie(algorithm, fast, 
     run_built(*built)  # raises InvariantViolation on an overshoot
 
 
-# The check bounds one tie window, not a chain of them: nodes 0 and 1 fire
-# 0.9 and 1.8 TIME_EPS after node 2 crosses its threshold, each within
-# TIME_EPS of the clock and before node 2 in tie order, so node 2 is
-# carried past its threshold twice. Passes once the check covers chains.
-@pytest.mark.xfail(strict=True, raises=InvariantViolation)
+# Nodes 0 and 1 fire 0.9 and 1.8 TIME_EPS after node 2 crosses its
+# threshold, each before node 2 in tie order. When the clock moved to each
+# event's own time, they carried node 2 past its threshold twice. Now nodes
+# 0 and 2 act at node 2's crossing and node 1 at its own time, and the
+# protocol faults on a node 900 times as fast as its peers.
 def test_a_frequency_the_check_accepts_survives_a_three_node_tie_chain():
     config = ScenarioConfig(
         graph=complete_digraph(3),
@@ -1187,7 +1187,9 @@ def test_a_frequency_the_check_accepts_survives_a_three_node_tie_chain():
     )
     built = config.build()
     assert config.validate(built)[0] == []
-    run_built(*built)
+    outcome, _, message = run_built(*built)
+    assert (outcome, built[1].event_count) == ("fault", 5)
+    assert message.startswith("node 2 heard only 0 of 2 in-neighbor pulses in a round")
 
 
 # -- the run-ability gate, over legal and illegal scalar values ---------------

@@ -1,5 +1,7 @@
 """Every scenario file exits 0 or 2: random whole files, and random values
-under every top-level and nested key of the scenario schema.
+under every top-level and nested key of the scenario schema. Files that once
+overshot a threshold inside a tie window, and random tie-window bursts of
+nodes and scripted pulses, run without overshooting.
 
 ``validate-config`` and ``run`` must answer each file with a verdict (exit 0)
 or violation lines (exit 2), never an uncaught exception. ``run`` may also
@@ -13,11 +15,22 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from pcosync import (
+    AttackerSpec,
+    ScenarioConfig,
+    complete_digraph,
+    run_scenario,
+)
+from pcosync import engine
 from pcosync.cli import main
-from pcosync.scenario import _KEYS
+from pcosync.engine import PHASE_SLACK, TIME_EPS
+from pcosync.runner import run_built
+from pcosync.scenario import _KEYS, UnrunnableScenarioError
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=12)
@@ -211,32 +224,13 @@ REFUSED = {
         _replaced(BASES[0], ("frequencies", "random"), {"low": 1.0, "high": 1e308}),
         "too fast to simulate",
     ),
-    # Node 0 fires 0.9 * TIME_EPS after node 1 crosses its threshold, inside
-    # one tie window, which carries node 1 9e-9 past it.
-    "frequency_past_one_tie_window": (
-        {"graph": {"named": "complete", "n": 2}, "f": 0, "phases": [0.9998999999991, 0.0],
-         "frequencies": [1.0, 10000.0], "normalize_phases": False,
+    # Node 1 runs 1e6 times as fast as node 0, and the clock's rounding
+    # near the horizon could carry it 7e-9 past a threshold.
+    "frequency_past_the_clock_rounding": (
+        {"graph": {"named": "complete", "n": 2}, "f": 0, "phases": [0.0, 0.0],
+         "frequencies": [1.0, 1e6], "normalize_phases": False,
          "normalize_frequencies": False, "horizon": 5.0, "monitor": "off"},
-        "too fast to simulate",
-    ),
-    # Burst pulses 9e-13 apart: once node 0 sits at its threshold, each
-    # one ties with it and moves the clock on, carrying it past.
-    "burst_within_one_tie_window": (
-        {"graph": {"named": "complete", "n": 7}, "f": 1, "phases": [0.45, 0, 0, 0, 0, 0, 0],
-         "frequencies": [1, 1, 1, 1, 1, 1, 1],
-         "attackers": [{"node": 6, "type": "flooding", "burst_count": 5000,
-                        "burst_interval": 9e-13, "start_time": 0.5499999999999}],
-         "halt_on_detection": False, "horizon": 5.0, "monitor": "off"},
-        "are distinct but within 1e-12",
-    ),
-    # The same pulses as one custom attacker's explicit schedule.
-    "custom_pulses_within_one_tie_window": (
-        {"graph": {"named": "complete", "n": 7}, "f": 1, "phases": [0.45, 0, 0, 0, 0, 0, 0],
-         "frequencies": [1, 1, 1, 1, 1, 1, 1],
-         "attackers": [{"node": 6, "type": "custom",
-                        "pulses": [[0.5499999999999 + k * 9e-13, 1.0] for k in range(5000)]}],
-         "halt_on_detection": False, "horizon": 5.0, "monitor": "off"},
-        "custom pulses 0.5499999999999 and 0.5500000000008 are distinct but within 1e-12",
+        "the clock's rounding of 7.105427357601002e-15 can carry a node",
     ),
 }
 
@@ -252,6 +246,155 @@ def test_a_file_past_a_limit_exits_2_naming_it(case, capsys, tmp_path):
         lines = (captured.out + captured.err).splitlines()
         violations = [line for line in lines if line.startswith("violation:")]
         assert len(violations) == 1 and message in violations[0]
+
+
+
+# Files whose run once stopped with "overshot its firing threshold" (exit 3),
+# or that were refused to keep it from doing so, when the clock moved to each
+# tied event's own time. Now every event of a tie window happens at its
+# earliest time, and each runs to the protocol's own answer.
+_K7_BURST = {"graph": {"named": "complete", "n": 7}, "f": 1, "phases": [0.45, 0, 0, 0, 0, 0, 0],
+             "frequencies": [1, 1, 1, 1, 1, 1, 1], "halt_on_detection": False, "horizon": 5.0,
+             "monitor": "off"}
+ONCE_OVERSHOT = {
+    # Node 0 fires 0.9 * TIME_EPS after node 1 crosses its threshold, inside
+    # one tie window, which carried node 1 9e-9 past it. Both now fire at
+    # node 1's crossing, and the protocol faults on a node 10000 times as
+    # fast as its peer.
+    "frequency_past_one_tie_window": (
+        {"graph": {"named": "complete", "n": 2}, "f": 0, "phases": [0.9998999999991, 0.0],
+         "frequencies": [1.0, 10000.0], "normalize_phases": False,
+         "normalize_frequencies": False, "horizon": 5.0, "monitor": "off"},
+        3, "outcome: fault",
+    ),
+    # Burst pulses 9e-13 apart: once node 0 sat at its threshold, each one
+    # tied with it and moved the clock on, carrying it past.
+    "burst_within_one_tie_window": (
+        {**_K7_BURST, "attackers": [{"node": 6, "type": "flooding", "burst_count": 5000,
+                                     "burst_interval": 9e-13, "start_time": 0.5499999999999}]},
+        0, "outcome: horizon",
+    ),
+    # The same pulses as one custom attacker's explicit schedule.
+    "custom_pulses_within_one_tie_window": (
+        {**_K7_BURST, "attackers": [{"node": 6, "type": "custom", "pulses": [
+            [0.5499999999999 + k * 9e-13, 1.0] for k in range(5000)]}]},
+        0, "outcome: horizon",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONCE_OVERSHOT))
+def test_a_file_that_once_overshot_runs(case, capsys, tmp_path):
+    data, code, outcome = ONCE_OVERSHOT[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate-config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path)]) == code
+    captured = capsys.readouterr()
+    assert outcome in captured.out.splitlines()
+    assert "overshot" not in captured.out + captured.err
+
+
+# Two flooding attackers, each spaced 1.8e-12, the second 9e-13 after the
+# first: no one script holds two pulses within TIME_EPS, but their merged
+# stream does. Forced past validation, both start times once ended in "node
+# 0 overshot its firing threshold" under both protocols.
+@pytest.mark.parametrize("algorithm", ["absolute", "relative"])
+@pytest.mark.parametrize("start", [0.999999999, 0.9999999995])
+def test_pulses_merged_from_two_scripts_within_time_eps_run_to_detection(algorithm, start):
+    burst = {"burst_count": 2500, "burst_interval": 1.8e-12}
+    config = ScenarioConfig(
+        graph=complete_digraph(7),
+        algorithm=algorithm,
+        f=2,
+        phases=[0, 0.001, 0.002, 0.003, 0.004, 0, 0],
+        frequencies=[1.0] * 7,
+        attackers=[
+            AttackerSpec(5, "flooding", {**burst, "start_time": start}),
+            AttackerSpec(6, "flooding", {**burst, "start_time": start + 9e-13}),
+        ],
+        horizon=5.0,
+        monitor="off",
+    )
+    assert run_scenario(config, validate=False).outcome == "detected"
+
+
+def _thresholds(osc, start_target):
+    """The thresholds a normal node has a candidate time for and has not
+    passed by more than PHASE_SLACK: its fire, its update when armed, and
+    its start pulse when due."""
+    out = [1.0]
+    if osc.fired and not osc.detected:
+        out.append(0.5)
+    if start_target is not None and not osc.start_emitted:
+        out.append(start_target)
+    return [g for g in out if osc.phase <= g + PHASE_SLACK]
+
+
+@st.composite
+def _tie_window_bursts(draw):
+    """A complete digraph whose normal nodes first cross their firing
+    threshold within a few TIME_EPS of one time T, some of them fast, and up
+    to two attackers whose pulses land within a few TIME_EPS of T too."""
+    n = draw(st.integers(3, 6), label="n")
+    algorithm = draw(st.sampled_from(["absolute", "relative"]), label="algorithm")
+    rate = st.sampled_from([1.0]) | st.floats(1.0, 1.001) | st.floats(1.0, 3e5)
+    freqs = [draw(rate) for _ in range(n)]
+    if algorithm == "absolute":
+        at = draw(st.floats(0.5, 2.0) | st.floats(2.0, 50.0), label="T")
+    else:
+        # Within the fastest node's first period, so every phase starts in
+        # [0, 1), where the relative protocol reads its stamps.
+        at = draw(st.floats(0.1, 0.99), label="share of a period") / max(freqs)
+    near = st.floats(-3.0, 3.0).map(lambda k: at + k * TIME_EPS)
+    attackers = []
+    for node in range(n - draw(st.integers(0, 2), label="attackers"), n):
+        if draw(st.booleans(), label="flooding"):
+            attackers.append(AttackerSpec(node, "flooding", {
+                "burst_count": draw(st.integers(1, 40)),
+                "burst_interval": draw(st.floats(0.1, 2.5)) * TIME_EPS,
+                "start_time": max(0.0, draw(near)),
+            }))
+        else:
+            # Claims inside the hull and no forged start pulse, so no update
+            # raises the fastest frequency.
+            times = draw(st.lists(near.map(lambda t: max(0.0, t)), min_size=1, max_size=12,
+                                  unique=True))
+            attackers.append(AttackerSpec(node, "custom", {"pulses": [[t, 1.0] for t in times]}))
+    phases = [1.0 - w * (at + draw(st.floats(0.0, 3.0)) * TIME_EPS) for w in freqs]
+    # Three rounds of the fastest node after T: the liveness budget counts
+    # about one round per unit of time, whatever the frequencies.
+    horizon = at + min(2.0, 3.0 / max(freqs))
+    return ScenarioConfig(
+        graph=complete_digraph(n), algorithm=algorithm, f=draw(st.integers(0, 1), label="f"),
+        zeta=draw(st.sampled_from([0.1, 0.45])), phases=phases, frequencies=freqs,
+        attackers=attackers, normalize_phases=False, normalize_frequencies=False,
+        horizon=horizon, halt_on_detection=False, monitor="off",
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_tie_window_bursts())
+def test_tie_window_bursts_never_carry_a_phase_past_a_threshold(config):
+    start_target = 1.0 - config.zeta if config.algorithm == "relative" else None
+    advance = engine.advance_all
+
+    def checked(world, dt):
+        due = [(i, _thresholds(world.oscillators[i], start_target)) for i in world.normal_ids]
+        advance(world, dt)
+        for i, thresholds in due:
+            for g in thresholds:
+                assert world.oscillators[i].phase <= g + PHASE_SLACK
+
+    try:
+        built = config.build()
+    except UnrunnableScenarioError:
+        event("refused: too fast")
+        return
+    with mock.patch.object(engine, "advance_all", checked):
+        outcome = run_built(*built)[0]
+    event(outcome)
 
 
 def test_an_integer_too_long_to_convert_exits_2(capsys, tmp_path):

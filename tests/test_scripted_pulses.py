@@ -11,7 +11,7 @@ from pcosync import AttackerSpec, InvariantViolation, ScenarioConfig, complete_d
 from pcosync import engine, run_scenario, stealthy_script
 from pcosync.metrics import RunMetrics
 
-from oracles import _explicit, _periodic, materialized_pulses, spaced_pulse_times, streams
+from oracles import _explicit, _periodic, materialized_pulses, streams
 
 _PERIODS = st.sampled_from([1e-6, 1e-3, 0.1, 1.0 / 3.0, 0.7, 1.0, 2.5, math.pi]) | st.floats(1e-6, 10.0)
 
@@ -72,8 +72,7 @@ def test_periodic_streams_match_the_materialized_schedule(data, period):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    # Distinct times closer than TIME_EPS are refused by custom_script.
-    times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12).filter(spaced_pulse_times),
+    times=st.lists(st.floats(0.0, 20.0), min_size=1, max_size=12),
     data=st.data(),
 )
 def test_explicit_streams_match_the_materialized_schedule(times, data):
@@ -191,3 +190,21 @@ def test_simultaneous_pulses_keep_the_time_node_start_order():
     assert events[:4] == [repr((0.25, engine.EventKind.ADVERSARY_PULSE, node, start))
                           for node, start in ((1, False), (1, True), (4, False), (4, True))]
     assert budgets == [engine.event_budget(6, 4, 0.3)]
+
+
+def test_a_tied_pulse_claims_its_frequency_at_its_scripted_time():
+    # The custom pulse lands 0.5e-12 after the normal nodes' common fire at
+    # 1.0, ties with it and happens at 1.0, but custom_script holds its
+    # claim at 1.0 + 0.5e-12 only: read at the event's time, it would raise
+    # KeyError.
+    for algorithm in ("absolute", "relative"):
+        config = ScenarioConfig(
+            graph=complete_digraph(7), algorithm=algorithm, f=1,
+            phases=[0.0] * 7, frequencies=[1.0] * 7, horizon=5.0, monitor="off",
+            attackers=[AttackerSpec(6, "custom", {"pulses": [[1.0 + 0.5e-12, 1.0]]})],
+            normalize_phases=False, normalize_frequencies=False,
+        )
+        events, _, outcome = _recorded_run(config)
+        pulse = repr((1.0, engine.EventKind.ADVERSARY_PULSE, 6, False))
+        assert [e for e in events if "ADVERSARY" in e] == [pulse]
+        assert (outcome[0], len(events)) == ("converged", 14)

@@ -103,27 +103,27 @@ CASES = {
 
 DIGESTS = {
     "flooding_detection-absolute": "08ac4626edf0dd9849d847725cde30a8d302435f1cc2f139234e13aa294e9b74",
-    "flooding_detection-eager-nohalt-absolute": "b0c1bf806360dc0259cbb664c5a0883ea41e2540d0b92b8488e65691b85d6ed6",
-    "flooding_detection-eager-nohalt-relative": "365baec31079ef3dbcc5b8f773751256ea617f903454633076480375b94f01d6",
+    "flooding_detection-eager-nohalt-absolute": "07958aea5e8dc802903713f3ac7c84a1c5418f23a05dc70576b2508318f06d12",
+    "flooding_detection-eager-nohalt-relative": "a38a34c132f6709bf157b57f1d880b634d054ce3a2a1ea6b738380998de437c9",
     "flooding_detection-relative": "e3a3bceb97ddc9b7729e31418c55253eb961bbc3ae07d895aa93e99a2bf5327e",
     "frontier_sweep-absolute": "661afd4f500da9ebe1a80c7620cd24adc4eacaf1f3f41b24ef94c435d76b4367",
     "frontier_sweep-monitor_off-absolute": "661afd4f500da9ebe1a80c7620cd24adc4eacaf1f3f41b24ef94c435d76b4367",
     "frontier_sweep-monitor_off-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
     "frontier_sweep-relative": "6cd0034c08a8125784afe814ea27a0392a702e65115da921615ac98e9c2d5215",
     "k16_flood-eager-nohalt-monitor_off-absolute": "bab884f21a52c0843d10cfe4b77e20e9087888891d2711171668e6ec5ff77df4",
-    "k16_flood-eager-nohalt-monitor_off-relative": "a4063a3328e4978fa6553a325b6a953a87fe13b740cae41dbc45a6c8cf519c8b",
-    "k16_sync-monitor_off-absolute": "343a72ab25f366bbc40798679f36dc45a9bd4d68e2f40466c9aa24213722e5a3",
-    "k16_sync-monitor_off-relative": "2a415ca7136115c0560841a56730399957355c7ad4211c96ce1f131ca050fa7d",
-    "nominal_sync-absolute": "2a850c336a429ded206fac1b17bfe9216d4d0001d7e1b4ff31124dd6667083db",
-    "nominal_sync-relative": "d4d0909b107c52512858989648435bfc1c5192949298c787aa73e2ab0dc0bd32",
+    "k16_flood-eager-nohalt-monitor_off-relative": "5bf3defea31c43393f27bfb15298f333e5a0f0e22b611eebec28f368e79dfd62",
+    "k16_sync-monitor_off-absolute": "14aae3504de1a753c8b7825fe7e327d615a16d4687b60ae4fcb4709ebcc47fef",
+    "k16_sync-monitor_off-relative": "1dea49c49f7a63a01ed2a6adeb463a850856af87daddca9d2459f7f7a5600eab",
+    "nominal_sync-absolute": "e348864cf12898449c7858eae603cf8e3ca9fbca62a5720ed05e55cf6291cf5f",
+    "nominal_sync-relative": "5ff6fde2903e5e319c612af06465dd4650802c68dcf5b83b3118ba6c6cc3763e",
     "relative_equivalence-absolute": "5a619fa3404d7341d79c872dbc34199ccfddcb8ececd87c4cbe0abadb6c9deb0",
-    "relative_equivalence-relative": "4d5b5a5030c2169fff93518273af2905ddab50b6ffeec30610eda85eea4dc701",
-    "stealthy_attack-absolute": "18daa44488adaf17e34f580ad43751cc5b17544fca65c5791ed688bbb2507c0b",
+    "relative_equivalence-relative": "0c6fccd7e8c637f0897e2880186a832717bbc24fe3a091aaef5487d4ae444679",
+    "stealthy_attack-absolute": "4122da03b32f8204146be5ae37294944ee321738c8c5ffe9d772f6c63e6a7e08",
     "stealthy_attack-alpha-absolute": "69c834545a95e15a980ee8429b356f4018d46d0aa667e2fffae10f8a57fdb98c",
     "stealthy_attack-alpha-relative": "f4a9b86e561af07001f101c6bea89620b83263f641471056f3a0e41cff97e735",
-    "stealthy_attack-monitor_off-absolute": "18daa44488adaf17e34f580ad43751cc5b17544fca65c5791ed688bbb2507c0b",
-    "stealthy_attack-monitor_off-relative": "565181b39edac69ac10062096b297dbf8a1178ba860a5e59f0d8993ca7c794d6",
-    "stealthy_attack-relative": "565181b39edac69ac10062096b297dbf8a1178ba860a5e59f0d8993ca7c794d6",
+    "stealthy_attack-monitor_off-absolute": "4122da03b32f8204146be5ae37294944ee321738c8c5ffe9d772f6c63e6a7e08",
+    "stealthy_attack-monitor_off-relative": "c7d01beed2c86309532d9722e75bd358a2ce3427eca40f57b88e0624abebfb18",
+    "stealthy_attack-relative": "c7d01beed2c86309532d9722e75bd358a2ce3427eca40f57b88e0624abebfb18",
     "stealthy_attack-seed1-absolute": "152b8efbd34e06d38f4a62fc3d6f84227f107d2920fecfafd7d013bd4a4eb761",
     "stealthy_attack-seed1-relative": "d7334370d2ea5b288cc9e5f5a803a08f3ebc55c3fad99285f4f213801af2154b",
     "stealthy_attack-seed4-absolute": "af0411cd65db9d88f5ba7d78bbd544d52d995647438ba090d4e7f955d8870349",
@@ -135,7 +135,7 @@ DIGESTS = {
 VIOLATION_DIGESTS = {
     "flooding_detection-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
     "flooding_detection-eager-nohalt-absolute": "66d35dbbd44527db316b476fa31c71dd3b66875d8d87d6c420f39ab0a90fe092",
-    "flooding_detection-eager-nohalt-relative": "1211bd1d2b6f1db90fbf33e85cc5f6c023095cb5fb314dc01ff79feb44653414",
+    "flooding_detection-eager-nohalt-relative": "1b8ed3ca9fbbc6b32559a70da19ce7e38542dc4f7351ae98296a91130c9fb77c",
     "flooding_detection-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
     "frontier_sweep-absolute": "f3c27717d87057bbdcc6b52c5f618146ed272e5fa1ef09a017023d0239e29c72",
     "frontier_sweep-monitor_off-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
@@ -146,7 +146,7 @@ VIOLATION_DIGESTS = {
     "k16_sync-monitor_off-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
     "k16_sync-monitor_off-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
     "nominal_sync-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
-    "nominal_sync-relative": "5e1bfb0327ffc7dfbe5a005bbbf9fe696cf6087f8d9510d3534de793e9eda5f3",
+    "nominal_sync-relative": "57f66f317066d030e552c1d19e4f5094657fd4f66f9771cf3bfafba39a69486a",
     "relative_equivalence-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
     "relative_equivalence-relative": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
     "stealthy_attack-absolute": "078c4414e8299d5b4df50c2a690b329319826cffa6356472a36fc0ad6106f58a",
@@ -167,7 +167,7 @@ VIOLATION_DIGESTS = {
 EVENT_ORDERS = {
     "flooding_detection-absolute": ("3f7cd1c973659c8dde623ad83ddb6221aa4ac4f71f04dcdb9fb089d49f6797da", "detected", 14),
     "flooding_detection-eager-nohalt-absolute": ("9a4959a9d244e580be69c83c7de2d047f95a2d7f187065d83395e07abd1c4d19", "horizon", 609),
-    "flooding_detection-eager-nohalt-relative": ("32de2d367cfabc142c2f4a1a2d930572c98b3ffd1465222625874ff53e9cf41c", "horizon", 1036),
+    "flooding_detection-eager-nohalt-relative": ("16a33f3638c9f3d735a3b14aa71e53dd6ec96a24e89a74adda68db231aea511b", "horizon", 1036),
     "flooding_detection-relative": ("91786241cc20cbca998f07f308a859ff73446a07b2300a4964828041a378fd70", "detected", 21),
     "frontier_sweep-absolute": ("9649bdc864ea8d209ca698fa16e8cfc3fc398a13664bacef57344d8fcd98b575", "detected", 10),
     "frontier_sweep-monitor_off-absolute": ("9649bdc864ea8d209ca698fa16e8cfc3fc398a13664bacef57344d8fcd98b575", "detected", 10),
@@ -176,11 +176,11 @@ EVENT_ORDERS = {
     "k16_flood-eager-nohalt-monitor_off-absolute": ("8b669f767c60ee5d4d52b04b35a2754434407ba3423820c8599ade750fbf86d4", "horizon", 634),
     "k16_flood-eager-nohalt-monitor_off-relative": ("e9b9443ace4a83534c85f8903c5adaa45b6f83ba1d54e218dd80374ec03ea89d", "horizon", 1234),
     "k16_sync-monitor_off-absolute": ("6cb85f0349d9ae5733f58642a40741a0865afa15d54f5080901f3857f70c8070", "converged", 479),
-    "k16_sync-monitor_off-relative": ("8c9cb2d660aab8c04ab8537c487dd31c682cda1a615133debd6d199071810fd0", "converged", 703),
+    "k16_sync-monitor_off-relative": ("8085f44a427dc7e9eced3412e292ffae44782fefa732d59b3e3836503d3c13de", "converged", 703),
     "nominal_sync-absolute": ("b853f6302f238effc805b5b3945e4936ff168e6dd1687436dfaa75bcd5583bea", "converged", 328),
-    "nominal_sync-relative": ("e2e23c901e38edc2a6bbb07e75634fdb70105d673038674c0ea30b0a27a90e1c", "converged", 488),
+    "nominal_sync-relative": ("9c0cec560cab8be39b0006bee409d761845acce5ea35c98a55544332939f5b7f", "converged", 488),
     "relative_equivalence-absolute": ("3a36615ef31d7e15d4b93cfa270d037023761bd85196033ce146a07015423965", "converged", 189),
-    "relative_equivalence-relative": ("8afea13de666e2f41116655e6fba99ccd54e52ef0487c65f774ceef690ed11a1", "converged", 279),
+    "relative_equivalence-relative": ("03de74bccb9783cb9d30eef8d6dda5f6bb9d8ab502583e347d4b1ae0ff9893b1", "converged", 279),
     "stealthy_attack-absolute": ("6786ab7cf58b5edb3ebb1818a5d3ad4bffc5bab71ba02ae495221546d88b32d3", "converged", 84),
     "stealthy_attack-alpha-absolute": ("05a9cf502487e8873afe2a5fbdf1c47b31f77dd1f100ebaf9b380e8fb07d3ff9", "detected", 16),
     "stealthy_attack-alpha-relative": ("ce2da5e70f2b3053c58fc61cae6bac451d3526eb3f0f04fda4aeac2ab5f4e6b0", "detected", 25),
