@@ -18,28 +18,27 @@ from .msr import MsrRound, msr_trim, neighbor_weight
 class AbsoluteProtocol(MsrRound):
     # -- pulse plane --------------------------------------------------------
 
-    def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
+    def handle_fire(self, world: WorldState, i: int) -> bool:
         """Node i reaches phase 1: reset, arm the update, broadcast omega."""
         value = self.reset_on_fire(world, i).omega
         return self.deliver_pulse(world, world.receiver_slots[i], value)
 
-    def on_pulse(self, world: WorldState, i: int, value: float, t: float) -> bool:
+    def on_pulse(self, world: WorldState, i: int, value: float) -> bool:
         """Receiver i alone hears a pulse claiming frequency ``value``.
 
         Returns True when eager detection latched on this pulse.
         """
         return self.deliver_pulse(world, ((i, None),), value)
 
-    def deliver_adversary(
-        self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
-    ) -> bool:
+    def deliver_adversary(self, world: WorldState, attacker: int, value: float,
+                          is_start: bool) -> bool:
         if is_start:
             return False  # start pulses carry no meaning for this protocol
         return self.deliver_pulse(world, world.receiver_slots[attacker], value)
 
     # -- update plane -------------------------------------------------------
 
-    def handle_update(self, world: WorldState, i: int, t: float) -> bool:
+    def handle_update(self, world: WorldState, i: int) -> bool:
         """Node i reaches phase 0.5 armed: detect, jump, average, reset.
 
         Returns True when the counter check latched detection now.
@@ -53,6 +52,4 @@ class AbsoluteProtocol(MsrRound):
         omega = osc.omega
         # Deviation form of the convex combination: exact when all inputs
         # equal the current value, and sign-safe at the hull edges.
-        osc.omega = omega + sum([w * (v - omega) for v in kept])
-        osc.reset_round()
-        return False
+        return self.close_update(world, i, omega + sum([w * (v - omega) for v in kept]))

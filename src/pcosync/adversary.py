@@ -245,7 +245,7 @@ def is_stealthy(
     period (1.0). The test is per-script and composes: any set of
     passing scripts keeps every round count at or below the in-degree.
     """
-    if not world.normal_receivers[script.node]:
+    if not world.receiver_slots[script.node]:
         return True
     prev = -math.inf
     for cur in merge(*(times for _, times in script.emission_times.streams(horizon))):

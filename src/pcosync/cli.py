@@ -12,12 +12,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import (
-    InvariantViolation,
-    ProtocolFault,
-    ScenarioValidationError,
-    UnrunnableScenarioError,
-)
+from .errors import InvariantViolation, ScenarioValidationError, UnrunnableScenarioError
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
 from .scenario import load_scenario
@@ -202,7 +197,7 @@ def _cmd_sweep(args) -> int:
 
     try:
         points = sweep_frontier(spec, parallelism=args.parallelism, progress=progress)
-    except (InvariantViolation, ProtocolFault) as exc:
+    except InvariantViolation as exc:  # a trial's protocol fault is its outcome
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

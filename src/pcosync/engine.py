@@ -94,11 +94,10 @@ class OscillatorState:
     protocol, and stay None in a world that runs the absolute one (see
     ``WorldState.add_pair_slots``). Slot k belongs to the node's k-th
     in-neighbor: ``stamps`` holds the node's phase at that sender's
-    unmatched start pulse, ``ratios`` the frequency ratio of the latest
+    unmatched start pulse, and ``ratios`` the frequency ratio of the latest
     completed start/end pair (0.0 when the stamps coincided, which gives no
-    estimate), and ``sender_omegas`` that pair's sender frequency (None if
-    forged), kept only while the protocol logs its ratios. None marks an
-    empty slot; every slot is emptied at the end of each round.
+    estimate). None marks an empty slot; every slot is emptied at the end
+    of each round.
     """
 
     phase: float
@@ -110,7 +109,6 @@ class OscillatorState:
     jump_down: float = 0.0
     stamps: list[float | None] | None = None
     ratios: list[float | None] | None = None
-    sender_omegas: list[float | None] | None = None
     start_emitted: bool = False
     detected: bool = False
 
@@ -118,7 +116,6 @@ class OscillatorState:
         """Empty pairing slots for ``d`` in-neighbors."""
         self.stamps = [None] * d
         self.ratios = [None] * d
-        self.sender_omegas = [None] * d
 
     def reset_round(self) -> None:
         """End-of-round cleanup shared by both protocols."""
@@ -152,16 +149,12 @@ class WorldState:
             raise ValueError("normal and faulty sets must partition the nodes")
         self.normal_ids = tuple(sorted(self.normal))
         self.faulty_ids = tuple(sorted(self.faulty))
-        # Pulses reach only normal nodes; faulty ones run no protocol.
-        outs = self.graph.out_neighbors
+        # Per sender, (receiver, slot) for each of its normal receivers (a
+        # faulty one runs no protocol): the protocols' fan-outs walk these.
         slots = self.graph.out_slots
         if self.faulty:
             normal = self.normal
-            outs = tuple(tuple(j for j in row if j in normal) for row in outs)
             slots = tuple(tuple(edge for edge in row if edge[0] in normal) for row in slots)
-        self.normal_receivers = outs
-        # Per sender, (receiver, slot) for each of its normal receivers, in
-        # ``normal_receivers`` order: the protocols' fan-outs walk these.
         self.receiver_slots = slots
         self.in_degrees = self.graph.in_degrees
 
@@ -201,14 +194,13 @@ def advance_all(world: WorldState, dt: float) -> None:
     each. The final sum adds at most 2**-53. ``PreparedScenario.world``
     refuses a fastest frequency for which this could pass
     fl(g + PHASE_SLACK), the limit checked here and in
-    ``_CandidateTimes.refresh``. A node at or past its threshold has a slot
-    at the clock, so it acts before any advance. The bound does not cover a
-    run whose updates raise its fastest frequency.
+    ``_CandidateTimes.refresh``, and an update that sets such a frequency
+    ends the run as a protocol fault (``MsrRound.close_update``). A node at
+    or past its threshold has a slot at the clock, so it acts before any
+    advance.
     """
     if dt < 0.0:
         raise ValueError(f"cannot advance time by {dt}")
-    if dt == 0.0:
-        return
     oscillators = world.oscillators
     limit = 1.0 + PHASE_SLACK
     for i in world.normal_ids:
@@ -397,10 +389,13 @@ def next_event(
     return Event(tmin, table.kinds[kind], node)
 
 
-def event_budget(n: int, scripted_pulses: int, horizon: float, safety: float = 4.0) -> int:
+def event_budget(n: int, scripted_pulses: int, horizon: float, fastest: float = 1.0,
+                 safety: float = 4.0) -> int:
     """Hard cap on processed events; exceeding it aborts the run as a
-    liveness failure rather than looping forever."""
-    return int((2 * n + scripted_pulses) * (horizon + 1.0) * safety) + 16
+    liveness failure rather than looping forever. A node at frequency w
+    runs w rounds per unit of time, so the nodes' term scales with
+    ``fastest``, the fastest initial normal frequency, when it exceeds 1."""
+    return int((2 * n * max(1.0, fastest) + scripted_pulses) * (horizon + 1.0) * safety) + 16
 
 
 def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float, int, int]]]:
@@ -434,14 +429,16 @@ def simulate(
     """Run the event loop to the horizon, convergence, or detection.
 
     ``protocol`` supplies the threshold handlers (see the absolute and
-    relative modules). The loop touches ``metrics`` only through
+    relative modules), called with the world and the acting node once the
+    clock is at the event's time. The loop touches ``metrics`` only through
     ``observe``, called after every event and told whether its handler
     reported a new detection, and ``converged``; the metrics own the
     convergence and safety bookkeeping. ``advance_all`` runs only for an
     event later than the clock; an event at the clock moves no phase, and
     no event is earlier than the clock. Scripted pulses come from
     ``scripted_pulses``: the liveness budget counts every one within the
-    horizon, but only those the run reaches are computed. Returns an
+    horizon, and the normal nodes' events at the fastest initial normal
+    frequency, but only the pulses the run reaches are computed. Returns an
     outcome string: "converged", "detected", or "horizon".
     """
     if not horizon >= 0.0:
@@ -451,7 +448,8 @@ def simulate(
     pending = () if head is None else (head,)
     script_by_node = {script.node: script for script in scripts}
 
-    budget = event_budget(world.graph.node_count, pulse_count, horizon)
+    fastest = max([world.oscillators[i].omega for i in world.normal_ids], default=1.0)
+    budget = event_budget(world.graph.node_count, pulse_count, horizon, fastest)
     table = _CandidateTimes(world.graph.node_count, protocol)
     outcome = "horizon"
     while True:
@@ -470,16 +468,13 @@ def simulate(
             pending = () if head is None else (head,)
             script = script_by_node[ev.node]
             value = 0.0 if ev.is_start else script.freq_claim(scripted_at)
-            newly_detected = protocol.deliver_adversary(
-                world, ev.node, ev.time, value, ev.is_start
-            )
+            newly_detected = protocol.deliver_adversary(world, ev.node, value, ev.is_start)
         elif ev.kind is EventKind.FIRE:
-            newly_detected = protocol.handle_fire(world, ev.node, ev.time)
+            newly_detected = protocol.handle_fire(world, ev.node)
         elif ev.kind is EventKind.START_PULSE:
-            protocol.handle_start(world, ev.node, ev.time)
-            newly_detected = False
+            newly_detected = protocol.handle_start(world, ev.node)
         else:
-            newly_detected = protocol.handle_update(world, ev.node, ev.time)
+            newly_detected = protocol.handle_update(world, ev.node)
         # Only the acting node's candidate times changed, unless detection
         # latched on a receiver; an adversary pulse's actor is faulty.
         table.actor = None if ev.kind is EventKind.ADVERSARY_PULSE else ev.node

@@ -57,18 +57,9 @@ class DirectedGraph:
         return tuple(map(len, self.in_neighbors))
 
     @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        outs: list[list[int]] = [[] for _ in range(self.node_count)]
-        for i, nbrs in enumerate(self.in_neighbors):
-            for j in nbrs:
-                outs[j].append(i)
-        return tuple(tuple(sorted(o)) for o in outs)
-
-    @cached_property
     def out_slots(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node j, one (i, k) pair for each out-neighbor i, in
-        ``out_neighbors`` order, where k is j's position in i's in-neighbor
-        list."""
+        """Per node j, one (i, k) pair for each out-neighbor i, in ascending
+        order of i, where k is j's position in i's in-neighbor list."""
         outs: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
         for i, nbrs in enumerate(self.in_neighbors):
             for k, j in enumerate(nbrs):

@@ -133,10 +133,13 @@ class MsrParams:
 
 class MsrRound:
     """Round bookkeeping shared by both variants: the fire reset, the pulse
-    fan-out and the update check. Subclasses supply the event handlers and
-    the frequency estimate."""
+    fan-out and the update check. Subclasses supply the event handlers,
+    which read the event's time from ``world.clock``, and the frequency
+    estimate. ``omega_limit`` is the fastest frequency an update may set
+    (``PreparedScenario`` sets the step rule's)."""
 
     uses_start_pulses = False
+    omega_limit = float("inf")
 
     def __init__(self, params: MsrParams):
         self.params = params
@@ -159,11 +162,12 @@ class MsrRound:
         pulse: the absolute variant buffers the claimed frequency ``value``;
         the relative one pairs its phase with the sender's pending start
         stamp, emptying the stamp and keeping the pair's frequency ratio in
-        the slot, and, while it logs ratios, ``value`` beside it as the
-        sender's frequency (None for a forged pulse). It then counts the
-        pulse at its current phase, captures each landmark's jump ingredient
-        on the pulse that reaches it (counts f + 1 and d - f), and with
-        eager detection latches a count past its in-degree d.
+        the slot, and, while it logs ratios, keeps ``value`` as the sender's
+        frequency (None for a forged pulse) under (receiver, slot) in
+        ``pair_senders``. It then counts the pulse at its current phase,
+        captures each landmark's jump ingredient on the pulse that reaches it
+        (counts f + 1 and d - f), and with eager detection latches a count
+        past its in-degree d.
 
         Returns True when eager detection latched on any receiver.
         """
@@ -176,7 +180,7 @@ class MsrRound:
         pairs = self.uses_start_pulses
         if pairs:
             zeta = self.zeta
-            keep_sender = self.ratio_log is not None
+            senders = None if self.ratio_log is None else self.pair_senders
         newly = False
         for j, k in edges:
             osc = oscillators[j]
@@ -190,8 +194,8 @@ class MsrRound:
                     # The receiver may fire between the receptions.
                     span = (phi - start) % 1.0
                     osc.ratios[k] = zeta / span if span else 0.0
-                    if keep_sender:
-                        osc.sender_omegas[k] = value
+                    if senders is not None:
+                        senders[j, k] = value
             else:
                 osc.freq_buffer.append(value)
             c = osc.pulse_count + 1
@@ -231,3 +235,14 @@ class MsrRound:
             )
         osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
         return trim
+
+    def close_update(self, world: WorldState, i: int, omega: float) -> bool:
+        """Node i takes frequency ``omega`` and ends its round, latching no
+        detection; past ``omega_limit`` it raises ProtocolFault instead."""
+        if not omega <= self.omega_limit:
+            raise ProtocolFault(f"node {i} updated its frequency to {omega!r}, past "
+                                f"{self.omega_limit!r}, the fastest the event loop can step")
+        osc = world.oscillators[i]
+        osc.omega = omega
+        osc.reset_round()
+        return False

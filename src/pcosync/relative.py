@@ -34,28 +34,32 @@ from .msr import MsrParams, MsrRound, msr_trim, neighbor_weight
 class RelativeProtocol(MsrRound):
     uses_start_pulses = True
 
-    def __init__(self, params: MsrParams, zeta: float = 0.1, ratio_log: list | None = None):
+    def __init__(self, params: MsrParams, zeta: float = 0.1):
         """``zeta`` is the phase offset of the start pulse before the fire.
-        ``ratio_log``, when given, collects one record per accepted ratio:
-        (time, node, sender, ratio, receiver omega before update, sender
-        omega at end-pulse emission or None for forged pulses). Diagnostic
-        only; the protocol itself never reads it."""
+        ``ratio_log``, once a caller sets it to a list before a run, collects
+        one record per accepted ratio: (time, node, sender, ratio, receiver
+        omega before update, sender omega at end-pulse emission or None for
+        forged pulses). Diagnostic only; the protocol itself never reads it.
+        While it is on, ``pair_senders`` keeps each pair's sender omega under
+        (receiver, slot), read only while the slot holds that pair's ratio."""
         if not 0.0 < zeta < 0.5:
             raise ValueError(f"start-pulse offset must lie in (0, 0.5), got {zeta}")
         super().__init__(params)
         self.zeta = zeta
-        self.ratio_log = ratio_log
+        self.ratio_log: list | None = None
+        self.pair_senders: dict[tuple[int, int], float | None] = {}
 
     # -- pulse plane --------------------------------------------------------
 
-    def handle_start(self, world: WorldState, i: int, t: float) -> None:
+    def handle_start(self, world: WorldState, i: int) -> bool:
         """Node i reaches the start-pulse threshold: stamp every listener."""
         osc = world.oscillators[i]
         osc.phase = 1.0 - self.zeta
         osc.start_emitted = True
         self.stamp_starts(world, world.receiver_slots[i])
+        return False
 
-    def handle_fire(self, world: WorldState, i: int, t: float) -> bool:
+    def handle_fire(self, world: WorldState, i: int) -> bool:
         omega = self.reset_on_fire(world, i).omega
         return self.deliver_pulse(world, world.receiver_slots[i], omega)
 
@@ -69,7 +73,7 @@ class RelativeProtocol(MsrRound):
             # A pending stamp from a round the sender never closed is overwritten.
             osc.stamps[k] = osc.phase
 
-    def on_start_pulse(self, world: WorldState, i: int, sender: int, t: float) -> None:
+    def on_start_pulse(self, world: WorldState, i: int, sender: int) -> None:
         nbrs = world.graph.in_neighbors[i]
         if sender in nbrs:
             self.stamp_starts(world, ((i, nbrs.index(sender)),))
@@ -77,12 +81,7 @@ class RelativeProtocol(MsrRound):
             world.pulses_delivered += 1  # no slot to stamp
 
     def on_end_pulse(
-        self,
-        world: WorldState,
-        i: int,
-        sender: int,
-        t: float,
-        sender_omega: float | None = None,
+        self, world: WorldState, i: int, sender: int, sender_omega: float | None = None
     ) -> bool:
         nbrs = world.graph.in_neighbors[i]
         if sender in nbrs:
@@ -97,9 +96,8 @@ class RelativeProtocol(MsrRound):
         finally:
             osc.stamps = stamps
 
-    def deliver_adversary(
-        self, world: WorldState, attacker: int, t: float, value: float, is_start: bool
-    ) -> bool:
+    def deliver_adversary(self, world: WorldState, attacker: int, value: float,
+                          is_start: bool) -> bool:
         edges = world.receiver_slots[attacker]
         if is_start:
             self.stamp_starts(world, edges)
@@ -109,7 +107,7 @@ class RelativeProtocol(MsrRound):
 
     # -- update plane -------------------------------------------------------
 
-    def handle_update(self, world: WorldState, i: int, t: float) -> bool:
+    def handle_update(self, world: WorldState, i: int) -> bool:
         trim = self.open_update(world, i)
         if trim is None:
             return True
@@ -122,10 +120,11 @@ class RelativeProtocol(MsrRound):
             ratios = [r for r in osc.ratios if r]
         else:
             ratios = []
-            for j, r, sender_omega in zip(world.graph.in_neighbors[i], osc.ratios, osc.sender_omegas):
+            senders = self.pair_senders
+            for k, (j, r) in enumerate(zip(world.graph.in_neighbors[i], osc.ratios)):
                 if r:
                     ratios.append(r)
-                    ratio_log.append((t, i, j, r, omega, sender_omega))
+                    ratio_log.append((world.clock, i, j, r, omega, senders[i, k]))
         # Missing pairs (senders whose start or end pulse fell outside this
         # round) shrink the candidate set; with 2*trim or fewer candidates
         # the trim removes everything and the frequency holds for a round.
@@ -133,6 +132,4 @@ class RelativeProtocol(MsrRound):
         w = neighbor_weight(self.params.weight_policy, len(kept))
         # omega * (a_self + sum a_j * ratio_j) in deviation form, exact when
         # every kept ratio is 1.
-        osc.omega = omega + omega * sum([w * (r - 1.0) for r in kept])
-        osc.reset_round()
-        return False
+        return self.close_update(world, i, omega + omega * sum([w * (r - 1.0) for r in kept]))

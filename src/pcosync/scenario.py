@@ -104,13 +104,33 @@ def normalized_frequencies(freqs, normal) -> list[float]:
     return [(w - low) + 1.0 for w in freqs]
 
 
+def _too_fast(gap: float, resolution: float, reach: float, omega: float) -> str | None:
+    """Why the event loop cannot step a normal node at frequency ``omega``,
+    or None when it can. A node crosses thresholds a phase ``gap`` apart:
+    0.5 (fire to update), or zeta (start pulse to fire). A step of at most
+    ``resolution``, TIME_EPS plus the clock's resolution at the horizon,
+    ties with the event before it, and the node acts again and again at one
+    clock. Only rounding carries a node past a threshold, by less than
+    ``omega * reach`` before the final rounding (see ``engine.advance_all``);
+    the margin of 2**-52 covers that rounding and fl(g + PHASE_SLACK)'s."""
+    if not gap / omega > resolution:
+        return (f"normal frequency {omega!r} is too fast to simulate: a phase "
+                f"step of {gap!r} takes {gap / omega!r}, not above {resolution!r} "
+                f"(TIME_EPS plus the clock's resolution at the horizon)")
+    if omega * reach > PHASE_SLACK - 2**-52:
+        return (f"normal frequency {omega!r} is too fast to simulate: the clock's "
+                f"rounding of {reach!r} can carry a node {omega * reach!r} past a "
+                f"threshold, more than PHASE_SLACK ({PHASE_SLACK!r}) less rounding")
+    return None
+
+
 class PreparedScenario:
     """The object every run starts from: what a scenario that passed the
     gate keeps for all its runs, namely its ``config``, normal node ids
     (ascending), protocol, attack scripts and weight floor ``alpha``. No run
     changes them; ``world`` makes the state a run does change."""
 
-    __slots__ = ("config", "normal_ids", "protocol", "scripts", "alpha", "_world_fields")
+    __slots__ = ("config", "normal_ids", "protocol", "scripts", "alpha", "_step", "_world_fields")
 
     def __init__(self, config: ScenarioConfig, normal_ids: tuple[int, ...], protocol, scripts):
         graph = config.graph
@@ -119,6 +139,18 @@ class PreparedScenario:
         self.protocol = protocol
         self.scripts = scripts
         self.alpha = effective_alpha(config.weights, max(graph.in_degrees[i] for i in normal_ids))
+        gap = protocol.zeta if protocol.uses_start_pulses else 0.5
+        resolution = TIME_EPS + math.ulp(config.horizon)
+        reach = 4 * math.ulp(2 * (config.horizon + 2 * TIME_EPS))
+        step = self._step = (gap, resolution, reach)
+        # The fastest frequency ``_too_fast`` accepts; as each clause is
+        # monotone in the frequency, it accepts all below and none above.
+        limit = min(gap / resolution, (PHASE_SLACK - 2**-52) / reach)
+        while limit > 0.0 and _too_fast(*step, limit):
+            limit = math.nextafter(limit, 0.0)
+        while not _too_fast(*step, math.nextafter(limit, math.inf)):
+            limit = math.nextafter(limit, math.inf)
+        protocol.omega_limit = limit
         # A world that never runs: its partition is checked and its derived
         # tables built here, once, and each run's world copies its fields,
         # with oscillators of its own in place of these placeholders.
@@ -134,32 +166,9 @@ class PreparedScenario:
         a fastest normal frequency too fast to simulate."""
         problems = _initial_value_problems(phases, freqs, self.normal_ids, 0.0)
         if not problems:
-            fastest = max(freqs[i] for i in self.normal_ids)
-            horizon = self.config.horizon
-            # A node crosses its thresholds a phase of 0.5 apart (fire, then
-            # update), or zeta apart (start pulse, then fire) when the
-            # protocol sends start pulses. A step no longer than TIME_EPS
-            # plus the clock's resolution at the horizon ties with the event
-            # before it, and the node acts again and again at one clock.
-            gap = self.protocol.zeta if self.protocol.uses_start_pulses else 0.5
-            resolution = TIME_EPS + math.ulp(horizon)
-            # The clock never passes a node's slot, so only rounding carries
-            # a node past a threshold: less than fastest * reach before the
-            # final rounding, as ``engine.advance_all`` proves. The margin of
-            # 2**-52 covers that rounding and the limit's, fl(g + PHASE_SLACK).
-            reach = 4 * math.ulp(2 * (horizon + 2 * TIME_EPS))
-            if not gap / fastest > resolution:
-                problems.append(
-                    f"normal frequency {fastest!r} is too fast to simulate: a phase "
-                    f"step of {gap!r} takes {gap / fastest!r}, not above {resolution!r} "
-                    f"(TIME_EPS plus the clock's resolution at the horizon)"
-                )
-            elif fastest * reach > PHASE_SLACK - 2**-52:
-                problems.append(
-                    f"normal frequency {fastest!r} is too fast to simulate: the clock's "
-                    f"rounding of {reach!r} can carry a node {fastest * reach!r} past a "
-                    f"threshold, more than PHASE_SLACK ({PHASE_SLACK!r}) less rounding"
-                )
+            problem = _too_fast(*self._step, max(freqs[i] for i in self.normal_ids))
+            if problem:
+                problems.append(problem)
         if problems:
             raise UnrunnableScenarioError(problems)
         # Set one by one in the constructor's order, never through the new

@@ -334,14 +334,16 @@ class DictPairingOscillator(OscillatorState):
         self.pulse_pairs.clear()
 
 
-def pairing(world, i, zeta=None):
+def pairing(world, i, zeta=None, proto=None):
     """Node i's pulse pairing keyed by sender id, in in-neighbor order: its
     pending start stamps, and its completed pairs as (frequency ratio, or
     None for coincident stamps; sender frequency, or None if forged or not
     kept). Reads the pairing slots of an ``OscillatorState`` (none in a
-    world without them), or the dicts of a ``DictPairingOscillator``, whose
-    pairs become ratios through ``pulse_pair_ratio`` at ``zeta``. Only
-    in-neighbors have slots, and only their pairs are ever read."""
+    world without them), with the sender frequencies that ``proto``, the
+    ``RelativeProtocol`` that paired them, keeps while it logs ratios, or
+    the dicts of a ``DictPairingOscillator``, whose pairs become ratios
+    through ``pulse_pair_ratio`` at ``zeta``. Only in-neighbors have slots,
+    and only their pairs are ever read."""
     osc = world.oscillators[i]
     nbrs = world.graph.in_neighbors[i]
     if isinstance(osc, DictPairingOscillator):
@@ -353,8 +355,9 @@ def pairing(world, i, zeta=None):
     if osc.stamps is None:
         return {}, {}
     pending = {s: stamp for s, stamp in zip(nbrs, osc.stamps) if stamp is not None}
-    done = {s: (ratio or None, omega)
-            for s, ratio, omega in zip(nbrs, osc.ratios, osc.sender_omegas) if ratio is not None}
+    kept = proto is not None and proto.ratio_log is not None
+    done = {s: (ratio or None, proto.pair_senders[i, k] if kept else None)
+            for k, (s, ratio) in enumerate(zip(nbrs, osc.ratios)) if ratio is not None}
     return pending, done
 
 
@@ -423,24 +426,24 @@ class HookAbsoluteProtocol(AbsoluteProtocol):
     count_pulse = _count_pulse
     open_update = _open_update
 
-    def handle_fire(self, world, i, t):
+    def handle_fire(self, world, i):
         value = self.reset_on_fire(world, i).omega
         newly = False
-        for j in world.normal_receivers[i]:
-            newly |= self.on_pulse(world, j, value, t)
+        for j, _ in world.receiver_slots[i]:
+            newly |= self.on_pulse(world, j, value)
         return newly
 
-    def on_pulse(self, world, i, value, t):
+    def on_pulse(self, world, i, value):
         self.hook_calls += 1
         world.oscillators[i].freq_buffer.append(value)
         return self.count_pulse(world, i)
 
-    def deliver_adversary(self, world, attacker, t, value, is_start):
+    def deliver_adversary(self, world, attacker, value, is_start):
         if is_start:
             return False  # start pulses carry no meaning for this protocol
         newly = False
-        for j in world.normal_receivers[attacker]:
-            newly |= self.on_pulse(world, j, value, t)
+        for j, _ in world.receiver_slots[attacker]:
+            newly |= self.on_pulse(world, j, value)
         return newly
 
 
@@ -452,27 +455,28 @@ class HookRelativeProtocol(RelativeProtocol):
     count_pulse = _count_pulse
     open_update = _open_update
 
-    def handle_start(self, world, i, t):
+    def handle_start(self, world, i):
         osc = world.oscillators[i]
         osc.phase = 1.0 - self.zeta
         osc.start_emitted = True
-        for j in world.normal_receivers[i]:
-            self.on_start_pulse(world, j, i, t)
+        for j, _ in world.receiver_slots[i]:
+            self.on_start_pulse(world, j, i)
+        return False
 
-    def handle_fire(self, world, i, t):
+    def handle_fire(self, world, i):
         omega = self.reset_on_fire(world, i).omega
         newly = False
-        for j in world.normal_receivers[i]:
-            newly |= self.on_end_pulse(world, j, i, t, sender_omega=omega)
+        for j, _ in world.receiver_slots[i]:
+            newly |= self.on_end_pulse(world, j, i, sender_omega=omega)
         return newly
 
-    def on_start_pulse(self, world, i, sender, t):
+    def on_start_pulse(self, world, i, sender):
         self.hook_calls += 1
         osc = world.oscillators[i]
         # A pending stamp from a round the sender never closed is overwritten.
         osc.pending_start[sender] = osc.phase
 
-    def on_end_pulse(self, world, i, sender, t, sender_omega=None):
+    def on_end_pulse(self, world, i, sender, sender_omega=None):
         self.hook_calls += 1
         osc = world.oscillators[i]
         start = osc.pending_start.pop(sender, None)
@@ -481,16 +485,16 @@ class HookRelativeProtocol(RelativeProtocol):
             osc.pulse_pairs[sender] = (start, osc.phase, sender_omega)
         return self.count_pulse(world, i)
 
-    def deliver_adversary(self, world, attacker, t, value, is_start):
+    def deliver_adversary(self, world, attacker, value, is_start):
         newly = False
-        for j in world.normal_receivers[attacker]:
+        for j, _ in world.receiver_slots[attacker]:
             if is_start:
-                self.on_start_pulse(world, j, attacker, t)
+                self.on_start_pulse(world, j, attacker)
             else:
-                newly |= self.on_end_pulse(world, j, attacker, t, sender_omega=None)
+                newly |= self.on_end_pulse(world, j, attacker, sender_omega=None)
         return newly
 
-    def handle_update(self, world, i, t):
+    def handle_update(self, world, i):
         trim = self.open_update(world, i)
         if trim is None:
             return True
@@ -506,7 +510,7 @@ class HookRelativeProtocol(RelativeProtocol):
                 continue
             ratios.append(ratio)
             if self.ratio_log is not None:
-                self.ratio_log.append((t, i, j, ratio, osc.omega, pair[2]))
+                self.ratio_log.append((world.clock, i, j, ratio, osc.omega, pair[2]))
         kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
         weights = make_weights(self.params.weight_policy, len(kept))
         omega = osc.omega

@@ -151,6 +151,13 @@ def test_event_budget_scales_with_size_and_horizon():
     assert event_budget(2, 5, 10.0) > event_budget(2, 0, 10.0)
 
 
+def test_event_budget_scales_the_nodes_term_by_the_fastest_frequency():
+    assert event_budget(3, 0, 3.0, 874.5) == int(6 * 874.5 * 4.0 * 4.0) + 16
+    assert event_budget(3, 5, 3.0, 2.0) == int((6 * 2.0 + 5) * 4.0 * 4.0) + 16
+    # Never below the budget of frequency 1.
+    assert event_budget(3, 5, 3.0, 0.25) == event_budget(3, 5, 3.0) == (6 + 5) * 16 + 16
+
+
 def pair_config(**overrides):
     base = dict(
         graph=complete_digraph(2),
@@ -612,16 +619,15 @@ def _handler_calls(draw):
 def test_handlers_change_other_nodes_selection_inputs_only_when_they_report(call):
     world, protocol, handler, actor, value, is_start = call
     before = _selection_inputs(world)
-    t = world.clock
     try:
         if handler == "fire":
-            reported = protocol.handle_fire(world, actor, t)
+            reported = protocol.handle_fire(world, actor)
         elif handler == "update":
-            reported = protocol.handle_update(world, actor, t)
+            reported = protocol.handle_update(world, actor)
         elif handler == "start":
-            reported = protocol.handle_start(world, actor, t)
+            reported = protocol.handle_start(world, actor)
         else:
-            reported = protocol.deliver_adversary(world, actor, t, value, is_start)
+            reported = protocol.deliver_adversary(world, actor, value, is_start)
     except ProtocolFault:
         return  # the run ends here, so no selection follows
     if reported:
@@ -636,12 +642,10 @@ def test_a_world_reuses_the_graph_tables_when_no_node_is_faulty():
     graph = DirectedGraph.from_lists([[1, 2], [0, 2], [0, 1]])
     states = [OscillatorState(0.0, 1.0) for _ in range(3)]
     world = WorldState(graph, states, frozenset(range(3)), frozenset())
-    assert world.normal_receivers is graph.out_neighbors
     assert world.receiver_slots is graph.out_slots
     assert world.in_degrees is graph.in_degrees
     assert graph.in_degrees == (2, 2, 2)
     # (receiver, the sender's position in the receiver's in-neighbor list)
     assert graph.out_slots == (((1, 0), (2, 0)), ((0, 0), (2, 1)), ((0, 1), (1, 1)))
     attacked = WorldState(graph, states, frozenset({0, 2}), frozenset({1}))
-    assert attacked.normal_receivers == ((2,), (0, 2), (0,))
     assert attacked.receiver_slots == (((2, 0),), ((0, 0), (2, 1)), ((0, 1),))

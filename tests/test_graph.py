@@ -37,7 +37,7 @@ def test_from_lists_rejects_bad_rows():
 def test_adjacency_views():
     ring = directed_ring(3)
     assert ring.in_neighbors == ((2,), (0,), (1,))
-    assert ring.out_neighbors == ((1,), (2,), (0,))
+    assert ring.out_slots == (((1, 0),), ((2, 0),), ((0, 0),))
     assert ring.in_degrees == (1, 1, 1)
     k3 = complete_digraph(3)
     assert k3.in_masks == (0b110, 0b101, 0b011)
@@ -98,7 +98,8 @@ def test_demo_graph_structure_and_robustness():
     assert g.node_count == 8
     assert g.in_neighbors[1] == (0, 2, 3)
     assert g.in_neighbors[4] == (5, 6, 7)
-    assert set(g.out_neighbors[1]) & set(g.out_neighbors[4]) == set()
+    receivers = [{i for i, _ in g.out_slots[j]} for j in (1, 4)]
+    assert receivers[0] & receivers[1] == set()
     assert max_robustness(g) == 3
 
 

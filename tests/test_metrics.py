@@ -515,12 +515,10 @@ def test_violation_recording_is_capped():
     ({}, [dict(phases=[0.9, 0.1])], [
         "virtual node left the tail of the containing arc at event 1",
     ]),
-    # With the virtual node at the tail, the radius spread covers the arc,
-    # so only a NaN phase, which fails every comparison, trips this check.
+    # A NaN phase fails every comparison.
     ({}, [dict(phases=[0.1, 0.2], advance=0.05), dict(phases=[0.15, math.nan], advance=0.05)], [
         "containing arc reached nan >= 0.5 at event 2",
         "virtual node left the tail of the containing arc at event 2",
-        "containing arc exceeded the virtual-radius spread at event 2",
     ]),
 ])
 def test_each_monitor_message_is_pinned(fresh_args, steps, expected):

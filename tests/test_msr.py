@@ -101,19 +101,19 @@ def test_update_worked_example():
     osc = world.oscillators[0]
 
     osc.phase = 0.90
-    proto.on_pulse(world, 0, 1.2, t=0.0)
+    proto.on_pulse(world, 0, 1.2)
     osc.phase = 0.95
-    proto.on_pulse(world, 0, 0.8, t=0.0)
+    proto.on_pulse(world, 0, 0.8)
     assert osc.jump_up == pytest.approx(0.05)
     osc.phase = 0.20
-    proto.on_pulse(world, 0, 1.1, t=0.0)
+    proto.on_pulse(world, 0, 1.1)
     assert osc.jump_down == pytest.approx(-0.2)
     osc.phase = 0.30
-    proto.on_pulse(world, 0, 1.05, t=0.0)
+    proto.on_pulse(world, 0, 1.05)
 
     osc.fired = True
     osc.phase = 0.5
-    detected = proto.handle_update(world, 0, t=1.5)
+    detected = proto.handle_update(world, 0)
     assert not detected
     assert osc.phase == pytest.approx(0.425)
     assert osc.omega == pytest.approx(1.05)
@@ -130,11 +130,11 @@ def test_jump_landmarks_respect_half_circle_gating():
     proto = AbsoluteProtocol(MsrParams(f=1))
     osc = world.oscillators[0]
     osc.phase = 0.30
-    proto.on_pulse(world, 0, 1.0, t=0.0)
-    proto.on_pulse(world, 0, 1.0, t=0.0)  # count 2 = f+1, phase < 0.5
+    proto.on_pulse(world, 0, 1.0)
+    proto.on_pulse(world, 0, 1.0)  # count 2 = f+1, phase < 0.5
     assert osc.jump_up == 0.0
     osc.phase = 0.80
-    proto.on_pulse(world, 0, 1.0, t=0.0)  # count 3 = d-f, phase >= 0.5
+    proto.on_pulse(world, 0, 1.0)  # count 3 = d-f, phase >= 0.5
     assert osc.jump_down == 0.0
 
 
@@ -144,10 +144,10 @@ def test_homogeneous_values_leave_frequency_exactly_fixed():
     osc = world.oscillators[0]
     osc.phase = 0.6
     for _ in range(4):
-        proto.on_pulse(world, 0, 1.3, t=0.0)
+        proto.on_pulse(world, 0, 1.3)
     osc.fired = True
     osc.phase = 0.5
-    proto.handle_update(world, 0, t=1.0)
+    proto.handle_update(world, 0)
     assert osc.omega == 1.3
 
 
@@ -157,11 +157,31 @@ def test_configured_alpha_update():
     osc = world.oscillators[0]
     osc.phase = 0.6
     for value in (1.2, 0.8, 1.1, 1.05):
-        proto.on_pulse(world, 0, value, t=0.0)
+        proto.on_pulse(world, 0, value)
     osc.fired = True
     osc.phase = 0.5
-    proto.handle_update(world, 0, t=1.0)
+    proto.handle_update(world, 0)
     assert osc.omega == pytest.approx(1.0 + 0.2 * 0.05 + 0.2 * 0.1)
+
+
+def test_an_update_past_the_frequency_limit_is_a_protocol_fault():
+    assert AbsoluteProtocol(MsrParams(f=0)).omega_limit == math.inf
+
+    def update(limit):
+        world = k5_world(omega=1.0)
+        proto = AbsoluteProtocol(MsrParams(f=0))
+        proto.omega_limit = limit
+        osc = world.oscillators[0]
+        osc.phase = 0.6
+        for value in (1.0, 1.0, 3.0, 3.0):  # the mean with self's 1.0 is 1.8
+            proto.on_pulse(world, 0, value)
+        osc.fired = True
+        osc.phase = 0.5
+        return proto.handle_update(world, 0), osc.omega
+
+    assert update(1.8) == (False, 1.8)
+    with pytest.raises(ProtocolFault, match=r"^node 0 updated its frequency to 1\.8, past 1\.5, "):
+        update(1.5)
 
 
 def test_counter_overflow_detected_at_update():
@@ -170,10 +190,10 @@ def test_counter_overflow_detected_at_update():
     osc = world.oscillators[0]
     osc.phase = 0.6
     for _ in range(5):  # in-degree is 4
-        proto.on_pulse(world, 0, 1.0, t=0.0)
+        proto.on_pulse(world, 0, 1.0)
     osc.fired = True
     osc.phase = 0.5
-    assert proto.handle_update(world, 0, t=1.0) is True
+    assert proto.handle_update(world, 0) is True
     assert osc.detected
     assert osc.phase == 0.5  # no jump on a detection round
     assert osc.omega == 1.0
@@ -186,8 +206,8 @@ def test_eager_detection_latches_on_the_overflowing_pulse():
     osc = world.oscillators[0]
     osc.phase = 0.6
     for _ in range(4):
-        assert proto.on_pulse(world, 0, 1.0, t=0.0) is False
-    assert proto.on_pulse(world, 0, 1.0, t=0.0) is True
+        assert proto.on_pulse(world, 0, 1.0) is False
+    assert proto.on_pulse(world, 0, 1.0) is True
     assert osc.detected
 
 
@@ -196,12 +216,12 @@ def test_underheard_round_is_a_protocol_fault():
     proto = AbsoluteProtocol(MsrParams(f=1))
     osc = world.oscillators[0]
     osc.phase = 0.6
-    proto.on_pulse(world, 0, 1.0, t=0.0)
-    proto.on_pulse(world, 0, 1.0, t=0.0)
+    proto.on_pulse(world, 0, 1.0)
+    proto.on_pulse(world, 0, 1.0)
     osc.fired = True
     osc.phase = 0.5
     with pytest.raises(ProtocolFault):
-        proto.handle_update(world, 0, t=1.0)  # heard 2 < d - f = 3
+        proto.handle_update(world, 0)  # heard 2 < d - f = 3
 
 
 def test_absolute_protocol_has_no_start_pulses():
@@ -288,9 +308,9 @@ def test_each_landmark_is_written_at_most_once_per_round(variant, n, f, phases):
     for count, phi in enumerate(phases, start=1):
         osc.phase = phi
         if variant == "absolute":
-            proto.on_pulse(world, 0, 1.0, t=0.0)
+            proto.on_pulse(world, 0, 1.0)
         else:
-            proto.on_end_pulse(world, 0, sender=1 + count % d, t=0.0)
+            proto.on_end_pulse(world, 0, sender=1 + count % d)
         if count == f + 1:
             expected["jump_up"] = 1.0 - phi if phi >= 0.5 else 0.0
         if count == d - f:

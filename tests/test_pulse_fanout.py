@@ -92,35 +92,37 @@ def _steps(n):
 
 
 def _apply(proto, world, op, node, value, t):
-    """One step; a protocol fault is a result, compared like a flag."""
+    """One step at clock ``t``; a protocol fault is a result, compared like
+    a flag."""
+    world.clock = t
     try:
         if op == "fire":
-            return proto.handle_fire(world, node, t)
+            return proto.handle_fire(world, node)
         if op == "start":
-            return proto.handle_start(world, node, t)
+            return proto.handle_start(world, node)
         if op == "update":
-            return proto.handle_update(world, node, t)
+            return proto.handle_update(world, node)
         if op in ("forged_end", "forged_start"):
             claim = 1.0 if value is None else value
-            return proto.deliver_adversary(world, node, t, claim, op == "forged_start")
+            return proto.deliver_adversary(world, node, claim, op == "forged_start")
         sender = (node + 1) % world.graph.node_count
         if isinstance(proto, AbsoluteProtocol):
             # The absolute protocol has one hook, for counted pulses.
-            return proto.on_pulse(world, node, 1.0 if value is None else value, t)
+            return proto.on_pulse(world, node, 1.0 if value is None else value)
         if op == "hook_start":
-            return proto.on_start_pulse(world, node, sender, t)
-        return proto.on_end_pulse(world, node, sender, t, sender_omega=value)
+            return proto.on_start_pulse(world, node, sender)
+        return proto.on_end_pulse(world, node, sender, sender_omega=value)
     except ProtocolFault as exc:
         return ("fault", str(exc))
 
 
-SLOTS = ("stamps", "ratios", "sender_omegas")
+SLOTS = ("stamps", "ratios")
 FIELDS = [f.name for f in dataclasses.fields(OscillatorState) if f.name not in SLOTS]
 
 
-def _state(world, zeta=ZETA):
+def _state(world, proto, zeta=ZETA):
     """Every oscillator field but the pairing slots, and the node's pairing."""
-    return [repr([getattr(osc, name) for name in FIELDS] + [pairing(world, i, zeta)])
+    return [repr([getattr(osc, name) for name in FIELDS] + [pairing(world, i, zeta, proto)])
             for i, osc in enumerate(world.oscillators)]
 
 
@@ -138,8 +140,9 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
     if variant == "absolute":
         new, old = AbsoluteProtocol(params), HookAbsoluteProtocol(params)
     else:
-        new = RelativeProtocol(params, zeta=ZETA, ratio_log=[])
-        old = HookRelativeProtocol(params, zeta=ZETA, ratio_log=[])
+        new = RelativeProtocol(params, zeta=ZETA)
+        old = HookRelativeProtocol(params, zeta=ZETA)
+        new.ratio_log, old.ratio_log = [], []
         new_world.add_pair_slots()
     n = new_world.graph.node_count
     # handle_start only raises in the absolute variant; test_msr covers that.
@@ -165,7 +168,7 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
             got = _apply(new, new_world, op, node, value, 0.25 * k)
             want = _apply(old, old_world, op, node, value, 0.25 * k)
             assert repr(got) == repr(want), (k, op, node)
-            assert _state(new_world) == _state(old_world), (k, op, node)
+            assert _state(new_world, new) == _state(old_world, old), (k, op, node)
             assert new_world.pulses_delivered == old.hook_calls
             assert old_world.pulses_delivered == 0  # the old path never reaches the loop
     if variant == "relative":
@@ -206,7 +209,7 @@ def test_pulse_counter_equals_the_hook_calls_of_whole_runs():
             new_world, new, new_outcome = _run(config, hooks=False)
             old_world, old, old_outcome = _run(config, hooks=True)
             assert new_outcome == old_outcome
-            assert _state(new_world, config.zeta) == _state(old_world, config.zeta)
+            assert _state(new_world, new, config.zeta) == _state(old_world, old, config.zeta)
             if algorithm == "relative":
                 assert repr(new.ratio_log) == repr(old.ratio_log)
             assert new_world.event_count == old_world.event_count

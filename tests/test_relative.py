@@ -46,9 +46,9 @@ def complete_pairs(world, proto, pairs):
     osc = world.oscillators[0]
     for j, (start, end) in pairs.items():
         osc.phase = start
-        proto.on_start_pulse(world, 0, sender=j, t=0.0)
+        proto.on_start_pulse(world, 0, sender=j)
         osc.phase = end
-        proto.on_end_pulse(world, 0, sender=j, t=0.0)
+        proto.on_end_pulse(world, 0, sender=j)
     osc.pulse_count = 0
     osc.jump_up = osc.jump_down = 0.0
 
@@ -58,13 +58,14 @@ def update_from_pairs(*pairs):
     pairs of senders 1, 2, ...: the ratios its update logs, by sender, and
     its new frequency."""
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=0), zeta=0.1, ratio_log=[])
+    proto = RelativeProtocol(MsrParams(f=0), zeta=0.1)
+    proto.ratio_log = []
     osc = world.oscillators[0]
     complete_pairs(world, proto, dict(enumerate(pairs, 1)))
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5
-    assert proto.handle_update(world, 0, t=1.0) is False
+    assert proto.handle_update(world, 0) is False
     return {j: ratio for _, _, j, ratio, _, _ in proto.ratio_log}, osc.omega
 
 
@@ -102,41 +103,42 @@ def test_params_validate_offset_range():
 
 def test_stamp_pairing_state_machine():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1), ratio_log=[])
+    proto = RelativeProtocol(MsrParams(f=1))
+    proto.ratio_log = []
     osc = world.oscillators[0]
 
     # A lone end pulse has nothing to pair with but still counts.
     osc.phase = 0.55
-    proto.on_end_pulse(world, 0, sender=1, t=0.0, sender_omega=1.2)
-    assert pairing(world, 0) == ({}, {})
+    proto.on_end_pulse(world, 0, sender=1, sender_omega=1.2)
+    assert pairing(world, 0, proto=proto) == ({}, {})
     assert osc.pulse_count == 1
 
     # Start then end completes a pair carrying the sender's frequency.
     osc.phase = 0.60
-    proto.on_start_pulse(world, 0, sender=2, t=0.0)
-    assert pairing(world, 0) == ({2: 0.60}, {})
+    proto.on_start_pulse(world, 0, sender=2)
+    assert pairing(world, 0, proto=proto) == ({2: 0.60}, {})
     osc.phase = 0.68
-    proto.on_end_pulse(world, 0, sender=2, t=0.0, sender_omega=1.5)
-    assert pairing(world, 0) == ({}, {2: (0.1 / ((0.68 - 0.60) % 1.0), 1.5)})
+    proto.on_end_pulse(world, 0, sender=2, sender_omega=1.5)
+    assert pairing(world, 0, proto=proto) == ({}, {2: (0.1 / ((0.68 - 0.60) % 1.0), 1.5)})
 
     # A second start from the same sender overwrites a stale one.
     osc.phase = 0.70
-    proto.on_start_pulse(world, 0, sender=3, t=0.0)
+    proto.on_start_pulse(world, 0, sender=3)
     osc.phase = 0.80
-    proto.on_start_pulse(world, 0, sender=3, t=0.0)
+    proto.on_start_pulse(world, 0, sender=3)
     osc.phase = 0.90
-    proto.on_end_pulse(world, 0, sender=3, t=0.0, sender_omega=1.0)
-    assert pairing(world, 0)[1][3] == (0.1 / ((0.90 - 0.80) % 1.0), 1.0)
+    proto.on_end_pulse(world, 0, sender=3, sender_omega=1.0)
+    assert pairing(world, 0, proto=proto)[1][3] == (0.1 / ((0.90 - 0.80) % 1.0), 1.0)
 
     # The latest completed pair wins.
     osc.phase = 0.10
-    proto.on_start_pulse(world, 0, sender=2, t=0.0)
+    proto.on_start_pulse(world, 0, sender=2)
     osc.phase = 0.30
-    proto.on_end_pulse(world, 0, sender=2, t=0.0, sender_omega=0.5)
-    assert pairing(world, 0)[1][2] == (0.1 / ((0.30 - 0.10) % 1.0), 0.5)
+    proto.on_end_pulse(world, 0, sender=2, sender_omega=0.5)
+    assert pairing(world, 0, proto=proto)[1][2] == (0.1 / ((0.30 - 0.10) % 1.0), 0.5)
 
     osc.reset_round()
-    assert pairing(world, 0) == ({}, {})
+    assert pairing(world, 0, proto=proto) == ({}, {})
 
 
 def test_hooks_pair_in_the_senders_in_neighbor_slot():
@@ -146,22 +148,23 @@ def test_hooks_pair_in_the_senders_in_neighbor_slot():
     world = WorldState(graph, [OscillatorState(0.0, 1.0) for _ in range(4)],
                        frozenset(range(4)), frozenset())
     world.add_pair_slots()
-    proto = RelativeProtocol(MsrParams(f=0), ratio_log=[])
+    proto = RelativeProtocol(MsrParams(f=0))
+    proto.ratio_log = []
     osc = world.oscillators[0]
     osc.phase = 0.1
-    proto.on_start_pulse(world, 0, sender=3, t=0.0)
+    proto.on_start_pulse(world, 0, sender=3)
     osc.phase = 0.2
-    proto.on_start_pulse(world, 0, sender=1, t=0.0)
-    proto.on_start_pulse(world, 0, sender=2, t=0.0)
+    proto.on_start_pulse(world, 0, sender=1)
+    proto.on_start_pulse(world, 0, sender=2)
     assert osc.stamps == [0.1, 0.2]
     osc.phase = 0.25
-    proto.on_end_pulse(world, 0, sender=2, t=0.0, sender_omega=1.5)
+    proto.on_end_pulse(world, 0, sender=2, sender_omega=1.5)
     assert osc.pulse_count == 1
-    assert (osc.stamps, osc.ratios, osc.sender_omegas) == ([0.1, 0.2], [None, None], [None, None])
-    proto.on_end_pulse(world, 0, sender=1, t=0.0, sender_omega=2.0)
+    assert (osc.stamps, osc.ratios, proto.pair_senders) == ([0.1, 0.2], [None, None], {})
+    proto.on_end_pulse(world, 0, sender=1, sender_omega=2.0)
     assert osc.pulse_count == 2
-    assert (osc.stamps, osc.ratios, osc.sender_omegas) == (
-        [0.1, None], [None, 0.1 / ((0.25 - 0.2) % 1.0)], [None, 2.0])
+    assert (osc.stamps, osc.ratios, proto.pair_senders) == (
+        [0.1, None], [None, 0.1 / ((0.25 - 0.2) % 1.0)], {(0, 1): 2.0})
     assert world.pulses_delivered == 5
 
 
@@ -171,7 +174,7 @@ def test_start_emission_snaps_phase_and_stamps_listeners():
     world.oscillators[1].phase = 0.899999
     for i in (0, 2, 3, 4):
         world.oscillators[i].phase = 0.3 + 0.1 * i
-    proto.handle_start(world, 1, t=0.9)
+    proto.handle_start(world, 1)
     assert world.oscillators[1].phase == 0.9
     assert world.oscillators[1].start_emitted
     for i in (0, 2, 3, 4):
@@ -180,17 +183,18 @@ def test_start_emission_snaps_phase_and_stamps_listeners():
 
 def test_fire_delivers_end_pulses_with_sender_frequency():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1), ratio_log=[])
+    proto = RelativeProtocol(MsrParams(f=1))
+    proto.ratio_log = []
     world.oscillators[1].omega = 1.25
     for i in (0, 2, 3, 4):
         world.oscillators[i].phase = 0.4
-        proto.on_start_pulse(world, i, sender=1, t=0.5)
+        proto.on_start_pulse(world, i, sender=1)
         world.oscillators[i].phase = 0.48
-    proto.handle_fire(world, 1, t=1.0)
+    proto.handle_fire(world, 1)
     assert world.oscillators[1].phase == 0.0
     assert world.oscillators[1].fired
     for i in (0, 2, 3, 4):
-        assert pairing(world, i) == ({}, {1: (0.1 / ((0.48 - 0.4) % 1.0), 1.25)})
+        assert pairing(world, i, proto=proto) == ({}, {1: (0.1 / ((0.48 - 0.4) % 1.0), 1.25)})
         assert world.oscillators[i].pulse_count == 1
 
 
@@ -198,7 +202,8 @@ def test_update_trims_ratio_extremes():
     """Ratios {0.8, 1.0, 1.25, 2.0} trimmed by one from each side keep
     {1.0, 1.25}; equal weights give omega * (1 + 0.25/3)."""
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1), zeta=0.1, ratio_log=[])
+    proto = RelativeProtocol(MsrParams(f=1), zeta=0.1)
+    proto.ratio_log = []
     osc = world.oscillators[0]
     osc.omega = 1.2
     complete_pairs(world, proto, {
@@ -210,7 +215,8 @@ def test_update_trims_ratio_extremes():
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5
-    assert proto.handle_update(world, 0, t=1.5) is False
+    world.clock = 1.5
+    assert proto.handle_update(world, 0) is False
     assert osc.omega == pytest.approx(1.2 * (1.0 + 0.25 / 3.0))
     assert osc.phase == 0.5  # no jump ingredients were captured
     assert len(proto.ratio_log) == 4
@@ -232,7 +238,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
     osc.jump_down = -0.2
     osc.fired = True
     osc.phase = 0.5
-    proto.handle_update(world, 0, t=1.5)
+    proto.handle_update(world, 0)
     assert osc.omega == 1.37
     assert osc.phase == pytest.approx(0.4)
 
@@ -240,7 +246,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5
-    proto.handle_update(world, 0, t=2.5)
+    proto.handle_update(world, 0)
     assert osc.omega == 1.37
 
 
@@ -251,7 +257,7 @@ def test_update_counter_checks_match_the_absolute_rule():
     osc.pulse_count = 5  # in-degree is 4
     osc.fired = True
     osc.phase = 0.5
-    assert proto.handle_update(world, 0, t=1.0) is True
+    assert proto.handle_update(world, 0) is True
     assert osc.detected
 
     osc.detected = False
@@ -259,7 +265,7 @@ def test_update_counter_checks_match_the_absolute_rule():
     osc.fired = True
     osc.phase = 0.5
     with pytest.raises(ProtocolFault):
-        proto.handle_update(world, 0, t=2.0)
+        proto.handle_update(world, 0)
 
 
 def test_attack_free_run_matches_absolute_protocol():

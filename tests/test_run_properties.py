@@ -265,17 +265,17 @@ class ContractCheckingProtocol:
         self.checked += 1
         return result
 
-    def handle_fire(self, world, i, t):
-        return self._call(world, i, self.inner.handle_fire, i, t)
+    def handle_fire(self, world, i):
+        return self._call(world, i, self.inner.handle_fire, i)
 
-    def handle_start(self, world, i, t):
-        return self._call(world, i, self.inner.handle_start, i, t)
+    def handle_start(self, world, i):
+        return self._call(world, i, self.inner.handle_start, i)
 
-    def handle_update(self, world, i, t):
-        return self._call(world, i, self.inner.handle_update, i, t)
+    def handle_update(self, world, i):
+        return self._call(world, i, self.inner.handle_update, i)
 
-    def deliver_adversary(self, world, attacker, t, value, is_start):
-        return self._call(world, None, self.inner.deliver_adversary, attacker, t, value, is_start)
+    def deliver_adversary(self, world, attacker, value, is_start):
+        return self._call(world, None, self.inner.deliver_adversary, attacker, value, is_start)
 
 
 @settings(max_examples=100, deadline=None)
@@ -348,10 +348,10 @@ def _runs_and_first_breach(config):
             breaches.append(world.clock)
         return deliver(self, world, edges, value)
 
-    def checking_update(self, world, i, t):
+    def checking_update(self, world, i):
         if world.oscillators[i].pulse_count != len(pairing(world, i)[1]):
-            breaches.append(t)
-        return update(self, world, i, t)
+            breaches.append(world.clock)
+        return update(self, world, i)
 
     with mock.patch.object(MsrRound, "deliver_pulse", checking_deliver), \
             mock.patch.object(RelativeProtocol, "handle_update", checking_update):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import functools
 import io
 import json
 import math
@@ -34,6 +35,7 @@ from pcosync import (
     run_scenario,
     scenario_from_dict,
 )
+import pcosync.engine
 from pcosync.cli import main
 from pcosync.engine import TIME_EPS
 from pcosync.errors import UnrunnableScenarioError
@@ -535,6 +537,22 @@ def test_cli_sweep_smoke(capsys, tmp_path):
     assert lines[0] == "Delta0,delta0_max,success_rate"
     assert len(lines) == 2
     assert lines[1].startswith("0.05,")
+
+
+def test_cli_sweep_exits_3_on_an_invariant_violation(capsys, monkeypatch):
+    # A liveness budget of 16 events breaks the first trial that runs longer.
+    monkeypatch.setattr(pcosync.engine, "event_budget",
+                        functools.partial(pcosync.engine.event_budget, safety=0.0))
+    code = main([
+        "sweep", str(SCENARIOS / "frontier_sweep.json"),
+        "--grid", "0.05", "--trials", "4", "--spread-cap", "0.2", "--tol", "0.06",
+    ])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invariant violation: event 17 exceeded the liveness budget of 16"
+    ]
 
 
 def test_cli_sweep_prints_the_bytes_it_writes(capsys, tmp_path):
@@ -1092,6 +1110,34 @@ EDGE_VALUES = st.one_of(
     st.floats(1e4, 2e6),
     st.floats(1e11, 1e12),
 )
+
+
+@pytest.mark.parametrize("algorithm,zeta", [("absolute", 0.1), ("relative", 0.1),
+                                            ("relative", 1e-10)])
+@pytest.mark.parametrize("horizon", [0.5, 5.0, 60.0, 1e4, 1e300, 1.7e308])
+def test_the_protocol_frequency_limit_is_the_fastest_the_step_rule_accepts(
+        algorithm, zeta, horizon):
+    # The step rule as README states it: a phase step over the frequency
+    # above TIME_EPS plus one ulp of the horizon, and the frequency times
+    # four ulps of twice the padded horizon at most PHASE_SLACK less 2**-52.
+    gap = zeta if algorithm == "relative" else 0.5
+
+    def accepted(omega):
+        return (gap / omega > TIME_EPS + math.ulp(horizon)
+                and omega * 4 * math.ulp(2 * (horizon + 2 * TIME_EPS)) <= 1e-9 - 2**-52)
+
+    config = ScenarioConfig(graph=complete_digraph(3), algorithm=algorithm, zeta=zeta,
+                            horizon=horizon, phases=[0.0] * 3, frequencies=[1.0] * 3,
+                            normalize_phases=False, normalize_frequencies=False)
+    prepared = config.prepare()[0]
+    limit = prepared.protocol.omega_limit
+    above = math.nextafter(limit, math.inf)
+    assert limit == 0.0 or accepted(limit)
+    assert not accepted(above)
+    if limit > 0.0:
+        prepared.world([0.0] * 3, [limit] * 3)
+    with pytest.raises(UnrunnableScenarioError, match="too fast to simulate"):
+        prepared.world([0.0] * 3, [above] * 3)
 
 
 @settings(max_examples=300, deadline=None)

@@ -296,6 +296,48 @@ def test_a_file_that_once_overshot_runs(case, capsys, tmp_path):
     assert "overshot" not in captured.out + captured.err
 
 
+# Forced past validation, each once exited 3 with a broken engine invariant
+# instead of a run outcome. Each now ends in a protocol fault.
+FORCED_ONCE_BROKEN = {
+    # Node 1 runs 870 times as fast as its peers. The liveness budget, which
+    # allowed about one round per unit of time, stopped the run at event 113.
+    # It now scales with the fastest initial normal frequency.
+    "frequency_past_the_liveness_budget": (
+        {"graph": {"named": "complete", "n": 3}, "algorithm": "absolute", "f": 2,
+         "phases": [3e-12, 0, 2e-12],
+         "frequencies": [1.0055173926504193, 874.5291460322534, 1.0089490597039135],
+         "horizon": 3, "halt_on_detection": False, "normalize_phases": False,
+         "normalize_frequencies": False},
+        ["events: 1734", "fault: cannot trim 1 from each end of 1 values"],
+    ),
+    # Node 3 starts 59 turns behind. The relative protocol reads its stamps as
+    # phases in [0, 1), so its ratios raise its frequency to 2.5e15, far past
+    # what the step rule checked at the start; the next advance carried it
+    # past its threshold ("node 3 overshot its firing threshold").
+    "update_past_the_step_rule": (
+        {"graph": {"named": "complete", "n": 4}, "algorithm": "relative", "f": 0,
+         "phases": [0.0, 0.0, 0.0, -59.00000000012], "frequencies": [1.0, 1.0, 1.0, 60.0],
+         "normalize_phases": False, "normalize_frequencies": False,
+         "horizon": 1.1666666666666667, "halt_on_detection": False, "monitor": "off"},
+        ["events: 8", "fault: node 3 updated its frequency to 2533274790395919.5, past "
+         "562949.828421312, the fastest the event loop can step"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCED_ONCE_BROKEN))
+def test_a_forced_file_that_once_broke_an_invariant_ends_in_a_fault(case, capsys, tmp_path):
+    data, lines = FORCED_ONCE_BROKEN[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--force", str(path)]) == 3
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert "outcome: fault" in out
+    assert set(lines) <= set(out)
+    assert "invariant violation" not in captured.err
+
+
 # Two flooding attackers, each spaced 1.8e-12, the second 9e-13 after the
 # first: no one script holds two pulses within TIME_EPS, but their merged
 # stream does. Forced past validation, both start times once ended in "node
