@@ -39,13 +39,15 @@ slots from the cursor on. The full scan runs instead when the clock moved
 earliest time, or when no slot from the cursor on holds it any more;
 ``_CandidateTimes`` proves that both ways pick the same slot.
 
-The unchanged-clock contract has a second reader: with the monitor off and
-no trace, ``RunMetrics.observe`` keeps its own list of the normal phases and
-rereads every phase only when the clock has moved; at an unchanged clock it
-rereads the actor's phase alone, and after an adversary pulse none. So every
+The unchanged-clock contract has a second reader: in every monitor mode,
+``RunMetrics.observe`` keeps its own list of the normal phases and rereads
+every phase only when the clock has moved; at an unchanged clock it rereads
+the actor's phase alone, and after an adversary pulse none. So every
 handler must keep to it: it moves no normal phase but its actor's (a
 detection latches a flag, never a phase), an adversary pulse moves no
-normal phase, and no handler moves the clock.
+normal phase, and no handler moves the clock. ``observe`` also moves its
+frequency extrema only after an update, which writes its actor's frequency
+and no other; no other handler writes one.
 """
 
 from __future__ import annotations

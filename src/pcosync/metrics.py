@@ -218,35 +218,33 @@ class RunMetrics:
     admissible initial conditions), which is why the default everywhere
     outside the test suite is "warn".
 
-    One ``SpreadWindow`` holds the frequency extrema in every mode. With
-    the monitor on or a trace collected, ``observe`` rescans the normal
-    frequencies and pushes their extrema on every event. It also advances
-    the virtual node by the time since the last observed event, sets its
-    rate to the windowed floor, and pushes its radii into a second window
-    for the radius spread V. A collected trace row holds the oscillators'
-    own float objects, so ``write_trace`` formats a value that did not move
-    since the previous row once. With the monitor off and no trace, nothing
-    reads V, so ``observe`` keeps its own list of the normal frequencies
-    and moves the extrema only after update events, the only ones that
-    write a frequency, and only from the updated node: the new value either
-    passes an extremum, leaves both where they were, or (a tie, or the node
-    that held an extremum moving inward) sends that extremum to a
-    ``min``/``max`` rescan, so the extrema are always the floats a full
-    scan would give. It pushes them only at the events that move them.
+    ``observe`` keeps its own lists of the normal phases and frequencies.
+    It rereads every phase only when the clock has moved since the last
+    observed event, and otherwise writes the actor's slot alone, or nothing
+    after an adversary pulse; that rests on the event loop's unchanged-clock
+    contract (see ``engine``). The phase list is still the snapshot of the
+    last observed event, so ``delta`` after a protocol fault is that event's
+    arc.
+    It moves the frequency extrema only after update events, the only ones
+    that write a frequency, and only from the updated node: the new value
+    either passes an extremum, leaves both where they were, or (a tie, or
+    the node that held an extremum moving inward) sends that extremum to a
+    ``min``/``max`` rescan, so the extrema are always the floats a full scan
+    would give. One ``SpreadWindow`` holds them, pushed only at the events
+    that move them.
 
-    On that path ``observe`` also keeps its list of the normal phases in
-    place: it rereads every phase only when the clock has moved since the
-    last observed event, and otherwise writes the actor's slot alone, or
-    nothing after an adversary pulse. That rests on the event loop's
-    unchanged-clock contract (see ``engine``). The list is still the
-    snapshot of the last observed event, so ``delta`` after a protocol fault
-    is that event's arc. Once the frequencies have converged, the phase test
-    first reads a witness pair, the tail and head nodes of the last arc
-    found wider than ``tol_phase``; while their circular distance rules the
-    arc out, the streak resets without a sort (``_phases_within_tol`` gives
-    the bound). In every mode the arc is computed only when something reads
-    it, and detections are scanned only after an event whose handler
-    reported one.
+    With the monitor on or a trace collected, ``observe`` also advances the
+    virtual node by the time since the last observed event, sets its rate
+    to the windowed floor, and pushes its radii into a second window for the
+    radius spread V; with neither, nothing reads V. A collected trace row
+    holds the oscillators' own float objects, so ``write_trace`` formats a
+    value that did not move since the previous row once. Once the
+    frequencies have converged, the phase test first reads a witness pair,
+    the tail and head nodes of the last arc found wider than ``tol_phase``;
+    while their circular distance rules the arc out, the streak resets
+    without a sort (``_phases_within_tol`` gives the bound). The arc is
+    computed only when something reads it, and detections are scanned only
+    after an event whose handler reported one.
     """
 
     _MAX_RECORDED_VIOLATIONS = 200
@@ -329,102 +327,90 @@ class RunMetrics:
         """Record the world after ``event``. ``newly_detected`` is what the
         event's handler returned; a caller that cannot tell passes True.
 
-        With the monitor off and no trace, the caller must keep the event
-        loop's contract (see ``engine``): at the clock of the previous
-        observed event, the handler moved no normal phase but its actor's,
-        and an adversary pulse moved none. Across a clock change any phase
-        may have moved.
+        The caller must keep the event loop's unchanged-clock contract (see
+        ``engine``).
         """
         k = self._k = world.event_count
         self._delta = None
+        node = event.node
+        kind = event.kind
+        # A clock change may have moved every phase; at the same clock only
+        # the actor's phase can have moved, and an adversary pulse's actor is
+        # faulty.
         clock = world.clock
-        if self._tracks_radii:
-            oscillators = self._normal_oscillators
-            phases = self._phases = [osc.phase for osc in oscillators]
-            omegas = [osc.omega for osc in oscillators]
-            lo = self._lo = min(omegas)
-            hi = self._hi = max(omegas)
-            self.freq_window.push(k, lo, hi)
-            floor, ceiling, spread_w = self.freq_window.at(k)
-            # The handlers never move the clock or the virtual node, so this
-            # is the step the event loop advanced the phases by.
-            dt = clock - self._clock
+        if clock != self._clock:
+            if self._tracks_radii:
+                # The handlers never move the clock or the virtual node, so
+                # this is the step the event loop advanced the phases by.
+                self.virtual.advance(clock - self._clock)
             self._clock = clock
-            if dt > 0.0:
-                self.virtual.advance(dt)
+            self._phases = [osc.phase for osc in self._normal_oscillators]
+        elif kind is not EventKind.ADVERSARY_PULSE:
+            self._phases[self._slots[node]] = world.oscillators[node].phase
+        if kind is EventKind.UPDATE:
+            # An update writes only its actor's frequency. Equal nonzero
+            # floats are one float, so a held frequency moves nothing. A
+            # value past an extremum becomes it; an extremum that the old and
+            # the new value both lie strictly inside stays; anything else (a
+            # tie, the holder moving inward, a NaN) rescans. So the extrema
+            # are the floats ``min`` and ``max`` of the whole list would
+            # return.
+            omegas = self._omegas
+            slot = self._slots[node]
+            old = omegas[slot]
+            new = world.oscillators[node].omega
+            if new != old or new == 0.0:
+                omegas[slot] = new
+                lo, hi = self._lo, self._hi
+                if new < lo:
+                    self._lo = new
+                elif not (new > lo and old > lo):
+                    self._lo = min(omegas)
+                if new > hi:
+                    self._hi = new
+                elif not (new < hi and old < hi):
+                    self._hi = max(omegas)
+                self.freq_window.push(k, self._lo, self._hi)
+        if self._tracks_radii:
+            floor, ceiling, spread_w = self.freq_window.at(k)
             self.virtual.omega = floor
-            radius_max, v = self._push_radii(k, phases)
-        else:
-            # A clock change may have moved every phase; at the same clock
-            # only the actor's phase can have moved, and an adversary
-            # pulse's actor is faulty.
-            node = event.node
-            kind = event.kind
-            if clock != self._clock:
-                self._clock = clock
-                self._phases = [osc.phase for osc in self._normal_oscillators]
-            elif kind is not EventKind.ADVERSARY_PULSE:
-                self._phases[self._slots[node]] = world.oscillators[node].phase
-            if kind is EventKind.UPDATE:
-                # An update writes only its actor's frequency. Equal nonzero
-                # floats are one float, so a held frequency moves nothing. A
-                # value past an extremum becomes it; an extremum that the old
-                # and the new value both lie strictly inside stays; anything
-                # else (a tie, the holder moving inward, a NaN) rescans. So
-                # the extrema are the floats ``min`` and ``max`` of the whole
-                # list would return.
-                omegas = self._omegas
-                slot = self._slots[node]
-                old = omegas[slot]
-                new = world.oscillators[node].omega
-                if new != old or new == 0.0:
-                    omegas[slot] = new
-                    lo, hi = self._lo, self._hi
-                    if new < lo:
-                        self._lo = new
-                    elif not (new > lo and old > lo):
-                        self._lo = min(omegas)
-                    if new > hi:
-                        self._hi = new
-                    elif not (new < hi and old < hi):
-                        self._hi = max(omegas)
-                    self.freq_window.push(k, self._lo, self._hi)
-
-        if self.mode != "off":
-            delta = self.delta
-            if not (lo >= self.hull[0] - 1e-9 and hi <= self.hull[1] + 1e-9):
-                self._fail(f"frequency left the initial hull at event {k}")
-            if not delta < 0.5:
-                self._fail(f"containing arc reached {delta:.6f} >= 0.5 at event {k}")
-            if not floor >= self._prev_floor - 1e-12:
-                self._fail(f"windowed frequency floor decreased at event {k}")
-            if not ceiling <= self._prev_ceiling + 1e-12:
-                self._fail(f"windowed frequency ceiling increased at event {k}")
-            step = k // self._period
-            if step != self._envelope_step:
-                self._envelope_step = step
-                self._envelope = decay_envelope(
-                    self.spread0, self.alpha, self.window_len, self.normal_count, k
-                )
-            if not spread_w <= self._envelope + 1e-9:
-                self._fail(f"windowed spread {spread_w:.3e} broke its decay envelope at event {k}")
-            # The tail and radius-spread properties read the virtual node as
-            # the rear of the shortest containing arc, which is only defined
-            # while that arc spans less than a half circle.  The reference
-            # runs at the windowed floor, so a wide or slow start lets the
-            # pack pull more than half a turn ahead; past that point the arc
-            # flips orientation and the two checks stop being meaningful for
-            # the rest of the run.
-            # No check compares the arc with V: every normal phase lies on
-            # the arc from the virtual node plus the smallest radius to it
-            # plus the largest, so the current radius spread, and V, covers it.
-            arc_with_virtual = containing_arc(phases + [self.virtual.phase]).length
-            if self.virtual_in_range and arc_with_virtual >= 0.5:
-                self.virtual_in_range = False
-            if self.virtual_in_range and not abs(arc_with_virtual - radius_max) <= 1e-9:
-                self._fail(f"virtual node left the tail of the containing arc at event {k}")
-            self._prev_floor = floor
-            self._prev_ceiling = ceiling
+            radius_max, v = self._push_radii(k, self._phases)
+            if self.mode != "off":
+                delta = self.delta
+                if not (self._lo >= self.hull[0] - 1e-9 and self._hi <= self.hull[1] + 1e-9):
+                    self._fail(f"frequency left the initial hull at event {k}")
+                if not delta < 0.5:
+                    self._fail(f"containing arc reached {delta:.6f} >= 0.5 at event {k}")
+                if not floor >= self._prev_floor - 1e-12:
+                    self._fail(f"windowed frequency floor decreased at event {k}")
+                if not ceiling <= self._prev_ceiling + 1e-12:
+                    self._fail(f"windowed frequency ceiling increased at event {k}")
+                step = k // self._period
+                if step != self._envelope_step:
+                    self._envelope_step = step
+                    self._envelope = decay_envelope(
+                        self.spread0, self.alpha, self.window_len, self.normal_count, k
+                    )
+                if not spread_w <= self._envelope + 1e-9:
+                    self._fail(f"windowed spread {spread_w:.3e} broke its decay envelope at event {k}")
+                # The tail and radius-spread properties read the virtual node
+                # as the rear of the shortest containing arc, which is only
+                # defined while that arc spans less than a half circle.  The
+                # reference runs at the windowed floor, so a wide or slow
+                # start lets the pack pull more than half a turn ahead; past
+                # that point the arc flips orientation and the two checks
+                # stop being meaningful for the rest of the run.
+                # No check compares the arc with V: every normal phase lies
+                # on the arc from the virtual node plus the smallest radius
+                # to it plus the largest, so the current radius spread, and
+                # V, covers it.
+                arc_with_virtual = containing_arc(self._phases + [self.virtual.phase]).length
+                if self.virtual_in_range and arc_with_virtual >= 0.5:
+                    self.virtual_in_range = False
+                if self.virtual_in_range and not abs(arc_with_virtual - radius_max) <= 1e-9:
+                    self._fail(f"virtual node left the tail of the containing arc at event {k}")
+                self._prev_floor = floor
+                self._prev_ceiling = ceiling
 
         if newly_detected:
             mask = self._detected_mask

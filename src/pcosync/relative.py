@@ -113,17 +113,14 @@ class RelativeProtocol(MsrRound):
             return True
         osc = world.oscillators[i]
         omega = osc.omega
-        ratio_log = self.ratio_log
         # The slots, in in-neighbor order, hold each completed pair's ratio;
         # an empty slot and coincident stamps (0.0) give no estimate.
-        if ratio_log is None:
-            ratios = [r for r in osc.ratios if r]
-        else:
-            ratios = []
+        ratios = [r for r in osc.ratios if r]
+        ratio_log = self.ratio_log
+        if ratio_log is not None:
             senders = self.pair_senders
             for k, (j, r) in enumerate(zip(world.graph.in_neighbors[i], osc.ratios)):
                 if r:
-                    ratios.append(r)
                     ratio_log.append((world.clock, i, j, r, omega, senders[i, k]))
         # Missing pairs (senders whose start or end pulse fell outside this
         # round) shrink the candidate set; with 2*trim or fewer candidates

@@ -278,7 +278,8 @@ def _bisect_point(
     rate_cap = evaluator.rate(grid_index, spec.spread_cap)
     if rate_cap >= threshold:
         return FrontierPoint(arc0, spec.spread_cap, rate_cap)
-    rate_zero = evaluator.rate(grid_index, 0.0)
+    # A zero cap is zero spread: its rate is already known.
+    rate_zero = rate_cap if spec.spread_cap == 0.0 else evaluator.rate(grid_index, 0.0)
     if rate_zero < threshold:
         return FrontierPoint(arc0, 0.0, rate_zero)
     lo, rate_lo = 0.0, rate_zero

@@ -315,18 +315,25 @@ def fresh(phases=(0.0, 0.3), omegas=(1.0, 1.2), mode="warn", window_len=None):
 
 
 def observe(world, metrics, phases=None, omegas=None, advance=0.0):
-    # Moves every phase at one clock, which only the tracked path (monitor on
-    # or trace collected, as in ``fresh``) allows; the untracked path rests
-    # on the event loop's unchanged-clock contract, see ``untracked``.
-    if phases is not None:
-        for osc, p in zip(world.oscillators, phases):
-            osc.phase = p
-    if omegas is not None:
-        for osc, w in zip(world.oscillators, omegas):
-            osc.omega = w
+    """Set the given phases and frequencies, advance the clock, and observe
+    the event the loop would have run: an update of the one node whose
+    frequency changed, else a fire of the one node whose phase moved (node 0
+    if none did). As the event loop's unchanged-clock contract requires (see
+    ``engine``), a step that moves more than one node advances the clock."""
+    oscillators = world.oscillators
+    changed = [i for i, w in enumerate(omegas or ()) if not w == oscillators[i].omega]
+    moved = [i for i, p in enumerate(phases or ()) if not p == oscillators[i].phase]
+    assert len(changed) <= 1, "an update writes one frequency"
+    node = (changed or moved or [0])[0]
+    assert advance > 0.0 or set(changed + moved) <= {node}, "several nodes moved at one clock"
+    for i in moved:
+        oscillators[i].phase = phases[i]
+    for i in changed:
+        oscillators[i].omega = omegas[i]
     world.clock += advance
     world.event_count += 1
-    return metrics.observe(world, Event(time=world.clock, kind=EventKind.FIRE, node=0))
+    kind = EventKind.UPDATE if changed else EventKind.FIRE
+    return metrics.observe(world, Event(time=world.clock, kind=kind, node=node))
 
 
 def test_initial_snapshot():
@@ -391,19 +398,20 @@ def test_virtual_checks_stop_once_the_arc_passes_half():
     # Pack plus virtual node fits well inside a half circle: checked, clean.
     observe(world, metrics, phases=[0.3, 0.4], advance=0.3)
     assert metrics.virtual_in_range and metrics.violations == []
-    # Pack pulls half a turn ahead of the reference (virtual node sits at
-    # 0.3, so the covering arc spans 0.52): checks latch off without firing.
-    observe(world, metrics, phases=[0.78, 0.82])
+    # Pack pulls half a turn ahead of the reference (a whole turn at the
+    # floor 1.0 brings the virtual node back to 0.3, so the covering arc
+    # spans 0.52): checks latch off without firing.
+    observe(world, metrics, phases=[0.78, 0.82], advance=1.0)
     assert not metrics.virtual_in_range
     assert metrics.violations == []
     # Still off even though this arrangement would fail the tail property.
-    observe(world, metrics, phases=[0.9, 0.2])
+    observe(world, metrics, phases=[0.9, 0.2], advance=1.0)
     assert metrics.violations == []
 
 
 def test_virtual_tail_violation_is_flagged_while_in_range():
     world, metrics = fresh()
-    observe(world, metrics, phases=[0.9, 0.1])  # virtual sits inside the pack
+    observe(world, metrics, phases=[0.9, 0.1], advance=1.0)  # virtual sits inside the pack
     assert any("tail" in v for v in metrics.violations)
 
 
@@ -418,7 +426,7 @@ def test_detection_events_record_first_sightings():
 
 def test_convergence_needs_a_full_quiet_window():
     world, metrics = fresh(window_len=3)
-    observe(world, metrics, phases=[0.2, 0.2], omegas=[1.0, 1.0])
+    observe(world, metrics, phases=[0.2, 0.2], omegas=[1.0, 1.0], advance=1.0)
     observe(world, metrics)
     assert not metrics.converged
     observe(world, metrics)
@@ -428,7 +436,8 @@ def test_convergence_needs_a_full_quiet_window():
 def untracked(phases, tol_phase):
     """Monitor-off, untraced metrics over equal frequencies, and a step that
     sets every phase at a new clock, as the event loop's contract requires
-    of the untracked path; it counts the arcs ``observe`` computes."""
+    of a step that moves several nodes; it counts the arcs ``observe``
+    computes."""
     n = len(phases)
     world = WorldState(
         graph=complete_digraph(n),
@@ -512,7 +521,7 @@ def test_violation_recording_is_capped():
     ({}, [dict(phases=[0.0, 0.5])], [
         "containing arc reached 0.500000 >= 0.5 at event 1",
     ]),
-    ({}, [dict(phases=[0.9, 0.1])], [
+    ({}, [dict(phases=[0.9, 0.1], advance=1.0)], [
         "virtual node left the tail of the containing arc at event 1",
     ]),
     # A NaN phase fails every comparison.

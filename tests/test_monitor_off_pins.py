@@ -1,13 +1,13 @@
 """Frozen results of monitor-off runs on complete digraphs of 16 and 64 nodes.
 
-The trace digests pin the path ``observe`` takes when a trace is collected
-or the monitor is on, at up to 9 nodes (16 for two runs). Runs with the
-monitor off and no trace take a lighter path: the frequency extrema follow
-the updated node; the normal phases are kept in place, reread in full only
-when the clock moves and otherwise only at the actor's slot; and once the
-frequencies have converged, the arc is computed only when the witness pair
-(the tail and head nodes of the last arc found wider than ``tol_phase``)
-cannot rule it out. These values pin that path at the sizes of the
+The trace digests pin ``observe`` when a trace is collected or the monitor
+is on, at up to 9 nodes (16 for two runs). In every mode the frequency
+extrema follow the updated node; the normal phases are kept in place, reread
+in full only when the clock moves and otherwise only at the actor's slot;
+and once the frequencies have converged, the arc is computed only when the
+witness pair (the tail and head nodes of the last arc found wider than
+``tol_phase``) cannot rule it out. Runs with the monitor off and no trace
+skip only the virtual node. These values pin them at the sizes of the
 benchmark's ``large_n`` workload: initial phases within 0.3 of a turn and
 frequencies within 5%, so every run converges. The final frequencies are
 pinned by the SHA-256 digest of their ``repr``. The number of arcs each run

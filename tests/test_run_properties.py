@@ -185,12 +185,25 @@ def test_monitor_and_trace_leave_every_reported_value_unchanged(config):
     assert (last.delta, last.delta_windowed) == (plain.metrics.delta, plain.metrics.delta_windowed)
 
 
+# The observer modes ``observe`` runs in: the monitor off or on, a trace
+# collected or not.
+_OBSERVERS = st.tuples(st.sampled_from(["off", "warn"]), st.booleans())
+
+
+def _observed_run(config, observer):
+    monitor, traced = observer
+    result = run_scenario(dataclasses.replace(config, monitor=monitor), validate=False,
+                          collect_trace=traced)
+    assert result.metrics._tracks_radii == (monitor != "off" or traced)
+    return result
+
+
 @settings(max_examples=100, deadline=None)
-@given(config=_robust_scenarios() | _attacked_scenarios())
-def test_untracked_frequency_extrema_follow_every_update(config):
-    # With the monitor off and no trace, an update moves the extrema from the
-    # updated node alone; after every event they must be the floats min and
-    # max of the normal frequencies return.
+@given(config=_robust_scenarios() | _attacked_scenarios(), observer=_OBSERVERS)
+def test_kept_frequency_extrema_follow_every_update(config, observer):
+    # In every observer mode an update moves the extrema from the updated
+    # node alone; after every event they must be the floats min and max of
+    # the normal frequencies return.
     observe = RunMetrics.observe
     checked = []
 
@@ -202,20 +215,19 @@ def test_untracked_frequency_extrema_follow_every_update(config):
         checked.append(event.kind)
 
     with mock.patch.object(RunMetrics, "observe", checking_observe):
-        plain = run_scenario(config, validate=False)
-    assert len(checked) == plain.world.event_count
-    assert not plain.metrics._tracks_radii
-    traced = run_scenario(config, validate=False, collect_trace=True)
-    assert _summary(plain) == _summary(traced)
+        observed = _observed_run(config, observer)
+    assert len(checked) == observed.world.event_count
+    other = run_scenario(config, validate=False, collect_trace=not observer[1])
+    assert _summary(observed) == _summary(other)
 
 
 @settings(max_examples=100, deadline=None)
-@given(config=_robust_scenarios() | _attacked_scenarios())
-def test_untracked_phases_and_streak_follow_every_event(config):
-    # With the monitor off and no trace, observe rereads the phases only when
-    # the clock moves, and lets its witness pair rule the arc out where it
-    # can. After every event the kept phases must be the world's, and the
-    # streak and convergence what computing the arc at every event gives.
+@given(config=_robust_scenarios() | _attacked_scenarios(), observer=_OBSERVERS)
+def test_kept_phases_and_streak_follow_every_event(config, observer):
+    # In every observer mode observe rereads the phases only when the clock
+    # moves, and lets its witness pair rule the arc out where it can. After
+    # every event the kept phases must be the world's, and the streak and
+    # convergence what computing the arc at every event gives.
     observe = RunMetrics.observe
     reference = {"streak": 0, "converged": False}
 
@@ -234,15 +246,14 @@ def test_untracked_phases_and_streak_follow_every_event(config):
             world.event_count, event)
 
     with mock.patch.object(RunMetrics, "observe", checking_observe):
-        plain = run_scenario(config, validate=False)
-    assert not plain.metrics._tracks_radii
-    event(f"outcome {plain.outcome}")
+        observed = _observed_run(config, observer)
+    event(f"outcome {observed.outcome}")
 
 
 class ContractCheckingProtocol:
     """A protocol wrapper that checks, around every handler call, the event
-    loop's unchanged-clock contract that event selection and the untracked
-    ``observe`` both rely on (see ``engine``): a handler moves no normal
+    loop's unchanged-clock contract that event selection and ``observe``
+    both rely on (see ``engine``): a handler moves no normal
     phase but its actor's and never the clock, and an adversary pulse moves
     no normal phase. Every other attribute is the wrapped protocol's;
     ``checked`` counts the handler calls that returned."""

@@ -202,6 +202,20 @@ def test_each_point_counts_the_trials_its_evaluations_ran(cpus, monkeypatch):
     assert sweep_frontier(spec, parallelism=2) == serial
 
 
+@pytest.mark.parametrize("cap", [0.0, -0.0])
+def test_a_zero_cap_evaluates_each_failing_point_once(cap):
+    # The cap is zero spread, so a point that fails there is reported from
+    # that one evaluation, with the bytes a second one at zero spread gave.
+    spec = small_spec(spread_cap=cap, synchronized_only=True)
+    points = sweep_frontier(spec)
+    assert [point.trials for point in points] == [spec.trials] * 2
+    assert sweep.format_frontier(points) == (
+        "Delta0,delta0_max,success_rate\n"
+        "0.05,0.0,0.0\n"
+        "0.45,0.0,0.1111111111111111\n"
+    )
+
+
 # SHA-256 of the frontier CSV of three small sweeps. A digest may only change
 # together with a CHANGES.md entry naming the intended change in output.
 FRONTIER_DIGESTS = {
