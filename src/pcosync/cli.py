@@ -39,11 +39,11 @@ def _load(path: str):
 
 
 def _apply_overrides(config, args) -> None:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "horizon", None) is not None:
+    if args.horizon is not None:
         config.horizon = args.horizon
-    if getattr(args, "algorithm", None) is not None:
+    if args.algorithm is not None:
         config.algorithm = args.algorithm
 
 
@@ -173,7 +173,7 @@ def _cmd_sweep(args) -> int:
             trials=args.trials,
             spread_cap=args.spread_cap,
             bisect_tol=args.tol,
-            seed=args.seed if args.seed is not None else config.seed,
+            seed=config.seed,
             success_threshold=args.threshold,
             synchronized_only=args.synchronized_only,
         )

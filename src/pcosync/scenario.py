@@ -279,6 +279,16 @@ class ScenarioConfig:
             worst = max(self.graph.in_degrees[i] for i in normal)
             if not (alpha > 0.0 and alpha * (worst + 1) <= 1.0 + 1e-12):
                 problems.append(f"neighbor weight {alpha} is infeasible at in-degree {worst}")
+        if normal and self.window_len is not None and self.window_len >= 1:
+            # The monitor's decay envelope and the admissibility bounds raise
+            # the weight floor to this power as a float.
+            try:
+                float(self.window_len * len(normal))
+            except OverflowError:
+                problems.append(
+                    f"window_len times the {len(normal)} normal nodes must fit in a float "
+                    f"(below about 1.8e308)"
+                )
 
         for key, spec in (("phases", self.phases), ("frequencies", self.frequencies)):
             if isinstance(spec, RandomInterval):

@@ -8,17 +8,23 @@ underlying draws (common random numbers); this keeps the per-trial response
 nearly monotone in the spread and makes serial and parallel execution
 byte-identical.
 
-Each process checks and builds the base scenario once and keeps its
-prepared scenario: the gate runs in the calling process before any trial or
-worker starts, so a base no run can use raises UnrunnableScenarioError
-there. A trial normalizes its draws as a scenario's are, makes a fresh
-world, which refuses them as it would a run's, and runs it with ``run_built``.
-Each process also keeps every trial's draws while the sweep stays at one
-grid point: a trial's phases do not depend on the spread, and its
-frequencies are rebuilt from the kept unit draws with numpy's own
-``uniform`` formula. A parallel sweep sends the base scenario to each
-worker once, when the pool starts, and then sends each evaluation's trial
-indices in a few chunks.
+Each process checks and builds the base scenario once, with the sweep's
+seed: the gate runs in the calling process before any trial or worker
+starts, so a base no run can use raises UnrunnableScenarioError there. Each
+process also keeps every trial's draws while the sweep stays at one grid
+point: a trial's phases do not depend on the spread, and its frequencies
+are rebuilt from the kept unit draws with numpy's own ``uniform`` formula.
+A trial normalizes its draws as a scenario's are, runs them with
+``run_built`` on a fresh world, which refuses them as it would a run's, and
+returns the run's outcome.
+
+Serial and pooled sweeps run trials alike: each evaluation maps one
+callable of the trial index over its trials, with the builtin ``map`` or
+the pool's, in trial-index order, and ``_Evaluator.rate`` alone judges the
+outcomes. A pool sends each worker the base and the seed once, through its
+initializer, and then each evaluation's trial indices in a few chunks. The
+calling process keeps no sweep state at module level: it passes its own
+prepared base to each serial trial.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -110,9 +116,9 @@ def uniform(low: float, high: float, units: list[float]) -> list[float]:
 class PreparedBase:
     """What the trials of one sweep share in one process: the prepared
     scenario of the base with a trial's overrides, checked and built once,
-    and each trial's draws at the current grid point."""
+    the sweep's seed, and each trial's draws at the current grid point."""
 
-    def __init__(self, base: ScenarioConfig):
+    def __init__(self, base: ScenarioConfig, seed: int):
         n = base.graph.node_count
         # Placeholder initial values of the right length, which normalize to
         # themselves; each trial's world checks its own draws.
@@ -120,35 +126,30 @@ class PreparedBase:
             base, phases=[0.0] * n, frequencies=[1.0] * n, monitor="off"
         ).build()[0]
         self.n = n
+        self.seed = seed
         self._point = None
         self._draws: dict[int, tuple[list[float], list[float]]] = {}
 
-    def draws(self, grid_index: int, trial_index: int, arc0: float, seed: int):
+    def draws(self, grid_index: int, trial_index: int, arc0: float):
         """The trial's normalized phases and its frequencies' unit draws,
         kept until a trial at another grid point asks."""
-        point = (grid_index, arc0, seed)
+        point = (grid_index, arc0)
         if point != self._point:
             self._point = point
             self._draws = {}
         drawn = self._draws.get(trial_index)
         if drawn is None:
-            u0, u1 = unit_draws(seed, grid_index, trial_index, self.n)
+            u0, u1 = unit_draws(self.seed, grid_index, trial_index, self.n)
             phases = normalized_phases(uniform(0.0, arc0, u0), self.prepared.normal_ids)
             drawn = self._draws[trial_index] = phases, u1
         return drawn
 
 
 def run_trial(
-    base: PreparedBase,
-    grid_index: int,
-    trial_index: int,
-    arc0: float,
-    spread0: float,
-    seed: int,
-    synchronized_only: bool,
-) -> bool:
-    """One Monte Carlo trial on the prepared base; the sweep calls it once
-    per trial.
+    base: PreparedBase, grid_index: int, trial_index: int, arc0: float, spread0: float
+) -> str:
+    """One Monte Carlo trial on the prepared base, and its run's outcome;
+    the sweep calls it once per trial.
 
     Phases are drawn uniformly on [0, arc0) and frequencies on
     [1, 1 + spread0), phases first, which keeps the phase sample fixed
@@ -156,29 +157,27 @@ def run_trial(
     are, over the normal nodes only. The trial runs them on a fresh world
     with the base's protocol and scripts, which refuses them as it would a
     single run's initial values."""
-    phases, units = base.draws(grid_index, trial_index, arc0, seed)
+    phases, units = base.draws(grid_index, trial_index, arc0)
     prepared = base.prepared
     freqs = normalized_frequencies(uniform(1.0, 1.0 + spread0, units), prepared.normal_ids)
-    outcome = run_built(prepared, prepared.world(phases, freqs))[0]
-    if outcome == "converged":
-        return True
-    return outcome == "detected" and not synchronized_only
+    return run_built(prepared, prepared.world(phases, freqs))[0]
 
 
 # A pool worker's prepared copy of the sweep's base scenario, set once per
-# worker by the pool initializer; the parent process never sets it.
+# worker by the pool initializer; the calling process never sets it.
 _worker_base: PreparedBase | None = None
 
 
-def _set_worker_base(base: ScenarioConfig) -> None:
+def _set_worker_base(base: ScenarioConfig, seed: int) -> None:
     global _worker_base
-    _worker_base = PreparedBase(base)
+    _worker_base = PreparedBase(base, seed)
 
 
-def _worker_trial(grid_index, trial_index, arc0, spread0, seed, synchronized_only) -> bool:
-    return run_trial(
-        _worker_base, grid_index, trial_index, arc0, spread0, seed, synchronized_only
-    )
+def _trial(base: PreparedBase | None, grid_index, arc0, spread0, trial_index) -> str:
+    """``run_trial`` as a callable of the trial index, looked up on the
+    module at each call; ``base`` is None in a pool's chunks, whose workers
+    run on the base their initializer prepared."""
+    return run_trial(base or _worker_base, grid_index, trial_index, arc0, spread0)
 
 
 def pool_size(parallelism: int, trials: int) -> int:
@@ -197,39 +196,33 @@ def pool_size(parallelism: int, trials: int) -> int:
 
 class _Evaluator:
     """Runs one (grid point, spread) evaluation across all trials and
-    aggregates by trial index, so completion order never matters."""
+    judges their outcomes by trial index, so completion order never
+    matters."""
 
     def __init__(
         self, spec: SweepSpec, base: PreparedBase, executor: ProcessPoolExecutor | None,
         workers: int,
     ):
         self.spec = spec
-        self.base = base
-        self.executor = executor
-        # About four chunks per worker: few submissions, and a slow chunk
-        # leaves the other workers little to wait for.
-        self.chunksize = math.ceil(spec.trials / (4 * workers))
+        if executor is None:
+            self.base, self.map = base, map
+        else:
+            # About four chunks per worker: few submissions, and a slow
+            # chunk leaves the other workers little to wait for.
+            chunksize = math.ceil(spec.trials / (4 * workers))
+            self.base, self.map = None, partial(executor.map, chunksize=chunksize)
         self.trials = 0  # trials run so far, over every evaluation
 
     def rate(self, grid_index: int, spread0: float) -> float:
         spec = self.spec
-        arc0 = spec.arc_grid[grid_index]
-        n = spec.trials
-        self.trials += n
-        if self.executor is None:
-            outcomes = [
-                run_trial(self.base, grid_index, t, arc0, spread0, spec.seed,
-                          spec.synchronized_only)
-                for t in range(n)
-            ]
-        else:
-            # map yields in trial-index order, whatever order chunks finish in.
-            outcomes = self.executor.map(
-                _worker_trial, repeat(grid_index, n), range(n), repeat(arc0, n),
-                repeat(spread0, n), repeat(spec.seed, n), repeat(spec.synchronized_only, n),
-                chunksize=self.chunksize,
-            )
-        return sum(outcomes) / n
+        self.trials += spec.trials
+        trial = partial(_trial, self.base, grid_index, spec.arc_grid[grid_index], spread0)
+        # A trial succeeds when its run converged or, unless the spec counts
+        # only synchronized runs, when it ended on a detection.
+        passed = ("converged",) if spec.synchronized_only else ("converged", "detected")
+        # Either map yields in trial-index order, whatever order chunks finish in.
+        outcomes = self.map(trial, range(spec.trials))
+        return sum(outcome in passed for outcome in outcomes) / spec.trials
 
 
 def sweep_frontier(
@@ -249,11 +242,11 @@ def sweep_frontier(
     the first trial whose draws no run can use raises it when it runs.
     """
     workers = pool_size(parallelism, spec.trials)
-    base = PreparedBase(spec.base)
+    base = PreparedBase(spec.base, spec.seed)
     executor = None
     if workers > 1:
         executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_worker_base, initargs=(spec.base,)
+            max_workers=workers, initializer=_set_worker_base, initargs=(spec.base, spec.seed)
         )
     try:
         evaluator = _Evaluator(spec, base, executor, workers)

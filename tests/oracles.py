@@ -602,7 +602,7 @@ def materialized_pulses(scripts, horizon):
 # normalize the draws, over the normal nodes only.
 
 
-def scenario_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synchronized_only):
+def scenario_run_trial(base, grid_index, trial_index, arc0, spread0, seed):
     import dataclasses
 
     import numpy as np
@@ -621,10 +621,7 @@ def scenario_run_trial(base, grid_index, trial_index, arc0, spread0, seed, synch
         normalize_frequencies=True,
         monitor="off",
     )
-    result = run_scenario(config, validate=False, collect_trace=False)
-    if result.outcome == "converged":
-        return True
-    return result.outcome == "detected" and not synchronized_only
+    return run_scenario(config, validate=False, collect_trace=False).outcome
 
 
 # -- previous attacker build -------------------------------------------------

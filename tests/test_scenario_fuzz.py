@@ -182,6 +182,11 @@ def test_a_random_text_file_exits_0_or_2(text):
 # number in the file, or in a run stuck at one clock; each now exits 2 with
 # one violation line naming the value. Sizes sit just past each limit.
 _STEALTHY = BASES[0]["attackers"][0]
+_NOMINAL_DEMO8 = {
+    **json.loads((Path(__file__).resolve().parent.parent / "scenarios" / "nominal_sync.json")
+                 .read_text()),
+    "graph": {"named": "demo8"},
+}
 REFUSED = {
     "tiny_period": (
         _replaced(BASES[0], ("attackers", 0), {**_STEALTHY, "period": 1e-310, "offsets": [0.0],
@@ -213,6 +218,12 @@ REFUSED = {
     "draw_range_past_the_largest_float": (
         _replaced(BASES[0], ("phases", "random"), {"low": -1e308, "high": 1e308}),
         "phases draw range must be finite",
+    ),
+    # The decay envelope and the admissibility bounds raise the weight floor
+    # to window_len times the normal node count as a float.
+    "window_past_the_largest_float": (
+        {**_NOMINAL_DEMO8, "window_len": 10**400},
+        "window_len times the 8 normal nodes must fit in a float",
     ),
     "draw_range_from_high_down_to_low": (
         _replaced(BASES[0], ("frequencies", "random", "low"), 2), "from low up to high"
@@ -246,6 +257,20 @@ def test_a_file_past_a_limit_exits_2_naming_it(case, capsys, tmp_path):
         lines = (captured.out + captured.err).splitlines()
         violations = [line for line in lines if line.startswith("violation:")]
         assert len(violations) == 1 and message in violations[0]
+
+
+def test_a_window_past_the_largest_float_is_refused_by_sweep_and_one_below_it_runs(
+    capsys, tmp_path
+):
+    refused, runs = tmp_path / "refused.json", tmp_path / "runs.json"
+    refused.write_text(json.dumps({**_NOMINAL_DEMO8, "window_len": 10**400}))
+    runs.write_text(json.dumps({**_NOMINAL_DEMO8, "window_len": 10**20}))
+    out = tmp_path / "frontier.csv"
+    command = ["sweep", str(refused), "--grid", "0.05", "--trials", "1", "--output", str(out)]
+    assert main(command) == 2
+    assert "violation: window_len times the 8 normal nodes" in capsys.readouterr().err
+    assert main(["run", str(runs)]) == 0
+    assert "outcome: horizon" in capsys.readouterr().out
 
 
 

@@ -306,11 +306,11 @@ def test_rebuilt_draws_equal_numpy_uniform_bit_for_bit(seed, grid_index, trial_i
 
 
 @functools.lru_cache(maxsize=None)
-def prepared_base(algorithm: str):
-    """One prepared base per algorithm, shared by every example below, so
-    its draws move between grid points as the examples do."""
+def prepared_base(algorithm: str, seed: int):
+    """One prepared base per algorithm and seed, shared by every example
+    below, so its draws move between grid points as the examples do."""
     base = dataclasses.replace(small_spec().base, algorithm=algorithm)
-    return base, sweep.PreparedBase(base)
+    return base, sweep.PreparedBase(base, seed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,10 +321,28 @@ def prepared_base(algorithm: str):
     arc0=st.sampled_from([0.0, 0.05, 0.25, 0.45]),
     spread0=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     seed=st.integers(0, 3),
-    synchronized_only=st.booleans(),
 )
 def test_a_trial_matches_the_former_build_and_run(algorithm, grid_index, trial_index, arc0,
-                                                  spread0, seed, synchronized_only):
-    base, prepared = prepared_base(algorithm)
-    args = (grid_index, trial_index, arc0, spread0, seed, synchronized_only)
-    assert sweep.run_trial(prepared, *args) == scenario_run_trial(base, *args)
+                                                  spread0, seed):
+    base, prepared = prepared_base(algorithm, seed)
+    args = (grid_index, trial_index, arc0, spread0)
+    assert sweep.run_trial(prepared, *args) == scenario_run_trial(base, *args, seed)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_sweep_inside_another_sweeps_progress_callback_changes_neither(cpus, parallelism):
+    cpus(2)
+    outer = small_spec(seed=3)
+    inner = small_spec(
+        base=dataclasses.replace(outer.base, algorithm="relative"), arc_grid=(0.25,),
+        seed=11, synchronized_only=True,
+    )
+    alone = sweep.format_frontier(sweep_frontier(outer)), sweep.format_frontier(sweep_frontier(inner))
+    inner_csvs = []
+
+    def progress(point):
+        inner_csvs.append(sweep.format_frontier(sweep_frontier(inner)))
+
+    nested = sweep_frontier(outer, parallelism=parallelism, progress=progress)
+    assert sweep.format_frontier(nested) == alone[0]
+    assert inner_csvs == [alone[1]] * len(outer.arc_grid)
