@@ -21,6 +21,7 @@ from .engine import (
     Event,
     EventKind,
     OscillatorState,
+    PulseTape,
     WorldState,
     simulate,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "MsrParams",
     "OscillatorState",
     "ProtocolFault",
+    "PulseTape",
     "RandomInterval",
     "RelativeProtocol",
     "RunMetrics",

@@ -4,14 +4,17 @@ A misbehaving node never runs the protocol; it is a pulse source driven by
 a fixed schedule, with a frequency claim attached to each counted pulse. A
 schedule gives its pulses up to a horizon as sorted streams together with
 each stream's exact count, so a script contributes finitely many events,
-the engine's liveness budget stays meaningful, and a run pays only for the
-pulses it consumes. Nothing is materialized up front: a periodic schedule
-computes each pulse time when the run reaches it, and an explicit one reads
-a prefix of its sorted times. The stealth check walks the same merged
-streams and stops at the first gap shorter than a period. A periodic
-schedule is refused by arithmetic alone when it would hold more than
-``MAX_SCRIPTED_PULSES`` pulses by the horizon; every pulse time is finite,
-since sorting and bisection are undefined over NaN.
+the engine's liveness budget stays meaningful, and pulses are computed only
+when a run reaches them. Nothing is materialized up front: a periodic
+schedule computes each pulse time when a run first reaches it, and an
+explicit one reads a prefix of its sorted times. The engine's ``PulseTape``
+merges the streams and evaluates each counted pulse's claim once per
+prepared scenario and process; every run of that scenario reads the tape.
+The stealth check walks the same merged streams and stops at the first gap
+shorter than a period. A periodic schedule is refused by arithmetic alone
+when it would hold more than ``MAX_SCRIPTED_PULSES`` pulses by the horizon;
+every pulse time is finite, since sorting and bisection are undefined over
+NaN.
 """
 
 from __future__ import annotations
@@ -161,7 +164,9 @@ class AttackScript:
     ``start_emission_times`` that of forged start pulses (only read by the
     relative-frequency protocol); each gives its pulses up to a horizon as
     sorted streams with exact counts. ``freq_claim`` is evaluated at each
-    counted emission time.
+    counted emission time, once per prepared scenario and process, and
+    every run reads that value, so it must be a function of the scripted
+    time alone; the named, constant and custom claims are.
     """
 
     node: int

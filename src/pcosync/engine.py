@@ -404,8 +404,10 @@ def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float,
     """Every scripted pulse up to the horizon, and how many there are.
 
     The pulses come as (time, node, is_start) triples in the order of that
-    tuple, merged lazily from the schedules' sorted streams: a run computes
-    only the pulses it consumes. Equal triples come in stream order.
+    tuple, merged lazily from the schedules' sorted streams: nothing is
+    computed before a reader asks for it. Equal triples come in stream
+    order. ``PulseTape`` is the one reader, once per prepared scenario and
+    process; every run then reads the tape.
     """
     total = 0
     streams = []
@@ -419,16 +421,56 @@ def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float,
     return total, merge(*streams)
 
 
+class PulseTape:
+    """The scripted pulses of one prepared scenario, merged once and read by
+    every run of it.
+
+    ``pulses`` holds the (time, node, is_start) triples of ``scripted_pulses``
+    in its order, pulled from its merge only when a run first reaches one,
+    and ``claims`` beside each the frequency it claims: the script's
+    ``freq_claim`` evaluated once, at the pulse's scripted time, or 0.0 for a
+    start pulse, which claims none. ``total`` counts every pulse up to
+    ``horizon``, reached or not, for the liveness budget. Each run reads the
+    tape through its own index, so a process that runs one prepared scenario
+    many times (a sweep) merges and claims each pulse once, and a single run
+    still computes only the pulses it reaches.
+    """
+
+    __slots__ = ("horizon", "total", "pulses", "claims", "_source", "_claim_fns")
+
+    def __init__(self, scripts, horizon: float):
+        if not horizon >= 0.0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        self.horizon = horizon
+        self.total, self._source = scripted_pulses(scripts, horizon)
+        self.pulses: list[tuple[float, int, int]] = []
+        self.claims: list[float] = []
+        self._claim_fns = {script.node: script.freq_claim for script in scripts}
+
+    def pending(self, index: int) -> tuple:
+        """Pulse ``index`` alone in a tuple, or () past the last pulse; the
+        first run to reach it pulls it and evaluates its claim."""
+        pulses = self.pulses
+        if index < len(pulses):
+            return (pulses[index],)
+        pulse = next(self._source, None)
+        if pulse is None:
+            return ()
+        time, node, is_start = pulse
+        self.claims.append(0.0 if is_start else self._claim_fns[node](time))
+        pulses.append(pulse)
+        return (pulse,)
+
+
 def simulate(
     world: WorldState,
     protocol,
-    scripts,
+    tape: PulseTape,
     *,
-    horizon: float,
     metrics,
     halt_on_detection: bool = True,
 ) -> str:
-    """Run the event loop to the horizon, convergence, or detection.
+    """Run the event loop to the tape's horizon, convergence, or detection.
 
     ``protocol`` supplies the threshold handlers (see the absolute and
     relative modules), called with the world and the acting node once the
@@ -437,21 +479,19 @@ def simulate(
     reported a new detection, and ``converged``; the metrics own the
     convergence and safety bookkeeping. ``advance_all`` runs only for an
     event later than the clock; an event at the clock moves no phase, and
-    no event is earlier than the clock. Scripted pulses come from
-    ``scripted_pulses``: the liveness budget counts every one within the
-    horizon, and the normal nodes' events at the fastest initial normal
-    frequency, but only the pulses the run reaches are computed. Returns an
-    outcome string: "converged", "detected", or "horizon".
+    no event is earlier than the clock. Scripted pulses and their claims
+    come from ``tape``, the run's one pulse source, read from its first
+    pulse on: the liveness budget counts every pulse within the horizon,
+    and the normal nodes' events at the fastest initial normal frequency.
+    Returns an outcome string: "converged", "detected", or "horizon".
     """
-    if not horizon >= 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    pulse_count, pulses = scripted_pulses(scripts, horizon)
-    head = next(pulses, None)
-    pending = () if head is None else (head,)
-    script_by_node = {script.node: script for script in scripts}
+    horizon = tape.horizon
+    claims = tape.claims
+    reached = 0
+    pending = tape.pending(0)
 
     fastest = max([world.oscillators[i].omega for i in world.normal_ids], default=1.0)
-    budget = event_budget(world.graph.node_count, pulse_count, horizon, fastest)
+    budget = event_budget(world.graph.node_count, tape.total, horizon, fastest)
     table = _CandidateTimes(world.graph.node_count, protocol)
     outcome = "horizon"
     while True:
@@ -464,12 +504,10 @@ def simulate(
         world.clock = ev.time
 
         if ev.kind is EventKind.ADVERSARY_PULSE:
-            # The claim is read at the scripted time, not at the event's.
-            scripted_at = pending[0][0]
-            head = next(pulses, None)
-            pending = () if head is None else (head,)
-            script = script_by_node[ev.node]
-            value = 0.0 if ev.is_start else script.freq_claim(scripted_at)
+            # The tape read the claim at the scripted time, not at the event's.
+            value = claims[reached]
+            reached += 1
+            pending = tape.pending(reached)
             newly_detected = protocol.deliver_adversary(world, ev.node, value, ev.is_start)
         elif ev.kind is EventKind.FIRE:
             newly_detected = protocol.handle_fire(world, ev.node)

@@ -99,8 +99,7 @@ def run_built(
         outcome = simulate(
             world,
             prepared.protocol,
-            prepared.scripts,
-            horizon=config.horizon,
+            prepared.tape,
             metrics=metrics,
             halt_on_detection=config.halt_on_detection,
         )

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from . import adversary
-from .engine import PHASE_SLACK, TIME_EPS, OscillatorState, WorldState
+from .engine import PHASE_SLACK, TIME_EPS, OscillatorState, PulseTape, WorldState
 from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
     DirectedGraph,
@@ -127,10 +127,13 @@ def _too_fast(gap: float, resolution: float, reach: float, omega: float) -> str 
 class PreparedScenario:
     """The object every run starts from: what a scenario that passed the
     gate keeps for all its runs, namely its ``config``, normal node ids
-    (ascending), protocol, attack scripts and weight floor ``alpha``. No run
-    changes them; ``world`` makes the state a run does change."""
+    (ascending), protocol, attack scripts, their pulses up to the horizon as
+    one ``PulseTape`` (merged and claimed once per process, however many
+    runs read it) and weight floor ``alpha``. No run changes them but to
+    extend the tape; ``world`` makes the state a run does change."""
 
-    __slots__ = ("config", "normal_ids", "protocol", "scripts", "alpha", "_step", "_world_fields")
+    __slots__ = ("config", "normal_ids", "protocol", "scripts", "tape", "alpha", "_step",
+                 "_world_fields")
 
     def __init__(self, config: ScenarioConfig, normal_ids: tuple[int, ...], protocol, scripts):
         graph = config.graph
@@ -138,6 +141,7 @@ class PreparedScenario:
         self.normal_ids = normal_ids
         self.protocol = protocol
         self.scripts = scripts
+        self.tape = PulseTape(scripts, config.horizon)
         self.alpha = effective_alpha(config.weights, max(graph.in_degrees[i] for i in normal_ids))
         gap = protocol.zeta if protocol.uses_start_pulses else 0.5
         resolution = TIME_EPS + math.ulp(config.horizon)

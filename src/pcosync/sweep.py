@@ -10,7 +10,9 @@ byte-identical.
 
 Each process checks and builds the base scenario once, with the sweep's
 seed: the gate runs in the calling process before any trial or worker
-starts, so a base no run can use raises UnrunnableScenarioError there. Each
+starts, so a base no run can use raises UnrunnableScenarioError there. The
+attackers' pulses and their claims are merged once per process, on the
+prepared base's ``PulseTape``, and every trial reads them there. Each
 process also keeps every trial's draws while the sweep stays at one grid
 point: a trial's phases do not depend on the spread, and its frequencies
 are rebuilt from the kept unit draws with numpy's own ``uniform`` formula.

@@ -19,6 +19,7 @@ from pcosync import (
     MsrParams,
     OscillatorState,
     ProtocolFault,
+    PulseTape,
     RelativeProtocol,
     RunMetrics,
     ScenarioConfig,
@@ -175,9 +176,7 @@ def test_simulate_converges_a_homogeneous_pair():
     config = pair_config()
     prepared, world = config.build()
     metrics = RunMetrics(world, alpha=prepared.alpha, mode="strict")
-    outcome = simulate(
-        world, prepared.protocol, prepared.scripts, horizon=config.horizon, metrics=metrics
-    )
+    outcome = simulate(world, prepared.protocol, prepared.tape, metrics=metrics)
     assert outcome == "converged"
     assert metrics.delta <= 1e-6
     assert world.clock < 60.0
@@ -207,8 +206,7 @@ def test_simulate_enforces_the_liveness_budget():
     tiny_budget = functools.partial(event_budget, safety=0.001)
     with mock.patch.object(pcosync.engine, "event_budget", tiny_budget), \
             pytest.raises(InvariantViolation, match="budget"):
-        simulate(world, prepared.protocol, prepared.scripts, horizon=config.horizon,
-                 metrics=metrics)
+        simulate(world, prepared.protocol, prepared.tape, metrics=metrics)
 
 
 def test_repeated_runs_are_identical():
@@ -485,7 +483,7 @@ def test_detection_latched_at_an_unchanged_clock_cancels_a_due_update():
     metrics = RunMetrics(world, alpha=0.25, mode="off")
     checked = CheckedSelections()
     with checked.patch():
-        simulate(world, protocol, [], horizon=0.75, metrics=metrics, halt_on_detection=False)
+        simulate(world, protocol, PulseTape([], 0.75), metrics=metrics, halt_on_detection=False)
     assert checked.events[:2] == [(0.0, EventKind.FIRE, 0), (0.0, EventKind.FIRE, 1)]
     assert checked.reused >= 1
     assert world.oscillators[2].detected

@@ -1,15 +1,18 @@
-"""Scripted pulses on demand: the sorted streams of each schedule and the
-event loop's lazy merge, against the former materialize-then-sort path."""
+"""Scripted pulses on demand: the sorted streams of each schedule, the lazy
+merge against the former materialize-then-sort path, and the pulse tape that
+every run of one prepared scenario reads."""
 
+import dataclasses
 import math
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcosync import AttackerSpec, InvariantViolation, ScenarioConfig, complete_digraph, custom_script
-from pcosync import engine, run_scenario, stealthy_script
+from pcosync import AttackerSpec, InvariantViolation, ProtocolFault, ScenarioConfig, complete_digraph
+from pcosync import custom_script, engine, run_scenario, stealthy_script
 from pcosync.metrics import RunMetrics
+from pcosync.scenario import PreparedScenario
 
 from oracles import _explicit, _periodic, materialized_pulses, streams
 
@@ -143,8 +146,8 @@ def _scripted_scenarios(draw):
     )
 
 
-def _recorded_run(config):
-    """Every event the run observed, its liveness budget, and its outcome."""
+def _recorded(run):
+    """Every event ``run()`` observed, its liveness budget, and its outcome."""
     events, budgets = [], []
     observe, budget = RunMetrics.observe, engine.event_budget
 
@@ -159,11 +162,34 @@ def _recorded_run(config):
     with mock.patch.object(RunMetrics, "observe", recording_observe), \
             mock.patch.object(engine, "event_budget", recording_budget):
         try:
-            result = run_scenario(config, validate=False)
-            outcome = (result.outcome, result.fault_message, repr(result.metrics.delta_windowed))
+            outcome = run()
         except InvariantViolation as exc:  # must break both paths alike
             outcome = repr(exc)
     return events, budgets, outcome
+
+
+def _recorded_run(config):
+    def run():
+        result = run_scenario(config, validate=False)
+        return result.outcome, result.fault_message, repr(result.metrics.delta_windowed)
+
+    return _recorded(run)
+
+
+def _recorded_prepared_run(prepared, phases, freqs, halt_on_detection):
+    """``_recorded`` of one monitor-off run of ``prepared`` at these initial
+    values, halting on detection as told."""
+    def run():
+        world = prepared.world(phases, freqs)
+        metrics = RunMetrics(world, alpha=prepared.alpha, mode="off")
+        try:
+            outcome = engine.simulate(world, prepared.protocol, prepared.tape, metrics=metrics,
+                                      halt_on_detection=halt_on_detection)
+        except ProtocolFault as exc:
+            return "fault", str(exc)
+        return outcome, repr(metrics.delta_windowed)
+
+    return _recorded(run)
 
 
 @settings(max_examples=120, deadline=None)
@@ -208,3 +234,87 @@ def test_a_tied_pulse_claims_its_frequency_at_its_scripted_time():
         pulse = repr((1.0, engine.EventKind.ADVERSARY_PULSE, 6, False))
         assert [e for e in events if "ADVERSARY" in e] == [pulse]
         assert (outcome[0], len(events)) == ("converged", 14)
+
+
+@st.composite
+def _initial_values(draw, n):
+    unit = st.floats(0.0, 1.0)
+    phases = [0.3 * u for u in draw(st.lists(unit, min_size=n, max_size=n), label="phases")]
+    freqs = [1.0 + 0.1 * u for u in draw(st.lists(unit, min_size=n, max_size=n), label="freqs")]
+    return phases, freqs
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_scripted_scenarios(), data=st.data())
+def test_runs_on_one_prepared_scenario_match_freshly_prepared_runs(config, data):
+    # Runs that halt on detection stop early and leave the tape short; the
+    # runs after them, halted or not, read what the earlier ones pulled.
+    halts = [True, False, True] + data.draw(st.lists(st.booleans(), max_size=2), label="halts")
+    prepared = config.prepare()[0]
+    tape = prepared.tape
+    n = config.graph.node_count
+    for halt in halts:
+        phases, freqs = data.draw(_initial_values(n))
+        shared = _recorded_prepared_run(prepared, phases, freqs, halt)
+        fresh_config = dataclasses.replace(
+            config, phases=phases, frequencies=freqs, halt_on_detection=halt,
+            normalize_phases=False, normalize_frequencies=False,
+        )
+        fresh = _recorded_prepared_run(fresh_config.prepare()[0], phases, freqs, halt)
+        assert shared == fresh
+        assert len(tape.claims) == len(tape.pulses) <= tape.total
+
+
+def _counting_custom_scenario(times):
+    """A prepared K6 scenario whose custom attacker's claim records every
+    time it is called at."""
+    config = ScenarioConfig(
+        graph=complete_digraph(6), f=1, phases=[0.0] * 6, frequencies=[1.0] * 6,
+        horizon=6.0, monitor="off", attackers=[AttackerSpec(5, "custom", {"pulses": []})],
+    )
+    prepared = config.prepare()[0]
+    script = custom_script(5, pulses=[(t, 1.0 + t / 10.0) for t in times])
+    claim, calls = script.freq_claim, []
+
+    def counting_claim(t):
+        calls.append(t)
+        return claim(t)
+
+    script = dataclasses.replace(script, freq_claim=counting_claim)
+    return PreparedScenario(config, prepared.normal_ids, prepared.protocol, [script]), calls
+
+
+def test_each_claim_is_evaluated_once_at_its_scripted_time():
+    # Halted runs stop at the first detection, the others run on: the tape
+    # grows in both, and every run reads the claims already evaluated.
+    times = [0.1 + 0.37 * k for k in range(15)]
+    prepared, calls = _counting_custom_scenario(times)
+    lengths = []
+    for k in range(6):
+        phases = [0.05 * ((k + i) % 5) for i in range(6)]
+        freqs = [1.0 + 0.01 * ((k * i) % 4) for i in range(6)]
+        _recorded_prepared_run(prepared, phases, freqs, halt_on_detection=k % 2 == 0)
+        assert calls == [t for t, _, _ in prepared.tape.pulses]
+        lengths.append(len(calls))
+    assert lengths[0] < lengths[1] == len(times)
+    assert calls == times
+    assert prepared.tape.claims == [1.0 + t / 10.0 for t in times]
+
+
+def test_an_early_detection_leaves_the_rest_of_a_flood_unmerged():
+    # Receivers with eager detection latch it at the fifth of 100 000 pulses
+    # from node 4, and the run halts there.
+    flood = {"burst_count": 100_000, "burst_interval": 1e-4, "start_time": 0.3}
+    config = ScenarioConfig(
+        graph=complete_digraph(5), f=1, phases=[0.0, 0.1, 0.2, 0.1, 0.0],
+        frequencies=[1.0, 1.05, 1.02, 1.0, 1.0], eager_detection=True, horizon=20.0,
+        monitor="off", attackers=[AttackerSpec(4, "flooding", flood)],
+    )
+    prepared, phases, freqs = config.prepare()
+    events, _, outcome = _recorded_prepared_run(prepared, phases, freqs, halt_on_detection=True)
+    assert outcome[0] == "detected"
+    delivered = sum("ADVERSARY" in event for event in events)
+    assert delivered == 5
+    # The pulses delivered, and the one the loop peeked at when it halted.
+    assert prepared.tape.total == 100_000
+    assert len(prepared.tape.pulses) == delivered + 1
