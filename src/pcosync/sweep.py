@@ -20,23 +20,27 @@ A trial normalizes its draws as a scenario's are, runs them with
 ``run_built`` on a fresh world, which refuses them as it would a run's, and
 returns the run's outcome.
 
-Serial and pooled sweeps run trials alike: each evaluation maps one
-callable of the trial index over its trials, with the builtin ``map`` or
-the pool's, in trial-index order, and ``_Evaluator.rate`` alone judges the
-outcomes. A pool sends each worker the base and the seed once, through its
-initializer, and then each evaluation's trial indices in a few chunks. The
+Serial and pooled sweeps run trials alike, in drains that run the trial
+of each index they take and return (index, outcome) pairs; ``_Evaluator``
+alone judges the outcomes, by trial index. A pool sends each worker the
+base, the seed and one shared trial counter once, through its initializer.
+Each evaluation resets the counter and submits one drain per worker, which
+takes the next index from it until none is left, so a worker that finishes
+early takes more trials; serially one drain runs ``range(trials)``. One
+evaluation runs at a time, so the pool idles between evaluations. The
 calling process keeps no sweep state at module level: it passes its own
-prepared base to each serial trial.
+prepared base to each serial drain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -165,21 +169,48 @@ def run_trial(
     return run_built(prepared, prepared.world(phases, freqs))[0]
 
 
-# A pool worker's prepared copy of the sweep's base scenario, set once per
-# worker by the pool initializer; the calling process never sets it.
+# A pool worker's prepared copy of the sweep's base scenario and the pool's
+# shared trial counter, set once per worker by the pool initializer; the
+# calling process never sets them.
 _worker_base: PreparedBase | None = None
+_worker_counter = None
 
 
-def _set_worker_base(base: ScenarioConfig, seed: int) -> None:
-    global _worker_base
+def _set_worker_base(base: ScenarioConfig, seed: int, counter) -> None:
+    global _worker_base, _worker_counter
     _worker_base = PreparedBase(base, seed)
+    _worker_counter = counter
 
 
-def _trial(base: PreparedBase | None, grid_index, arc0, spread0, trial_index) -> str:
-    """``run_trial`` as a callable of the trial index, looked up on the
-    module at each call; ``base`` is None in a pool's chunks, whose workers
-    run on the base their initializer prepared."""
-    return run_trial(base or _worker_base, grid_index, trial_index, arc0, spread0)
+def _drain(base: PreparedBase, indices, grid_index: int, arc0: float, spread0: float):
+    """(index, outcome) pairs of ``run_trial``, looked up on the module at
+    each call, on each index ``indices`` yields. A trial that raises ends
+    the drain, with its exception as its outcome."""
+    done = []
+    for index in indices:
+        try:
+            done.append((index, run_trial(base, grid_index, index, arc0, spread0)))
+        except Exception as error:  # judged, and raised, by _Evaluator.rate
+            done.append((index, error))
+            break
+    return done
+
+
+def _counted(counter, trials: int):
+    """Indices taken one at a time from the shared counter, under its lock,
+    until it reaches ``trials``."""
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            if index >= trials:
+                return
+            counter.value = index + 1
+        yield index
+
+
+def _pool_drain(grid_index: int, arc0: float, spread0: float, trials: int):
+    """A worker's drain, on the base and counter its initializer set."""
+    return _drain(_worker_base, _counted(_worker_counter, trials), grid_index, arc0, spread0)
 
 
 def pool_size(parallelism: int, trials: int) -> int:
@@ -197,33 +228,42 @@ def pool_size(parallelism: int, trials: int) -> int:
 
 
 class _Evaluator:
-    """Runs one (grid point, spread) evaluation across all trials and
+    """Runs one (grid point, spread) evaluation across all trials, in one
+    drain serially or one per worker from the pool's reset counter, and
     judges their outcomes by trial index, so completion order never
-    matters."""
+    matters. A drain stops at a trial that raised; every index below the
+    counter ran, so the lowest-index error is raised, as serially."""
 
     def __init__(
         self, spec: SweepSpec, base: PreparedBase, executor: ProcessPoolExecutor | None,
-        workers: int,
+        counter, workers: int,
     ):
         self.spec = spec
-        if executor is None:
-            self.base, self.map = base, map
-        else:
-            # About four chunks per worker: few submissions, and a slow
-            # chunk leaves the other workers little to wait for.
-            chunksize = math.ceil(spec.trials / (4 * workers))
-            self.base, self.map = None, partial(executor.map, chunksize=chunksize)
+        self.base, self.executor, self.counter, self.workers = base, executor, counter, workers
         self.trials = 0  # trials run so far, over every evaluation
 
     def rate(self, grid_index: int, spread0: float) -> float:
         spec = self.spec
         self.trials += spec.trials
-        trial = partial(_trial, self.base, grid_index, spec.arc_grid[grid_index], spread0)
+        args = (grid_index, spec.arc_grid[grid_index], spread0)
+        if self.executor is None:
+            drains = [_drain(self.base, range(spec.trials), *args)]
+        else:
+            self.counter.value = 0
+            futures = [
+                self.executor.submit(_pool_drain, *args, spec.trials)
+                for _ in range(self.workers)
+            ]
+            drains = [future.result() for future in futures]
+        outcomes = [None] * spec.trials
+        for index, outcome in itertools.chain.from_iterable(drains):
+            outcomes[index] = outcome
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
         # A trial succeeds when its run converged or, unless the spec counts
         # only synchronized runs, when it ended on a detection.
         passed = ("converged",) if spec.synchronized_only else ("converged", "detected")
-        # Either map yields in trial-index order, whatever order chunks finish in.
-        outcomes = self.map(trial, range(spec.trials))
         return sum(outcome in passed for outcome in outcomes) / spec.trials
 
 
@@ -241,17 +281,23 @@ def sweep_frontier(
     worker processes it starts. ``progress``, when given, is called with
     each point as soon as it is done. A base scenario no run can use raises
     UnrunnableScenarioError before any trial runs or any worker starts, and
-    the first trial whose draws no run can use raises it when it runs.
+    in an evaluation whose draws no run can use, the lowest-index such
+    trial raises it, serially or pooled.
     """
     workers = pool_size(parallelism, spec.trials)
     base = PreparedBase(spec.base, spec.seed)
-    executor = None
+    executor = counter = None
     if workers > 1:
+        # Made by the pool's own context: workers inherit the counter under
+        # fork and are sent it as they start under spawn or forkserver.
+        context = multiprocessing.get_context()
+        counter = context.Value("q", 0)
         executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_worker_base, initargs=(spec.base, spec.seed)
+            max_workers=workers, mp_context=context, initializer=_set_worker_base,
+            initargs=(spec.base, spec.seed, counter),
         )
     try:
-        evaluator = _Evaluator(spec, base, executor, workers)
+        evaluator = _Evaluator(spec, base, executor, counter, workers)
         points = []
         for gi, arc0 in enumerate(spec.arc_grid):
             before = evaluator.trials

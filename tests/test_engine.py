@@ -102,6 +102,19 @@ def test_adversary_pulse_beats_thresholds_at_the_same_instant():
     assert ev.node == 7
 
 
+def test_a_scripted_pulse_exactly_time_eps_late_still_ties_with_the_earliest_node():
+    world = two_node_world([0.2, 0.0], [1.0, 1.0])
+    tmin = next_event(world, PLAIN).time
+    limit = tmin + TIME_EPS  # the tie window's end, as next_event computes it
+    ev = next_event(world, PLAIN, pending_adversary=((limit, 7, 0),))
+    assert ev.kind is EventKind.ADVERSARY_PULSE and ev.node == 7
+    assert ev.time == tmin
+    later = math.nextafter(limit, math.inf)
+    ev = next_event(world, PLAIN, pending_adversary=((later, 7, 0),))
+    assert ev.kind is EventKind.FIRE and ev.node == 0
+    assert ev.time == tmin
+
+
 def test_update_is_armed_only_after_firing():
     world = two_node_world([0.2, 0.4], [1.0, 1.0])
     ev = next_event(world, PLAIN)

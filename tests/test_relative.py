@@ -309,10 +309,10 @@ def test_attack_free_run_matches_absolute_protocol():
 
 
 @pytest.mark.xfail(strict=True, raises=InvariantViolation)
-def test_nominal_sync_relative_trips_the_strict_windowed_ceiling():
-    # Ratio roundoff lets converged frequencies drift about 2e-11 above 1,
-    # beyond the strict monitor's 1e-12 windowed-ceiling tolerance, so this
-    # run aborts at event 214 (see README, "Command line").
+def test_nominal_sync_relative_trips_the_strict_windowed_floor():
+    # Ratio roundoff lets converged frequencies drift down to about
+    # 1 - 6.7e-12, beyond the strict monitor's 1e-12 windowed-floor
+    # tolerance, so this run aborts at event 262 (see README, "Command line").
     config = load_scenario(SCENARIOS / "nominal_sync.json")
     assert config.monitor == "strict"
     run_scenario(dataclasses.replace(config, algorithm="relative"))

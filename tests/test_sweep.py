@@ -1,12 +1,15 @@
-"""Frontier sweep dispatch: the worker cap, chunked trials, serial/parallel
-byte-identity, the frozen frontier bytes, and a base checked and built once."""
+"""Frontier sweep dispatch: the worker cap, one trial drain per worker per
+evaluation, the lowest-index trial error, serial/parallel byte-identity,
+the frozen frontier bytes, and a base checked and built once."""
 
 import dataclasses
 import functools
 import hashlib
 import io
+import multiprocessing
 import os
 import pickle
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -114,8 +117,8 @@ class _TypeRecorder(pickle.Pickler):
         return NotImplemented
 
 
-def test_chunked_dispatch_sends_no_scenario(monkeypatch, cpus):
-    """At most four submissions per worker per evaluation, none of which
+def test_each_evaluation_submits_one_drain_per_worker_and_no_scenario(monkeypatch, cpus):
+    """Exactly one submission per worker per evaluation, none of which
     carries the base scenario."""
     submit = ProcessPoolExecutor.submit
     submissions = []
@@ -141,19 +144,44 @@ def test_chunked_dispatch_sends_no_scenario(monkeypatch, cpus):
     monkeypatch.setattr(sweep._Evaluator, "rate", counting_rate)
     cpus(2)
     sweep_frontier(small_spec(trials=9), parallelism=2)
-    assert per_evaluation and all(0 < count <= 4 * 2 for count in per_evaluation)
+    assert per_evaluation and all(count == 2 for count in per_evaluation)
     assert ScenarioConfig not in pickled
-    assert pickled  # the recorder saw the chunks
+    assert pickled  # the recorder saw the submissions
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the workers see the patched run_trial only when they fork",
+)
+def test_a_pooled_sweep_raises_the_lowest_index_trial_error_as_a_serial_one_does(
+    monkeypatch, cpus
+):
+    run_trial = sweep.run_trial
+
+    def failing_run_trial(base, grid_index, trial_index, arc0, spread0):
+        if trial_index in (2, 5, 7):
+            # The lowest failing index is the slowest to fail, so a drain
+            # past it fails first.
+            time.sleep(0.2 if trial_index == 2 else 0.0)
+            raise UnrunnableScenarioError([f"trial {trial_index}"])
+        return run_trial(base, grid_index, trial_index, arc0, spread0)
+
+    monkeypatch.setattr(sweep, "run_trial", failing_run_trial)
+    cpus(2)
+    for parallelism in (1, 2):
+        with pytest.raises(UnrunnableScenarioError) as caught:
+            sweep_frontier(small_spec(trials=9), parallelism=parallelism)
+        assert caught.value.violations == ["trial 2"]
 
 
 @pytest.mark.parametrize(
     "overrides, parallelism",
     [
-        ({"trials": 9}, 2),  # chunks of 2: the last one holds a single trial
+        ({"trials": 9}, 2),  # an odd number of trials for two drains
         ({"trials": 3}, 4),  # fewer trials than requested workers
         ({"trials": 9, "synchronized_only": True, "success_threshold": 0.1}, 2),
     ],
-    ids=["ragged-chunks", "fewer-trials-than-workers", "synchronized-only"],
+    ids=["odd-trials-per-drain", "fewer-trials-than-workers", "synchronized-only"],
 )
 def test_serial_and_parallel_frontiers_are_byte_identical(cpus, tmp_path, overrides, parallelism):
     cpus(2)
