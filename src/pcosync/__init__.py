@@ -51,7 +51,7 @@ from .metrics import (
     check_initial_bound,
     decay_envelope,
 )
-from .msr import ConfiguredAlpha, EqualWeights, MsrParams, make_weights, msr_trim
+from .msr import ConfiguredAlpha, EqualWeights, MsrParams, msr_trim
 from .phase import Arc, clockwise_dist, containing_arc
 from .relative import RelativeProtocol
 from .runner import RunResult, run_scenario
@@ -106,7 +106,6 @@ __all__ = [
     "is_stealthy",
     "load_graph",
     "load_scenario",
-    "make_weights",
     "max_robustness",
     "msr_trim",
     "one_plus_abs_sin",

@@ -132,6 +132,9 @@ def _cmd_run(args) -> int:
     summary = args.summary if args.summary != "-" else None
     _check_output(args.trace, "the trace")
     _check_output(summary, "the summary")
+    if args.trace and summary and Path(args.trace).resolve() == Path(summary).resolve():
+        raise ScenarioValidationError(
+            [f"cannot write the summary to {summary}: it is the trace file"])
     try:
         result = run_scenario(
             config,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
+from . import rng
 from .errors import GraphTooLargeError
 
 MAX_EXHAUSTIVE_NODES = 14
@@ -145,12 +144,11 @@ def random_digraph(n: int, p: float, seed: int) -> DirectedGraph:
     ``seed``."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    ins: list[tuple[int, ...]] = []
-    for i in range(n):
-        row = tuple(j for j in range(n) if j != i and rng.random() < p)
-        ins.append(row)
-    return DirectedGraph(tuple(ins))
+    # One unit per ordered pair, in row order.
+    units = iter(rng.random(seed, n * (n - 1)))
+    return DirectedGraph(
+        tuple(tuple(j for j in range(n) if j != i and next(units) < p) for i in range(n))
+    )
 
 
 def complete_digraph(n: int) -> DirectedGraph:

@@ -57,16 +57,10 @@ def check_initial_bound(
     """
     if variant not in ("strict", "relaxed", "relative"):
         raise ValueError(f"unknown bound variant {variant!r}")
-    n, r = node_count, normal_count
-    if variant == "strict":
-        exponent = 2 * n * r
-        numerator = 4.0 * n * r
-    else:
-        kbar = 2 * n if window_len is None else window_len
-        exponent = kbar * r
-        numerator = 2.0 * kbar * r
-    denom = alpha**exponent
-    coeff = float("inf") if denom == 0.0 else numerator / denom
+    r = normal_count
+    kbar = 2 * node_count if variant == "strict" or window_len is None else window_len
+    denom = alpha ** (kbar * r)
+    coeff = float("inf") if denom == 0.0 else 2.0 * kbar * r / denom
     lhs = arc0 if spread0 == 0.0 else arc0 + coeff * spread0
     rhs = 0.5 - zeta if variant == "relative" else 0.5
     return (lhs < rhs, lhs, rhs)

@@ -49,20 +49,10 @@ class ConfiguredAlpha:
 WeightPolicy = EqualWeights | ConfiguredAlpha
 
 
-def make_weights(policy: WeightPolicy, j_count: int) -> tuple[float, ...]:
-    """Weight vector (self weight first, then one per kept neighbor value).
-
-    All weights are positive, at least the policy's floor, and sum to 1
-    within floating-point roundoff.
-    """
-    w = neighbor_weight(policy, j_count)
-    self_weight = w if isinstance(policy, EqualWeights) else 1.0 - j_count * w
-    return (self_weight,) + (w,) * j_count
-
-
 def neighbor_weight(policy: WeightPolicy, j_count: int) -> float:
     """The one weight every kept neighbor value takes when ``j_count`` are
-    kept: each entry of ``make_weights(policy, j_count)`` after the first."""
+    kept. Self takes the same weight under equal weights and the rest,
+    ``1 - j_count * alpha``, under a configured ``alpha``."""
     if j_count < 0:
         raise ValueError(f"j_count must be nonnegative, got {j_count}")
     if isinstance(policy, EqualWeights):

@@ -23,9 +23,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from . import adversary
+from . import adversary, rng
 from .engine import PHASE_SLACK, TIME_EPS, OscillatorState, PulseTape, WorldState
 from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
@@ -223,11 +221,8 @@ class ScenarioConfig:
 
     def _resolve(self, spec, n: int, stream: int) -> list[float]:
         if isinstance(spec, RandomInterval):
-            seed = spec.seed
-            rng = np.random.default_rng(
-                [self.seed, stream] if seed is None else seed
-            )
-            return [float(x) for x in rng.uniform(spec.low, spec.high, size=n)]
+            entropy = [self.seed, stream] if spec.seed is None else spec.seed
+            return rng.uniform(spec.low, spec.high, rng.random(entropy, n))
         return [float(x) for x in spec]
 
     def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript], tuple[int, ...]]:

@@ -15,7 +15,7 @@ attackers' pulses and their claims are merged once per process, on the
 prepared base's ``PulseTape``, and every trial reads them there. Each
 process also keeps every trial's draws while the sweep stays at one grid
 point: a trial's phases do not depend on the spread, and its frequencies
-are rebuilt from the kept unit draws with numpy's own ``uniform`` formula.
+are rebuilt from the kept unit draws by the package's own ``rng.uniform``.
 A trial normalizes its draws as a scenario's are, runs them with
 ``run_built`` on a fresh world, which refuses them as it would a run's, and
 returns the run's outcome.
@@ -43,8 +43,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from . import rng
+from .rng import uniform
 from .runner import run_built
 # Not called here: the benchmark's tracing module reads this name when it
 # is imported.
@@ -104,19 +104,10 @@ def unit_draws(
     seed: int, grid_index: int, trial_index: int, n: int
 ) -> tuple[list[float], list[float]]:
     """A trial's two draws of ``n`` unit values, phases' then frequencies':
-    ``rng.random(n)`` twice from the trial's own generator."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(grid_index, trial_index))
-    )
-    return rng.random(n).tolist(), rng.random(n).tolist()
-
-
-def uniform(low: float, high: float, units: list[float]) -> list[float]:
-    """What ``rng.uniform(low, high, n)`` returns when ``rng.random(n)``
-    would return ``units``: numpy computes each value as
-    ``low + (high - low) * u``."""
-    scale = high - low
-    return [low + scale * u for u in units]
+    the first and last ``n`` of ``2n`` from the trial's own stream, whose
+    spawn key is (grid index, trial index)."""
+    units = rng.random(seed, 2 * n, spawn_key=(grid_index, trial_index))
+    return units[:n], units[n:]
 
 
 class PreparedBase:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from heapq import merge
 from operator import itemgetter
 
-from pcosync import AbsoluteProtocol, OscillatorState, RelativeProtocol, make_weights, msr_trim
+from pcosync import AbsoluteProtocol, OscillatorState, RelativeProtocol, msr_trim
+from pcosync.msr import EqualWeights, neighbor_weight
 
 
 def circle_dist(a, b):
@@ -316,6 +317,19 @@ class ExtremaHistory:
 # pulses included. They keep a receiver's pulse pairing in the two dicts of
 # ``DictPairingOscillator``, keyed by sender id, where the package keeps one
 # slot per in-neighbor; ``pairing`` projects either form onto sender ids.
+# ``make_weights`` is the package's former weight vector, which the relative
+# update below reads.
+
+
+def make_weights(policy, j_count):
+    """Weight vector (self weight first, then one per kept neighbor value).
+
+    All weights are positive, at least the policy's floor, and sum to 1
+    within floating-point roundoff.
+    """
+    w = neighbor_weight(policy, j_count)
+    self_weight = w if isinstance(policy, EqualWeights) else 1.0 - j_count * w
+    return (self_weight,) + (w,) * j_count
 
 
 @dataclass(slots=True)

@@ -92,6 +92,28 @@ def test_initial_bound_zero_spread_reduces_to_the_arc():
     assert not ok and lhs == 0.6
 
 
+@given(
+    n=st.integers(2, 1024),
+    normal=st.integers(1, 1024),
+    alpha=st.floats(1e-3, 1.0),
+    arc0=st.floats(0.0, 0.5),
+    spread0=st.floats(0.0, 1.0),
+    window_len=st.one_of(st.none(), st.integers(1, 4096)),
+)
+def test_the_strict_bound_is_the_relaxed_one_at_window_2n(n, normal, alpha, arc0, spread0,
+                                                          window_len):
+    # The strict bound's former formula, 4nr / alpha**(2nr), equals the
+    # relaxed one's at window 2n bit for bit; the strict bound ignores any
+    # window it is given.
+    r = min(normal, n)
+    denom = alpha ** (2 * n * r)
+    coeff = float("inf") if denom == 0.0 else 4.0 * n * r / denom
+    lhs = arc0 if spread0 == 0.0 else arc0 + coeff * spread0
+    common = dict(arc0=arc0, spread0=spread0, node_count=n, normal_count=r, alpha=alpha)
+    assert check_initial_bound("strict", window_len=window_len, **common) == (lhs < 0.5, lhs, 0.5)
+    assert check_initial_bound("relaxed", window_len=2 * n, **common) == (lhs < 0.5, lhs, 0.5)
+
+
 def test_initial_bound_is_conservative_for_real_spreads():
     # Any visible frequency spread blows up the coefficient at this size.
     ok, lhs, _ = check_initial_bound(

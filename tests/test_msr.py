@@ -18,11 +18,12 @@ from pcosync import (
     RelativeProtocol,
     WorldState,
     complete_digraph,
-    make_weights,
     msr_trim,
 )
 from pcosync.engine import next_event
-from pcosync.msr import effective_alpha
+from pcosync.msr import effective_alpha, neighbor_weight
+
+from oracles import make_weights
 
 
 def test_trim_drops_extremes():
@@ -44,6 +45,7 @@ def test_trim_guards():
 def test_equal_weights():
     assert make_weights(EqualWeights(), 3) == (0.25, 0.25, 0.25, 0.25)
     assert make_weights(EqualWeights(), 0) == (1.0,)
+    assert neighbor_weight(EqualWeights(), 3) == 0.25
 
 
 def test_configured_alpha_weights():
@@ -51,6 +53,7 @@ def test_configured_alpha_weights():
     assert w == pytest.approx((0.6, 0.2, 0.2))
     assert sum(w) == pytest.approx(1.0)
     assert make_weights(ConfiguredAlpha(0.4), 0) == (1.0,)
+    assert neighbor_weight(ConfiguredAlpha(0.2), 2) == 0.2
     with pytest.raises(ValueError):
         make_weights(ConfiguredAlpha(0.3), 3)  # 4 * 0.3 > 1
     with pytest.raises(ValueError):

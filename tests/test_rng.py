@@ -1,23 +1,115 @@
-"""The package's seeded draws, pinned by SHA-256.
+"""The package's seeded stream, against numpy's, and its draws, pinned.
 
-Every seeded value the package draws comes from three places: the random
-graphs of ``random_digraph``, the initial values a ``RandomInterval`` draws
-in ``ScenarioConfig.build``, and a sweep trial's ``unit_draws``. Traces and
-frontier CSVs pin the last two only where a shipped scenario reaches them,
-and nothing else pins the graphs, so these digests pin each source
+Every seeded value the package draws comes from ``pcosync.rng``, in three
+places: the random graphs of ``random_digraph``, the initial values a
+``RandomInterval`` draws in ``ScenarioConfig.build``, and a sweep trial's
+``unit_draws``. The stream must be numpy's default generator bit for bit,
+and the package must run without numpy. The SHA-256 digests pin each place
 directly, over the inputs the tests use and over seeds of one to four
-32-bit words. A digest may only change together with a CHANGES.md entry
-naming the intended change in the drawn values.
+32-bit words: traces and frontier CSVs pin the last two only where a
+shipped scenario reaches them, and nothing else pins the graphs. A digest
+may only change together with a CHANGES.md entry naming the intended change
+in the drawn values.
 """
 
 import dataclasses
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pcosync import RandomInterval, ScenarioConfig, complete_digraph, random_digraph
+from pcosync import RandomInterval, ScenarioConfig, complete_digraph, random_digraph, rng
 from pcosync.sweep import unit_draws
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Entropy as the package passes it: a seed of any size, a [seed, stream]
+# list, and longer lists, whose words past the pool's four mix in last.
+ENTROPY = st.one_of(
+    st.integers(0, 2**130),
+    st.tuples(st.integers(0, 2**130), st.integers(0, 1)).map(list),
+    st.lists(st.integers(0, 2**70), max_size=6),
+)
+SPAWN_KEY = st.one_of(st.just(()), st.tuples(st.integers(0, 2**64), st.integers(0, 2**64)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entropy=ENTROPY, spawn_key=SPAWN_KEY, n=st.integers(0, 70))
+def test_the_stream_is_numpys_bit_for_bit(entropy, spawn_key, n):
+    ours = rng.random(entropy, n, spawn_key)
+    theirs = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=spawn_key)).random(n)
+    assert struct.pack(f"<{n}d", *ours) == theirs.astype("<f8").tobytes()
+
+
+BAD_WORD = st.one_of(st.integers(max_value=-1), st.floats())
+
+
+@given(entropy=st.one_of(BAD_WORD, st.lists(st.one_of(BAD_WORD, st.integers(0, 2**40)),
+                                            min_size=1).filter(
+    lambda words: any(not isinstance(w, int) or w < 0 for w in words))))
+def test_bad_entropy_raises_numpys_error_type(entropy):
+    with pytest.raises((TypeError, ValueError)) as theirs:
+        np.random.SeedSequence(entropy)
+    with pytest.raises(theirs.type):
+        rng.random(entropy, 1)
+
+
+def test_no_entropy_is_refused():
+    # numpy would read the operating system's entropy.
+    with pytest.raises(TypeError):
+        rng.random(None, 1)
+
+
+# Each shipped scenario run and traced, then a 2-point frontier sweep,
+# serially and with two workers; its stdout lists the exit codes and the
+# summaries, and whether numpy was imported.
+COMMANDS = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from pathlib import Path
+from pcosync.cli import main
+repo = Path(sys.argv[2])
+for scenario in sorted((repo / "scenarios").glob("*.json")):
+    print("exit", main(["run", str(scenario), "--trace", scenario.stem + ".csv"]), flush=True)
+for par in ("1", "2"):
+    print("exit", main(["sweep", str(repo / "scenarios" / "frontier_sweep.json"),
+                        "--grid", "0.05,0.45", "--trials", "20", "--parallelism", par,
+                        "--output", "frontier_p" + par + ".csv"]), flush=True)
+print("numpy imported:", sys.modules.get("numpy") is not None)
+"""
+
+
+def run_commands(mode: str, cwd: Path) -> tuple[str, dict[str, bytes]]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMANDS, mode, str(REPO)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+
+
+def test_the_cli_runs_and_sweeps_without_numpy_byte_for_byte(tmp_path):
+    (tmp_path / "block").mkdir()
+    (tmp_path / "allow").mkdir()
+    blocked = run_commands("block", tmp_path / "block")
+    allowed = run_commands("allow", tmp_path / "allow")
+    assert blocked[0].endswith("numpy imported: False\n")
+    # With numpy importable, nothing imports it either.
+    assert allowed == blocked
+    assert sorted(blocked[1]) == sorted(
+        [p.stem + ".csv" for p in (REPO / "scenarios").glob("*.json")]
+        + ["frontier_p1.csv", "frontier_p2.csv"]
+    )
+    assert blocked[1]["frontier_p1.csv"] == blocked[1]["frontier_p2.csv"]
 
 
 def digest_floats(values) -> str:

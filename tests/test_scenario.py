@@ -444,6 +444,25 @@ def test_cli_run_writes_summary_and_trace(capsys, tmp_path):
     assert "outcome: converged" in summary.read_text()
 
 
+def test_cli_run_refuses_a_summary_over_its_trace_before_the_run(capsys, tmp_path):
+    (tmp_path / "sub").mkdir()
+    trace = tmp_path / "same.out"
+    # The same file by another spelling of its path.
+    summary = tmp_path / "sub" / ".." / "same.out"
+    with mock.patch("pcosync.cli.run_scenario") as run:
+        code = main([
+            "run", str(SCENARIOS / "nominal_sync.json"),
+            "--trace", str(trace), "--summary", str(summary),
+        ])
+    assert code == 2
+    assert not run.called and not trace.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"violation: cannot write the summary to {summary}: it is the trace file"
+    ]
+
+
 def test_cli_run_exit_codes(capsys, tmp_path):
     diverging = tmp_path / "diverging.json"
     diverging.write_text(json.dumps({
