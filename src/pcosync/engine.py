@@ -270,12 +270,9 @@ class _CandidateTimes:
         self.clock: float | None = None
         self.actor: int | None = None
         self.n = n
-        if protocol.uses_start_pulses:
-            self.kinds = (EventKind.FIRE, EventKind.START_PULSE, EventKind.UPDATE)
-            self.start_target = 1.0 - protocol.zeta
-        else:
-            self.kinds = (EventKind.FIRE, EventKind.UPDATE)
-            self.start_target = None
+        self.start_target = protocol.start_target
+        starts = () if self.start_target is None else (EventKind.START_PULSE,)
+        self.kinds = (EventKind.FIRE, *starts, EventKind.UPDATE)
         self.update_at = (len(self.kinds) - 1) * n
         self.times = [math.inf] * (len(self.kinds) * n)
         self.tmin = math.inf

@@ -72,14 +72,14 @@ class SpreadWindow:
 
     ``push(k, lo, hi)`` records the pair that holds from event k until the
     next push, so a caller may push at every event or only where the pair
-    changes. Each extremum is kept in a monotonic deque of [first event,
-    value, end] entries, ``end`` being the event of the following push
-    (infinity for the latest), so a push costs O(1) amortized. A value is
-    dropped only when a later one beats it strictly, so among equal values
-    the window reports the earliest, as ``min``/``max`` over the window's
-    per-event values would. ``at(k)`` drops the entries whose pair stopped
-    holding before the window of event k opened; reads must come at
-    nondecreasing k, no earlier than the latest push.
+    changes. Each extremum is kept in a monotonic deque of [value, end]
+    entries, ``end`` being the event of the following push (infinity for
+    the latest), so a push costs O(1) amortized. A value is dropped only
+    when a later one beats it strictly, so among equal values the window
+    reports the earliest, as ``min``/``max`` over the window's per-event
+    values would. ``at(k)`` drops the entries whose pair stopped holding
+    before the window of event k opened; reads must come at nondecreasing
+    k, no earlier than the latest push.
     """
 
     def __init__(self, window_len: int):
@@ -93,28 +93,28 @@ class SpreadWindow:
         """Record the pair that holds from event k on."""
         lows = self._lows
         if lows:
-            lows[-1][2] = k
-        while lows and lows[-1][1] > lo:
+            lows[-1][1] = k
+        while lows and lows[-1][0] > lo:
             lows.pop()
-        lows.append([k, lo, math.inf])
+        lows.append([lo, math.inf])
         highs = self._highs
         if highs:
-            highs[-1][2] = k
-        while highs and highs[-1][1] < hi:
+            highs[-1][1] = k
+        while highs and highs[-1][0] < hi:
             highs.pop()
-        highs.append([k, hi, math.inf])
+        highs.append([hi, math.inf])
 
     def at(self, k: int) -> tuple[float, float, float]:
         """(windowed min, windowed max, their difference) after event k."""
         start = k - self.window_len + 1
         lows = self._lows
-        while lows[0][2] <= start:
+        while lows[0][1] <= start:
             lows.popleft()
         highs = self._highs
-        while highs[0][2] <= start:
+        while highs[0][1] <= start:
             highs.popleft()
-        m = lows[0][1]
-        big = highs[0][1]
+        m = lows[0][0]
+        big = highs[0][0]
         return m, big, big - m
 
 

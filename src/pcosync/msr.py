@@ -58,7 +58,7 @@ def neighbor_weight(policy: WeightPolicy, j_count: int) -> float:
     if isinstance(policy, EqualWeights):
         return 1.0 / (j_count + 1)
     alpha = policy.alpha
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError(f"weight floor must be positive, got {alpha}")
     if alpha * (j_count + 1) > 1.0 + 1e-12:
         raise ValueError(
@@ -124,11 +124,14 @@ class MsrParams:
 class MsrRound:
     """Round bookkeeping shared by both variants: the fire reset, the pulse
     fan-out and the update check. Subclasses supply the event handlers,
-    which read the event's time from ``world.clock``, and the frequency
-    estimate. ``omega_limit`` is the fastest frequency an update may set
+    which read the event's time from ``world.clock``, the frequency
+    estimate, and hooks that hand one receiver a pulse in its sender's
+    slot and refuse a sender outside its in-neighbors. ``start_target`` is
+    the one start-pulse threshold, None for a variant that sends none.
+    ``omega_limit`` is the fastest frequency an update may set
     (``PreparedScenario`` sets the step rule's)."""
 
-    uses_start_pulses = False
+    start_target: float | None = None
     omega_limit = float("inf")
 
     def __init__(self, params: MsrParams):
@@ -167,7 +170,7 @@ class MsrRound:
         f = self.params.f
         up_at = f + 1
         eager = self.params.eager_detection
-        pairs = self.uses_start_pulses
+        pairs = self.start_target is not None
         if pairs:
             zeta = self.zeta
             senders = None if self.ratio_log is None else self.pair_senders

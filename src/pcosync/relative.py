@@ -10,12 +10,14 @@ pulse plane is identical to the absolute-frequency protocol: end pulses,
 honest or forged, reach every receiver through its one fan-out loop,
 ``deliver_pulse``, and start pulses through this module's one stamp loop,
 ``stamp_starts``. ``on_end_pulse`` and ``on_start_pulse`` are those loops
-for a single receiver. A receiver keeps its stamps and ratios in slots, one
-per in-neighbor (see ``OscillatorState``): a start pulse writes the stamp in
-its sender's slot, and the end pulse that completes the pair empties the
-stamp and computes the ratio there. At the update the node reads the ratios
-in in-neighbor order and scales its frequency by their trimmed weighted
-mean.
+for one receiver, in the sender's slot; a sender outside the receiver's
+in-neighbors has none and raises ValueError. ``start_target``, 1 - zeta,
+is the one start-pulse threshold. A receiver keeps its stamps and ratios
+in slots, one per in-neighbor (see ``OscillatorState``): a start pulse
+writes the stamp in its sender's slot, and the end pulse that completes
+the pair empties the stamp and computes the ratio there. At the update the
+node reads the ratios in in-neighbor order and scales its frequency by
+their trimmed weighted mean.
 
 Attack-free, each ratio is the sender's frequency over the receiver's, so a
 run takes the absolute protocol's frequencies, within rounding, when two
@@ -32,8 +34,6 @@ from .msr import MsrParams, MsrRound, msr_trim, neighbor_weight
 
 
 class RelativeProtocol(MsrRound):
-    uses_start_pulses = True
-
     def __init__(self, params: MsrParams, zeta: float = 0.1):
         """``zeta`` is the phase offset of the start pulse before the fire.
         ``ratio_log``, once a caller sets it to a list before a run, collects
@@ -46,6 +46,7 @@ class RelativeProtocol(MsrRound):
             raise ValueError(f"start-pulse offset must lie in (0, 0.5), got {zeta}")
         super().__init__(params)
         self.zeta = zeta
+        self.start_target = 1.0 - zeta
         self.ratio_log: list | None = None
         self.pair_senders: dict[tuple[int, int], float | None] = {}
 
@@ -54,7 +55,7 @@ class RelativeProtocol(MsrRound):
     def handle_start(self, world: WorldState, i: int) -> bool:
         """Node i reaches the start-pulse threshold: stamp every listener."""
         osc = world.oscillators[i]
-        osc.phase = 1.0 - self.zeta
+        osc.phase = self.start_target
         osc.start_emitted = True
         self.stamp_starts(world, world.receiver_slots[i])
         return False
@@ -74,27 +75,12 @@ class RelativeProtocol(MsrRound):
             osc.stamps[k] = osc.phase
 
     def on_start_pulse(self, world: WorldState, i: int, sender: int) -> None:
-        nbrs = world.graph.in_neighbors[i]
-        if sender in nbrs:
-            self.stamp_starts(world, ((i, nbrs.index(sender)),))
-        else:
-            world.pulses_delivered += 1  # no slot to stamp
+        self.stamp_starts(world, ((i, world.graph.in_neighbors[i].index(sender)),))
 
-    def on_end_pulse(
-        self, world: WorldState, i: int, sender: int, sender_omega: float | None = None
-    ) -> bool:
-        nbrs = world.graph.in_neighbors[i]
-        if sender in nbrs:
-            return self.deliver_pulse(world, ((i, nbrs.index(sender)),), sender_omega)
-        # A sender outside the in-neighbor list has no slot: its pulse is
-        # counted against a blank stamp and pairs nothing.
-        osc = world.oscillators[i]
-        stamps = osc.stamps
-        osc.stamps = [None]
-        try:
-            return self.deliver_pulse(world, ((i, 0),), sender_omega)
-        finally:
-            osc.stamps = stamps
+    def on_end_pulse(self, world: WorldState, i: int, sender: int,
+                     sender_omega: float | None = None) -> bool:
+        slot = world.graph.in_neighbors[i].index(sender)
+        return self.deliver_pulse(world, ((i, slot),), sender_omega)
 
     def deliver_adversary(self, world: WorldState, attacker: int, value: float,
                           is_start: bool) -> bool:

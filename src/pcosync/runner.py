@@ -11,7 +11,6 @@ from pathlib import Path
 from .engine import WorldState, simulate
 from .errors import ProtocolFault, ScenarioValidationError
 from .metrics import RunMetrics, write_trace
-from .relative import RelativeProtocol
 from .scenario import PreparedScenario, ScenarioConfig
 
 
@@ -57,7 +56,7 @@ def run_scenario(
     if violations and not force:
         raise ScenarioValidationError(violations)
 
-    if collect_ratios and isinstance(prepared.protocol, RelativeProtocol):
+    if collect_ratios and prepared.protocol.start_target is not None:
         prepared.protocol.ratio_log = []
     outcome, metrics, fault_message = run_built(
         prepared, world, collect_trace=collect_trace or trace_path is not None

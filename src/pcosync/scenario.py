@@ -39,7 +39,8 @@ from .graph import (
     parse_graph_text,
 )
 from .metrics import MONITOR_MODES, check_initial_bound
-from .msr import ConfiguredAlpha, EqualWeights, MsrParams, WeightPolicy, effective_alpha
+from .msr import (ConfiguredAlpha, EqualWeights, MsrParams, WeightPolicy, effective_alpha,
+                  neighbor_weight)
 from .phase import containing_arc, clockwise_dist
 
 ALGORITHMS = ("absolute", "relative")
@@ -141,7 +142,7 @@ class PreparedScenario:
         self.scripts = scripts
         self.tape = PulseTape(scripts, config.horizon)
         self.alpha = effective_alpha(config.weights, max(graph.in_degrees[i] for i in normal_ids))
-        gap = protocol.zeta if protocol.uses_start_pulses else 0.5
+        gap = 0.5 if protocol.start_target is None else protocol.zeta
         resolution = TIME_EPS + math.ulp(config.horizon)
         reach = 4 * math.ulp(2 * (config.horizon + 2 * TIME_EPS))
         step = self._step = (gap, resolution, reach)
@@ -157,7 +158,7 @@ class PreparedScenario:
         # tables built here, once, and each run's world copies its fields,
         # with oscillators of its own in place of these placeholders.
         blank = WorldState(graph, [None] * graph.node_count, frozenset(normal_ids),
-                           frozenset(script.node for script in scripts))
+                           config.faulty_ids)
         self._world_fields = tuple(vars(blank).items())
 
     def world(self, phases, freqs) -> WorldState:
@@ -181,7 +182,7 @@ class PreparedScenario:
         for name, value in self._world_fields:
             setattr(world, name, value)
         world.oscillators = [OscillatorState(phase=p, omega=w) for p, w in zip(phases, freqs)]
-        if self.protocol.uses_start_pulses:
+        if self.protocol.start_target is not None:
             world.add_pair_slots()
         return world
 
@@ -225,12 +226,12 @@ class ScenarioConfig:
             return rng.uniform(spec.low, spec.high, rng.random(entropy, n))
         return [float(x) for x in spec]
 
-    def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript], tuple[int, ...]]:
+    def _runnable(self) -> tuple[list[float], list[float], list[adversary.AttackScript]]:
         """The gate's first half, passed by every run, forced or not: return
-        the drawn and normalized phases and frequencies, the scripts and the
-        normal node ids, or raise UnrunnableScenarioError listing every value
-        no run of the config can use. A schedule too large for the horizon is
-        refused by arithmetic; no pulse is computed until the run reaches it."""
+        the drawn and normalized phases and frequencies and the scripts, or
+        raise UnrunnableScenarioError listing every value no run of the
+        config can use. A schedule too large for the horizon is refused by
+        arithmetic; no pulse is computed until the run reaches it."""
         problems: list[str] = []
         n = self.graph.node_count
         if self.algorithm not in ALGORITHMS:
@@ -270,14 +271,17 @@ class ScenarioConfig:
                 else:
                     scripts.append(script)
             seen.add(spec.node)
-        normal = tuple(i for i in range(n) if i not in seen)
+        normal = self.normal_ids
         if not normal:
             problems.append("every node is an attacker; nothing to synchronize")
-        elif isinstance(self.weights, ConfiguredAlpha):
-            alpha = self.weights.alpha
+        else:
             worst = max(self.graph.in_degrees[i] for i in normal)
-            if not (alpha > 0.0 and alpha * (worst + 1) <= 1.0 + 1e-12):
-                problems.append(f"neighbor weight {alpha} is infeasible at in-degree {worst}")
+            try:
+                neighbor_weight(self.weights, worst)
+            except ValueError:
+                problems.append(
+                    f"neighbor weight {self.weights.alpha} is infeasible at in-degree {worst}"
+                )
         if normal and self.window_len is not None and self.window_len >= 1:
             # The monitor's decay envelope and the admissibility bounds raise
             # the weight floor to this power as a float.
@@ -317,7 +321,7 @@ class ScenarioConfig:
             phases = normalized_phases(phases, normal)
         if self.normalize_frequencies:
             freqs = normalized_frequencies(freqs, normal)
-        return phases, freqs, scripts, normal
+        return phases, freqs, scripts
 
     def prepare(self) -> tuple[PreparedScenario, list[float], list[float]]:
         """Build what no run changes; return it with the resolved initial
@@ -326,13 +330,13 @@ class ScenarioConfig:
         from .absolute import AbsoluteProtocol
         from .relative import RelativeProtocol
 
-        phases, freqs, scripts, normal = self._runnable()
+        phases, freqs, scripts = self._runnable()
         params = MsrParams(
             f=self.f, weight_policy=self.weights, eager_detection=self.eager_detection
         )
         protocol = (AbsoluteProtocol(params) if self.algorithm == "absolute"
                     else RelativeProtocol(params, zeta=self.zeta))
-        return PreparedScenario(self, normal, protocol, scripts), phases, freqs
+        return PreparedScenario(self, self.normal_ids, protocol, scripts), phases, freqs
 
     def build(self) -> tuple[PreparedScenario, WorldState]:
         """The prepared scenario and a world at its initial values; raise
@@ -664,10 +668,20 @@ def scenario_from_dict(data: dict[str, Any], base_dir: Path | None = None) -> Sc
     return ScenarioConfig(**fields)
 
 
+def _unique_keys(pairs) -> dict[str, Any]:
+    """A JSON object's members as a dict; a key given twice raises ValueError."""
+    members: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in members:
+            raise ValueError(f"duplicate key {key!r}")
+        members[key] = value
+    return members
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     with path.open() as handle:
-        data = json.load(handle)
+        data = json.load(handle, object_pairs_hook=_unique_keys)
     config = scenario_from_dict(data, base_dir=path.parent)
     if not config.name:
         config.name = path.stem

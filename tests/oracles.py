@@ -120,8 +120,8 @@ def scan_next_event(world, protocol, pending_adversary=()):
 
     _KINDS = tuple(EventKind)
     candidates = []  # time, priority, node, start_rank
-    uses_start = protocol.uses_start_pulses
-    start_target = 1.0 - protocol.zeta if uses_start else 0.0
+    start_target = protocol.start_target
+    uses_start = start_target is not None
     for i in world.normal_ids:
         osc = world.oscillators[i]
         candidates.append(

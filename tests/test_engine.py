@@ -32,8 +32,8 @@ from pcosync.engine import TIME_EPS, _CandidateTimes, advance_all, event_budget,
 
 from oracles import scan_next_event
 
-PLAIN = SimpleNamespace(uses_start_pulses=False, zeta=0.0)
-STARTING = SimpleNamespace(uses_start_pulses=True, zeta=0.1)
+PLAIN = SimpleNamespace(start_target=None)
+STARTING = SimpleNamespace(start_target=1.0 - 0.1)
 
 
 def two_node_world(phases, omegas, faulty=()):
@@ -292,8 +292,8 @@ def _drawn_world(nodes, clock):
     clock=st.sampled_from([0.0, 0.375, 3.0, 41.125]),
     protocol=st.sampled_from([
         PLAIN,
-        SimpleNamespace(uses_start_pulses=True, zeta=0.25),
-        SimpleNamespace(uses_start_pulses=True, zeta=0.125),
+        SimpleNamespace(start_target=1.0 - 0.25),
+        SimpleNamespace(start_target=1.0 - 0.125),
     ]),
     head=st.one_of(
         st.none(),
@@ -359,7 +359,7 @@ def _actor_step(data, world, protocol, table, last):
     change = data.draw(st.sampled_from(["aim", "aim", "phase", "omega", "flags"]), label="change")
     if change == "aim" and table.tmin < math.inf:
         # A slot's threshold phase, in slot order: fire, start pulse, update.
-        targets = [1.0] + ([1.0 - protocol.zeta] if protocol.uses_start_pulses else []) + [0.5]
+        targets = [1.0] + ([] if protocol.start_target is None else [protocol.start_target]) + [0.5]
         slots = [s for s in range(len(targets) * n) if s % n in normal]
         before = [s for s in slots if s < table.cursor]
         slot = data.draw(st.sampled_from(before or slots) | st.sampled_from(slots), label="aimed slot")
@@ -385,7 +385,7 @@ def _actor_step(data, world, protocol, table, last):
     data=st.data(),
     nodes=st.lists(_NODE, min_size=2, max_size=6),
     clock=st.sampled_from([0.0, 0.375, 41.125]),
-    protocol=st.sampled_from([PLAIN, SimpleNamespace(uses_start_pulses=True, zeta=0.25)]),
+    protocol=st.sampled_from([PLAIN, SimpleNamespace(start_target=1.0 - 0.25)]),
 )
 def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, protocol):
     world = _drawn_world(nodes, clock)

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcosync import (
@@ -63,6 +63,23 @@ def test_certifier_agrees_with_naive_on_random_graphs():
         g = random_digraph(5, ps[seed % 3], 1000 + seed)
         for r in range(1, 5):
             assert is_r_robust(g, r) == naive_is_r_robust(g, r), (g.in_neighbors, r)
+
+
+@st.composite
+def edgewise_digraphs(draw):
+    """A digraph on 2 to 8 nodes, each of its n(n - 1) possible edges drawn
+    on its own."""
+    n = draw(st.integers(2, 8))
+    return DirectedGraph(tuple(
+        tuple(j for j in range(n) if j != i and draw(st.booleans())) for i in range(n)
+    ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=edgewise_digraphs(), data=st.data())
+def test_certifier_agrees_with_naive_on_drawn_graphs(graph, data):
+    r = data.draw(st.integers(1, graph.node_count), label="r")
+    assert is_r_robust(graph, r) == naive_is_r_robust(graph, r)
 
 
 def test_robustness_is_downward_closed():

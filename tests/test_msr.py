@@ -58,6 +58,9 @@ def test_configured_alpha_weights():
         make_weights(ConfiguredAlpha(0.3), 3)  # 4 * 0.3 > 1
     with pytest.raises(ValueError):
         make_weights(ConfiguredAlpha(0.0), 1)
+    for alpha in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            neighbor_weight(ConfiguredAlpha(alpha), 1)
     with pytest.raises(ValueError):
         make_weights(EqualWeights(), -1)
 
@@ -230,7 +233,7 @@ def test_underheard_round_is_a_protocol_fault():
 def test_absolute_protocol_has_no_start_pulses():
     # The event loop schedules no start pulse for it, so it has no handler.
     proto = AbsoluteProtocol(MsrParams(f=0))
-    assert proto.uses_start_pulses is False
+    assert proto.start_target is None
     assert not hasattr(proto, "handle_start")
     world = k5_world()
     world.oscillators[0].phase = 0.85  # a relative node's start pulse is due at 0.9

@@ -91,9 +91,10 @@ def _steps(n):
     )
 
 
-def _apply(proto, world, op, node, value, t):
+def _apply(proto, world, op, node, value, t, sender):
     """One step at clock ``t``; a protocol fault is a result, compared like
-    a flag."""
+    a flag. ``sender``, one of ``node``'s in-neighbors, sends a relative
+    hook's pulse."""
     world.clock = t
     try:
         if op == "fire":
@@ -105,7 +106,6 @@ def _apply(proto, world, op, node, value, t):
         if op in ("forged_end", "forged_start"):
             claim = 1.0 if value is None else value
             return proto.deliver_adversary(world, node, claim, op == "forged_start")
-        sender = (node + 1) % world.graph.node_count
         if isinstance(proto, AbsoluteProtocol):
             # The absolute protocol has one hook, for counted pulses.
             return proto.on_pulse(world, node, 1.0 if value is None else value)
@@ -165,8 +165,15 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
                     for osc in world.oscillators:
                         osc.phase = (osc.phase + ZETA) % 1.0
                 continue
-            got = _apply(new, new_world, op, node, value, 0.25 * k)
-            want = _apply(old, old_world, op, node, value, 0.25 * k)
+            sender = None
+            if variant == "relative" and op.startswith("hook"):
+                # The hooks refuse a sender that is no in-neighbor.
+                nbrs = new_world.graph.in_neighbors[node]
+                if not nbrs:
+                    continue
+                sender = data.draw(st.sampled_from(nbrs), label="sender")
+            got = _apply(new, new_world, op, node, value, 0.25 * k, sender)
+            want = _apply(old, old_world, op, node, value, 0.25 * k, sender)
             assert repr(got) == repr(want), (k, op, node)
             assert _state(new_world, new) == _state(old_world, old), (k, op, node)
             assert new_world.pulses_delivered == old.hook_calls

@@ -143,7 +143,7 @@ def test_stamp_pairing_state_machine():
 
 def test_hooks_pair_in_the_senders_in_neighbor_slot():
     # Node 0 listens to 3 and then 1, so sender 1 holds its slot 1; sender 2
-    # is no in-neighbor: its pulses are counted and pair nothing.
+    # is no in-neighbor: it has no slot, and the hooks refuse its pulses.
     graph = DirectedGraph.from_lists([(3, 1), (0,), (0,), (0,)])
     world = WorldState(graph, [OscillatorState(0.0, 1.0) for _ in range(4)],
                        frozenset(range(4)), frozenset())
@@ -155,17 +155,19 @@ def test_hooks_pair_in_the_senders_in_neighbor_slot():
     proto.on_start_pulse(world, 0, sender=3)
     osc.phase = 0.2
     proto.on_start_pulse(world, 0, sender=1)
-    proto.on_start_pulse(world, 0, sender=2)
+    with pytest.raises(ValueError):
+        proto.on_start_pulse(world, 0, sender=2)
     assert osc.stamps == [0.1, 0.2]
     osc.phase = 0.25
-    proto.on_end_pulse(world, 0, sender=2, sender_omega=1.5)
-    assert osc.pulse_count == 1
+    with pytest.raises(ValueError):
+        proto.on_end_pulse(world, 0, sender=2, sender_omega=1.5)
+    assert osc.pulse_count == 0
     assert (osc.stamps, osc.ratios, proto.pair_senders) == ([0.1, 0.2], [None, None], {})
     proto.on_end_pulse(world, 0, sender=1, sender_omega=2.0)
-    assert osc.pulse_count == 2
+    assert osc.pulse_count == 1
     assert (osc.stamps, osc.ratios, proto.pair_senders) == (
         [0.1, None], [None, 0.1 / ((0.25 - 0.2) % 1.0)], {(0, 1): 2.0})
-    assert world.pulses_delivered == 5
+    assert world.pulses_delivered == 3
 
 
 def test_start_emission_snaps_phase_and_stamps_listeners():

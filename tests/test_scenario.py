@@ -915,6 +915,23 @@ def test_cli_too_deeply_nested_file_exits_2_with_one_line(command, capsys, tmp_p
     assert lines == [f"violation: scenario file is nested too deeply to parse: {path}"]
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize("text, key", [
+    # Top level: without the check, the last f (7) was kept.
+    ('{"graph": {"named": "complete", "n": 5}, "f": 1, "f": 7}', "f"),
+    # Nested: without the check, this attacker was node 4.
+    ('{"graph": {"named": "complete", "n": 5}, "f": 1,'
+     ' "attackers": [{"node": 1, "type": "silent", "node": 4}]}', "node"),
+])
+def test_cli_repeated_key_exits_2_with_one_line(command, text, key, capsys, tmp_path):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert lines == [f"violation: scenario file is not valid JSON: duplicate key {key!r}"]
+
+
 def test_attacker_specs_from_python_take_numpy_values():
     # JSON options are exact-typed at load; Python callers may pass numpy.
     flooding = AttackerSpec(4, "flooding", {"burst_count": np.int64(3), "start_time": np.float64(1.5)})
@@ -944,6 +961,10 @@ UNRUNNABLE = {
     "infeasible_alpha": (
         {"weights": {"policy": "alpha", "alpha": 0.3}},
         "neighbor weight 0.3 is infeasible at in-degree 4",
+    ),
+    "nan_alpha": (
+        {"weights": {"policy": "alpha", "alpha": math.nan}},
+        "neighbor weight nan is infeasible at in-degree 4",
     ),
     "loud_monitor": ({"monitor": "loud"}, "monitor must be off/warn/strict, got 'loud'"),
     "negative_f": ({"f": -1}, "trim parameter must be nonnegative, got -1"),
