@@ -51,7 +51,7 @@ from .metrics import (
     check_initial_bound,
     decay_envelope,
 )
-from .msr import ConfiguredAlpha, EqualWeights, MsrParams, msr_trim
+from .msr import ConfiguredAlpha, EqualWeights, msr_trim
 from .phase import Arc, clockwise_dist, containing_arc
 from .relative import RelativeProtocol
 from .runner import RunResult, run_scenario
@@ -77,7 +77,6 @@ __all__ = [
     "EventKind",
     "GraphTooLargeError",
     "InvariantViolation",
-    "MsrParams",
     "OscillatorState",
     "ProtocolFault",
     "PulseTape",

@@ -48,7 +48,7 @@ class AbsoluteProtocol(MsrRound):
             return True
         osc = world.oscillators[i]
         kept = msr_trim(osc.freq_buffer, trim)
-        w = neighbor_weight(self.params.weight_policy, len(kept))
+        w = neighbor_weight(self.weight_policy, len(kept))
         omega = osc.omega
         # Deviation form of the convex combination: exact when all inputs
         # equal the current value, and sign-safe at the hull edges.

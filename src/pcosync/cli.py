@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import InvariantViolation, ScenarioValidationError, UnrunnableScenarioError
 from .graph import MAX_EXHAUSTIVE_NODES, is_r_robust, load_graph, max_robustness
 from .runner import RunResult, run_scenario
-from .scenario import load_scenario
+from .scenario import ALGORITHMS, load_scenario
 from .sweep import SweepSpec, format_frontier, pool_size, sweep_frontier
 
 EXIT_OK = 0
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="path to a scenario JSON file")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--horizon", type=float, default=None, help="override the time horizon")
-    p_run.add_argument("--algorithm", choices=("absolute", "relative"), default=None)
+    p_run.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p_run.add_argument("--trace", default=None, help="write the per-event trace CSV here")
     p_run.add_argument(
         "--summary", default=None,
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--parallelism", type=int, default=1, help="worker processes")
     p_sweep.add_argument("--seed", type=int, default=None, help="base seed for trial derivation")
     p_sweep.add_argument("--horizon", type=float, default=None, help="override the trial horizon")
-    p_sweep.add_argument("--algorithm", choices=("absolute", "relative"), default=None)
+    p_sweep.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p_sweep.add_argument("--spread-cap", type=float, default=1.0, help="upper end of the bisection interval")
     p_sweep.add_argument("--tol", type=float, default=0.01, help="bisection resolution")
     p_sweep.add_argument("--threshold", type=float, default=0.95, help="required per-point success rate")

@@ -132,10 +132,12 @@ class OscillatorState:
 
 @dataclass
 class WorldState:
+    """One run's state. ``faulty`` names the misbehaving nodes; every other
+    node is normal, and ``normal_ids`` lists those in ascending order."""
+
     graph: DirectedGraph
     oscillators: list[OscillatorState]
-    normal: frozenset[int]
-    faulty: frozenset[int]
+    faulty: frozenset[int] = frozenset()
     clock: float = 0.0
     event_count: int = 0
     # Receptions the protocol handled, counted once per fan-out.
@@ -145,18 +147,16 @@ class WorldState:
         n = self.graph.node_count
         if len(self.oscillators) != n:
             raise ValueError("one oscillator state required per graph node")
-        if self.normal & self.faulty:
-            raise ValueError("a node cannot be both normal and faulty")
-        if self.normal | self.faulty != frozenset(range(n)):
-            raise ValueError("normal and faulty sets must partition the nodes")
-        self.normal_ids = tuple(sorted(self.normal))
-        self.faulty_ids = tuple(sorted(self.faulty))
+        faulty = self.faulty
+        if not faulty <= frozenset(range(n)):
+            raise ValueError(f"faulty node {min(faulty - frozenset(range(n)))} outside 0..{n - 1}")
+        self.normal_ids = tuple(i for i in range(n) if i not in faulty)
+        self.faulty_ids = tuple(sorted(faulty))
         # Per sender, (receiver, slot) for each of its normal receivers (a
         # faulty one runs no protocol): the protocols' fan-outs walk these.
         slots = self.graph.out_slots
-        if self.faulty:
-            normal = self.normal
-            slots = tuple(tuple(edge for edge in row if edge[0] in normal) for row in slots)
+        if faulty:
+            slots = tuple(tuple(edge for edge in row if edge[0] not in faulty) for row in slots)
         self.receiver_slots = slots
         self.in_degrees = self.graph.in_degrees
 
@@ -313,9 +313,7 @@ class _CandidateTimes:
                     times[start_at + i] = inf
 
 
-def next_event(
-    world: WorldState, protocol, pending_adversary=(), table: _CandidateTimes | None = None
-) -> Event | None:
+def next_event(world: WorldState, pending_adversary, table: _CandidateTimes) -> Event | None:
     """Peek the next event: earliest threshold crossing or scripted pulse.
 
     ``pending_adversary`` holds (time, node, is_start) triples sorted by
@@ -323,9 +321,10 @@ def next_event(
     kind priority then node id, and the event happens at the earliest time
     of its window (the earlier of its own and ``tmin`` for a scripted
     pulse). Returns None when nothing is pending.
-    ``table``, kept by ``simulate`` across one run, carries the candidate
-    times between selections (see the module docstring); without it a
-    fresh table is built and every normal node is computed.
+    ``table``, kept by ``simulate`` across one run, holds the protocol's
+    start-pulse threshold and carries the candidate times between
+    selections (see the module docstring); a new table has no clock, so its
+    first selection computes every normal node.
 
     At an unchanged clock the selection resumes from the table's cursor,
     the slot the previous selection chose: it keeps that selection's
@@ -336,8 +335,6 @@ def next_event(
     the cursor on still holds it. ``_CandidateTimes`` proves both paths pick
     the same event.
     """
-    if table is None:
-        table = _CandidateTimes(world.graph.node_count, protocol)
     times = table.times
     actor = table.actor
     if table.clock != world.clock:
@@ -492,7 +489,7 @@ def simulate(
     table = _CandidateTimes(world.graph.node_count, protocol)
     outcome = "horizon"
     while True:
-        ev = next_event(world, protocol, pending, table)
+        ev = next_event(world, pending, table)
         if ev is None or ev.time > horizon + TIME_EPS:
             break
         dt = ev.time - world.clock

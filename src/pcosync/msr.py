@@ -23,7 +23,7 @@ each kept value's deviation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .engine import WorldState
@@ -103,39 +103,29 @@ def msr_trim(values: Sequence[float], trim_count: int) -> list[float]:
     return ordered[trim_count : len(ordered) - trim_count]
 
 
-@dataclass(frozen=True)
-class MsrParams:
-    """Knobs shared by both protocol variants.
-
-    ``f`` bounds the number of misbehaving in-neighbors any node may have.
-    ``eager_detection`` latches a counter overflow the moment it happens
-    instead of waiting for the update instant.
-    """
-
-    f: int
-    weight_policy: WeightPolicy = field(default_factory=EqualWeights)
-    eager_detection: bool = False
-
-    def __post_init__(self) -> None:
-        if self.f < 0:
-            raise ValueError(f"fault bound must be nonnegative, got {self.f}")
-
-
 class MsrRound:
     """Round bookkeeping shared by both variants: the fire reset, the pulse
-    fan-out and the update check. Subclasses supply the event handlers,
-    which read the event's time from ``world.clock``, the frequency
-    estimate, and hooks that hand one receiver a pulse in its sender's
-    slot and refuse a sender outside its in-neighbors. ``start_target`` is
-    the one start-pulse threshold, None for a variant that sends none.
-    ``omega_limit`` is the fastest frequency an update may set
-    (``PreparedScenario`` sets the step rule's)."""
+    fan-out and the update check, set by three parameters. ``f`` bounds the
+    number of misbehaving in-neighbors any node may have; ``weight_policy``
+    weighs the kept values; ``eager_detection`` latches a counter overflow
+    the moment it happens instead of waiting for the update instant.
+    Subclasses supply the event handlers, which read the event's time from
+    ``world.clock``, the frequency estimate, and hooks that hand one
+    receiver a pulse in its sender's slot and refuse a sender outside its
+    in-neighbors. ``start_target`` is the one start-pulse threshold, None
+    for a variant that sends none. ``omega_limit`` is the fastest frequency
+    an update may set (``PreparedScenario`` sets the step rule's)."""
 
     start_target: float | None = None
     omega_limit = float("inf")
 
-    def __init__(self, params: MsrParams):
-        self.params = params
+    def __init__(self, f: int, weight_policy: WeightPolicy = EqualWeights(),
+                 eager_detection: bool = False):
+        if f < 0:
+            raise ValueError(f"fault bound must be nonnegative, got {f}")
+        self.f = f
+        self.weight_policy = weight_policy
+        self.eager_detection = eager_detection
 
     def reset_on_fire(self, world: WorldState, i: int):
         """Node i reaches phase 1: wrap to 0, arm the update, return its state."""
@@ -167,9 +157,9 @@ class MsrRound:
         world.pulses_delivered += len(edges)
         oscillators = world.oscillators
         in_degrees = world.in_degrees
-        f = self.params.f
+        f = self.f
         up_at = f + 1
-        eager = self.params.eager_detection
+        eager = self.eager_detection
         pairs = self.start_target is not None
         if pairs:
             zeta = self.zeta
@@ -220,7 +210,7 @@ class MsrRound:
             osc.detected = True
             osc.reset_round()
             return None
-        trim = self.params.f - (d - c)
+        trim = self.f - (d - c)
         if trim < 0:
             raise ProtocolFault(
                 f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "

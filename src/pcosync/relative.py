@@ -30,21 +30,30 @@ places with the update.
 from __future__ import annotations
 
 from .engine import WorldState
-from .msr import MsrParams, MsrRound, msr_trim, neighbor_weight
+from .msr import EqualWeights, MsrRound, WeightPolicy, msr_trim, neighbor_weight
+
+
+def offset_problem(zeta: float) -> str | None:
+    """Why ``zeta`` cannot be the start-pulse offset, or None when it can."""
+    return None if 0.0 < zeta < 0.5 else f"start-pulse offset must lie in (0, 0.5), got {zeta}"
 
 
 class RelativeProtocol(MsrRound):
-    def __init__(self, params: MsrParams, zeta: float = 0.1):
-        """``zeta`` is the phase offset of the start pulse before the fire.
+    def __init__(self, f: int, weight_policy: WeightPolicy = EqualWeights(),
+                 eager_detection: bool = False, zeta: float = 0.1):
+        """``f``, ``weight_policy`` and ``eager_detection`` set the W-MSR
+        round (see ``MsrRound``); ``zeta`` is the phase offset of the start
+        pulse before the fire, refused outside (0, 0.5).
         ``ratio_log``, once a caller sets it to a list before a run, collects
         one record per accepted ratio: (time, node, sender, ratio, receiver
         omega before update, sender omega at end-pulse emission or None for
         forged pulses). Diagnostic only; the protocol itself never reads it.
         While it is on, ``pair_senders`` keeps each pair's sender omega under
         (receiver, slot), read only while the slot holds that pair's ratio."""
-        if not 0.0 < zeta < 0.5:
-            raise ValueError(f"start-pulse offset must lie in (0, 0.5), got {zeta}")
-        super().__init__(params)
+        problem = offset_problem(zeta)
+        if problem:
+            raise ValueError(problem)
+        super().__init__(f, weight_policy, eager_detection)
         self.zeta = zeta
         self.start_target = 1.0 - zeta
         self.ratio_log: list | None = None
@@ -112,7 +121,7 @@ class RelativeProtocol(MsrRound):
         # round) shrink the candidate set; with 2*trim or fewer candidates
         # the trim removes everything and the frequency holds for a round.
         kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
-        w = neighbor_weight(self.params.weight_policy, len(kept))
+        w = neighbor_weight(self.weight_policy, len(kept))
         # omega * (a_self + sum a_j * ratio_j) in deviation form, exact when
         # every kept ratio is 1.
         return self.close_update(world, i, omega + omega * sum([w * (r - 1.0) for r in kept]))

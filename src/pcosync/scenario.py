@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from . import adversary, rng
+from .absolute import AbsoluteProtocol
 from .engine import PHASE_SLACK, TIME_EPS, OscillatorState, PulseTape, WorldState
 from .errors import ScenarioValidationError, UnrunnableScenarioError
 from .graph import (
@@ -39,9 +40,9 @@ from .graph import (
     parse_graph_text,
 )
 from .metrics import MONITOR_MODES, check_initial_bound
-from .msr import (ConfiguredAlpha, EqualWeights, MsrParams, WeightPolicy, effective_alpha,
-                  neighbor_weight)
+from .msr import ConfiguredAlpha, EqualWeights, WeightPolicy, effective_alpha, neighbor_weight
 from .phase import containing_arc, clockwise_dist
+from .relative import RelativeProtocol, offset_problem
 
 ALGORITHMS = ("absolute", "relative")
 
@@ -125,24 +126,37 @@ def _too_fast(gap: float, resolution: float, reach: float, omega: float) -> str 
 
 class PreparedScenario:
     """The object every run starts from: what a scenario that passed the
-    gate keeps for all its runs, namely its ``config``, normal node ids
-    (ascending), protocol, attack scripts, their pulses up to the horizon as
-    one ``PulseTape`` (merged and claimed once per process, however many
-    runs read it) and weight floor ``alpha``. No run changes them but to
-    extend the tape; ``world`` makes the state a run does change."""
+    gate keeps for all its runs, built from its ``config`` and attack
+    ``scripts`` alone. That is the config, its normal node ids (ascending),
+    the protocol the config names with its parameters, the scripts, their
+    pulses up to the horizon as one ``PulseTape`` (merged and claimed once
+    per process, however many runs read it) and the weight floor ``alpha``.
+    No run changes them but to extend the tape; ``world`` makes the state a
+    run does change."""
 
     __slots__ = ("config", "normal_ids", "protocol", "scripts", "tape", "alpha", "_step",
                  "_world_fields")
 
-    def __init__(self, config: ScenarioConfig, normal_ids: tuple[int, ...], protocol, scripts):
+    def __init__(self, config: ScenarioConfig, scripts):
         graph = config.graph
+        if config.algorithm == "absolute":
+            protocol = AbsoluteProtocol(config.f, config.weights, config.eager_detection)
+            gap = 0.5
+        else:
+            protocol = RelativeProtocol(config.f, config.weights, config.eager_detection,
+                                        zeta=config.zeta)
+            gap = config.zeta
+        # A world that never runs: its faulty ids are checked and its derived
+        # tables built here, once, and each run's world copies its fields,
+        # with oscillators of its own in place of these placeholders.
+        blank = WorldState(graph, [None] * graph.node_count, config.faulty_ids)
+        self._world_fields = tuple(vars(blank).items())
         self.config = config
-        self.normal_ids = normal_ids
+        self.normal_ids = normal_ids = blank.normal_ids
         self.protocol = protocol
         self.scripts = scripts
         self.tape = PulseTape(scripts, config.horizon)
         self.alpha = effective_alpha(config.weights, max(graph.in_degrees[i] for i in normal_ids))
-        gap = 0.5 if protocol.start_target is None else protocol.zeta
         resolution = TIME_EPS + math.ulp(config.horizon)
         reach = 4 * math.ulp(2 * (config.horizon + 2 * TIME_EPS))
         step = self._step = (gap, resolution, reach)
@@ -154,12 +168,6 @@ class PreparedScenario:
         while not _too_fast(*step, math.nextafter(limit, math.inf)):
             limit = math.nextafter(limit, math.inf)
         protocol.omega_limit = limit
-        # A world that never runs: its partition is checked and its derived
-        # tables built here, once, and each run's world copies its fields,
-        # with oscillators of its own in place of these placeholders.
-        blank = WorldState(graph, [None] * graph.node_count, frozenset(normal_ids),
-                           config.faulty_ids)
-        self._world_fields = tuple(vars(blank).items())
 
     def world(self, phases, freqs) -> WorldState:
         """A fresh world at these initial phases and frequencies, one per
@@ -238,8 +246,9 @@ class ScenarioConfig:
             problems.append(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.f < 0:
             problems.append(f"trim parameter must be nonnegative, got {self.f}")
-        if not 0.0 < self.zeta < 0.5:
-            problems.append(f"start-pulse offset must lie in (0, 0.5), got {self.zeta}")
+        problem = offset_problem(self.zeta)
+        if problem:
+            problems.append(problem)
         horizon_ok = math.isfinite(self.horizon) and self.horizon > 0.0
         if not horizon_ok:
             problems.append(f"horizon must be finite and positive, got {self.horizon}")
@@ -327,16 +336,8 @@ class ScenarioConfig:
         """Build what no run changes; return it with the resolved initial
         phases and frequencies. Raises UnrunnableScenarioError on what every
         run of the config shares; the prepared ``world`` refuses initial values."""
-        from .absolute import AbsoluteProtocol
-        from .relative import RelativeProtocol
-
         phases, freqs, scripts = self._runnable()
-        params = MsrParams(
-            f=self.f, weight_policy=self.weights, eager_detection=self.eager_detection
-        )
-        protocol = (AbsoluteProtocol(params) if self.algorithm == "absolute"
-                    else RelativeProtocol(params, zeta=self.zeta))
-        return PreparedScenario(self, self.normal_ids, protocol, scripts), phases, freqs
+        return PreparedScenario(self, scripts), phases, freqs
 
     def build(self) -> tuple[PreparedScenario, WorldState]:
         """The prepared scenario and a world at its initial values; raise

@@ -399,13 +399,13 @@ def _count_pulse(self, world, i):
     osc.pulse_count += 1
     c = osc.pulse_count
     d = len(world.graph.in_neighbors[i])
-    f = self.params.f
+    f = self.f
     phi = osc.phase
     if c == f + 1:
         osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
     if c == d - f:
         osc.jump_down = -phi if phi < 0.5 else 0.0
-    if self.params.eager_detection and c > d and not osc.detected:
+    if self.eager_detection and c > d and not osc.detected:
         osc.detected = True
         return True
     return False
@@ -423,7 +423,7 @@ def _open_update(self, world, i):
         osc.detected = True
         osc.reset_round()
         return None
-    trim = self.params.f - (d - c)
+    trim = self.f - (d - c)
     if trim < 0:
         raise ProtocolFault(
             f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
@@ -526,7 +526,7 @@ class HookRelativeProtocol(RelativeProtocol):
             if self.ratio_log is not None:
                 self.ratio_log.append((world.clock, i, j, ratio, osc.omega, pair[2]))
         kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
-        weights = make_weights(self.params.weight_policy, len(kept))
+        weights = make_weights(self.weight_policy, len(kept))
         omega = osc.omega
         osc.omega = omega + omega * sum(w * (r - 1.0) for w, r in zip(weights[1:], kept))
         osc.reset_round()

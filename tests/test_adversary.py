@@ -64,7 +64,6 @@ def world_on(graph, faulty=()):
     return WorldState(
         graph=graph,
         oscillators=[OscillatorState(0.0, 1.0) for _ in range(n)],
-        normal=frozenset(range(n)) - frozenset(faulty),
         faulty=frozenset(faulty),
     )
 

@@ -16,7 +16,6 @@ from pcosync import (
     DirectedGraph,
     EventKind,
     InvariantViolation,
-    MsrParams,
     OscillatorState,
     ProtocolFault,
     PulseTape,
@@ -36,26 +35,39 @@ PLAIN = SimpleNamespace(start_target=None)
 STARTING = SimpleNamespace(start_target=1.0 - 0.1)
 
 
+def fresh_table(world, protocol):
+    """A new candidate-time table for ``world`` under ``protocol``, read for
+    its ``start_target``; its first selection computes every normal node."""
+    return _CandidateTimes(world.graph.node_count, protocol)
+
+
+def select(world, protocol, pending_adversary=()):
+    """``next_event`` on a fresh table, as a run's first selection makes it."""
+    return next_event(world, pending_adversary, fresh_table(world, protocol))
+
+
 def two_node_world(phases, omegas, faulty=()):
     return WorldState(
         graph=complete_digraph(2),
         oscillators=[
             OscillatorState(phase=p, omega=w) for p, w in zip(phases, omegas)
         ],
-        normal=frozenset({0, 1} - set(faulty)),
         faulty=frozenset(faulty),
     )
 
 
 def test_world_partition_is_validated():
-    graph = complete_digraph(2)
-    oscs = [OscillatorState(0.0, 1.0), OscillatorState(0.0, 1.0)]
+    graph = complete_digraph(3)
+    oscs = [OscillatorState(0.0, 1.0) for _ in range(3)]
     with pytest.raises(ValueError):
-        WorldState(graph, oscs[:1], frozenset({0, 1}), frozenset())
-    with pytest.raises(ValueError):
-        WorldState(graph, oscs, frozenset({0, 1}), frozenset({1}))
-    with pytest.raises(ValueError):
-        WorldState(graph, oscs, frozenset({0}), frozenset())
+        WorldState(graph, oscs[:2])
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=f"faulty node {bad} outside 0..2"):
+            WorldState(graph, oscs, frozenset({1, bad}))
+    # Every node the faulty set leaves out is normal, in ascending order.
+    assert WorldState(graph, oscs).normal_ids == (0, 1, 2)
+    world = WorldState(graph, oscs, frozenset({1}))
+    assert (world.normal_ids, world.faulty_ids) == ((0, 2), (1,))
 
 
 def test_advance_moves_each_phase_at_its_own_rate():
@@ -82,7 +94,7 @@ def test_faulty_phase_free_runs_modulo_one():
 
 def test_fire_tie_resolves_to_lower_node_id():
     world = two_node_world([0.0, 0.0], [1.0, 1.0])
-    ev = next_event(world, PLAIN)
+    ev = select(world, PLAIN)
     assert ev.kind is EventKind.FIRE
     assert ev.node == 0
     assert ev.time == pytest.approx(1.0)
@@ -91,36 +103,36 @@ def test_fire_tie_resolves_to_lower_node_id():
 def test_fire_beats_update_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
     world.oscillators[1].fired = True  # update due at phase 0.5, time 0.5
-    ev = next_event(world, PLAIN)
+    ev = select(world, PLAIN)
     assert ev.kind is EventKind.FIRE and ev.node == 0
 
 
 def test_adversary_pulse_beats_thresholds_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
-    ev = next_event(world, PLAIN, pending_adversary=((0.5, 7, 0),))
+    ev = select(world, PLAIN, ((0.5, 7, 0),))
     assert ev.kind is EventKind.ADVERSARY_PULSE
     assert ev.node == 7
 
 
 def test_a_scripted_pulse_exactly_time_eps_late_still_ties_with_the_earliest_node():
     world = two_node_world([0.2, 0.0], [1.0, 1.0])
-    tmin = next_event(world, PLAIN).time
+    tmin = select(world, PLAIN).time
     limit = tmin + TIME_EPS  # the tie window's end, as next_event computes it
-    ev = next_event(world, PLAIN, pending_adversary=((limit, 7, 0),))
+    ev = select(world, PLAIN, ((limit, 7, 0),))
     assert ev.kind is EventKind.ADVERSARY_PULSE and ev.node == 7
     assert ev.time == tmin
     later = math.nextafter(limit, math.inf)
-    ev = next_event(world, PLAIN, pending_adversary=((later, 7, 0),))
+    ev = select(world, PLAIN, ((later, 7, 0),))
     assert ev.kind is EventKind.FIRE and ev.node == 0
     assert ev.time == tmin
 
 
 def test_update_is_armed_only_after_firing():
     world = two_node_world([0.2, 0.4], [1.0, 1.0])
-    ev = next_event(world, PLAIN)
+    ev = select(world, PLAIN)
     assert ev.kind is EventKind.FIRE  # nobody fired yet, so no update is due
     world.oscillators[0].fired = True
-    ev = next_event(world, PLAIN)
+    ev = select(world, PLAIN)
     assert ev.kind is EventKind.UPDATE and ev.node == 0
     assert ev.time == pytest.approx(0.3)
 
@@ -129,7 +141,7 @@ def test_detected_node_never_updates():
     world = two_node_world([0.3, 0.0], [1.0, 1.0])
     world.oscillators[0].fired = True
     world.oscillators[0].detected = True
-    ev = next_event(world, PLAIN)
+    ev = select(world, PLAIN)
     assert ev.kind is EventKind.FIRE and ev.node == 0
 
 
@@ -137,7 +149,7 @@ def test_armed_node_past_half_phase_is_an_invariant_violation():
     world = two_node_world([0.6, 0.0], [1.0, 1.0])
     world.oscillators[0].fired = True
     with pytest.raises(InvariantViolation):
-        next_event(world, PLAIN)
+        select(world, PLAIN)
 
 
 def test_start_pulse_scheduling_window():
@@ -145,16 +157,16 @@ def test_start_pulse_scheduling_window():
     # and have not already passed the threshold this cycle.  A silent faulty
     # companion keeps node 0's candidates from being shadowed.
     world = two_node_world([0.0, 0.95], [1.0, 1.0], faulty=(1,))
-    ev = next_event(world, STARTING)
+    ev = select(world, STARTING)
     assert ev.kind is EventKind.START_PULSE and ev.node == 0
     assert ev.time == pytest.approx(0.9)
     world.oscillators[0].start_emitted = True
-    ev = next_event(world, STARTING)
+    ev = select(world, STARTING)
     assert ev.kind is EventKind.FIRE and ev.node == 0
     assert ev.time == pytest.approx(1.0)
     # Already past the threshold: no start candidate is manufactured.
     late = two_node_world([0.95, 0.0], [1.0, 1.0], faulty=(1,))
-    ev = next_event(late, STARTING)
+    ev = select(late, STARTING)
     assert ev.kind is EventKind.FIRE and ev.node == 0
     assert ev.time == pytest.approx(0.05)
 
@@ -280,7 +292,6 @@ def _drawn_world(nodes, clock):
             )
             for node in nodes
         ],
-        normal=frozenset(range(n)) - faulty,
         faulty=faulty,
         clock=clock,
     )
@@ -310,10 +321,10 @@ def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
         expected = scan_next_event(world, protocol, pending)
     except InvariantViolation as exc:
         with pytest.raises(InvariantViolation) as raised:
-            next_event(world, protocol, pending)
+            select(world, protocol, pending)
         assert str(raised.value) == str(exc)
         return
-    got = next_event(world, protocol, pending)
+    got = select(world, protocol, pending)
     if expected is None:
         assert got is None
     else:
@@ -336,7 +347,7 @@ def _selection_path(world, protocol, table):
     a fresh computation of every slot."""
     if table.clock != world.clock:
         return "full scan: clock moved"
-    fresh = _CandidateTimes(table.n, protocol)
+    fresh = fresh_table(world, protocol)
     fresh.clock = world.clock
     fresh.refresh(world, world.normal_ids)
     times, actor, n = fresh.times, table.actor, table.n
@@ -389,7 +400,7 @@ def _actor_step(data, world, protocol, table, last):
 )
 def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, protocol):
     world = _drawn_world(nodes, clock)
-    table = _CandidateTimes(len(nodes), protocol)
+    table = fresh_table(world, protocol)
     pending = ()
     last = None
     for _ in range(data.draw(st.integers(1, 16), label="steps")):
@@ -397,12 +408,12 @@ def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, pr
             expected = scan_next_event(world, protocol, pending)
         except InvariantViolation as exc:
             with pytest.raises(InvariantViolation) as raised:
-                next_event(world, protocol, pending, table)
+                next_event(world, pending, table)
             assert str(raised.value) == str(exc)
             event("raised")
             return
         event(_selection_path(world, protocol, table))
-        got = next_event(world, protocol, pending, table)
+        got = next_event(world, pending, table)
         assert repr(got) == repr(expected)
         last = None if got is None or got.kind is EventKind.ADVERSARY_PULSE else got.node
         if world.normal_ids and data.draw(st.booleans(), label="actor step"):
@@ -428,17 +439,18 @@ class CheckedSelections:
         self.events = []
         self.reused = 0
 
-    def __call__(self, world, protocol, pending_adversary=(), table=None):
-        if table is not None and table.clock == world.clock:
+    def __call__(self, world, pending_adversary, table):
+        if table.clock == world.clock:
             self.reused += 1
         try:
-            expected = scan_next_event(world, protocol, pending_adversary)
+            # The table holds the protocol's start target, all the scan reads.
+            expected = scan_next_event(world, table, pending_adversary)
         except InvariantViolation as exc:
             with pytest.raises(InvariantViolation) as raised:
-                next_event(world, protocol, pending_adversary, table)
+                next_event(world, pending_adversary, table)
             assert str(raised.value) == str(exc)
             raise
-        got = next_event(world, protocol, pending_adversary, table)
+        got = next_event(world, pending_adversary, table)
         if expected is None:
             assert got is None
         else:
@@ -489,10 +501,8 @@ def test_detection_latched_at_an_unchanged_clock_cancels_a_due_update():
             OscillatorState(phase=1.0, omega=1.0),
             OscillatorState(phase=0.5, omega=1.0, fired=True, pulse_count=1),
         ],
-        normal=frozenset({0, 1, 2}),
-        faulty=frozenset(),
     )
-    protocol = AbsoluteProtocol(MsrParams(f=1, eager_detection=True))
+    protocol = AbsoluteProtocol(f=1, eager_detection=True)
     metrics = RunMetrics(world, alpha=0.25, mode="off")
     checked = CheckedSelections()
     with checked.patch():
@@ -598,13 +608,13 @@ def _handler_calls(draw):
         )
         for _ in range(n)
     ]
-    params = MsrParams(f=draw(st.integers(0, 2), label="f"), eager_detection=draw(st.booleans()))
+    params = dict(f=draw(st.integers(0, 2), label="f"), eager_detection=draw(st.booleans()))
     relative = draw(st.booleans(), label="relative")
     if relative:
-        protocol = RelativeProtocol(params, zeta=0.25)
+        protocol = RelativeProtocol(**params, zeta=0.25)
         handler = draw(st.sampled_from(["fire", "update", "start", "adversary"]))
     else:
-        protocol = AbsoluteProtocol(params)
+        protocol = AbsoluteProtocol(**params)
         handler = draw(st.sampled_from(["fire", "update", "adversary"]))
     actor = draw(st.integers(0, n - 1), label="actor")
     faulty = draw(st.sets(st.integers(0, n - 1)), label="faulty")
@@ -613,7 +623,6 @@ def _handler_calls(draw):
     world = WorldState(
         graph=graph,
         oscillators=oscillators,
-        normal=frozenset(range(n)) - faulty,
         faulty=frozenset(faulty),
         clock=2.0,
     )
@@ -652,11 +661,11 @@ def test_handlers_change_other_nodes_selection_inputs_only_when_they_report(call
 def test_a_world_reuses_the_graph_tables_when_no_node_is_faulty():
     graph = DirectedGraph.from_lists([[1, 2], [0, 2], [0, 1]])
     states = [OscillatorState(0.0, 1.0) for _ in range(3)]
-    world = WorldState(graph, states, frozenset(range(3)), frozenset())
+    world = WorldState(graph, states)
     assert world.receiver_slots is graph.out_slots
     assert world.in_degrees is graph.in_degrees
     assert graph.in_degrees == (2, 2, 2)
     # (receiver, the sender's position in the receiver's in-neighbor list)
     assert graph.out_slots == (((1, 0), (2, 0)), ((0, 0), (2, 1)), ((0, 1), (1, 1)))
-    attacked = WorldState(graph, states, frozenset({0, 2}), frozenset({1}))
+    attacked = WorldState(graph, states, frozenset({1}))
     assert attacked.receiver_slots == (((2, 0),), ((0, 0), (2, 1)), ((0, 1),))

@@ -329,8 +329,6 @@ def fresh(phases=(0.0, 0.3), omegas=(1.0, 1.2), mode="warn", window_len=None):
     world = WorldState(
         graph=complete_digraph(2),
         oscillators=[OscillatorState(p, w) for p, w in zip(phases, omegas)],
-        normal=frozenset({0, 1}),
-        faulty=frozenset(),
     )
     metrics = RunMetrics(world, alpha=0.5, mode=mode, window_len=window_len)
     return world, metrics
@@ -464,8 +462,6 @@ def untracked(phases, tol_phase):
     world = WorldState(
         graph=complete_digraph(n),
         oscillators=[OscillatorState(p, 1.0) for p in phases],
-        normal=frozenset(range(n)),
-        faulty=frozenset(),
     )
     metrics = RunMetrics(world, alpha=0.5, mode="off", tol_phase=tol_phase, collect_trace=False)
     arcs = []

@@ -12,7 +12,6 @@ from pcosync import (
     ConfiguredAlpha,
     EqualWeights,
     EventKind,
-    MsrParams,
     OscillatorState,
     ProtocolFault,
     RelativeProtocol,
@@ -20,7 +19,7 @@ from pcosync import (
     complete_digraph,
     msr_trim,
 )
-from pcosync.engine import next_event
+from pcosync.engine import _CandidateTimes, next_event
 from pcosync.msr import effective_alpha, neighbor_weight
 
 from oracles import make_weights
@@ -71,8 +70,8 @@ def test_weight_floor():
 
 
 def test_params_reject_negative_fault_bound():
-    with pytest.raises(ValueError):
-        MsrParams(f=-1)
+    with pytest.raises(ValueError, match="fault bound must be nonnegative, got -1"):
+        AbsoluteProtocol(f=-1)
 
 
 # -- absolute-frequency update rule, driven white box ------------------------
@@ -84,8 +83,6 @@ def k5_world(**state0):
     world = WorldState(
         graph=graph,
         oscillators=oscillators,
-        normal=frozenset(range(5)),
-        faulty=frozenset(),
     )
     for key, value in state0.items():
         setattr(world.oscillators[0], key, value)
@@ -103,7 +100,7 @@ def test_update_worked_example():
     omega = 1 + (0.05 + 0.1)/3 = 1.05.
     """
     world = k5_world(omega=1.0)
-    proto = AbsoluteProtocol(MsrParams(f=1))
+    proto = AbsoluteProtocol(f=1)
     osc = world.oscillators[0]
 
     osc.phase = 0.90
@@ -133,7 +130,7 @@ def test_update_worked_example():
 def test_jump_landmarks_respect_half_circle_gating():
     # Landmark pulses on the wrong half circle contribute no jump.
     world = k5_world()
-    proto = AbsoluteProtocol(MsrParams(f=1))
+    proto = AbsoluteProtocol(f=1)
     osc = world.oscillators[0]
     osc.phase = 0.30
     proto.on_pulse(world, 0, 1.0)
@@ -146,7 +143,7 @@ def test_jump_landmarks_respect_half_circle_gating():
 
 def test_homogeneous_values_leave_frequency_exactly_fixed():
     world = k5_world(omega=1.3)
-    proto = AbsoluteProtocol(MsrParams(f=1))
+    proto = AbsoluteProtocol(f=1)
     osc = world.oscillators[0]
     osc.phase = 0.6
     for _ in range(4):
@@ -159,7 +156,7 @@ def test_homogeneous_values_leave_frequency_exactly_fixed():
 
 def test_configured_alpha_update():
     world = k5_world(omega=1.0)
-    proto = AbsoluteProtocol(MsrParams(f=1, weight_policy=ConfiguredAlpha(0.2)))
+    proto = AbsoluteProtocol(f=1, weight_policy=ConfiguredAlpha(0.2))
     osc = world.oscillators[0]
     osc.phase = 0.6
     for value in (1.2, 0.8, 1.1, 1.05):
@@ -171,11 +168,11 @@ def test_configured_alpha_update():
 
 
 def test_an_update_past_the_frequency_limit_is_a_protocol_fault():
-    assert AbsoluteProtocol(MsrParams(f=0)).omega_limit == math.inf
+    assert AbsoluteProtocol(f=0).omega_limit == math.inf
 
     def update(limit):
         world = k5_world(omega=1.0)
-        proto = AbsoluteProtocol(MsrParams(f=0))
+        proto = AbsoluteProtocol(f=0)
         proto.omega_limit = limit
         osc = world.oscillators[0]
         osc.phase = 0.6
@@ -192,7 +189,7 @@ def test_an_update_past_the_frequency_limit_is_a_protocol_fault():
 
 def test_counter_overflow_detected_at_update():
     world = k5_world(omega=1.0)
-    proto = AbsoluteProtocol(MsrParams(f=1))
+    proto = AbsoluteProtocol(f=1)
     osc = world.oscillators[0]
     osc.phase = 0.6
     for _ in range(5):  # in-degree is 4
@@ -208,7 +205,7 @@ def test_counter_overflow_detected_at_update():
 
 def test_eager_detection_latches_on_the_overflowing_pulse():
     world = k5_world(omega=1.0)
-    proto = AbsoluteProtocol(MsrParams(f=1, eager_detection=True))
+    proto = AbsoluteProtocol(f=1, eager_detection=True)
     osc = world.oscillators[0]
     osc.phase = 0.6
     for _ in range(4):
@@ -219,7 +216,7 @@ def test_eager_detection_latches_on_the_overflowing_pulse():
 
 def test_underheard_round_is_a_protocol_fault():
     world = k5_world(omega=1.0)
-    proto = AbsoluteProtocol(MsrParams(f=1))
+    proto = AbsoluteProtocol(f=1)
     osc = world.oscillators[0]
     osc.phase = 0.6
     proto.on_pulse(world, 0, 1.0)
@@ -232,12 +229,12 @@ def test_underheard_round_is_a_protocol_fault():
 
 def test_absolute_protocol_has_no_start_pulses():
     # The event loop schedules no start pulse for it, so it has no handler.
-    proto = AbsoluteProtocol(MsrParams(f=0))
+    proto = AbsoluteProtocol(f=0)
     assert proto.start_target is None
     assert not hasattr(proto, "handle_start")
     world = k5_world()
     world.oscillators[0].phase = 0.85  # a relative node's start pulse is due at 0.9
-    assert next_event(world, proto).kind is EventKind.FIRE
+    assert next_event(world, (), _CandidateTimes(5, proto)).kind is EventKind.FIRE
 
 
 # -- properties of the shared core -------------------------------------------
@@ -298,17 +295,14 @@ def test_each_landmark_is_written_at_most_once_per_round(variant, n, f, phases):
     world = WorldState(
         graph=complete_digraph(n),
         oscillators=[_LandmarkWrites(phase=0.0, omega=1.0) for _ in range(n)],
-        normal=frozenset(range(n)),
-        faulty=frozenset(),
     )
     osc = world.oscillators[0]
     osc.writes = Counter()
     d = n - 1
-    params = MsrParams(f=f)
     if variant == "absolute":
-        proto = AbsoluteProtocol(params)
+        proto = AbsoluteProtocol(f)
     else:
-        proto = RelativeProtocol(params)
+        proto = RelativeProtocol(f)
         world.add_pair_slots()
     expected = {}
     for count, phi in enumerate(phases, start=1):

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from pcosync import (
     AbsoluteProtocol,
     DirectedGraph,
-    MsrParams,
     OscillatorState,
     ProtocolFault,
     RelativeProtocol,
@@ -70,7 +69,6 @@ def _worlds(draw):
         return WorldState(
             graph=DirectedGraph.from_lists(rows),
             oscillators=[oscillator(phase=p, omega=w) for p, w in initial],
-            normal=frozenset(range(n)) - faulty,
             faulty=frozenset(faulty),
         )
 
@@ -136,12 +134,12 @@ def _state(world, proto, zeta=ZETA):
 )
 def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data):
     new_world, old_world = worlds
-    params = MsrParams(f=f, eager_detection=eager)
+    params = dict(f=f, eager_detection=eager)
     if variant == "absolute":
-        new, old = AbsoluteProtocol(params), HookAbsoluteProtocol(params)
+        new, old = AbsoluteProtocol(**params), HookAbsoluteProtocol(**params)
     else:
-        new = RelativeProtocol(params, zeta=ZETA)
-        old = HookRelativeProtocol(params, zeta=ZETA)
+        new = RelativeProtocol(**params, zeta=ZETA)
+        old = HookRelativeProtocol(**params, zeta=ZETA)
         new.ratio_log, old.ratio_log = [], []
         new_world.add_pair_slots()
     n = new_world.graph.node_count
@@ -191,7 +189,7 @@ def _run(config, hooks):
     if hooks:
         cls = HookRelativeProtocol if relative else HookAbsoluteProtocol
         kwargs = {"zeta": config.zeta} if relative else {}
-        prepared.protocol = cls(prepared.protocol.params, **kwargs)
+        prepared.protocol = cls(config.f, config.weights, config.eager_detection, **kwargs)
         world.oscillators = [DictPairingOscillator(osc.phase, osc.omega) for osc in world.oscillators]
     if relative:
         prepared.protocol.ratio_log = []

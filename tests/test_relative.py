@@ -10,7 +10,6 @@ import pytest
 from pcosync import (
     DirectedGraph,
     InvariantViolation,
-    MsrParams,
     OscillatorState,
     ProtocolFault,
     RelativeProtocol,
@@ -32,8 +31,6 @@ def k5_world():
     world = WorldState(
         graph=graph,
         oscillators=oscillators,
-        normal=frozenset(range(5)),
-        faulty=frozenset(),
     )
     world.add_pair_slots()
     return world
@@ -58,7 +55,7 @@ def update_from_pairs(*pairs):
     pairs of senders 1, 2, ...: the ratios its update logs, by sender, and
     its new frequency."""
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=0), zeta=0.1)
+    proto = RelativeProtocol(f=0, zeta=0.1)
     proto.ratio_log = []
     osc = world.oscillators[0]
     complete_pairs(world, proto, dict(enumerate(pairs, 1)))
@@ -94,16 +91,16 @@ def test_ratio_coincident_stamps_give_no_estimate():
 
 def test_params_validate_offset_range():
     with pytest.raises(ValueError):
-        RelativeProtocol(MsrParams(f=1), zeta=0.0)
+        RelativeProtocol(f=1, zeta=0.0)
+    with pytest.raises(ValueError, match=r"start-pulse offset must lie in \(0, 0.5\), got 0.5"):
+        RelativeProtocol(f=1, zeta=0.5)
     with pytest.raises(ValueError):
-        RelativeProtocol(MsrParams(f=1), zeta=0.5)
-    with pytest.raises(ValueError):
-        RelativeProtocol(MsrParams(f=-1))
+        RelativeProtocol(f=-1)
 
 
 def test_stamp_pairing_state_machine():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1))
+    proto = RelativeProtocol(f=1)
     proto.ratio_log = []
     osc = world.oscillators[0]
 
@@ -145,10 +142,9 @@ def test_hooks_pair_in_the_senders_in_neighbor_slot():
     # Node 0 listens to 3 and then 1, so sender 1 holds its slot 1; sender 2
     # is no in-neighbor: it has no slot, and the hooks refuse its pulses.
     graph = DirectedGraph.from_lists([(3, 1), (0,), (0,), (0,)])
-    world = WorldState(graph, [OscillatorState(0.0, 1.0) for _ in range(4)],
-                       frozenset(range(4)), frozenset())
+    world = WorldState(graph, [OscillatorState(0.0, 1.0) for _ in range(4)])
     world.add_pair_slots()
-    proto = RelativeProtocol(MsrParams(f=0))
+    proto = RelativeProtocol(f=0)
     proto.ratio_log = []
     osc = world.oscillators[0]
     osc.phase = 0.1
@@ -172,7 +168,7 @@ def test_hooks_pair_in_the_senders_in_neighbor_slot():
 
 def test_start_emission_snaps_phase_and_stamps_listeners():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1), zeta=0.1)
+    proto = RelativeProtocol(f=1, zeta=0.1)
     world.oscillators[1].phase = 0.899999
     for i in (0, 2, 3, 4):
         world.oscillators[i].phase = 0.3 + 0.1 * i
@@ -185,7 +181,7 @@ def test_start_emission_snaps_phase_and_stamps_listeners():
 
 def test_fire_delivers_end_pulses_with_sender_frequency():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1))
+    proto = RelativeProtocol(f=1)
     proto.ratio_log = []
     world.oscillators[1].omega = 1.25
     for i in (0, 2, 3, 4):
@@ -204,7 +200,7 @@ def test_update_trims_ratio_extremes():
     """Ratios {0.8, 1.0, 1.25, 2.0} trimmed by one from each side keep
     {1.0, 1.25}; equal weights give omega * (1 + 0.25/3)."""
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1), zeta=0.1)
+    proto = RelativeProtocol(f=1, zeta=0.1)
     proto.ratio_log = []
     osc = world.oscillators[0]
     osc.omega = 1.2
@@ -232,7 +228,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
     # Fewer than 2f+1 usable ratios: the trim removes everything and the
     # frequency holds for the round, but the phase correction still runs.
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1), zeta=0.1)
+    proto = RelativeProtocol(f=1, zeta=0.1)
     osc = world.oscillators[0]
     osc.omega = 1.37
     complete_pairs(world, proto, {1: (0.4, 0.5), 2: (0.4, 0.46)})
@@ -254,7 +250,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
 
 def test_update_counter_checks_match_the_absolute_rule():
     world = k5_world()
-    proto = RelativeProtocol(MsrParams(f=1))
+    proto = RelativeProtocol(f=1)
     osc = world.oscillators[0]
     osc.pulse_count = 5  # in-degree is 4
     osc.fired = True

@@ -57,6 +57,38 @@ def _draw_robust_graph(draw, n, r):
     return graph
 
 
+@st.composite
+def _grown_robust_graphs(draw, r):
+    """An r-robust digraph on at most 9 nodes, built so that no draw is
+    rejected: a complete core of 2r - 1 nodes, then each later node
+    listening to exactly r earlier ones, then 0-3 back edges, each an
+    earlier node listening to a later one. The core is r-robust, a node
+    that listens to r nodes of an r-robust digraph keeps it r-robust, and
+    an added edge never lowers robustness (LeBlanc et al. 2013), so most
+    nodes have in-degree r, far from a complete digraph's."""
+    core = 2 * r - 1
+    n = draw(st.integers(core, 9), label="n")
+    rows = [[j for j in range(core) if j != i] for i in range(core)]
+    for i in range(core, n):
+        # r distinct earlier nodes, each drawn from those not yet taken.
+        earlier = list(range(i))
+        rows.append(sorted(earlier.pop(draw(st.integers(0, len(earlier) - 1)))
+                           for _ in range(r)))
+    back = [(i, j) for j in range(core, n) for i in range(j)]
+    if back:
+        for i, j in draw(st.lists(st.sampled_from(back), max_size=3, unique=True),
+                         label="back edges"):
+            rows[i].append(j)
+    return DirectedGraph.from_lists(sorted(row) for row in rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from([2, 3]), data=st.data())
+def test_grown_graphs_are_r_robust(r, data):
+    graph = data.draw(_grown_robust_graphs(r), label="graph")
+    assert is_r_robust(graph, r)
+
+
 # Relative runs estimate each frequency ratio from two stamped phases, so a
 # ratio of exactly 1 can come out an ulp away; the monitor allows 1e-9.
 HULL_SLACK = {"absolute": 0.0, "relative": 1e-9}
@@ -122,14 +154,19 @@ def _draw_attacker(draw, node):
 
 @st.composite
 def _admissible_attacked_scenarios(draw):
-    """A scenario inside the paper's conditions: f = 1 on a 3-robust digraph
-    built as in ``_robust_scenarios``, one attacker, so no normal node hears
-    more than f misbehaving in-neighbors, and equal initial frequencies with
-    an initial arc of at most 0.45. With a spread of 0 the strict initial
-    bound of ``check_initial_bound`` reads the arc alone, against 0.5; any
-    spread above 0 meets a coefficient of about 1e30 at n = 5."""
-    n = draw(st.integers(5, 8), label="n")
-    graph = _draw_robust_graph(draw, n, 3)
+    """A scenario inside the paper's conditions: f = 1 on a 3-robust digraph,
+    either nearly complete as in ``_robust_scenarios`` or sparse as
+    ``_grown_robust_graphs`` builds it, one attacker, so no normal node
+    hears more than f misbehaving in-neighbors, and equal initial
+    frequencies with an initial arc of at most 0.45. With a spread of 0 the
+    strict initial bound of ``check_initial_bound`` reads the arc alone,
+    against 0.5; any spread above 0 meets a coefficient of about 1e30 at
+    n = 5."""
+    if draw(st.booleans(), label="grown"):
+        graph = draw(_grown_robust_graphs(3), label="graph")
+    else:
+        graph = _draw_robust_graph(draw, draw(st.integers(5, 8), label="n"), 3)
+    n = graph.node_count
     arc = draw(st.floats(0.0, 0.45), label="arc")
     phases = [arc * u for u in draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
                                      label="phases")]
@@ -163,6 +200,7 @@ def test_admissible_attacked_runs_detect_or_synchronize_inside_the_hull(config):
     for row in result.metrics.rows:
         assert all(low <= row.omegas[i] <= high for i in normal), (row.k, row.omegas, low, high)
     event(f"{config.algorithm} {config.attackers[0].kind} {result.outcome}")
+    event(f"smallest in-degree {min(config.graph.in_degrees)}")
 
 
 def _reported(result):

@@ -164,7 +164,7 @@ def test_prepared_worlds_are_the_world_a_direct_build_gives(weights):
 
     def direct():
         return WorldState(config.graph, [OscillatorState(p, w) for p, w in zip(phases, freqs)],
-                          frozenset(config.normal_ids), config.faulty_ids)
+                          config.faulty_ids)
 
     first = prepared.world(phases, freqs)
     assert vars(first) == vars(direct())
@@ -968,6 +968,7 @@ UNRUNNABLE = {
     ),
     "loud_monitor": ({"monitor": "loud"}, "monitor must be off/warn/strict, got 'loud'"),
     "negative_f": ({"f": -1}, "trim parameter must be nonnegative, got -1"),
+    "half_cycle_zeta": ({"zeta": 0.5}, "start-pulse offset must lie in (0, 0.5), got 0.5"),
     "negative_draw_seed": (
         {"phases": {"random": {"low": 0.0, "high": 0.2}}, "seed": -1},
         "phases draw seed must be nonnegative, got -1",

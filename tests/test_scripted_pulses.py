@@ -272,7 +272,6 @@ def _counting_custom_scenario(times):
         graph=complete_digraph(6), f=1, phases=[0.0] * 6, frequencies=[1.0] * 6,
         horizon=6.0, monitor="off", attackers=[AttackerSpec(5, "custom", {"pulses": []})],
     )
-    prepared = config.prepare()[0]
     script = custom_script(5, pulses=[(t, 1.0 + t / 10.0) for t in times])
     claim, calls = script.freq_claim, []
 
@@ -281,7 +280,7 @@ def _counting_custom_scenario(times):
         return claim(t)
 
     script = dataclasses.replace(script, freq_claim=counting_claim)
-    return PreparedScenario(config, prepared.normal_ids, prepared.protocol, [script]), calls
+    return PreparedScenario(config, [script]), calls
 
 
 def test_each_claim_is_evaluated_once_at_its_scripted_time():
