@@ -18,7 +18,6 @@ from .adversary import (
     stealthy_script,
 )
 from .engine import (
-    Event,
     EventKind,
     OscillatorState,
     PulseTape,
@@ -73,7 +72,6 @@ __all__ = [
     "ConfiguredAlpha",
     "DirectedGraph",
     "EqualWeights",
-    "Event",
     "EventKind",
     "GraphTooLargeError",
     "InvariantViolation",

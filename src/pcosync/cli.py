@@ -39,12 +39,9 @@ def _load(path: str):
 
 
 def _apply_overrides(config, args) -> None:
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.horizon is not None:
-        config.horizon = args.horizon
-    if args.algorithm is not None:
-        config.algorithm = args.algorithm
+    for key in ("seed", "horizon", "algorithm"):
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
 
 
 def _summary_lines(result: RunResult) -> list[str]:

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import PHASE_SLACK, Event, EventKind, WorldState
+from .engine import ADVERSARY_PULSE, PHASE_SLACK, UPDATE, WorldState
 from .errors import InvariantViolation
 from .phase import containing_arc
 
@@ -113,9 +113,8 @@ class SpreadWindow:
         highs = self._highs
         while highs[0][1] <= start:
             highs.popleft()
-        m = lows[0][0]
-        big = highs[0][0]
-        return m, big, big - m
+        lo, hi = lows[0][0], highs[0][0]
+        return lo, hi, hi - lo
 
 
 @dataclass
@@ -317,17 +316,16 @@ class RunMetrics:
         """Windowed frequency spread of the normal nodes after the latest event."""
         return self.freq_window.at(self._k)[2]
 
-    def observe(self, world: WorldState, event: Event, newly_detected: bool = True) -> None:
-        """Record the world after ``event``. ``newly_detected`` is what the
-        event's handler returned; a caller that cannot tell passes True.
+    def observe(self, world: WorldState, event: tuple, newly_detected: bool = True) -> None:
+        """Record the world after the event tuple ``event``. ``newly_detected``
+        is what the event's handler returned; a caller that cannot tell passes True.
 
         The caller must keep the event loop's unchanged-clock contract (see
         ``engine``).
         """
         k = self._k = world.event_count
         self._delta = None
-        node = event.node
-        kind = event.kind
+        time, kind, node, _ = event
         # A clock change may have moved every phase; at the same clock only
         # the actor's phase can have moved, and an adversary pulse's actor is
         # faulty.
@@ -339,9 +337,9 @@ class RunMetrics:
                 self.virtual.advance(clock - self._clock)
             self._clock = clock
             self._phases = [osc.phase for osc in self._normal_oscillators]
-        elif kind is not EventKind.ADVERSARY_PULSE:
+        elif kind is not ADVERSARY_PULSE:
             self._phases[self._slots[node]] = world.oscillators[node].phase
-        if kind is EventKind.UPDATE:
+        if kind is UPDATE:
             # An update writes only its actor's frequency. Equal nonzero
             # floats are one float, so a held frequency moves nothing. A
             # value past an extremum becomes it; an extremum that the old and
@@ -412,7 +410,7 @@ class RunMetrics:
             for i in world.normal_ids:
                 if oscillators[i].detected and not mask >> i & 1:
                     mask |= 1 << i
-                    self.detection_events.append((k, event.time, i))
+                    self.detection_events.append((k, time, i))
             self._detected_mask = mask
 
         if self._hi - self._lo <= self.tol_freq and self._phases_within_tol():
@@ -423,7 +421,7 @@ class RunMetrics:
             self._streak = 0
 
         if self.rows is not None:
-            self._append_row(world, k, event.kind.value, event.node, v)
+            self._append_row(world, k, kind.value, node, v)
 
     # -- internals -----------------------------------------------------------
 

@@ -103,6 +103,11 @@ def msr_trim(values: Sequence[float], trim_count: int) -> list[float]:
     return ordered[trim_count : len(ordered) - trim_count]
 
 
+def fault_bound_problem(f: int) -> str | None:
+    """Why ``f`` cannot be the fault bound, or None when it can."""
+    return f"fault bound must be nonnegative, got {f}" if f < 0 else None
+
+
 class MsrRound:
     """Round bookkeeping shared by both variants: the fire reset, the pulse
     fan-out and the update check, set by three parameters. ``f`` bounds the
@@ -121,8 +126,8 @@ class MsrRound:
 
     def __init__(self, f: int, weight_policy: WeightPolicy = EqualWeights(),
                  eager_detection: bool = False):
-        if f < 0:
-            raise ValueError(f"fault bound must be nonnegative, got {f}")
+        if problem := fault_bound_problem(f):
+            raise ValueError(problem)
         self.f = f
         self.weight_policy = weight_policy
         self.eager_detection = eager_detection

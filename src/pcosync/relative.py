@@ -50,8 +50,7 @@ class RelativeProtocol(MsrRound):
         forged pulses). Diagnostic only; the protocol itself never reads it.
         While it is on, ``pair_senders`` keeps each pair's sender omega under
         (receiver, slot), read only while the slot holds that pair's ratio."""
-        problem = offset_problem(zeta)
-        if problem:
+        if problem := offset_problem(zeta):
             raise ValueError(problem)
         super().__init__(f, weight_policy, eager_detection)
         self.zeta = zeta

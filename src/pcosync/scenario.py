@@ -40,7 +40,8 @@ from .graph import (
     parse_graph_text,
 )
 from .metrics import MONITOR_MODES, check_initial_bound
-from .msr import ConfiguredAlpha, EqualWeights, WeightPolicy, effective_alpha, neighbor_weight
+from .msr import (ConfiguredAlpha, EqualWeights, WeightPolicy, effective_alpha,
+                  fault_bound_problem, neighbor_weight)
 from .phase import containing_arc, clockwise_dist
 from .relative import RelativeProtocol, offset_problem
 
@@ -244,11 +245,9 @@ class ScenarioConfig:
         n = self.graph.node_count
         if self.algorithm not in ALGORITHMS:
             problems.append(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.f < 0:
-            problems.append(f"trim parameter must be nonnegative, got {self.f}")
-        problem = offset_problem(self.zeta)
-        if problem:
-            problems.append(problem)
+        for problem in (fault_bound_problem(self.f), offset_problem(self.zeta)):
+            if problem:
+                problems.append(problem)
         horizon_ok = math.isfinite(self.horizon) and self.horizon > 0.0
         if not horizon_ok:
             problems.append(f"horizon must be finite and positive, got {self.horizon}")

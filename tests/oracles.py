@@ -115,7 +115,7 @@ def scan_next_event(world, protocol, pending_adversary=()):
     Every event of a tie window happens at the window's earliest time. A
     scripted pulse that wins is the earliest candidate or ties with a node's,
     so the earlier of its time and the nodes' earliest is that minimum too."""
-    from pcosync import Event, EventKind, InvariantViolation
+    from pcosync import EventKind, InvariantViolation
     from pcosync.engine import PHASE_SLACK, TIME_EPS
 
     _KINDS = tuple(EventKind)
@@ -150,7 +150,7 @@ def scan_next_event(world, protocol, pending_adversary=()):
         (c for c in candidates if c[0] <= tmin + TIME_EPS),
         key=lambda c: (c[1], c[2], c[3]),
     )
-    return Event(time=tmin, kind=_KINDS[best[1]], node=best[2], is_start=bool(best[3]))
+    return (tmin, _KINDS[best[1]], best[2], bool(best[3]))
 
 
 def gap_loop_arc(phases):
@@ -528,9 +528,9 @@ class HookRelativeProtocol(RelativeProtocol):
         kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
         weights = make_weights(self.weight_policy, len(kept))
         omega = osc.omega
-        osc.omega = omega + omega * sum(w * (r - 1.0) for w, r in zip(weights[1:], kept))
-        osc.reset_round()
-        return False
+        # The package's close: the step rule's frequency limit, then the reset.
+        return self.close_update(
+            world, i, omega + omega * sum(w * (r - 1.0) for w, r in zip(weights[1:], kept)))
 
 
 # -- previous scripted-pulse path --------------------------------------------

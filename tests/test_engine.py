@@ -94,55 +94,47 @@ def test_faulty_phase_free_runs_modulo_one():
 
 def test_fire_tie_resolves_to_lower_node_id():
     world = two_node_world([0.0, 0.0], [1.0, 1.0])
-    ev = select(world, PLAIN)
-    assert ev.kind is EventKind.FIRE
-    assert ev.node == 0
-    assert ev.time == pytest.approx(1.0)
+    time, kind, node, _ = select(world, PLAIN)
+    assert kind is EventKind.FIRE
+    assert node == 0
+    assert time == pytest.approx(1.0)
 
 
 def test_fire_beats_update_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
     world.oscillators[1].fired = True  # update due at phase 0.5, time 0.5
-    ev = select(world, PLAIN)
-    assert ev.kind is EventKind.FIRE and ev.node == 0
+    assert select(world, PLAIN)[1:3] == (EventKind.FIRE, 0)
 
 
 def test_adversary_pulse_beats_thresholds_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
-    ev = select(world, PLAIN, ((0.5, 7, 0),))
-    assert ev.kind is EventKind.ADVERSARY_PULSE
-    assert ev.node == 7
+    assert select(world, PLAIN, ((0.5, 7, 0),))[1:3] == (EventKind.ADVERSARY_PULSE, 7)
 
 
 def test_a_scripted_pulse_exactly_time_eps_late_still_ties_with_the_earliest_node():
     world = two_node_world([0.2, 0.0], [1.0, 1.0])
-    tmin = select(world, PLAIN).time
+    tmin = select(world, PLAIN)[0]
     limit = tmin + TIME_EPS  # the tie window's end, as next_event computes it
-    ev = select(world, PLAIN, ((limit, 7, 0),))
-    assert ev.kind is EventKind.ADVERSARY_PULSE and ev.node == 7
-    assert ev.time == tmin
+    assert select(world, PLAIN, ((limit, 7, 0),)) == (tmin, EventKind.ADVERSARY_PULSE, 7, False)
     later = math.nextafter(limit, math.inf)
-    ev = select(world, PLAIN, ((later, 7, 0),))
-    assert ev.kind is EventKind.FIRE and ev.node == 0
-    assert ev.time == tmin
+    assert select(world, PLAIN, ((later, 7, 0),)) == (tmin, EventKind.FIRE, 0, False)
 
 
 def test_update_is_armed_only_after_firing():
     world = two_node_world([0.2, 0.4], [1.0, 1.0])
-    ev = select(world, PLAIN)
-    assert ev.kind is EventKind.FIRE  # nobody fired yet, so no update is due
+    # Nobody fired yet, so no update is due.
+    assert select(world, PLAIN)[1] is EventKind.FIRE
     world.oscillators[0].fired = True
-    ev = select(world, PLAIN)
-    assert ev.kind is EventKind.UPDATE and ev.node == 0
-    assert ev.time == pytest.approx(0.3)
+    time, kind, node, _ = select(world, PLAIN)
+    assert (kind, node) == (EventKind.UPDATE, 0)
+    assert time == pytest.approx(0.3)
 
 
 def test_detected_node_never_updates():
     world = two_node_world([0.3, 0.0], [1.0, 1.0])
     world.oscillators[0].fired = True
     world.oscillators[0].detected = True
-    ev = select(world, PLAIN)
-    assert ev.kind is EventKind.FIRE and ev.node == 0
+    assert select(world, PLAIN)[1:3] == (EventKind.FIRE, 0)
 
 
 def test_armed_node_past_half_phase_is_an_invariant_violation():
@@ -157,18 +149,28 @@ def test_start_pulse_scheduling_window():
     # and have not already passed the threshold this cycle.  A silent faulty
     # companion keeps node 0's candidates from being shadowed.
     world = two_node_world([0.0, 0.95], [1.0, 1.0], faulty=(1,))
-    ev = select(world, STARTING)
-    assert ev.kind is EventKind.START_PULSE and ev.node == 0
-    assert ev.time == pytest.approx(0.9)
+    time, kind, node, _ = select(world, STARTING)
+    assert (kind, node) == (EventKind.START_PULSE, 0)
+    assert time == pytest.approx(0.9)
     world.oscillators[0].start_emitted = True
-    ev = select(world, STARTING)
-    assert ev.kind is EventKind.FIRE and ev.node == 0
-    assert ev.time == pytest.approx(1.0)
+    time, kind, node, _ = select(world, STARTING)
+    assert (kind, node) == (EventKind.FIRE, 0)
+    assert time == pytest.approx(1.0)
     # Already past the threshold: no start candidate is manufactured.
     late = two_node_world([0.95, 0.0], [1.0, 1.0], faulty=(1,))
-    ev = select(late, STARTING)
-    assert ev.kind is EventKind.FIRE and ev.node == 0
-    assert ev.time == pytest.approx(0.05)
+    time, kind, node, _ = select(late, STARTING)
+    assert (kind, node) == (EventKind.FIRE, 0)
+    assert time == pytest.approx(0.05)
+
+
+def test_event_path_compares_kinds_with_names_bound_once():
+    # The event loop reads no ``EventKind`` member through the class; see the
+    # engine module docstring. Its event is a plain tuple in kind order.
+    for fn in (pcosync.engine.simulate, next_event, RunMetrics.observe):
+        assert "EventKind" not in fn.__code__.co_names, fn.__qualname__
+    assert (pcosync.engine.ADVERSARY_PULSE, pcosync.engine.FIRE, pcosync.engine.START_PULSE,
+            pcosync.engine.UPDATE) == tuple(EventKind)
+    assert type(select(two_node_world([0.0, 0.0], [1.0, 1.0]), PLAIN)) is tuple
 
 
 def test_event_budget_scales_with_size_and_horizon():
@@ -328,7 +330,7 @@ def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
     if expected is None:
         assert got is None
     else:
-        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))
+        assert repr(got) == repr(expected)
 
 
 # -- selections at one clock: resuming from the cursor --------------------------
@@ -415,7 +417,7 @@ def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, pr
         event(_selection_path(world, protocol, table))
         got = next_event(world, pending, table)
         assert repr(got) == repr(expected)
-        last = None if got is None or got.kind is EventKind.ADVERSARY_PULSE else got.node
+        last = None if got is None or got[1] is EventKind.ADVERSARY_PULSE else got[2]
         if world.normal_ids and data.draw(st.booleans(), label="actor step"):
             _actor_step(data, world, protocol, table, last)
             pending = ()
@@ -454,8 +456,8 @@ class CheckedSelections:
         if expected is None:
             assert got is None
         else:
-            assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(expected))
-            self.events.append((got.time, got.kind, got.node))
+            assert repr(got) == repr(expected)
+            self.events.append(got[:3])
         return got
 
     def patch(self):

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcosync import (
-    Event,
     EventKind,
     InvariantViolation,
     OscillatorState,
@@ -353,7 +352,7 @@ def observe(world, metrics, phases=None, omegas=None, advance=0.0):
     world.clock += advance
     world.event_count += 1
     kind = EventKind.UPDATE if changed else EventKind.FIRE
-    return metrics.observe(world, Event(time=world.clock, kind=kind, node=node))
+    return metrics.observe(world, (world.clock, kind, node, False))
 
 
 def test_initial_snapshot():
@@ -476,7 +475,7 @@ def untracked(phases, tol_phase):
         world.clock += 0.25
         world.event_count += 1
         with mock.patch.object(pcosync.metrics, "containing_arc", counting):
-            metrics.observe(world, Event(time=world.clock, kind=EventKind.FIRE, node=0))
+            metrics.observe(world, (world.clock, EventKind.FIRE, 0, False))
         return metrics._streak
 
     return metrics, step, arcs

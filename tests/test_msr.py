@@ -234,7 +234,7 @@ def test_absolute_protocol_has_no_start_pulses():
     assert not hasattr(proto, "handle_start")
     world = k5_world()
     world.oscillators[0].phase = 0.85  # a relative node's start pulse is due at 0.9
-    assert next_event(world, (), _CandidateTimes(5, proto)).kind is EventKind.FIRE
+    assert next_event(world, (), _CandidateTimes(5, proto))[1] is EventKind.FIRE
 
 
 # -- properties of the shared core -------------------------------------------

@@ -16,6 +16,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcosync import (
@@ -26,6 +27,7 @@ from pcosync import (
     RelativeProtocol,
     WorldState,
     load_scenario,
+    scenario_from_dict,
 )
 from pcosync.runner import run_built
 
@@ -183,19 +185,21 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
 def _run(config, hooks):
     """Run ``config`` with the monitor off through the package's protocol or
     its hook-path oracle, logging ratios; returns (world, protocol,
-    outcome)."""
+    outcome, fault message). The oracle takes the step rule's frequency
+    limit that the prepared scenario set on the package's protocol."""
     prepared, world = dataclasses.replace(config, monitor="off").build()
     relative = config.algorithm == "relative"
     if hooks:
         cls = HookRelativeProtocol if relative else HookAbsoluteProtocol
         kwargs = {"zeta": config.zeta} if relative else {}
-        prepared.protocol = cls(config.f, config.weights, config.eager_detection, **kwargs)
+        oracle = cls(config.f, config.weights, config.eager_detection, **kwargs)
+        oracle.omega_limit = prepared.protocol.omega_limit
+        prepared.protocol = oracle
         world.oscillators = [DictPairingOscillator(osc.phase, osc.omega) for osc in world.oscillators]
     if relative:
         prepared.protocol.ratio_log = []
     outcome, _, fault = run_built(prepared, world)
-    assert not fault, fault
-    return world, prepared.protocol, outcome
+    return world, prepared.protocol, outcome, fault
 
 
 def test_pulse_counter_equals_the_hook_calls_of_whole_runs():
@@ -211,8 +215,9 @@ def test_pulse_counter_equals_the_hook_calls_of_whole_runs():
                 for spec in config.attackers:
                     if spec.kind == "stealthy":
                         spec.options["start_offsets"] = [0.2]
-            new_world, new, new_outcome = _run(config, hooks=False)
-            old_world, old, old_outcome = _run(config, hooks=True)
+            new_world, new, new_outcome, new_fault = _run(config, hooks=False)
+            old_world, old, old_outcome, old_fault = _run(config, hooks=True)
+            assert not new_fault and not old_fault, (new_fault, old_fault)
             assert new_outcome == old_outcome
             assert _state(new_world, new, config.zeta) == _state(old_world, old, config.zeta)
             if algorithm == "relative":
@@ -221,3 +226,37 @@ def test_pulse_counter_equals_the_hook_calls_of_whole_runs():
             assert new_world.pulses_delivered == old.hook_calls > 0
             checked += 1
     assert checked >= 10
+
+
+# Updates past the step rule's frequency limit. Absolute: with f = 0 no
+# claim is trimmed, so the attacker's 1e7 lifts every receiver's mean past
+# the limit. Relative: node 3 starts 59 turns behind, so its ratios lift its
+# own frequency past it (``update_past_the_step_rule`` in
+# tests/test_scenario_fuzz.py).
+TOO_FAST_UPDATES = {
+    "absolute": ({"phases": [0.9, 0.9, 0.9, 0.0], "frequencies": [1.0] * 4, "horizon": 3,
+                  "attackers": [{"node": 3, "type": "custom", "pulses": [[0.3, 1e7]]}]},
+                 "node 0"),
+    "relative": ({"phases": [0.0, 0.0, 0.0, -59.00000000012], "frequencies": [1.0, 1.0, 1.0, 60.0],
+                  "horizon": 1.1666666666666667},
+                 "node 3"),
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(TOO_FAST_UPDATES))
+def test_an_update_past_the_step_rule_faults_alike_on_both_paths(algorithm):
+    fields, node = TOO_FAST_UPDATES[algorithm]
+    config = scenario_from_dict({
+        "graph": {"named": "complete", "n": 4}, "algorithm": algorithm, "f": 0,
+        "normalize_phases": False, "normalize_frequencies": False, "halt_on_detection": False,
+        **fields,
+    })
+    new_world, new, new_outcome, new_fault = _run(config, hooks=False)
+    old_world, old, old_outcome, old_fault = _run(config, hooks=True)
+    assert new_outcome == old_outcome == "fault"
+    assert new_fault == old_fault
+    assert new_fault.startswith(f"{node} updated its frequency to ")
+    assert new_fault.endswith(f"past {new.omega_limit!r}, the fastest the event loop can step")
+    assert old.omega_limit == new.omega_limit < math.inf
+    assert new_world.event_count == old_world.event_count
+    assert _state(new_world, new, config.zeta) == _state(old_world, old, config.zeta)

@@ -26,12 +26,20 @@ from oracles import pairing
 
 
 @st.composite
-def _robust_scenarios(draw):
+def _robust_scenarios(draw, grown=False):
     """A validated, attack-free scenario on a random (2f+1)-robust digraph:
-    a complete digraph on 4-8 nodes with a few edges removed."""
-    n = draw(st.integers(4, 8), label="n")
-    f = draw(st.integers(0, 1), label="f")
-    graph = _draw_robust_graph(draw, n, 2 * f + 1)
+    a complete digraph on 4-8 nodes with a few edges removed or, when
+    ``grown`` is set, half the time a sparse one on 4-9 nodes as
+    ``_grown_robust_graphs`` builds it (with f = 0, a tree whose root
+    hears nobody)."""
+    if grown and draw(st.booleans(), label="grown"):
+        f = draw(st.integers(0, 1), label="f")
+        graph = draw(_grown_robust_graphs(2 * f + 1, min_nodes=4), label="graph")
+    else:
+        n = draw(st.integers(4, 8), label="n")
+        f = draw(st.integers(0, 1), label="f")
+        graph = _draw_robust_graph(draw, n, 2 * f + 1)
+    n = graph.node_count
     arc = draw(st.floats(0.0, 0.45), label="arc")
     spread = draw(st.floats(0.0, 0.2), label="spread")
     unit = st.floats(0.0, 1.0)
@@ -58,16 +66,16 @@ def _draw_robust_graph(draw, n, r):
 
 
 @st.composite
-def _grown_robust_graphs(draw, r):
-    """An r-robust digraph on at most 9 nodes, built so that no draw is
-    rejected: a complete core of 2r - 1 nodes, then each later node
-    listening to exactly r earlier ones, then 0-3 back edges, each an
-    earlier node listening to a later one. The core is r-robust, a node
-    that listens to r nodes of an r-robust digraph keeps it r-robust, and
-    an added edge never lowers robustness (LeBlanc et al. 2013), so most
-    nodes have in-degree r, far from a complete digraph's."""
+def _grown_robust_graphs(draw, r, min_nodes=1):
+    """An r-robust digraph on at least ``min_nodes`` and at most 9 nodes,
+    built so that no draw is rejected: a complete core of 2r - 1 nodes,
+    then each later node listening to exactly r earlier ones, then 0-3
+    back edges, each an earlier node listening to a later one. The core is
+    r-robust, a node that listens to r nodes of an r-robust digraph keeps
+    it r-robust, and an added edge never lowers robustness (LeBlanc et al.
+    2013), so most nodes have in-degree r, far from a complete digraph's."""
     core = 2 * r - 1
-    n = draw(st.integers(core, 9), label="n")
+    n = draw(st.integers(max(core, min_nodes), 9), label="n")
     rows = [[j for j in range(core) if j != i] for i in range(core)]
     for i in range(core, n):
         # r distinct earlier nodes, each drawn from those not yet taken.
@@ -83,9 +91,10 @@ def _grown_robust_graphs(draw, r):
 
 
 @settings(max_examples=60, deadline=None)
-@given(r=st.sampled_from([2, 3]), data=st.data())
+@given(r=st.sampled_from([1, 2, 3]), data=st.data())
 def test_grown_graphs_are_r_robust(r, data):
-    graph = data.draw(_grown_robust_graphs(r), label="graph")
+    # Robustness needs two nodes; the r = 1 core has one.
+    graph = data.draw(_grown_robust_graphs(r, min_nodes=2), label="graph")
     assert is_r_robust(graph, r)
 
 
@@ -95,8 +104,9 @@ HULL_SLACK = {"absolute": 0.0, "relative": 1e-9}
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=_robust_scenarios())
+@given(config=_robust_scenarios(grown=True))
 def test_attack_free_runs_keep_the_hull_and_the_phase_range_and_repeat(config, tmp_path_factory):
+    event(f"smallest in-degree {min(config.graph.in_degrees)}")
     assert config.validate()[0] == []
     initial = config.prepare()[2]
     slack = HULL_SLACK[config.algorithm]
@@ -250,7 +260,7 @@ def test_kept_frequency_extrema_follow_every_update(config, observer):
         omegas = world.normal_omegas()
         assert (repr(self._lo), repr(self._hi)) == (repr(min(omegas)), repr(max(omegas))), (
             world.event_count, event)
-        checked.append(event.kind)
+        checked.append(event[1])
 
     with mock.patch.object(RunMetrics, "observe", checking_observe):
         observed = _observed_run(config, observer)
@@ -415,7 +425,7 @@ def _attack_free(graph, phases, frequencies):
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=_robust_scenarios())
+@given(config=_robust_scenarios(grown=True))
 # At t = 1.0 landmark pulses reach node 4 at phase 0.49999999999999994 in the
 # absolute run and at 0.5 in the relative one, so its jumps differ by about
 # 0.5; at t = 1.5 node 0 counts 5 pulses but holds only 4 pulse pairs.
@@ -428,6 +438,7 @@ def _attack_free(graph, phases, frequencies):
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.25], [1.0, 1.1875, 1.1875, 1.0, 1.1875, 1.1875]))
 def test_attack_free_absolute_and_relative_runs_agree(config):
     # Every update before the first breach must agree; with no breach, all do.
+    event(f"smallest in-degree {min(config.graph.in_degrees)}")
     (absolute, relative), breach = _runs_and_first_breach(config)
     event("both conditions hold" if breach == math.inf else "a condition breaks")
     for node in range(config.graph.node_count):

@@ -967,7 +967,7 @@ UNRUNNABLE = {
         "neighbor weight nan is infeasible at in-degree 4",
     ),
     "loud_monitor": ({"monitor": "loud"}, "monitor must be off/warn/strict, got 'loud'"),
-    "negative_f": ({"f": -1}, "trim parameter must be nonnegative, got -1"),
+    "negative_f": ({"f": -1}, "fault bound must be nonnegative, got -1"),
     "half_cycle_zeta": ({"zeta": 0.5}, "start-pulse offset must lie in (0, 0.5), got 0.5"),
     "negative_draw_seed": (
         {"phases": {"random": {"low": 0.0, "high": 0.2}}, "seed": -1},

@@ -152,7 +152,7 @@ def _recorded(run):
     observe, budget = RunMetrics.observe, engine.event_budget
 
     def recording_observe(self, world, event, newly_detected=True):
-        events.append(repr((event.time, event.kind, event.node, event.is_start)))
+        events.append(repr(event))
         observe(self, world, event, newly_detected)
 
     def recording_budget(*args):
