@@ -18,7 +18,6 @@ from .adversary import (
     stealthy_script,
 )
 from .engine import (
-    EventKind,
     OscillatorState,
     PulseTape,
     WorldState,
@@ -42,14 +41,7 @@ from .graph import (
     parse_graph_text,
     random_digraph,
 )
-from .metrics import (
-    RunMetrics,
-    SpreadWindow,
-    TraceRecord,
-    VirtualNode,
-    check_initial_bound,
-    decay_envelope,
-)
+from .metrics import RunMetrics, check_initial_bound
 from .msr import ConfiguredAlpha, EqualWeights, msr_trim
 from .phase import Arc, clockwise_dist, containing_arc
 from .relative import RelativeProtocol
@@ -72,7 +64,6 @@ __all__ = [
     "ConfiguredAlpha",
     "DirectedGraph",
     "EqualWeights",
-    "EventKind",
     "GraphTooLargeError",
     "InvariantViolation",
     "OscillatorState",
@@ -84,17 +75,13 @@ __all__ = [
     "RunResult",
     "ScenarioConfig",
     "ScenarioValidationError",
-    "SpreadWindow",
     "SweepSpec",
-    "TraceRecord",
-    "VirtualNode",
     "WorldState",
     "check_initial_bound",
     "clockwise_dist",
     "complete_digraph",
     "containing_arc",
     "custom_script",
-    "decay_envelope",
     "demo_graph_8",
     "directed_ring",
     "flooding_script",

@@ -69,12 +69,16 @@ def _summary_lines(result: RunResult) -> list[str]:
     return lines
 
 
-def _check_output(path: str | None, what: str) -> None:
-    """Refuse, before any run, an output path that is a directory or lies
-    outside an existing directory."""
-    if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+def _check_output(path: str | None, what: str, scenario: str) -> None:
+    """Refuse, before any run, an output path that is a directory, lies
+    outside an existing directory, or is the scenario file."""
+    if not path:
+        return
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
         raise ScenarioValidationError(
             [f"cannot write {what} to {path}: not a file in an existing directory"])
+    if Path(path).resolve() == Path(scenario).resolve():
+        raise ScenarioValidationError([f"cannot write {what} to {path}: it is the scenario file"])
 
 
 def _write_text(path: str, what: str, text: str) -> None:
@@ -127,8 +131,8 @@ def _cmd_run(args) -> int:
     config = _load(args.scenario)
     _apply_overrides(config, args)
     summary = args.summary if args.summary != "-" else None
-    _check_output(args.trace, "the trace")
-    _check_output(summary, "the summary")
+    _check_output(args.trace, "the trace", args.scenario)
+    _check_output(summary, "the summary", args.scenario)
     if args.trace and summary and Path(args.trace).resolve() == Path(summary).resolve():
         raise ScenarioValidationError(
             [f"cannot write the summary to {summary}: it is the trace file"])
@@ -180,7 +184,7 @@ def _cmd_sweep(args) -> int:
         pool_size(args.parallelism, spec.trials)  # refuse a bad --parallelism before any trial
     except ValueError as exc:
         raise ScenarioValidationError([str(exc)]) from None
-    _check_output(args.output, "the frontier")
+    _check_output(args.output, "the frontier", args.scenario)
 
     mark = time.perf_counter()
 

@@ -14,10 +14,9 @@ early is set onto its threshold by its handler: after each event the acting
 node's phase sits exactly on its threshold value, so threshold comparisons
 never accumulate drift.
 
-The loop and ``RunMetrics.observe`` compare kinds with module names bound
-once (``FIRE`` and the rest): on CPython 3.11 an ``EventKind.FIRE`` read
-costs about 107 ns and an event object about 240 ns, together a tenth of a
-sweep event. Enum reads are cheaper on 3.12 and later, so the gain is less.
+A kind is one of the module's strings ``ADVERSARY_PULSE``, ``FIRE``,
+``START_PULSE`` and ``UPDATE``, the trace's ``event_kind`` values; the loop
+and ``RunMetrics.observe`` compare it with those names by identity.
 
 Every selection reads one table of candidate times per run: each normal
 node's fire, start-pulse and update time at the current clock. Synchronized
@@ -59,7 +58,6 @@ and no other; no other handler writes one.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from heapq import merge
@@ -73,16 +71,10 @@ TIME_EPS = 1e-12
 PHASE_SLACK = 1e-9  # tolerated floating-point overshoot past a threshold
 
 
-class EventKind(enum.Enum):
-    """Declared in tie-break priority order."""
-
-    ADVERSARY_PULSE = "adversary_pulse"
-    FIRE = "fire"
-    START_PULSE = "start_pulse"
-    UPDATE = "update"
-
-
-ADVERSARY_PULSE, FIRE, START_PULSE, UPDATE = EventKind
+# The slot layout of ``_CandidateTimes`` and the adversary-first rule of
+# ``next_event`` give the tie-break order: adversary pulse, fire, start
+# pulse, update.
+ADVERSARY_PULSE, FIRE, START_PULSE, UPDATE = "adversary_pulse", "fire", "start_pulse", "update"
 
 
 @dataclass(slots=True)

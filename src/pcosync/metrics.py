@@ -118,18 +118,6 @@ class SpreadWindow:
 
 
 @dataclass
-class VirtualNode:
-    """Free-running reference oscillator: never jumps, never fires, and
-    tracks the windowed frequency floor of the normal population."""
-
-    phase: float = 0.0
-    omega: float = 1.0
-
-    def advance(self, dt: float) -> None:
-        self.phase = (self.phase + self.omega * dt) % 1.0
-
-
-@dataclass
 class TraceRecord:
     k: int
     t: float
@@ -226,12 +214,15 @@ class RunMetrics:
     would give. One ``SpreadWindow`` holds them, pushed only at the events
     that move them.
 
-    With the monitor on or a trace collected, ``observe`` also advances the
-    virtual node by the time since the last observed event, sets its rate
-    to the windowed floor, and pushes its radii into a second window for the
-    radius spread V; with neither, nothing reads V. A collected trace row
-    holds the oscillators' own float objects, so ``write_trace`` formats a
-    value that did not move since the previous row once. Once the
+    With the monitor on or a trace collected, ``observe`` also advances
+    ``virtual_phase``, the phase of a free-running reference oscillator that
+    never jumps or fires, by the time since the last observed event at
+    ``_floor``: the windowed frequency floor after the previous observed
+    event, which the monotone-floor check compares with before ``observe``
+    overwrites it. It then pushes the reference's radii into a second window
+    for the radius spread V; with neither, nothing reads V. A collected
+    trace row holds the oscillators' own float objects, so ``write_trace``
+    formats a value that did not move since the previous row once. Once the
     frequencies have converged, the phase test first reads a witness pair,
     the tail and head nodes of the last arc found wider than ``tol_phase``;
     while their circular distance rules the arc out, the streak resets
@@ -268,7 +259,7 @@ class RunMetrics:
         self.hull = (min(omegas0), max(omegas0))
         self.spread0 = self.hull[1] - self.hull[0]
 
-        self.virtual = VirtualNode(phase=0.0, omega=self.hull[0])
+        self.virtual_phase = 0.0
         self._tracks_radii = mode != "off" or collect_trace
 
         self.violations: list[str] = []
@@ -294,7 +285,7 @@ class RunMetrics:
         self.freq_window = SpreadWindow(self.window_len)
         self.freq_window.push(0, *self.hull)
         if self._tracks_radii:
-            self._prev_floor, self._prev_ceiling = self.hull
+            self._floor, self._prev_ceiling = self.hull
             # The decay envelope moves once per period; see ``observe``.
             self._period = self.window_len * self.normal_count
             self._envelope_step = -1
@@ -334,7 +325,8 @@ class RunMetrics:
             if self._tracks_radii:
                 # The handlers never move the clock or the virtual node, so
                 # this is the step the event loop advanced the phases by.
-                self.virtual.advance(clock - self._clock)
+                dt = clock - self._clock
+                self.virtual_phase = (self.virtual_phase + self._floor * dt) % 1.0
             self._clock = clock
             self._phases = [osc.phase for osc in self._normal_oscillators]
         elif kind is not ADVERSARY_PULSE:
@@ -365,7 +357,6 @@ class RunMetrics:
                 self.freq_window.push(k, self._lo, self._hi)
         if self._tracks_radii:
             floor, ceiling, spread_w = self.freq_window.at(k)
-            self.virtual.omega = floor
             radius_max, v = self._push_radii(k, self._phases)
             if self.mode != "off":
                 delta = self.delta
@@ -373,7 +364,7 @@ class RunMetrics:
                     self._fail(f"frequency left the initial hull at event {k}")
                 if not delta < 0.5:
                     self._fail(f"containing arc reached {delta:.6f} >= 0.5 at event {k}")
-                if not floor >= self._prev_floor - 1e-12:
+                if not floor >= self._floor - 1e-12:
                     self._fail(f"windowed frequency floor decreased at event {k}")
                 if not ceiling <= self._prev_ceiling + 1e-12:
                     self._fail(f"windowed frequency ceiling increased at event {k}")
@@ -396,13 +387,13 @@ class RunMetrics:
                 # on the arc from the virtual node plus the smallest radius
                 # to it plus the largest, so the current radius spread, and
                 # V, covers it.
-                arc_with_virtual = containing_arc(self._phases + [self.virtual.phase]).length
+                arc_with_virtual = containing_arc(self._phases + [self.virtual_phase]).length
                 if self.virtual_in_range and arc_with_virtual >= 0.5:
                     self.virtual_in_range = False
                 if self.virtual_in_range and not abs(arc_with_virtual - radius_max) <= 1e-9:
                     self._fail(f"virtual node left the tail of the containing arc at event {k}")
-                self._prev_floor = floor
                 self._prev_ceiling = ceiling
+            self._floor = floor
 
         if newly_detected:
             mask = self._detected_mask
@@ -421,7 +412,7 @@ class RunMetrics:
             self._streak = 0
 
         if self.rows is not None:
-            self._append_row(world, k, kind.value, node, v)
+            self._append_row(world, k, kind, node, v)
 
     # -- internals -----------------------------------------------------------
 
@@ -473,7 +464,7 @@ class RunMetrics:
     def _push_radii(self, k: int, phases: list[float]) -> tuple[float, float]:
         """Push the normal nodes' clockwise distances from the virtual node
         at event k; return (largest distance, windowed radius spread V)."""
-        b = self.virtual.phase
+        b = self.virtual_phase
         radii = [a - b if a >= b else 1.0 - b + a for a in phases]  # clockwise_dist, inlined
         radius_max = max(radii)
         window = self.radius_window

@@ -115,10 +115,10 @@ def scan_next_event(world, protocol, pending_adversary=()):
     Every event of a tie window happens at the window's earliest time. A
     scripted pulse that wins is the earliest candidate or ties with a node's,
     so the earlier of its time and the nodes' earliest is that minimum too."""
-    from pcosync import EventKind, InvariantViolation
-    from pcosync.engine import PHASE_SLACK, TIME_EPS
+    from pcosync import InvariantViolation
+    from pcosync.engine import ADVERSARY_PULSE, FIRE, PHASE_SLACK, START_PULSE, TIME_EPS, UPDATE
 
-    _KINDS = tuple(EventKind)
+    _KINDS = (ADVERSARY_PULSE, FIRE, START_PULSE, UPDATE)
     candidates = []  # time, priority, node, start_rank
     start_target = protocol.start_target
     uses_start = start_target is not None

@@ -14,7 +14,6 @@ from pcosync import (
     AbsoluteProtocol,
     AttackerSpec,
     DirectedGraph,
-    EventKind,
     InvariantViolation,
     OscillatorState,
     ProtocolFault,
@@ -27,7 +26,17 @@ from pcosync import (
     run_scenario,
     simulate,
 )
-from pcosync.engine import TIME_EPS, _CandidateTimes, advance_all, event_budget, next_event
+from pcosync.engine import (
+    ADVERSARY_PULSE,
+    FIRE,
+    START_PULSE,
+    TIME_EPS,
+    UPDATE,
+    _CandidateTimes,
+    advance_all,
+    event_budget,
+    next_event,
+)
 
 from oracles import scan_next_event
 
@@ -95,7 +104,7 @@ def test_faulty_phase_free_runs_modulo_one():
 def test_fire_tie_resolves_to_lower_node_id():
     world = two_node_world([0.0, 0.0], [1.0, 1.0])
     time, kind, node, _ = select(world, PLAIN)
-    assert kind is EventKind.FIRE
+    assert kind is FIRE
     assert node == 0
     assert time == pytest.approx(1.0)
 
@@ -103,30 +112,30 @@ def test_fire_tie_resolves_to_lower_node_id():
 def test_fire_beats_update_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
     world.oscillators[1].fired = True  # update due at phase 0.5, time 0.5
-    assert select(world, PLAIN)[1:3] == (EventKind.FIRE, 0)
+    assert select(world, PLAIN)[1:3] == (FIRE, 0)
 
 
 def test_adversary_pulse_beats_thresholds_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
-    assert select(world, PLAIN, ((0.5, 7, 0),))[1:3] == (EventKind.ADVERSARY_PULSE, 7)
+    assert select(world, PLAIN, ((0.5, 7, 0),))[1:3] == (ADVERSARY_PULSE, 7)
 
 
 def test_a_scripted_pulse_exactly_time_eps_late_still_ties_with_the_earliest_node():
     world = two_node_world([0.2, 0.0], [1.0, 1.0])
     tmin = select(world, PLAIN)[0]
     limit = tmin + TIME_EPS  # the tie window's end, as next_event computes it
-    assert select(world, PLAIN, ((limit, 7, 0),)) == (tmin, EventKind.ADVERSARY_PULSE, 7, False)
+    assert select(world, PLAIN, ((limit, 7, 0),)) == (tmin, ADVERSARY_PULSE, 7, False)
     later = math.nextafter(limit, math.inf)
-    assert select(world, PLAIN, ((later, 7, 0),)) == (tmin, EventKind.FIRE, 0, False)
+    assert select(world, PLAIN, ((later, 7, 0),)) == (tmin, FIRE, 0, False)
 
 
 def test_update_is_armed_only_after_firing():
     world = two_node_world([0.2, 0.4], [1.0, 1.0])
     # Nobody fired yet, so no update is due.
-    assert select(world, PLAIN)[1] is EventKind.FIRE
+    assert select(world, PLAIN)[1] is FIRE
     world.oscillators[0].fired = True
     time, kind, node, _ = select(world, PLAIN)
-    assert (kind, node) == (EventKind.UPDATE, 0)
+    assert (kind, node) == (UPDATE, 0)
     assert time == pytest.approx(0.3)
 
 
@@ -134,7 +143,7 @@ def test_detected_node_never_updates():
     world = two_node_world([0.3, 0.0], [1.0, 1.0])
     world.oscillators[0].fired = True
     world.oscillators[0].detected = True
-    assert select(world, PLAIN)[1:3] == (EventKind.FIRE, 0)
+    assert select(world, PLAIN)[1:3] == (FIRE, 0)
 
 
 def test_armed_node_past_half_phase_is_an_invariant_violation():
@@ -150,27 +159,51 @@ def test_start_pulse_scheduling_window():
     # companion keeps node 0's candidates from being shadowed.
     world = two_node_world([0.0, 0.95], [1.0, 1.0], faulty=(1,))
     time, kind, node, _ = select(world, STARTING)
-    assert (kind, node) == (EventKind.START_PULSE, 0)
+    assert (kind, node) == (START_PULSE, 0)
     assert time == pytest.approx(0.9)
     world.oscillators[0].start_emitted = True
     time, kind, node, _ = select(world, STARTING)
-    assert (kind, node) == (EventKind.FIRE, 0)
+    assert (kind, node) == (FIRE, 0)
     assert time == pytest.approx(1.0)
     # Already past the threshold: no start candidate is manufactured.
     late = two_node_world([0.95, 0.0], [1.0, 1.0], faulty=(1,))
     time, kind, node, _ = select(late, STARTING)
-    assert (kind, node) == (EventKind.FIRE, 0)
+    assert (kind, node) == (FIRE, 0)
     assert time == pytest.approx(0.05)
 
 
-def test_event_path_compares_kinds_with_names_bound_once():
-    # The event loop reads no ``EventKind`` member through the class; see the
-    # engine module docstring. Its event is a plain tuple in kind order.
-    for fn in (pcosync.engine.simulate, next_event, RunMetrics.observe):
-        assert "EventKind" not in fn.__code__.co_names, fn.__qualname__
-    assert (pcosync.engine.ADVERSARY_PULSE, pcosync.engine.FIRE, pcosync.engine.START_PULSE,
-            pcosync.engine.UPDATE) == tuple(EventKind)
-    assert type(select(two_node_world([0.0, 0.0], [1.0, 1.0]), PLAIN)) is tuple
+def test_every_selected_event_carries_one_of_the_engine_kinds():
+    # ``simulate`` sends a kind it does not recognise to ``handle_start``, so
+    # a kind equal to an engine name but not that object would run the wrong
+    # handler silently. Over a relative run with a flood and forged start
+    # pulses, every selection returns a plain tuple whose kind is one of the
+    # four engine names, and the trace's kinds are those names plus "init".
+    kinds = (ADVERSARY_PULSE, FIRE, START_PULSE, UPDATE)
+    config = ScenarioConfig(
+        graph=complete_digraph(8), algorithm="relative", f=2,
+        phases=[0.01 * k for k in range(8)], frequencies=[1.0 + 0.002 * k for k in range(8)],
+        horizon=6.0, monitor="off", eager_detection=True, halt_on_detection=False,
+        attackers=[
+            AttackerSpec(6, "flooding", {"burst_count": 4, "burst_interval": 0.02, "start_time": 2.1}),
+            AttackerSpec(7, "custom", {"pulses": [[1.3, 1.0]], "start_pulses": [0.4, 1.2, 3.7]}),
+        ],
+    )
+    seen = []
+
+    def recording(*args):
+        event = next_event(*args)
+        seen.append(event)
+        return event
+
+    with mock.patch.object(pcosync.engine, "next_event", recording):
+        result = run_scenario(config, force=True, collect_trace=True)
+    events = [event for event in seen if event is not None]
+    assert all(type(event) is tuple for event in events)
+    assert all(any(event[1] is kind for kind in kinds) for event in events)
+    assert {event[1] for event in events} == set(kinds)
+    assert result.metrics.rows[0].event_kind == "init"
+    assert {row.event_kind for row in result.metrics.rows} == {"init", *kinds}
+    assert any(event[1] is ADVERSARY_PULSE and event[3] for event in events)
 
 
 def test_event_budget_scales_with_size_and_horizon():
@@ -417,7 +450,7 @@ def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, pr
         event(_selection_path(world, protocol, table))
         got = next_event(world, pending, table)
         assert repr(got) == repr(expected)
-        last = None if got is None or got[1] is EventKind.ADVERSARY_PULSE else got[2]
+        last = None if got is None or got[1] is ADVERSARY_PULSE else got[2]
         if world.normal_ids and data.draw(st.booleans(), label="actor step"):
             _actor_step(data, world, protocol, table, last)
             pending = ()
@@ -509,10 +542,10 @@ def test_detection_latched_at_an_unchanged_clock_cancels_a_due_update():
     checked = CheckedSelections()
     with checked.patch():
         simulate(world, protocol, PulseTape([], 0.75), metrics=metrics, halt_on_detection=False)
-    assert checked.events[:2] == [(0.0, EventKind.FIRE, 0), (0.0, EventKind.FIRE, 1)]
+    assert checked.events[:2] == [(0.0, FIRE, 0), (0.0, FIRE, 1)]
     assert checked.reused >= 1
     assert world.oscillators[2].detected
-    assert (EventKind.UPDATE, 2) not in [(kind, node) for _, kind, node in checked.events]
+    assert (UPDATE, 2) not in [(kind, node) for _, kind, node in checked.events]
 
 
 # Complete or sparse digraphs; phases on or next to a few multiples of 1/16

@@ -10,23 +10,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcosync import (
-    EventKind,
     InvariantViolation,
     OscillatorState,
     RunMetrics,
-    SpreadWindow,
-    TraceRecord,
-    VirtualNode,
     WorldState,
     check_initial_bound,
     complete_digraph,
-    decay_envelope,
     load_scenario,
     run_scenario,
 )
 import pcosync.metrics
-from pcosync.engine import PHASE_SLACK
-from pcosync.metrics import format_trace_row, trace_header, write_trace
+from pcosync.engine import FIRE, PHASE_SLACK, UPDATE
+from pcosync.metrics import (
+    SpreadWindow,
+    TraceRecord,
+    decay_envelope,
+    format_trace_row,
+    trace_header,
+    write_trace,
+)
 from pcosync.phase import containing_arc
 
 from oracles import (
@@ -236,12 +238,6 @@ def test_spread_window_matches_its_former_forms(window_len, pushes, repeats):
         assert repr(history.spread(k)) == repr(expected[2]), k
 
 
-def test_virtual_node_advances_modulo_one():
-    v = VirtualNode(phase=0.9, omega=1.0)
-    v.advance(0.2)
-    assert v.phase == pytest.approx(0.1)
-
-
 def test_trace_row_roundtrips_through_repr():
     assert trace_header(2) == (
         "k,t,event_kind,node,phi_0,phi_1,omega_0,omega_1,"
@@ -351,7 +347,7 @@ def observe(world, metrics, phases=None, omegas=None, advance=0.0):
         oscillators[i].omega = omegas[i]
     world.clock += advance
     world.event_count += 1
-    kind = EventKind.UPDATE if changed else EventKind.FIRE
+    kind = UPDATE if changed else FIRE
     return metrics.observe(world, (world.clock, kind, node, False))
 
 
@@ -410,6 +406,18 @@ def test_stalled_spread_breaks_the_decay_envelope():
     assert metrics.violations == []
     observe(world, metrics)
     assert any("envelope" in v for v in metrics.violations)
+
+
+def test_virtual_node_runs_at_the_previous_windowed_floor_modulo_one():
+    world, metrics = fresh(window_len=1)
+    observe(world, metrics, advance=0.9)
+    assert metrics.virtual_phase == pytest.approx(0.9)  # at the initial floor, 1.0
+    # The event that raises the floor to 1.1 moves the clock at the floor
+    # before it: 0.9 + 0.2 wraps past 1.
+    observe(world, metrics, omegas=[1.1, 1.2], advance=0.2)
+    assert metrics.virtual_phase == pytest.approx(0.1)
+    observe(world, metrics, advance=0.5)
+    assert metrics.virtual_phase == pytest.approx(0.65)
 
 
 def test_virtual_checks_stop_once_the_arc_passes_half():
@@ -475,7 +483,7 @@ def untracked(phases, tol_phase):
         world.clock += 0.25
         world.event_count += 1
         with mock.patch.object(pcosync.metrics, "containing_arc", counting):
-            metrics.observe(world, (world.clock, EventKind.FIRE, 0, False))
+            metrics.observe(world, (world.clock, FIRE, 0, False))
         return metrics._streak
 
     return metrics, step, arcs

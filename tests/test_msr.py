@@ -11,7 +11,6 @@ from pcosync import (
     AbsoluteProtocol,
     ConfiguredAlpha,
     EqualWeights,
-    EventKind,
     OscillatorState,
     ProtocolFault,
     RelativeProtocol,
@@ -19,7 +18,7 @@ from pcosync import (
     complete_digraph,
     msr_trim,
 )
-from pcosync.engine import _CandidateTimes, next_event
+from pcosync.engine import FIRE, _CandidateTimes, next_event
 from pcosync.msr import effective_alpha, neighbor_weight
 
 from oracles import make_weights
@@ -234,7 +233,7 @@ def test_absolute_protocol_has_no_start_pulses():
     assert not hasattr(proto, "handle_start")
     world = k5_world()
     world.oscillators[0].phase = 0.85  # a relative node's start pulse is due at 0.9
-    assert next_event(world, (), _CandidateTimes(5, proto))[1] is EventKind.FIRE
+    assert next_event(world, (), _CandidateTimes(5, proto))[1] is FIRE
 
 
 # -- properties of the shared core -------------------------------------------

@@ -66,9 +66,10 @@ def test_no_entropy_is_refused():
         rng.random(None, 1)
 
 
-# Each shipped scenario run and traced, then a 2-point frontier sweep,
-# serially and with two workers; its stdout lists the exit codes and the
-# summaries, and whether numpy was imported.
+# Each shipped scenario run and traced, the robustness certifier on the demo
+# graph, then a 2-point frontier sweep, serially and with two workers; its
+# stdout lists the exit codes, the summaries and the certifier's answer, and
+# whether numpy was imported.
 COMMANDS = """
 import sys
 if sys.argv[1] == "block":
@@ -78,6 +79,7 @@ from pcosync.cli import main
 repo = Path(sys.argv[2])
 for scenario in sorted((repo / "scenarios").glob("*.json")):
     print("exit", main(["run", str(scenario), "--trace", scenario.stem + ".csv"]), flush=True)
+print("exit", main(["check-robustness", str(repo / "scenarios" / "graphs" / "demo8.txt")]), flush=True)
 for par in ("1", "2"):
     print("exit", main(["sweep", str(repo / "scenarios" / "frontier_sweep.json"),
                         "--grid", "0.05,0.45", "--trials", "20", "--parallelism", par,
@@ -103,6 +105,7 @@ def test_the_cli_runs_and_sweeps_without_numpy_byte_for_byte(tmp_path):
     blocked = run_commands("block", tmp_path / "block")
     allowed = run_commands("allow", tmp_path / "allow")
     assert blocked[0].endswith("numpy imported: False\n")
+    assert "max_robustness: 3\nexit 0\n" in blocked[0]
     # With numpy importable, nothing imports it either.
     assert allowed == blocked
     assert sorted(blocked[1]) == sorted(

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -541,6 +542,29 @@ def test_cli_output_that_fails_to_write_exits_2(option, capsys, tmp_path):
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if not line.startswith("# arc")] == [
         f"violation: cannot write {what} to {path}: {full}"
+    ]
+
+
+@pytest.mark.parametrize("option", OUTPUTS)
+def test_cli_refuses_to_write_over_its_scenario_file(option, capsys, tmp_path):
+    command, stem, extra, what = OUTPUTS[option]
+    (tmp_path / "sub").mkdir()
+    shutil.copytree(SCENARIOS / "graphs", tmp_path / "graphs")  # the scenario's graph file
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes((SCENARIOS / f"{stem}.json").read_bytes())
+    before = scenario.read_bytes()
+    # The same file by another spelling of its path.
+    path = tmp_path / "sub" / ".." / "scenario.json"
+    with mock.patch("pcosync.cli.run_scenario") as run, \
+            mock.patch("pcosync.cli.sweep_frontier") as sweep:
+        code = main([command, str(scenario), *extra, option, str(path)])
+    assert code == 2
+    assert not run.called and not sweep.called
+    assert scenario.read_bytes() == before
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"violation: cannot write {what} to {path}: it is the scenario file"
     ]
 
 

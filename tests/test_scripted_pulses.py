@@ -213,7 +213,7 @@ def test_simultaneous_pulses_keep_the_time_node_start_order():
         attackers=[AttackerSpec(4, "stealthy", stealthy), AttackerSpec(1, "stealthy", stealthy)],
     )
     events, budgets, _ = _recorded_run(config)
-    assert events[:4] == [repr((0.25, engine.EventKind.ADVERSARY_PULSE, node, start))
+    assert events[:4] == [repr((0.25, engine.ADVERSARY_PULSE, node, start))
                           for node, start in ((1, False), (1, True), (4, False), (4, True))]
     assert budgets == [engine.event_budget(6, 4, 0.3)]
 
@@ -231,8 +231,8 @@ def test_a_tied_pulse_claims_its_frequency_at_its_scripted_time():
             normalize_phases=False, normalize_frequencies=False,
         )
         events, _, outcome = _recorded_run(config)
-        pulse = repr((1.0, engine.EventKind.ADVERSARY_PULSE, 6, False))
-        assert [e for e in events if "ADVERSARY" in e] == [pulse]
+        pulse = repr((1.0, engine.ADVERSARY_PULSE, 6, False))
+        assert [e for e in events if "adversary_pulse" in e] == [pulse]
         assert (outcome[0], len(events)) == ("converged", 14)
 
 
@@ -312,7 +312,7 @@ def test_an_early_detection_leaves_the_rest_of_a_flood_unmerged():
     prepared, phases, freqs = config.prepare()
     events, _, outcome = _recorded_prepared_run(prepared, phases, freqs, halt_on_detection=True)
     assert outcome[0] == "detected"
-    delivered = sum("ADVERSARY" in event for event in events)
+    delivered = sum("adversary_pulse" in event for event in events)
     assert delivered == 5
     # The pulses delivered, and the one the loop peeked at when it halted.
     assert prepared.tape.total == 100_000
