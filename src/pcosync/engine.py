@@ -2,17 +2,17 @@
 
 Between events every oscillator's phase grows linearly at its own rate;
 everything discontinuous (pulse emission, counter updates, phase jumps,
-frequency updates, detection) happens inside an event handler. An event is
-a plain ``(time, kind, node, is_start)`` tuple, ``is_start`` True only for a
-forged start pulse. Events are totally ordered by time, then by kind
-(adversary pulse, fire, start pulse, update trigger), then by node id. One
-tie window is one instant: each event within ``TIME_EPS`` of the earliest
-candidate time happens at that time (a scripted pulse at the earlier of its
-own time and that one, its claim still read at its own). So the clock never
-passes a node's candidate time, and a node that acts up to ``TIME_EPS``
-early is set onto its threshold by its handler: after each event the acting
-node's phase sits exactly on its threshold value, so threshold comparisons
-never accumulate drift.
+frequency updates, detection) happens inside an event handler. An event is a
+plain ``(time, kind, node)`` tuple; a scripted pulse's start flag and claim
+stay on the run's ``PulseTape``. Events are totally ordered by time, then by
+kind (adversary pulse, fire, start pulse, update trigger), then by node id.
+One tie window is one instant: each event within ``TIME_EPS`` of the
+earliest candidate time happens at that time (a scripted pulse at the
+earlier of its own time and that one, its claim still read at its own). So
+the clock never passes a node's candidate time, and a node that acts up to
+``TIME_EPS`` early is set onto its threshold by its handler: after each
+event the acting node's phase sits exactly on its threshold value, so
+threshold comparisons never accumulate drift.
 
 A kind is one of the module's strings ``ADVERSARY_PULSE``, ``FIRE``,
 ``START_PULSE`` and ``UPDATE``, the trace's ``event_kind`` values; the loop
@@ -82,17 +82,16 @@ class OscillatorState:
     """Per-node protocol state.
 
     ``fired`` marks that the node has fired since its last update, which
-    arms the mid-cycle update trigger. ``jump_up``/``jump_down`` hold the
-    two phase-correction ingredients captured when the pulse counter
-    crosses its lower and upper landmarks; each is written at most once
-    per round. The pairing slots are only used by the relative-frequency
-    protocol, and stay None in a world that runs the absolute one (see
-    ``WorldState.add_pair_slots``). Slot k belongs to the node's k-th
-    in-neighbor: ``stamps`` holds the node's phase at that sender's
-    unmatched start pulse, and ``ratios`` the frequency ratio of the latest
-    completed start/end pair (0.0 when the stamps coincided, which gives no
-    estimate). None marks an empty slot; every slot is emptied at the end
-    of each round.
+    arms the mid-cycle update trigger. ``jump`` sums the phase corrections
+    captured when the pulse counter reaches its lower and upper landmarks,
+    each at most once per round. The pairing slots are only used by the
+    relative-frequency protocol, and stay None in a world that runs the
+    absolute one (see ``WorldState.add_pair_slots``). Slot k belongs to the
+    node's k-th in-neighbor: ``stamps`` holds the node's phase at that
+    sender's unmatched start pulse, and ``ratios`` the frequency ratio of
+    the latest completed start/end pair (0.0 when the stamps coincided,
+    which gives no estimate). None marks an empty slot; every slot is
+    emptied at the end of each round.
     """
 
     phase: float
@@ -100,8 +99,7 @@ class OscillatorState:
     fired: bool = False
     pulse_count: int = 0
     freq_buffer: list[float] = field(default_factory=list)
-    jump_up: float = 0.0
-    jump_down: float = 0.0
+    jump: float = 0.0
     stamps: list[float | None] | None = None
     ratios: list[float | None] | None = None
     start_emitted: bool = False
@@ -117,8 +115,7 @@ class OscillatorState:
         self.fired = False
         self.pulse_count = 0
         self.freq_buffer.clear()
-        self.jump_up = 0.0
-        self.jump_down = 0.0
+        self.jump = 0.0
         if self.stamps is not None:
             self.open_pair_slots(len(self.stamps))
 
@@ -126,7 +123,11 @@ class OscillatorState:
 @dataclass
 class WorldState:
     """One run's state. ``faulty`` names the misbehaving nodes; every other
-    node is normal, and ``normal_ids`` lists those in ascending order."""
+    node is normal, and ``normal_ids`` lists those in ascending order.
+    ``ratio_log`` stays None unless the run logs the relative protocol's
+    ratios, one (time, node, sender, ratio, receiver omega before the
+    update, sender omega or None if forged) record each; ``pair_senders``
+    then keeps each pair's sender omega under (receiver, slot)."""
 
     graph: DirectedGraph
     oscillators: list[OscillatorState]
@@ -135,6 +136,8 @@ class WorldState:
     event_count: int = 0
     # Receptions the protocol handled, counted once per fan-out.
     pulses_delivered: int = 0
+    ratio_log: list | None = None
+    pair_senders: dict[tuple[int, int], float | None] | None = None
 
     def __post_init__(self) -> None:
         n = self.graph.node_count
@@ -308,15 +311,15 @@ class _CandidateTimes:
 def next_event(world: WorldState, pending_adversary, table: _CandidateTimes) -> tuple | None:
     """Peek the next event: earliest threshold crossing or scripted pulse.
 
-    ``pending_adversary`` holds (time, node, is_start) triples sorted by
-    that tuple; only the head competes. Ties within ``TIME_EPS`` resolve by
-    kind priority then node id, and the event happens at the earliest time
-    of its window (the earlier of its own and ``tmin`` for a scripted
-    pulse). Returns the event tuple, or None when nothing is pending.
-    ``table``, kept by ``simulate`` across one run, holds the protocol's
-    start-pulse threshold and carries the candidate times between
-    selections (see the module docstring); a new table has no clock, so its
-    first selection computes every normal node.
+    ``pending_adversary`` holds scripted pulses as ``PulseTape`` keeps them,
+    (time, node, is_start, claim), in time order; only the head competes.
+    Ties within ``TIME_EPS`` resolve by kind priority then node id, and the
+    event happens at the earliest time of its window (the earlier of its own
+    and ``tmin`` for a scripted pulse). Returns the event tuple, or None
+    when nothing is pending. ``table``, kept by ``simulate`` across one run,
+    holds the protocol's start-pulse threshold and carries the candidate
+    times between selections (see the module docstring); a new table has no
+    clock, so its first selection computes every normal node.
 
     At an unchanged clock the selection resumes from the table's cursor,
     the slot the previous selection chose: it keeps that selection's
@@ -353,11 +356,11 @@ def next_event(world: WorldState, pending_adversary, table: _CandidateTimes) -> 
         k = None  # searched for once no adversary pulse wins
     limit = tmin + TIME_EPS
     if pending_adversary:
-        t, node, is_start = pending_adversary[0]
+        t, node, _, _ = pending_adversary[0]
         # Earlier than every node, or tied with the earliest: it wins.
         if t <= limit:
             table.cursor = 0
-            return (min(t, tmin), ADVERSARY_PULSE, node, bool(is_start))
+            return (min(t, tmin), ADVERSARY_PULSE, node)
     if not tmin < math.inf:
         return None
     if k is None:
@@ -373,7 +376,7 @@ def next_event(world: WorldState, pending_adversary, table: _CandidateTimes) -> 
     if k > cursor and min(times[cursor:k]) <= limit:
         k = next(compress(count(cursor), map(limit.__ge__, times[cursor:k])))
     table.cursor = k
-    return (tmin, table.kinds[k // table.n], k % table.n, False)
+    return (tmin, table.kinds[k // table.n], k % table.n)
 
 
 def event_budget(n: int, scripted_pulses: int, horizon: float, fastest: float = 1.0,
@@ -385,7 +388,7 @@ def event_budget(n: int, scripted_pulses: int, horizon: float, fastest: float = 
     return int((2 * n * max(1.0, fastest) + scripted_pulses) * (horizon + 1.0) * safety) + 16
 
 
-def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float, int, int]]]:
+def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float, int, bool]]]:
     """Every scripted pulse up to the horizon, and how many there are.
 
     The pulses come as (time, node, is_start) triples in the order of that
@@ -398,7 +401,8 @@ def scripted_pulses(scripts, horizon: float) -> tuple[int, Iterator[tuple[float,
     streams = []
     for script in scripts:
         node = script.node
-        for is_start, schedule in ((0, script.emission_times), (1, script.start_emission_times)):
+        for is_start, schedule in ((False, script.emission_times),
+                                   (True, script.start_emission_times)):
             for size, times in schedule.streams(horizon):
                 total += size
                 if size:
@@ -410,26 +414,25 @@ class PulseTape:
     """The scripted pulses of one prepared scenario, merged once and read by
     every run of it.
 
-    ``pulses`` holds the (time, node, is_start) triples of ``scripted_pulses``
-    in its order, pulled from its merge only when a run first reaches one,
-    and ``claims`` beside each the frequency it claims: the script's
-    ``freq_claim`` evaluated once, at the pulse's scripted time, or 0.0 for a
-    start pulse, which claims none. ``total`` counts every pulse up to
-    ``horizon``, reached or not, for the liveness budget. Each run reads the
-    tape through its own index, so a process that runs one prepared scenario
-    many times (a sweep) merges and claims each pulse once, and a single run
-    still computes only the pulses it reaches.
+    ``pulses`` holds the pulses of ``scripted_pulses`` in its order, pulled
+    from its merge only when a run first reaches one, each as (time, node,
+    is_start, claim): the claim is the script's ``freq_claim`` evaluated
+    once, at the pulse's scripted time, or 0.0 for a start pulse, which
+    claims none. ``total`` counts every pulse up to ``horizon``, reached or
+    not, for the liveness budget. Each run reads the tape through its own
+    index, so a process that runs one prepared scenario many times (a sweep)
+    merges and claims each pulse once, and a single run still computes only
+    the pulses it reaches.
     """
 
-    __slots__ = ("horizon", "total", "pulses", "claims", "_source", "_claim_fns")
+    __slots__ = ("horizon", "total", "pulses", "_source", "_claim_fns")
 
     def __init__(self, scripts, horizon: float):
         if not horizon >= 0.0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
         self.horizon = horizon
         self.total, self._source = scripted_pulses(scripts, horizon)
-        self.pulses: list[tuple[float, int, int]] = []
-        self.claims: list[float] = []
+        self.pulses: list[tuple[float, int, bool, float]] = []
         self._claim_fns = {script.node: script.freq_claim for script in scripts}
 
     def pending(self, index: int) -> tuple:
@@ -442,7 +445,7 @@ class PulseTape:
         if pulse is None:
             return ()
         time, node, is_start = pulse
-        self.claims.append(0.0 if is_start else self._claim_fns[node](time))
+        pulse = (time, node, is_start, 0.0 if is_start else self._claim_fns[node](time))
         pulses.append(pulse)
         return (pulse,)
 
@@ -471,7 +474,6 @@ def simulate(
     Returns an outcome string: "converged", "detected", or "horizon".
     """
     horizon = tape.horizon
-    claims = tape.claims
     reached = 0
     pending = tape.pending(0)
 
@@ -483,7 +485,7 @@ def simulate(
         ev = next_event(world, pending, table)
         if ev is None or ev[0] > horizon + TIME_EPS:
             break
-        time, kind, node, is_start = ev
+        time, kind, node = ev
         dt = time - world.clock
         if dt > 0.0:
             advance_all(world, dt)
@@ -500,7 +502,8 @@ def simulate(
         elif kind is ADVERSARY_PULSE:
             table.actor = None
             # The tape read the claim at the scripted time, not at the event's.
-            newly_detected = protocol.deliver_adversary(world, node, claims[reached], is_start)
+            _, _, is_start, claim = pending[0]
+            newly_detected = protocol.deliver_adversary(world, node, claim, is_start)
             reached += 1
             pending = tape.pending(reached)
         else:

@@ -316,7 +316,7 @@ class RunMetrics:
         """
         k = self._k = world.event_count
         self._delta = None
-        time, kind, node, _ = event
+        time, kind, node = event
         # A clock change may have moved every phase; at the same clock only
         # the actor's phase can have moved, and an adversary pulse's actor is
         # faulty.

@@ -3,10 +3,10 @@
 W-MSR is the weighted mean-subsequence-reduced rule of LeBlanc et al.,
 "Resilient asymptotic consensus in robust networks" (IEEE JSAC 2013), whose
 (2f+1)-robustness condition ``graph.py`` certifies. A node counts the pulses
-of its round, captures phase-correction ingredients at the landmarks f + 1
-and d - f, and at its update jumps its phase, trims the f - (d - c) largest
-and smallest frequency estimates, and takes a weighted mean of the rest.
-The variants differ only in the estimates: claimed values
+of its round, adds up its phase corrections at the landmarks f + 1 and d -
+f, and at its update jumps its phase by half their sum, trims the f - (d -
+c) largest and smallest frequency estimates, and takes a weighted mean of
+the rest. The variants differ only in the estimates: claimed values
 (``absolute.py``) or pulse-pair ratios (``relative.py``).
 
 ``MsrRound.deliver_pulse`` is the one loop that hands a counted pulse to
@@ -150,11 +150,12 @@ class MsrRound:
         pulse: the absolute variant buffers the claimed frequency ``value``;
         the relative one pairs its phase with the sender's pending start
         stamp, emptying the stamp and keeping the pair's frequency ratio in
-        the slot, and, while it logs ratios, keeps ``value`` as the sender's
-        frequency (None for a forged pulse) under (receiver, slot) in
-        ``pair_senders``. It then counts the pulse at its current phase,
-        captures each landmark's jump ingredient on the pulse that reaches it
-        (counts f + 1 and d - f), and with eager detection latches a count
+        the slot, and, while the world logs ratios, keeps ``value`` as the
+        sender's frequency (None for a forged pulse) under (receiver, slot)
+        in ``world.pair_senders``. It then counts the pulse at its current
+        phase, adds to ``jump`` each landmark's correction on the pulse that
+        reaches it (count f + 1 in the upper half: 1 - phase; count d - f in
+        the lower half: -phase), and with eager detection latches a count
         past its in-degree d.
 
         Returns True when eager detection latched on any receiver.
@@ -168,7 +169,7 @@ class MsrRound:
         pairs = self.start_target is not None
         if pairs:
             zeta = self.zeta
-            senders = None if self.ratio_log is None else self.pair_senders
+            senders = world.pair_senders
         newly = False
         for j, k in edges:
             osc = oscillators[j]
@@ -189,10 +190,10 @@ class MsrRound:
             c = osc.pulse_count + 1
             osc.pulse_count = c
             d = in_degrees[j]
-            if c == up_at:
-                osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
-            if c == d - f:
-                osc.jump_down = -phi if phi < 0.5 else 0.0
+            if c == up_at and phi >= 0.5:
+                osc.jump += 1.0 - phi
+            if c == d - f and phi < 0.5:
+                osc.jump -= phi
             if eager and c > d and not osc.detected:
                 osc.detected = True
                 newly = True
@@ -221,7 +222,7 @@ class MsrRound:
                 f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
                 f"the scenario violates the one-pulse-per-round precondition"
             )
-        osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
+        osc.phase = 0.5 + 0.5 * osc.jump
         return trim
 
     def close_update(self, world: WorldState, i: int, omega: float) -> bool:

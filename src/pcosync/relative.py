@@ -43,20 +43,14 @@ class RelativeProtocol(MsrRound):
                  eager_detection: bool = False, zeta: float = 0.1):
         """``f``, ``weight_policy`` and ``eager_detection`` set the W-MSR
         round (see ``MsrRound``); ``zeta`` is the phase offset of the start
-        pulse before the fire, refused outside (0, 0.5).
-        ``ratio_log``, once a caller sets it to a list before a run, collects
-        one record per accepted ratio: (time, node, sender, ratio, receiver
-        omega before update, sender omega at end-pulse emission or None for
-        forged pulses). Diagnostic only; the protocol itself never reads it.
-        While it is on, ``pair_senders`` keeps each pair's sender omega under
-        (receiver, slot), read only while the slot holds that pair's ratio."""
+        pulse before the fire, refused outside (0, 0.5). The protocol holds
+        no run state: a run that logs ratios keeps its log on its world
+        (``WorldState.ratio_log``)."""
         if problem := offset_problem(zeta):
             raise ValueError(problem)
         super().__init__(f, weight_policy, eager_detection)
         self.zeta = zeta
         self.start_target = 1.0 - zeta
-        self.ratio_log: list | None = None
-        self.pair_senders: dict[tuple[int, int], float | None] = {}
 
     # -- pulse plane --------------------------------------------------------
 
@@ -110,9 +104,9 @@ class RelativeProtocol(MsrRound):
         # The slots, in in-neighbor order, hold each completed pair's ratio;
         # an empty slot and coincident stamps (0.0) give no estimate.
         ratios = [r for r in osc.ratios if r]
-        ratio_log = self.ratio_log
+        ratio_log = world.ratio_log
         if ratio_log is not None:
-            senders = self.pair_senders
+            senders = world.pair_senders
             for k, (j, r) in enumerate(zip(world.graph.in_neighbors[i], osc.ratios)):
                 if r:
                     ratio_log.append((world.clock, i, j, r, omega, senders[i, k]))

@@ -57,7 +57,7 @@ def run_scenario(
         raise ScenarioValidationError(violations)
 
     if collect_ratios and prepared.protocol.start_target is not None:
-        prepared.protocol.ratio_log = []
+        world.ratio_log, world.pair_senders = [], {}
     outcome, metrics, fault_message = run_built(
         prepared, world, collect_trace=collect_trace or trace_path is not None
     )
@@ -73,7 +73,7 @@ def run_scenario(
         violations=violations,
         info=info,
         fault_message=fault_message,
-        ratio_log=getattr(prepared.protocol, "ratio_log", None),
+        ratio_log=world.ratio_log,
     )
 
 

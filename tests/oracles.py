@@ -119,13 +119,13 @@ def scan_next_event(world, protocol, pending_adversary=()):
     from pcosync.engine import ADVERSARY_PULSE, FIRE, PHASE_SLACK, START_PULSE, TIME_EPS, UPDATE
 
     _KINDS = (ADVERSARY_PULSE, FIRE, START_PULSE, UPDATE)
-    candidates = []  # time, priority, node, start_rank
+    candidates = []  # time, priority, node
     start_target = protocol.start_target
     uses_start = start_target is not None
     for i in world.normal_ids:
         osc = world.oscillators[i]
         candidates.append(
-            (world.clock + max(0.0, 1.0 - osc.phase) / osc.omega, 1, i, 0)
+            (world.clock + max(0.0, 1.0 - osc.phase) / osc.omega, 1, i)
         )
         if osc.fired and not osc.detected:
             if osc.phase > 0.5 + PHASE_SLACK:
@@ -134,23 +134,23 @@ def scan_next_event(world, protocol, pending_adversary=()):
                     f"after event {world.event_count}"
                 )
             candidates.append(
-                (world.clock + max(0.0, 0.5 - osc.phase) / osc.omega, 3, i, 0)
+                (world.clock + max(0.0, 0.5 - osc.phase) / osc.omega, 3, i)
             )
         if uses_start and not osc.start_emitted and osc.phase <= start_target + PHASE_SLACK:
             candidates.append(
-                (world.clock + max(0.0, start_target - osc.phase) / osc.omega, 2, i, 0)
+                (world.clock + max(0.0, start_target - osc.phase) / osc.omega, 2, i)
             )
     if pending_adversary:
-        t, node, is_start = pending_adversary[0]
-        candidates.append((t, 0, node, 1 if is_start else 0))
+        t, node, _, _ = pending_adversary[0]
+        candidates.append((t, 0, node))
     if not candidates:
         return None
     tmin = min(c[0] for c in candidates)
     best = min(
         (c for c in candidates if c[0] <= tmin + TIME_EPS),
-        key=lambda c: (c[1], c[2], c[3]),
+        key=lambda c: (c[1], c[2]),
     )
-    return (tmin, _KINDS[best[1]], best[2], bool(best[3]))
+    return (tmin, _KINDS[best[1]], best[2])
 
 
 def gap_loop_arc(phases):
@@ -348,16 +348,15 @@ class DictPairingOscillator(OscillatorState):
         self.pulse_pairs.clear()
 
 
-def pairing(world, i, zeta=None, proto=None):
+def pairing(world, i, zeta=None):
     """Node i's pulse pairing keyed by sender id, in in-neighbor order: its
     pending start stamps, and its completed pairs as (frequency ratio, or
     None for coincident stamps; sender frequency, or None if forged or not
     kept). Reads the pairing slots of an ``OscillatorState`` (none in a
-    world without them), with the sender frequencies that ``proto``, the
-    ``RelativeProtocol`` that paired them, keeps while it logs ratios, or
-    the dicts of a ``DictPairingOscillator``, whose pairs become ratios
-    through ``pulse_pair_ratio`` at ``zeta``. Only in-neighbors have slots,
-    and only their pairs are ever read."""
+    world without them), with the sender frequencies the world keeps while
+    it logs ratios, or the dicts of a ``DictPairingOscillator``, whose pairs
+    become ratios through ``pulse_pair_ratio`` at ``zeta``. Only
+    in-neighbors have slots, and only their pairs are ever read."""
     osc = world.oscillators[i]
     nbrs = world.graph.in_neighbors[i]
     if isinstance(osc, DictPairingOscillator):
@@ -369,8 +368,8 @@ def pairing(world, i, zeta=None, proto=None):
     if osc.stamps is None:
         return {}, {}
     pending = {s: stamp for s, stamp in zip(nbrs, osc.stamps) if stamp is not None}
-    kept = proto is not None and proto.ratio_log is not None
-    done = {s: (ratio or None, proto.pair_senders[i, k] if kept else None)
+    senders = world.pair_senders
+    done = {s: (ratio or None, None if senders is None else senders[i, k])
             for k, (s, ratio) in enumerate(zip(nbrs, osc.ratios)) if ratio is not None}
     return pending, done
 
@@ -390,8 +389,8 @@ def pulse_pair_ratio(start_stamp, end_stamp, zeta):
 
 
 def _count_pulse(self, world, i):
-    """Receiver i counts one pulse at its current phase and captures
-    each landmark's jump ingredient on the pulse that reaches it.
+    """Receiver i counts one pulse at its current phase and adds each
+    landmark's phase correction to its jump on the pulse that reaches it.
 
     Returns True when eager detection latched on this pulse.
     """
@@ -401,10 +400,10 @@ def _count_pulse(self, world, i):
     d = len(world.graph.in_neighbors[i])
     f = self.f
     phi = osc.phase
-    if c == f + 1:
-        osc.jump_up = 1.0 - phi if phi >= 0.5 else 0.0
-    if c == d - f:
-        osc.jump_down = -phi if phi < 0.5 else 0.0
+    if c == f + 1 and phi >= 0.5:
+        osc.jump += 1.0 - phi
+    if c == d - f and phi < 0.5:
+        osc.jump -= phi
     if self.eager_detection and c > d and not osc.detected:
         osc.detected = True
         return True
@@ -429,7 +428,7 @@ def _open_update(self, world, i):
             f"node {i} heard only {c} of {d} in-neighbor pulses in a round; "
             f"the scenario violates the one-pulse-per-round precondition"
         )
-    osc.phase = 0.5 + 0.5 * (osc.jump_up + osc.jump_down)
+    osc.phase = 0.5 + 0.5 * osc.jump
     return trim
 
 
@@ -523,8 +522,8 @@ class HookRelativeProtocol(RelativeProtocol):
             if ratio is None:
                 continue
             ratios.append(ratio)
-            if self.ratio_log is not None:
-                self.ratio_log.append((world.clock, i, j, ratio, osc.omega, pair[2]))
+            if world.ratio_log is not None:
+                world.ratio_log.append((world.clock, i, j, ratio, osc.omega, pair[2]))
         kept = msr_trim(ratios, trim) if len(ratios) >= 2 * trim else []
         weights = make_weights(self.weight_policy, len(kept))
         omega = osc.omega

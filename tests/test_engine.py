@@ -103,7 +103,7 @@ def test_faulty_phase_free_runs_modulo_one():
 
 def test_fire_tie_resolves_to_lower_node_id():
     world = two_node_world([0.0, 0.0], [1.0, 1.0])
-    time, kind, node, _ = select(world, PLAIN)
+    time, kind, node = select(world, PLAIN)
     assert kind is FIRE
     assert node == 0
     assert time == pytest.approx(1.0)
@@ -117,16 +117,16 @@ def test_fire_beats_update_at_the_same_instant():
 
 def test_adversary_pulse_beats_thresholds_at_the_same_instant():
     world = two_node_world([0.5, 0.0], [1.0, 1.0])
-    assert select(world, PLAIN, ((0.5, 7, 0),))[1:3] == (ADVERSARY_PULSE, 7)
+    assert select(world, PLAIN, ((0.5, 7, False, 1.0),))[1:3] == (ADVERSARY_PULSE, 7)
 
 
 def test_a_scripted_pulse_exactly_time_eps_late_still_ties_with_the_earliest_node():
     world = two_node_world([0.2, 0.0], [1.0, 1.0])
     tmin = select(world, PLAIN)[0]
     limit = tmin + TIME_EPS  # the tie window's end, as next_event computes it
-    assert select(world, PLAIN, ((limit, 7, 0),)) == (tmin, ADVERSARY_PULSE, 7, False)
+    assert select(world, PLAIN, ((limit, 7, False, 1.0),)) == (tmin, ADVERSARY_PULSE, 7)
     later = math.nextafter(limit, math.inf)
-    assert select(world, PLAIN, ((later, 7, 0),)) == (tmin, FIRE, 0, False)
+    assert select(world, PLAIN, ((later, 7, False, 1.0),)) == (tmin, FIRE, 0)
 
 
 def test_update_is_armed_only_after_firing():
@@ -134,7 +134,7 @@ def test_update_is_armed_only_after_firing():
     # Nobody fired yet, so no update is due.
     assert select(world, PLAIN)[1] is FIRE
     world.oscillators[0].fired = True
-    time, kind, node, _ = select(world, PLAIN)
+    time, kind, node = select(world, PLAIN)
     assert (kind, node) == (UPDATE, 0)
     assert time == pytest.approx(0.3)
 
@@ -158,16 +158,16 @@ def test_start_pulse_scheduling_window():
     # and have not already passed the threshold this cycle.  A silent faulty
     # companion keeps node 0's candidates from being shadowed.
     world = two_node_world([0.0, 0.95], [1.0, 1.0], faulty=(1,))
-    time, kind, node, _ = select(world, STARTING)
+    time, kind, node = select(world, STARTING)
     assert (kind, node) == (START_PULSE, 0)
     assert time == pytest.approx(0.9)
     world.oscillators[0].start_emitted = True
-    time, kind, node, _ = select(world, STARTING)
+    time, kind, node = select(world, STARTING)
     assert (kind, node) == (FIRE, 0)
     assert time == pytest.approx(1.0)
     # Already past the threshold: no start candidate is manufactured.
     late = two_node_world([0.95, 0.0], [1.0, 1.0], faulty=(1,))
-    time, kind, node, _ = select(late, STARTING)
+    time, kind, node = select(late, STARTING)
     assert (kind, node) == (FIRE, 0)
     assert time == pytest.approx(0.05)
 
@@ -176,8 +176,9 @@ def test_every_selected_event_carries_one_of_the_engine_kinds():
     # ``simulate`` sends a kind it does not recognise to ``handle_start``, so
     # a kind equal to an engine name but not that object would run the wrong
     # handler silently. Over a relative run with a flood and forged start
-    # pulses, every selection returns a plain tuple whose kind is one of the
-    # four engine names, and the trace's kinds are those names plus "init".
+    # pulses, every selection returns a plain (time, kind, node) tuple whose
+    # kind is one of the four engine names, and the trace's kinds are those
+    # names plus "init"; a forged start pulse is one the tape's head flags.
     kinds = (ADVERSARY_PULSE, FIRE, START_PULSE, UPDATE)
     config = ScenarioConfig(
         graph=complete_digraph(8), algorithm="relative", f=2,
@@ -190,20 +191,21 @@ def test_every_selected_event_carries_one_of_the_engine_kinds():
     )
     seen = []
 
-    def recording(*args):
-        event = next_event(*args)
-        seen.append(event)
+    def recording(world, pending, table):
+        event = next_event(world, pending, table)
+        seen.append((event, pending))
         return event
 
     with mock.patch.object(pcosync.engine, "next_event", recording):
         result = run_scenario(config, force=True, collect_trace=True)
-    events = [event for event in seen if event is not None]
-    assert all(type(event) is tuple for event in events)
+    events = [event for event, _ in seen if event is not None]
+    assert all(type(event) is tuple and len(event) == 3 for event in events)
     assert all(any(event[1] is kind for kind in kinds) for event in events)
     assert {event[1] for event in events} == set(kinds)
     assert result.metrics.rows[0].event_kind == "init"
     assert {row.event_kind for row in result.metrics.rows} == {"init", *kinds}
-    assert any(event[1] is ADVERSARY_PULSE and event[3] for event in events)
+    assert any(event is not None and event[1] is ADVERSARY_PULSE and pending[0][2]
+               for event, pending in seen)
 
 
 def test_event_budget_scales_with_size_and_horizon():
@@ -351,7 +353,7 @@ def test_next_event_matches_the_candidate_scan(nodes, clock, protocol, head):
     pending = ()
     if head is not None:
         steps, node, is_start = head
-        pending = ((clock + steps / 16, node, int(is_start)),)
+        pending = ((clock + steps / 16, node, is_start, 1.0),)
     try:
         expected = scan_next_event(world, protocol, pending)
     except InvariantViolation as exc:
@@ -458,7 +460,7 @@ def test_selections_at_one_clock_match_the_candidate_scan(data, nodes, clock, pr
             table.actor = None
             near = table.tmin if table.tmin < math.inf else clock
             t = data.draw(st.sampled_from([near + aim for aim in _AIMS] + [clock + 1.0]), label="head")
-            pending = ((t, data.draw(st.integers(0, 7), label="head node"), int(data.draw(st.booleans()))),)
+            pending = ((t, data.draw(st.integers(0, 7), label="head node"), data.draw(st.booleans()), 1.0),)
 
 
 # -- selections inside simulate -----------------------------------------------
@@ -490,7 +492,7 @@ class CheckedSelections:
             assert got is None
         else:
             assert repr(got) == repr(expected)
-            self.events.append(got[:3])
+            self.events.append(got)
         return got
 
     def patch(self):

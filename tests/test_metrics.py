@@ -348,7 +348,7 @@ def observe(world, metrics, phases=None, omegas=None, advance=0.0):
     world.clock += advance
     world.event_count += 1
     kind = UPDATE if changed else FIRE
-    return metrics.observe(world, (world.clock, kind, node, False))
+    return metrics.observe(world, (world.clock, kind, node))
 
 
 def test_initial_snapshot():
@@ -483,7 +483,7 @@ def untracked(phases, tol_phase):
         world.clock += 0.25
         world.event_count += 1
         with mock.patch.object(pcosync.metrics, "containing_arc", counting):
-            metrics.observe(world, (world.clock, FIRE, 0, False))
+            metrics.observe(world, (world.clock, FIRE, 0))
         return metrics._streak
 
     return metrics, step, arcs

@@ -120,9 +120,9 @@ SLOTS = ("stamps", "ratios")
 FIELDS = [f.name for f in dataclasses.fields(OscillatorState) if f.name not in SLOTS]
 
 
-def _state(world, proto, zeta=ZETA):
+def _state(world, zeta=ZETA):
     """Every oscillator field but the pairing slots, and the node's pairing."""
-    return [repr([getattr(osc, name) for name in FIELDS] + [pairing(world, i, zeta, proto)])
+    return [repr([getattr(osc, name) for name in FIELDS] + [pairing(world, i, zeta)])
             for i, osc in enumerate(world.oscillators)]
 
 
@@ -142,7 +142,8 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
     else:
         new = RelativeProtocol(**params, zeta=ZETA)
         old = HookRelativeProtocol(**params, zeta=ZETA)
-        new.ratio_log, old.ratio_log = [], []
+        for world in worlds:
+            world.ratio_log, world.pair_senders = [], {}
         new_world.add_pair_slots()
     n = new_world.graph.node_count
     # handle_start only raises in the absolute variant; test_msr covers that.
@@ -175,11 +176,11 @@ def test_fan_out_matches_the_per_receiver_hooks(variant, f, eager, worlds, data)
             got = _apply(new, new_world, op, node, value, 0.25 * k, sender)
             want = _apply(old, old_world, op, node, value, 0.25 * k, sender)
             assert repr(got) == repr(want), (k, op, node)
-            assert _state(new_world, new) == _state(old_world, old), (k, op, node)
+            assert _state(new_world) == _state(old_world), (k, op, node)
             assert new_world.pulses_delivered == old.hook_calls
             assert old_world.pulses_delivered == 0  # the old path never reaches the loop
     if variant == "relative":
-        assert repr(new.ratio_log) == repr(old.ratio_log)
+        assert repr(new_world.ratio_log) == repr(old_world.ratio_log)
 
 
 def _run(config, hooks):
@@ -197,7 +198,7 @@ def _run(config, hooks):
         prepared.protocol = oracle
         world.oscillators = [DictPairingOscillator(osc.phase, osc.omega) for osc in world.oscillators]
     if relative:
-        prepared.protocol.ratio_log = []
+        world.ratio_log, world.pair_senders = [], {}
     outcome, _, fault = run_built(prepared, world)
     return world, prepared.protocol, outcome, fault
 
@@ -219,9 +220,9 @@ def test_pulse_counter_equals_the_hook_calls_of_whole_runs():
             old_world, old, old_outcome, old_fault = _run(config, hooks=True)
             assert not new_fault and not old_fault, (new_fault, old_fault)
             assert new_outcome == old_outcome
-            assert _state(new_world, new, config.zeta) == _state(old_world, old, config.zeta)
+            assert _state(new_world, config.zeta) == _state(old_world, config.zeta)
             if algorithm == "relative":
-                assert repr(new.ratio_log) == repr(old.ratio_log)
+                assert repr(new_world.ratio_log) == repr(old_world.ratio_log)
             assert new_world.event_count == old_world.event_count
             assert new_world.pulses_delivered == old.hook_calls > 0
             checked += 1
@@ -259,4 +260,4 @@ def test_an_update_past_the_step_rule_faults_alike_on_both_paths(algorithm):
     assert new_fault.endswith(f"past {new.omega_limit!r}, the fastest the event loop can step")
     assert old.omega_limit == new.omega_limit < math.inf
     assert new_world.event_count == old_world.event_count
-    assert _state(new_world, new, config.zeta) == _state(old_world, old, config.zeta)
+    assert _state(new_world, config.zeta) == _state(old_world, config.zeta)

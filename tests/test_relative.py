@@ -19,6 +19,7 @@ from pcosync import (
     load_scenario,
     run_scenario,
 )
+from pcosync.runner import run_built
 
 from oracles import pairing, update_sequence
 
@@ -47,7 +48,7 @@ def complete_pairs(world, proto, pairs):
         osc.phase = end
         proto.on_end_pulse(world, 0, sender=j)
     osc.pulse_count = 0
-    osc.jump_up = osc.jump_down = 0.0
+    osc.jump = 0.0
 
 
 def update_from_pairs(*pairs):
@@ -56,14 +57,14 @@ def update_from_pairs(*pairs):
     its new frequency."""
     world = k5_world()
     proto = RelativeProtocol(f=0, zeta=0.1)
-    proto.ratio_log = []
+    world.ratio_log, world.pair_senders = [], {}
     osc = world.oscillators[0]
     complete_pairs(world, proto, dict(enumerate(pairs, 1)))
     osc.pulse_count = 4
     osc.fired = True
     osc.phase = 0.5
     assert proto.handle_update(world, 0) is False
-    return {j: ratio for _, _, j, ratio, _, _ in proto.ratio_log}, osc.omega
+    return {j: ratio for _, _, j, ratio, _, _ in world.ratio_log}, osc.omega
 
 
 def test_ratio_from_plain_pair():
@@ -101,22 +102,22 @@ def test_params_validate_offset_range():
 def test_stamp_pairing_state_machine():
     world = k5_world()
     proto = RelativeProtocol(f=1)
-    proto.ratio_log = []
+    world.ratio_log, world.pair_senders = [], {}
     osc = world.oscillators[0]
 
     # A lone end pulse has nothing to pair with but still counts.
     osc.phase = 0.55
     proto.on_end_pulse(world, 0, sender=1, sender_omega=1.2)
-    assert pairing(world, 0, proto=proto) == ({}, {})
+    assert pairing(world, 0) == ({}, {})
     assert osc.pulse_count == 1
 
     # Start then end completes a pair carrying the sender's frequency.
     osc.phase = 0.60
     proto.on_start_pulse(world, 0, sender=2)
-    assert pairing(world, 0, proto=proto) == ({2: 0.60}, {})
+    assert pairing(world, 0) == ({2: 0.60}, {})
     osc.phase = 0.68
     proto.on_end_pulse(world, 0, sender=2, sender_omega=1.5)
-    assert pairing(world, 0, proto=proto) == ({}, {2: (0.1 / ((0.68 - 0.60) % 1.0), 1.5)})
+    assert pairing(world, 0) == ({}, {2: (0.1 / ((0.68 - 0.60) % 1.0), 1.5)})
 
     # A second start from the same sender overwrites a stale one.
     osc.phase = 0.70
@@ -125,17 +126,17 @@ def test_stamp_pairing_state_machine():
     proto.on_start_pulse(world, 0, sender=3)
     osc.phase = 0.90
     proto.on_end_pulse(world, 0, sender=3, sender_omega=1.0)
-    assert pairing(world, 0, proto=proto)[1][3] == (0.1 / ((0.90 - 0.80) % 1.0), 1.0)
+    assert pairing(world, 0)[1][3] == (0.1 / ((0.90 - 0.80) % 1.0), 1.0)
 
     # The latest completed pair wins.
     osc.phase = 0.10
     proto.on_start_pulse(world, 0, sender=2)
     osc.phase = 0.30
     proto.on_end_pulse(world, 0, sender=2, sender_omega=0.5)
-    assert pairing(world, 0, proto=proto)[1][2] == (0.1 / ((0.30 - 0.10) % 1.0), 0.5)
+    assert pairing(world, 0)[1][2] == (0.1 / ((0.30 - 0.10) % 1.0), 0.5)
 
     osc.reset_round()
-    assert pairing(world, 0, proto=proto) == ({}, {})
+    assert pairing(world, 0) == ({}, {})
 
 
 def test_hooks_pair_in_the_senders_in_neighbor_slot():
@@ -145,7 +146,7 @@ def test_hooks_pair_in_the_senders_in_neighbor_slot():
     world = WorldState(graph, [OscillatorState(0.0, 1.0) for _ in range(4)])
     world.add_pair_slots()
     proto = RelativeProtocol(f=0)
-    proto.ratio_log = []
+    world.ratio_log, world.pair_senders = [], {}
     osc = world.oscillators[0]
     osc.phase = 0.1
     proto.on_start_pulse(world, 0, sender=3)
@@ -158,10 +159,10 @@ def test_hooks_pair_in_the_senders_in_neighbor_slot():
     with pytest.raises(ValueError):
         proto.on_end_pulse(world, 0, sender=2, sender_omega=1.5)
     assert osc.pulse_count == 0
-    assert (osc.stamps, osc.ratios, proto.pair_senders) == ([0.1, 0.2], [None, None], {})
+    assert (osc.stamps, osc.ratios, world.pair_senders) == ([0.1, 0.2], [None, None], {})
     proto.on_end_pulse(world, 0, sender=1, sender_omega=2.0)
     assert osc.pulse_count == 1
-    assert (osc.stamps, osc.ratios, proto.pair_senders) == (
+    assert (osc.stamps, osc.ratios, world.pair_senders) == (
         [0.1, None], [None, 0.1 / ((0.25 - 0.2) % 1.0)], {(0, 1): 2.0})
     assert world.pulses_delivered == 3
 
@@ -182,7 +183,7 @@ def test_start_emission_snaps_phase_and_stamps_listeners():
 def test_fire_delivers_end_pulses_with_sender_frequency():
     world = k5_world()
     proto = RelativeProtocol(f=1)
-    proto.ratio_log = []
+    world.ratio_log, world.pair_senders = [], {}
     world.oscillators[1].omega = 1.25
     for i in (0, 2, 3, 4):
         world.oscillators[i].phase = 0.4
@@ -192,7 +193,7 @@ def test_fire_delivers_end_pulses_with_sender_frequency():
     assert world.oscillators[1].phase == 0.0
     assert world.oscillators[1].fired
     for i in (0, 2, 3, 4):
-        assert pairing(world, i, proto=proto) == ({}, {1: (0.1 / ((0.48 - 0.4) % 1.0), 1.25)})
+        assert pairing(world, i) == ({}, {1: (0.1 / ((0.48 - 0.4) % 1.0), 1.25)})
         assert world.oscillators[i].pulse_count == 1
 
 
@@ -201,7 +202,7 @@ def test_update_trims_ratio_extremes():
     {1.0, 1.25}; equal weights give omega * (1 + 0.25/3)."""
     world = k5_world()
     proto = RelativeProtocol(f=1, zeta=0.1)
-    proto.ratio_log = []
+    world.ratio_log, world.pair_senders = [], {}
     osc = world.oscillators[0]
     osc.omega = 1.2
     complete_pairs(world, proto, {
@@ -216,9 +217,9 @@ def test_update_trims_ratio_extremes():
     world.clock = 1.5
     assert proto.handle_update(world, 0) is False
     assert osc.omega == pytest.approx(1.2 * (1.0 + 0.25 / 3.0))
-    assert osc.phase == 0.5  # no jump ingredients were captured
-    assert len(proto.ratio_log) == 4
-    t, i, j, ratio, before, sender = proto.ratio_log[1]
+    assert osc.phase == 0.5  # no landmark correction was captured
+    assert len(world.ratio_log) == 4
+    t, i, j, ratio, before, sender = world.ratio_log[1]
     assert (t, i, j) == (1.5, 0, 2)
     assert ratio == pytest.approx(1.0)
     assert before == 1.2 and sender is None
@@ -233,7 +234,7 @@ def test_update_with_too_few_ratios_keeps_frequency():
     osc.omega = 1.37
     complete_pairs(world, proto, {1: (0.4, 0.5), 2: (0.4, 0.46)})
     osc.pulse_count = 4  # all pulses heard, but two pairs never completed
-    osc.jump_down = -0.2
+    osc.jump = -0.2
     osc.fired = True
     osc.phase = 0.5
     proto.handle_update(world, 0)
@@ -350,3 +351,20 @@ def test_ratio_log_matches_its_frozen_digest(name):
     log = repr(result.ratio_log)
     got = (len(result.ratio_log), hashlib.sha256(log.encode()).hexdigest())
     assert got == RATIO_LOG_PINS[name]
+
+
+def test_a_prepared_protocol_holds_no_run_state():
+    """Two runs of one prepared scenario, the second logging its ratios on
+    its own world, leave the shared protocol as it was, and the second log
+    is the one a fresh ``run_scenario`` collects."""
+    assert not {"ratio_log", "pair_senders"} & set(vars(RelativeProtocol(1)))
+    config = load_scenario(SCENARIOS / "relative_equivalence.json")
+    prepared, phases, freqs = config.prepare()
+    before = dict(vars(prepared.protocol))
+    plain, logged = prepared.world(phases, freqs), prepared.world(phases, freqs)
+    logged.ratio_log, logged.pair_senders = [], {}
+    assert run_built(prepared, plain)[0] == run_built(prepared, logged)[0] == "converged"
+    assert vars(prepared.protocol) == before
+    assert plain.ratio_log is None and logged.ratio_log
+    fresh = run_scenario(config, collect_ratios=True).ratio_log
+    assert repr(logged.ratio_log) == repr(fresh)

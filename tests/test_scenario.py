@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pcosync import (
@@ -940,6 +940,23 @@ def test_cli_too_deeply_nested_file_exits_2_with_one_line(command, capsys, tmp_p
 
 
 @pytest.mark.parametrize("command", ["validate-config", "run"])
+@pytest.mark.parametrize("unreadable", ["directory", "non_utf8"])
+def test_cli_unreadable_scenario_file_exits_2_with_one_line(command, unreadable, capsys, tmp_path):
+    # A path that is a directory raises an OSError on reading, and bytes
+    # that are not UTF-8 a UnicodeDecodeError; both are one violation.
+    path = tmp_path / "scenario.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = (captured.out + captured.err).splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"violation: cannot read scenario file {path}: ")
+
+
+@pytest.mark.parametrize("command", ["validate-config", "run"])
 @pytest.mark.parametrize("text, key", [
     # Top level: without the check, the last f (7) was kept.
     ('{"graph": {"named": "complete", "n": 5}, "f": 1, "f": 7}', "f"),
@@ -999,6 +1016,10 @@ UNRUNNABLE = {
     ),
     "attacker_node_9": (
         {"attackers": [{"node": 9, "type": "silent"}]}, "attacker node 9 outside 0..4"
+    ),
+    "one_node_graph": (
+        {"graph": {"inline": [[]]}, "f": 0, "phases": [0.0], "frequencies": [1.0]},
+        "the graph needs at least two nodes, got 1",
     ),
 }
 
@@ -1177,11 +1198,7 @@ EDGE_VALUES = st.one_of(
 )
 
 
-@pytest.mark.parametrize("algorithm,zeta", [("absolute", 0.1), ("relative", 0.1),
-                                            ("relative", 1e-10)])
-@pytest.mark.parametrize("horizon", [0.5, 5.0, 60.0, 1e4, 1e300, 1.7e308])
-def test_the_protocol_frequency_limit_is_the_fastest_the_step_rule_accepts(
-        algorithm, zeta, horizon):
+def _check_the_frequency_limit(algorithm, zeta, horizon):
     # The step rule as README states it: a phase step over the frequency
     # above TIME_EPS plus one ulp of the horizon, and the frequency times
     # four ulps of twice the padded horizon at most PHASE_SLACK less 2**-52.
@@ -1203,6 +1220,37 @@ def test_the_protocol_frequency_limit_is_the_fastest_the_step_rule_accepts(
         prepared.world([0.0] * 3, [limit] * 3)
     with pytest.raises(UnrunnableScenarioError, match="too fast to simulate"):
         prepared.world([0.0] * 3, [above] * 3)
+
+
+@pytest.mark.parametrize("algorithm,zeta", [("absolute", 0.1), ("relative", 0.1),
+                                            ("relative", 1e-10)])
+@pytest.mark.parametrize("horizon", [0.5, 5.0, 60.0, 1e4, 1e300, 1.7e308])
+def test_the_protocol_frequency_limit_is_the_fastest_the_step_rule_accepts(
+        algorithm, zeta, horizon):
+    """The limit is accepted and the next float up refused, at fixed
+    horizons and offsets; the test below draws them."""
+    _check_the_frequency_limit(algorithm, zeta, horizon)
+
+
+@settings(deadline=None)
+@given(
+    algorithm=st.sampled_from(["absolute", "relative"]),
+    zeta=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    horizon=st.floats(math.log(1e-6), math.log(1.7e308)).map(math.exp),
+)
+@example(algorithm="relative", zeta=8.195076984629253e-06, horizon=0.0033340389720211295)
+@example(algorithm="relative", zeta=0.00019048234948569444, horizon=0.0014774411761548601)
+def test_the_protocol_frequency_limit_holds_at_drawn_horizons_and_offsets(
+        algorithm, zeta, horizon):
+    """As above, at horizons drawn log-uniform from 1e-6 up to 1.7e308 and
+    start-pulse offsets drawn from (0, 0.5). On the two examples, both
+    found by such draws, ``PreparedScenario``'s first guess (the smaller
+    clause bound) lands one ulp above the limit, so its downward
+    ``nextafter`` step runs, as it does at zeta = 1e-10 above. Its upward
+    step, for a first guess below the limit, never ran in 320 000 drawn
+    configs, and no test reaches it; it stays as the guard the limit's
+    definition needs."""
+    _check_the_frequency_limit(algorithm, zeta, horizon)
 
 
 @settings(max_examples=300, deadline=None)

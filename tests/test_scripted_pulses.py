@@ -205,16 +205,18 @@ def test_scripted_runs_match_the_materialized_path(config):
 def test_simultaneous_pulses_keep_the_time_node_start_order():
     # Node 4 is listed first, and each script sends a counted and a start
     # pulse at 0.25: the run sees node 1's pulses first, its counted one
-    # ahead of its start one.
+    # ahead of its start one, as the tape it reads them from flags them.
     stealthy = {"offsets": [0.25], "start_offsets": [0.25]}
     config = ScenarioConfig(
         graph=complete_digraph(6), algorithm="relative", f=2,
         phases=[0.0] * 6, frequencies=[1.0] * 6, horizon=0.3, monitor="off",
         attackers=[AttackerSpec(4, "stealthy", stealthy), AttackerSpec(1, "stealthy", stealthy)],
     )
-    events, budgets, _ = _recorded_run(config)
-    assert events[:4] == [repr((0.25, engine.ADVERSARY_PULSE, node, start))
-                          for node, start in ((1, False), (1, True), (4, False), (4, True))]
+    prepared, phases, freqs = config.prepare()
+    events, budgets, _ = _recorded_prepared_run(prepared, phases, freqs, config.halt_on_detection)
+    assert events[:4] == [repr((0.25, engine.ADVERSARY_PULSE, node)) for node in (1, 1, 4, 4)]
+    assert [pulse[:3] for pulse in prepared.tape.pulses[:4]] == [
+        (0.25, node, start) for node, start in ((1, False), (1, True), (4, False), (4, True))]
     assert budgets == [engine.event_budget(6, 4, 0.3)]
 
 
@@ -231,7 +233,7 @@ def test_a_tied_pulse_claims_its_frequency_at_its_scripted_time():
             normalize_phases=False, normalize_frequencies=False,
         )
         events, _, outcome = _recorded_run(config)
-        pulse = repr((1.0, engine.ADVERSARY_PULSE, 6, False))
+        pulse = repr((1.0, engine.ADVERSARY_PULSE, 6))
         assert [e for e in events if "adversary_pulse" in e] == [pulse]
         assert (outcome[0], len(events)) == ("converged", 14)
 
@@ -262,7 +264,7 @@ def test_runs_on_one_prepared_scenario_match_freshly_prepared_runs(config, data)
         )
         fresh = _recorded_prepared_run(fresh_config.prepare()[0], phases, freqs, halt)
         assert shared == fresh
-        assert len(tape.claims) == len(tape.pulses) <= tape.total
+        assert len(tape.pulses) <= tape.total
 
 
 def _counting_custom_scenario(times):
@@ -293,11 +295,18 @@ def test_each_claim_is_evaluated_once_at_its_scripted_time():
         phases = [0.05 * ((k + i) % 5) for i in range(6)]
         freqs = [1.0 + 0.01 * ((k * i) % 4) for i in range(6)]
         _recorded_prepared_run(prepared, phases, freqs, halt_on_detection=k % 2 == 0)
-        assert calls == [t for t, _, _ in prepared.tape.pulses]
+        assert calls == [t for t, _, _, _ in prepared.tape.pulses]
         lengths.append(len(calls))
     assert lengths[0] < lengths[1] == len(times)
     assert calls == times
-    assert prepared.tape.claims == [1.0 + t / 10.0 for t in times]
+    assert [claim for _, _, _, claim in prepared.tape.pulses] == [1.0 + t / 10.0 for t in times]
+
+
+@pytest.mark.parametrize("horizon", [-1.0, math.nan])
+def test_a_tape_refuses_a_negative_or_nan_horizon(horizon):
+    scripts = [custom_script(5, pulses=[(0.5, 1.0)])]
+    with pytest.raises(ValueError, match=f"horizon must be nonnegative, got {horizon}"):
+        engine.PulseTape(scripts, horizon)
 
 
 def test_an_early_detection_leaves_the_rest_of_a_flood_unmerged():
